@@ -35,15 +35,6 @@
 //	    current head, then gates the change so only impacted jobs
 //	    re-execute (the summary reports the cache-hit split).
 //
-//	lisa assert|gate ... -shards N
-//	    Partition the run's semantics across N child lisa processes by
-//	    stable hash, all sharing one on-disk store (a temporary directory
-//	    unless -store is given). Each child executes only its shard and
-//	    writes results through; the parent then re-runs the full job set
-//	    against the warmed store — every job served from the disk tier —
-//	    and prints the usual report, byte-identical to a sequential run,
-//	    plus a per-shard wall-clock ledger. Incompatible with -remote.
-//
 //	lisa author -spec <file> -source <file>
 //	    Compile developer-authored semantics from a structured spec file
 //	    (§5's explicit-encoding interface) and assert them over a source.
@@ -105,7 +96,6 @@ import (
 	"lisa/internal/program"
 	"lisa/internal/sched"
 	"lisa/internal/server"
-	"lisa/internal/shard"
 	"lisa/internal/smt"
 	"lisa/internal/store"
 	"lisa/internal/ticket"
@@ -398,10 +388,7 @@ func runAssert(args []string) error {
 	sourcePath := fs.String("source", "", "path to a MiniJ source file to assert over")
 	withTests := fs.Bool("tests", false, "also replay similarity-selected tests")
 	workers := fs.Int("workers", 0, "scheduler pool width; 0 = GOMAXPROCS (the default), 1 = the sequential engine loop")
-	shards := fs.Int("shards", 1, "split the assertion across N child processes sharing one store; the parent then merges from the warmed store and prints the usual report")
-	shardIndex := fs.Int("shard-index", -1, "internal: run as shard child N of -shards (set by the parent; executes only that shard's semantics and suppresses the report)")
 	storeDir := fs.String("store", "", "back the snapshot, solver, and fingerprint caches with an on-disk store at this directory (created if missing)")
-	deepVerify := fs.Int("deep-verify", 0, "with -store: deep-verify every Nth snapshot restore by re-parsing the source and comparing canons (0 = default sampling, 1 = every restore, i.e. the pre-v2 behavior)")
 	remote := fs.String("remote", "", "assert through a running lisa serve daemon at this base URL instead of in-process")
 	remoteRetries := fs.Int("remote-retries", server.DefaultRemoteRetries, "with -remote: retries after a transient daemon failure (connection refused, timeout, drain, overload)")
 	remoteTimeout := fs.Duration("remote-timeout", 0, "with -remote: overall deadline across all attempts and backoff sleeps (0 = none)")
@@ -416,38 +403,6 @@ func runAssert(args []string) error {
 	}
 	if id == "" {
 		return fmt.Errorf("need -case or -rules")
-	}
-	var shardResults []shard.Result
-	var mergeStart time.Time
-	cleanupShards := func() {}
-	defer func() { cleanupShards() }()
-	if *shards > 1 && *shardIndex < 0 {
-		if *remote != "" {
-			return fmt.Errorf("-shards is incompatible with -remote")
-		}
-		// Warm handoff: resolve the target up front and hand the children a
-		// store that already holds its parsed snapshots — each child then
-		// restores by binary-AST decode instead of a full parse.
-		cs := corpus.Load().Get(id)
-		if cs == nil {
-			return fmt.Errorf("unknown case %q (try 'lisa list')", id)
-		}
-		target, terr := resolveAssertTarget(cs, *sourcePath, *version, id)
-		if terr != nil {
-			return terr
-		}
-		warm := []string{target}
-		if *withTests {
-			warm = append(warm, joinTests(target, cs.Tests))
-		}
-		results, dir, cleanup, err := spawnShards("assert", args, *shards, *storeDir, warm...)
-		if err != nil {
-			return err
-		}
-		cleanupShards = cleanup
-		shardResults = results
-		*storeDir = dir
-		mergeStart = time.Now()
 	}
 	if *remote != "" {
 		req := server.AssertRequest{Case: id, Version: *version, Tests: *withTests}
@@ -488,7 +443,6 @@ func runAssert(args []string) error {
 		defer cleanup()
 		flushStore = cleanup
 		st = s
-		e.Snapshots.SetDeepVerifyEvery(*deepVerify)
 	}
 	for _, tk := range cs.Tickets {
 		rep, err := e.ProcessTicket(tk)
@@ -513,27 +467,13 @@ func runAssert(args []string) error {
 		tests = cs.Tests
 	}
 	var rep *core.AssertReport
-	if *workers != 1 || st != nil || *shardIndex >= 0 {
+	if *workers != 1 || st != nil {
 		s := sched.New()
 		s.Cache().SetStore(st)
-		opts := sched.Options{Workers: *workers}
-		if *shardIndex >= 0 {
-			opts.ShardIndex = *shardIndex
-			opts.ShardCount = *shards
-		}
 		var stats *sched.Stats
-		rep, stats, err = s.Assert(e, target, tests, opts)
+		rep, stats, err = s.Assert(e, target, tests, sched.Options{Workers: *workers})
 		if err != nil {
 			return err
-		}
-		if *shardIndex >= 0 {
-			// Child mode: this process only warms the shared store with its
-			// shard's results. The parent's merge run owns the report and
-			// the exit code, so print a one-line summary and succeed.
-			flushStore()
-			fmt.Printf("shard %d/%d: %d jobs (%d executed, %d cache hits), %d semantics elsewhere\n",
-				*shardIndex, *shards, stats.Jobs, stats.Executed, stats.CacheHits, stats.ShardSkippedSemantics)
-			return nil
 		}
 		fmt.Printf("\nscheduled %d jobs on %d workers (%d site, %d dynamic, %d structural)\n",
 			stats.Jobs, stats.Workers, stats.SiteJobs, stats.DynamicJobs, stats.StructuralJobs)
@@ -543,9 +483,6 @@ func runAssert(args []string) error {
 		if stats.SnapshotRestores > 0 {
 			fmt.Printf("snapshots: %d restored from the store (%d decoded, %d deep-verified)\n",
 				stats.SnapshotRestores, stats.SnapshotRestoresDecoded, stats.SnapshotRestoresDeepVerified)
-		}
-		if shardResults != nil {
-			fmt.Print(shard.Ledger(shardResults, time.Since(mergeStart)))
 		}
 	} else {
 		rep, err = e.Assert(target, tests)
@@ -578,7 +515,6 @@ func runAssert(args []string) error {
 	}
 	if rep.Counts.Violations > 0 {
 		flushStore()
-		cleanupShards()
 		os.Exit(1)
 	}
 	return nil
@@ -623,25 +559,12 @@ func resolveAssertTarget(cs *ticket.Case, sourcePath, version, id string) (strin
 	return target, nil
 }
 
-// joinTests concatenates the system source with the full test suite the
-// way core.Engine.PrepareSnapshot does, so a prewarmed snapshot's content
-// address matches what an asserting child will ask the store for.
-func joinTests(src string, tests []ticket.TestCase) string {
-	full := src
-	for _, tc := range tests {
-		full += "\n" + tc.Source
-	}
-	return full
-}
-
 func runGate(args []string) error {
 	fs := flag.NewFlagSet("gate", flag.ExitOnError)
 	caseID := fs.String("case", "", "corpus case id providing the registered rules")
 	changePath := fs.String("change", "", "path to the proposed full MiniJ source")
 	summary := fs.String("summary", "proposed change", "change summary for the gate log")
 	workers := fs.Int("workers", 0, "scheduler pool width; 0 = GOMAXPROCS (the default), 1 = the sequential engine loop")
-	shards := fs.Int("shards", 1, "split the gate's assertion across N child processes sharing one store; the parent then merges from the warmed store and prints the gate log")
-	shardIndex := fs.Int("shard-index", -1, "internal: run as shard child N of -shards (set by the parent; executes only that shard's semantics and suppresses the gate log)")
 	incremental := fs.Bool("incremental", false, "prime the fingerprint cache on the current head, then gate only what the change impacts")
 	failClosed := fs.Bool("fail-closed", true, "block the change when any contract's assertion is INCONCLUSIVE (degraded by a deadline, budget, or contained crash)")
 	failOpen := fs.Bool("fail-open", false, "downgrade INCONCLUSIVE outcomes to warnings and let the change pass; overrides -fail-closed")
@@ -650,7 +573,6 @@ func runGate(args []string) error {
 	solverNodes := fs.Int("solver-nodes", 0, "DPLL node ceiling per SMT query (0 = default)")
 	stepBudget := fs.Int("step-budget", 0, "interpreter statement ceiling per test replay (0 = default)")
 	storeDir := fs.String("store", "", "back the snapshot, solver, and fingerprint caches with an on-disk store at this directory (created if missing)")
-	deepVerify := fs.Int("deep-verify", 0, "with -store: deep-verify every Nth snapshot restore by re-parsing the source and comparing canons (0 = default sampling, 1 = every restore, i.e. the pre-v2 behavior)")
 	remote := fs.String("remote", "", "gate through a running lisa serve daemon at this base URL (e.g. http://127.0.0.1:7333) instead of in-process")
 	remoteRetries := fs.Int("remote-retries", server.DefaultRemoteRetries, "with -remote: retries after a transient daemon failure (connection refused, timeout, drain, overload)")
 	remoteTimeout := fs.Duration("remote-timeout", 0, "with -remote: overall deadline across all attempts and backoff sleeps (0 = none)")
@@ -665,34 +587,6 @@ func runGate(args []string) error {
 	data, err := os.ReadFile(*changePath)
 	if err != nil {
 		return err
-	}
-	var shardResults []shard.Result
-	var mergeStart time.Time
-	cleanupShards := func() {}
-	defer func() { cleanupShards() }()
-	if *shards > 1 && *shardIndex < 0 {
-		if *remote != "" {
-			return fmt.Errorf("-shards is incompatible with -remote")
-		}
-		// Warm handoff: every version a gate child will load — head and
-		// proposed change, bare and with the test suite appended — goes
-		// into the shared store parsed, so children restore parse-free.
-		cs := corpus.Load().Get(*caseID)
-		if cs == nil {
-			return fmt.Errorf("unknown case %q", *caseID)
-		}
-		warm := []string{
-			cs.Head(), joinTests(cs.Head(), cs.Tests),
-			string(data), joinTests(string(data), cs.Tests),
-		}
-		results, dir, cleanup, serr := spawnShards("gate", args, *shards, *storeDir, warm...)
-		if serr != nil {
-			return serr
-		}
-		cleanupShards = cleanup
-		shardResults = results
-		*storeDir = dir
-		mergeStart = time.Now()
 	}
 	if *remote != "" {
 		req := server.GateRequest{
@@ -748,7 +642,6 @@ func runGate(args []string) error {
 		defer cleanup()
 		flushStore = cleanup
 		st = s
-		e.Snapshots.SetDeepVerifyEvery(*deepVerify)
 	}
 	for _, tk := range cs.Tickets {
 		if _, err := e.ProcessTicket(tk); err != nil {
@@ -756,22 +649,14 @@ func runGate(args []string) error {
 		}
 	}
 	opts := ci.GateOptions{Workers: *workers, Incremental: *incremental, FailOpen: *failOpen || !*failClosed}
-	if *shardIndex >= 0 {
-		opts.ShardIndex = *shardIndex
-		opts.ShardCount = *shards
-	}
-	if *workers != 1 || *incremental || st != nil || *shardIndex >= 0 {
+	if *workers != 1 || *incremental || st != nil {
 		opts.Scheduler = sched.New()
 		opts.Scheduler.Cache().SetStore(st)
 	}
 	if *incremental && opts.Scheduler != nil {
 		// Warm the cache on the current head so the gate re-executes only
 		// the jobs the change impacts.
-		if _, _, err := opts.Scheduler.Assert(e, cs.Head(), cs.Tests, sched.Options{
-			Workers:    *workers,
-			ShardIndex: opts.ShardIndex,
-			ShardCount: opts.ShardCount,
-		}); err != nil {
+		if _, _, err := opts.Scheduler.Assert(e, cs.Head(), cs.Tests, sched.Options{Workers: *workers}); err != nil {
 			return fmt.Errorf("priming cache on head: %w", err)
 		}
 	}
@@ -783,20 +668,9 @@ func runGate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *shardIndex >= 0 {
-		// Child mode: the point was warming the shared store; the parent's
-		// merge gate owns the log and the exit code.
-		flushStore()
-		fmt.Printf("shard %d/%d: gate pass=%v (report suppressed; parent merges)\n", *shardIndex, *shards, res.Pass)
-		return nil
-	}
-	if shardResults != nil {
-		fmt.Print(shard.Ledger(shardResults, time.Since(mergeStart)))
-	}
 	fmt.Print(res.Summary())
 	if !res.Pass {
 		flushStore()
-		cleanupShards()
 		os.Exit(1)
 	}
 	return nil

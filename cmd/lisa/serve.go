@@ -46,7 +46,6 @@ func runServe(args []string) error {
 	solverNodes := fs.Int("solver-nodes", 0, "default DPLL node ceiling per SMT query (0 = package default)")
 	stepBudget := fs.Int("step-budget", 0, "default interpreter statement ceiling per test replay (0 = package default)")
 	storeDir := fs.String("store", "", "back the daemon's caches with an on-disk store at this directory, so a restarted daemon starts warm (created if missing)")
-	deepVerify := fs.Int("deep-verify", 0, "with -store: deep-verify every Nth snapshot restore by re-parsing the source and comparing canons (0 = default sampling, 1 = every restore)")
 	maxConcurrent := fs.Int("max-concurrent", 0, "admission control: bound on concurrently executing gate/assert/watch requests (0 = unbounded, admission off)")
 	maxQueue := fs.Int("max-queue", 0, "admission control: how many gate/assert requests may wait for a slot before 503 load shedding (0 = default)")
 	var watchRoots stringList
@@ -98,8 +97,7 @@ func runServe(args []string) error {
 			SolverNodes: *solverNodes,
 			StepBudget:  *stepBudget,
 		},
-		Store:           st,
-		DeepVerifyEvery: *deepVerify,
+		Store: st,
 	})
 	for _, dir := range watchRoots {
 		if err := srv.RegisterRoot(dir); err != nil {

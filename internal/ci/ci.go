@@ -77,11 +77,6 @@ type GateOptions struct {
 	// one engine across goroutines must serialize GateWith calls; the
 	// daemon serializes per case.
 	Budget *core.Budget
-	// ShardIndex/ShardCount restrict a scheduled gate to one shard of the
-	// registry (see sched.Options); child processes of a sharded `lisa
-	// gate -shards N` set these. Count <= 1 means unsharded.
-	ShardIndex int
-	ShardCount int
 }
 
 // inconclusiveSeverity maps the gate policy to a finding severity.
@@ -137,8 +132,6 @@ func GateWith(engine *core.Engine, ch Change, tests []ticket.TestCase, opts Gate
 			Incremental: opts.Incremental,
 			Base:        base,
 			BaseSource:  ch.OldSource,
-			ShardIndex:  opts.ShardIndex,
-			ShardCount:  opts.ShardCount,
 		})
 	} else {
 		report, err = engine.AssertSnapshot(newSnap, tests)

@@ -3,17 +3,15 @@ package experiments
 // This file is the E-P1 scaling study: a seeded synthetic corpus far
 // larger than the paper's case studies — thousands of guarded call sites
 // behind deep helper chains — asserted under every execution topology the
-// engine offers (sequential loop, batched scheduler at several widths,
-// in-process shard children merging through a shared store). The point is
-// the shape of the scaling curve and the byte-identity invariant, not the
-// absolute numbers: every topology must render the same report.
+// engine offers (sequential loop, batched scheduler at several widths).
+// The point is the shape of the scaling curve and the byte-identity
+// invariant, not the absolute numbers: every topology must render the same
+// report.
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"lisa/internal/contract"
@@ -21,9 +19,7 @@ import (
 	"lisa/internal/program"
 	"lisa/internal/report"
 	"lisa/internal/sched"
-	"lisa/internal/shard"
 	"lisa/internal/smt"
-	"lisa/internal/store"
 	"lisa/internal/ticket"
 )
 
@@ -111,10 +107,10 @@ require: s != null && s.closing == false
 }
 
 // stressEngine builds a fresh engine over the stress spec with private
-// snapshot and solver caches, the way each child process of a sharded run
-// owns its own. Private caches also keep the process-wide counters that
-// lisabench -diff tracks untouched by the stress run, so the perf gate
-// stays exactly reproducible at any -stress-sites.
+// snapshot and solver caches, so every topology starts cold. Private
+// caches also keep the process-wide counters that lisabench -diff tracks
+// untouched by the stress run, so the perf gate stays exactly reproducible
+// at any -stress-sites.
 func stressEngine(spec string) (*core.Engine, error) {
 	sems, err := contract.ParseSpec(spec)
 	if err != nil {
@@ -153,114 +149,6 @@ class StressTest {
 }
 `,
 	}}
-}
-
-// stressSnapshotSources lists the snapshot cache keys a stress child will
-// ask for: the system source, and (mirroring Engine.PrepareSnapshot's
-// concatenation) the system plus every test appended. Prewarming exactly
-// these keys makes the child's Prepare a pure decode.
-func stressSnapshotSources(src string, tests []ticket.TestCase) []string {
-	full := src
-	for _, tc := range tests {
-		full += "\n" + tc.Source
-	}
-	return []string{src, full}
-}
-
-// runShardTopology executes one shards × workers topology in-process: one
-// cold scheduler per shard (fresh engine, shared on-disk store) running
-// concurrently like child processes, then a merge run over the warmed
-// store. The parent performs the warm handoff first — it parses the system
-// and system+tests snapshots once and persists their binary-AST records
-// into the shared store — so each child's setup is a decode+digest restore
-// rather than a full parse. Per-child Setup (engine build + store attach +
-// snapshot restore) is measured separately from assert time so the ledger
-// shows the handoff's effect. It returns the merged report's rendering,
-// the per-stage ledger, and the total wall clock.
-func runShardTopology(spec, src string, tests []ticket.TestCase, shards, workers int) (string, string, time.Duration, error) {
-	dir, err := os.MkdirTemp("", "lisa-stress-")
-	if err != nil {
-		return "", "", 0, err
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		return "", "", 0, err
-	}
-	defer st.Close()
-	start := time.Now()
-
-	// Warm handoff: serialize the parsed snapshots before any child starts.
-	prewarm := program.NewCache(0)
-	prewarm.SetStore(st)
-	for _, source := range stressSnapshotSources(src, tests) {
-		snap, perr := prewarm.Load(source)
-		if perr != nil {
-			return "", "", 0, fmt.Errorf("prewarm shard store: %w", perr)
-		}
-		snap.Graph() // the persist trigger: write the fully-warmed record
-	}
-	if err := st.Flush(); err != nil {
-		return "", "", 0, err
-	}
-
-	results := make([]shard.Result, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			childStart := time.Now()
-			var setup time.Duration
-			e, cerr := stressEngine(spec)
-			if cerr == nil {
-				e.Snapshots.SetStore(st)
-				// Restore the snapshots through the store explicitly so the
-				// setup/assert boundary is crisp: everything up to here is
-				// what a child pays before its first job runs.
-				for _, source := range stressSnapshotSources(src, tests) {
-					if _, cerr = e.Snapshots.Load(source); cerr != nil {
-						break
-					}
-				}
-				setup = time.Since(childStart)
-			}
-			if cerr == nil {
-				s := sched.New()
-				s.Cache().SetStore(st)
-				_, _, cerr = s.Assert(e, src, tests, sched.Options{
-					Workers: workers, ShardIndex: i, ShardCount: shards,
-				})
-			}
-			results[i] = shard.Result{Index: i, Err: cerr, Wall: time.Since(childStart), Setup: setup}
-		}(i)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.Err != nil {
-			return "", "", 0, fmt.Errorf("shard %d: %v", r.Index, r.Err)
-		}
-	}
-	if err := st.Flush(); err != nil {
-		return "", "", 0, err
-	}
-	mergeStart := time.Now()
-	e, err := stressEngine(spec)
-	if err != nil {
-		return "", "", 0, err
-	}
-	e.Snapshots.SetStore(st)
-	s := sched.New()
-	s.Cache().SetStore(st)
-	rep, stats, err := s.Assert(e, src, tests, sched.Options{Workers: workers})
-	if err != nil {
-		return "", "", 0, err
-	}
-	if stats.Executed != 0 {
-		return "", "", 0, fmt.Errorf("merge executed %d jobs; the shard partition missed work", stats.Executed)
-	}
-	ledger := shard.Ledger(results, time.Since(mergeStart))
-	return rep.Render(), ledger, time.Since(start), nil
 }
 
 // RunStress regenerates the E-P1 scaling table. The corpus argument is
@@ -333,31 +221,16 @@ func RunStress(_ *ticket.Corpus) string {
 	schedTopo("scheduler, workers=1 (batched inline)", 1)
 	schedTopo(fmt.Sprintf("scheduler, workers=GOMAXPROCS (%d)", runtime.GOMAXPROCS(0)), 0)
 
-	var shardLedger string
-	for _, shards := range []int{2, 4} {
-		label := fmt.Sprintf("shards=%d x workers=%d + merge", shards, runtime.GOMAXPROCS(0))
-		runtime.GC()
-		got, ledger, wall, err := runShardTopology(spec, src, tests, shards, 0)
-		if err != nil {
-			t.AddRow(label, "error: "+err.Error(), "-", "-")
-			identical = false
-			continue
-		}
-		same := got == want
-		identical = identical && same
-		t.AddRow(label, ms(wall), speedup(wall), yesNo(same))
-		shardLedger = ledger
-	}
 	if identical {
 		t.AddNote("every topology rendered byte-identically to the sequential report (%d sites, %d verified paths).",
 			sites, verified)
 	} else {
-		t.AddNote("DIVERGENCE: a topology rendered a different report — shard/worker count must never change verdicts.")
+		t.AddNote("DIVERGENCE: a topology rendered a different report — worker count must never change verdicts.")
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
-		t.AddNote("single-core runner: parallel topologies cannot beat the sequential loop here; since the warm handoff, children restore the parent's serialized snapshots instead of re-parsing, so their remaining setup tax is decode+digest (see the setup rows above). The curve is meaningful on multi-core runners (EXPERIMENTS.md E-P1).")
+		t.AddNote("single-core runner: parallel topologies cannot beat the sequential loop here; the curve is meaningful on multi-core runners (EXPERIMENTS.md E-P1).")
 	}
-	return t.Render() + shardLedger
+	return t.Render()
 }
 
 func yesNo(b bool) string {

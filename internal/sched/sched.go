@@ -17,7 +17,6 @@ import (
 	"lisa/internal/core"
 	"lisa/internal/minij"
 	"lisa/internal/program"
-	"lisa/internal/shard"
 	"lisa/internal/smt"
 	"lisa/internal/ticket"
 )
@@ -41,13 +40,6 @@ type Options struct {
 	// message, amortizing the channel handoff and letting the batch answer
 	// its cache lookups in one lock pass; <= 0 means DefaultBatchSize.
 	BatchSize int
-	// ShardIndex/ShardCount restrict the run to the registry semantics that
-	// shard.Assign hashes to ShardIndex of ShardCount. Count <= 1 means
-	// unsharded. The partition is per semantic so a semantic's structural,
-	// site, and dynamic jobs stay in one process (dynamic replay reads
-	// every site result of its semantic).
-	ShardIndex int
-	ShardCount int
 }
 
 // Stats describes what one scheduled run did: the job breakdown, how much
@@ -97,12 +89,6 @@ type Stats struct {
 	// counters, approximate when other runs share the process.
 	SolverQueries   uint64
 	SolverCacheHits uint64
-	// ShardIndex/ShardCount echo the shard spec (0/0 when unsharded);
-	// ShardSkippedSemantics counts registry semantics hashed to other
-	// shards and therefore never planned in this run.
-	ShardIndex            int
-	ShardCount            int
-	ShardSkippedSemantics int
 }
 
 // Scheduler executes assertion runs over a persistent fingerprint cache.
@@ -269,13 +255,8 @@ func (s *Scheduler) assertContext(parent context.Context, e *core.Engine, ctx *c
 		stats.DirtyMethods = dirty.SortedMethods()
 	}
 
-	spec := shard.Spec{Index: opts.ShardIndex, Count: opts.ShardCount}
-	if spec.Enabled() {
-		stats.ShardIndex = spec.Index
-		stats.ShardCount = spec.Count
-	}
 	var plans []*semPlan
-	tm.Time("plan", func() { plans = s.plan(e, ctx, dirty, spec, stats) })
+	tm.Time("plan", func() { plans = s.plan(e, ctx, dirty) })
 
 	// Wave 1: structural checks and per-site static stages — fully
 	// independent. Wave 2: per-semantic replay, which reads every site
@@ -370,14 +351,12 @@ func (sp *semPlan) jobs() []*job {
 	return out
 }
 
-// plan decomposes the registry into jobs with fingerprints, skipping
-// semantics the shard spec assigns elsewhere (their matching, chain
-// enumeration, and fingerprint hashing are all avoided, not just their
-// execution). Site matching and execution trees are computed here (they
-// are cheap and their outputs participate in the fingerprints); the
-// expensive stages — path enumeration with SMT verdicts, structural scans,
-// concolic replay — are deferred to the jobs.
-func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty, spec shard.Spec, stats *Stats) []*semPlan {
+// plan decomposes the registry into jobs with fingerprints. Site matching
+// and execution trees are computed here (they are cheap and their outputs
+// participate in the fingerprints); the expensive stages — path
+// enumeration with SMT verdicts, structural scans, concolic replay — are
+// deferred to the jobs.
+func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty) []*semPlan {
 	// The system program's identity is the snapshot's canonical content
 	// address — memoized, so a warm replay never re-renders the program.
 	progFP := ctx.Snapshot.CanonHash()
@@ -397,10 +376,6 @@ func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty, 
 	}
 	var plans []*semPlan
 	for _, sem := range e.Registry.All() {
-		if !spec.Covers(sem.ID) {
-			stats.ShardSkippedSemantics++
-			continue
-		}
 		semFP := semFingerprint(sem)
 		sp := &semPlan{sem: sem}
 		if sem.Kind == contract.StructuralKind {

@@ -13,10 +13,9 @@ import (
 )
 
 // topoWorkload builds an n-replica system — one contract per replica, two
-// guarded call sites each behind branching caller chains — so shard
-// topologies have a real registry to partition. The returned factory builds
-// a fresh engine per call, the way each child process of a sharded run
-// builds its own.
+// guarded call sites each behind branching caller chains — so topologies
+// have a real registry to schedule. The returned factory builds a fresh
+// engine per call, the way each cold process builds its own.
 func topoWorkload(t *testing.T, n int) (mkEngine func() *core.Engine, src string, tests []ticket.TestCase) {
 	t.Helper()
 	var sb, spec strings.Builder
@@ -156,81 +155,44 @@ func TestBatchSizeDoesNotChangeReport(t *testing.T) {
 	}
 }
 
-// TestShardTopologyByteIdentity is the merge-protocol determinism check:
-// for every shards × workers topology, in-process "children" (one cold
-// scheduler per shard, all sharing one on-disk store) execute their
-// partition, and the parent-style merge run over the warmed store renders
-// byte-identically to the sequential engine — cold and on a warm repeat —
-// with every merge job served from the store.
-func TestShardTopologyByteIdentity(t *testing.T) {
+// TestStoreTopologyByteIdentity is the store write-through determinism
+// check: at every pool width, a cold scheduler writing through to an empty
+// on-disk store, a fresh scheduler (cold memory, the next process) over the
+// warmed store, and a warm repeat by one more such process all render
+// byte-identically to the sequential engine, with both store-served runs
+// executing no job.
+func TestStoreTopologyByteIdentity(t *testing.T) {
 	mk, src, tests := topoWorkload(t, 6)
 	seq, err := mk().Assert(src, tests)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := seq.Render()
-	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("shards=%d,workers=%d", shards, workers), func(t *testing.T) {
-				st, err := store.Open(t.TempDir())
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for i, run := range []string{"cold write-through", "fresh scheduler on the warmed store", "warm repeat"} {
+				s := New()
+				s.Cache().SetStore(st)
+				rep, stats, err := s.Assert(mk(), src, tests, Options{Workers: workers})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", run, err)
 				}
-				defer st.Close()
-				childJobs, skipped := 0, 0
-				for i := 0; i < shards; i++ {
-					s := New()
-					s.Cache().SetStore(st)
-					_, stats, err := s.Assert(mk(), src, tests, Options{
-						Workers: workers, ShardIndex: i, ShardCount: shards,
-					})
-					if err != nil {
-						t.Fatalf("shard %d: %v", i, err)
-					}
-					childJobs += stats.Jobs
-					skipped += stats.ShardSkippedSemantics
+				if got := rep.Render(); got != want {
+					t.Errorf("%s differs from sequential\n--- sequential ---\n%s\n--- %s ---\n%s", run, want, run, got)
 				}
-				// The partition is exhaustive and disjoint: across all
-				// children each of the 6 semantics is skipped by every shard
-				// but its own.
-				if want := 6 * (shards - 1); skipped != want {
-					t.Errorf("children skipped %d semantics total, want %d", skipped, want)
+				if i > 0 && stats.Executed != 0 {
+					t.Errorf("%s executed %d jobs, want 0 (all served from the store)", run, stats.Executed)
 				}
 				if err := st.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				// Merge: a fresh scheduler (cold memory) over the warmed
-				// store — the parent process of `lisa assert -shards N`.
-				merge := New()
-				merge.Cache().SetStore(st)
-				rep, stats, err := merge.Assert(mk(), src, tests, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := rep.Render(); got != want {
-					t.Errorf("merge differs from sequential\n--- sequential ---\n%s\n--- merge ---\n%s", want, got)
-				}
-				if stats.Executed != 0 {
-					t.Errorf("merge executed %d jobs, want 0 (all served from the warmed store)", stats.Executed)
-				}
-				if childJobs != stats.Jobs {
-					t.Errorf("children ran %d jobs, merge sees %d — partition not exhaustive/disjoint", childJobs, stats.Jobs)
-				}
-				// Warm repeat: another cold process over the same store.
-				again := New()
-				again.Cache().SetStore(st)
-				rep2, stats2, err := again.Assert(mk(), src, tests, Options{Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep2.Render() != want {
-					t.Error("warm repeat differs from sequential")
-				}
-				if stats2.Executed != 0 {
-					t.Errorf("warm repeat executed %d jobs, want 0", stats2.Executed)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

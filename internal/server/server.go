@@ -85,11 +85,6 @@ type Config struct {
 	// SnapshotCapacity bounds the server's private snapshot cache
 	// (0 = program.DefaultCapacity).
 	SnapshotCapacity int
-	// DeepVerifyEvery sets the snapshot cache's deep-verification
-	// sampling interval: every Nth disk restore re-parses the source and
-	// compares canons instead of trusting the decoded binary AST
-	// (0 = program.DefaultDeepVerifyEvery, 1 = every restore).
-	DeepVerifyEvery int
 	// Store, when set, is the shared on-disk tier behind every cache the
 	// daemon owns (snapshots, per-case fingerprints, per-case solver
 	// results). The caller opens and closes it; the server only attaches.
@@ -167,7 +162,6 @@ func New(cfg Config) *Server {
 		adm:       newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.Quotas),
 	}
 	s.snapshots.SetStore(cfg.Store)
-	s.snapshots.SetDeepVerifyEvery(cfg.DeepVerifyEvery)
 	s.watch = newWatcher(s, cfg.WatchInterval)
 	return s
 }
