@@ -166,11 +166,11 @@ type encoder struct {
 	prog *Program
 }
 
-func (e *encoder) uvarint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) svarint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) byte(b byte)       { e.buf = append(e.buf, b) }
-func (e *encoder) string(s string)   { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *encoder) pos(p Pos)         { e.uvarint(uint64(p.Line)); e.uvarint(uint64(p.Col)) }
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) svarint(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
+func (e *encoder) string(s string)  { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
+func (e *encoder) pos(p Pos)        { e.uvarint(uint64(p.Line)); e.uvarint(uint64(p.Col)) }
 
 func (e *encoder) bool(b bool) {
 	if b {

@@ -2,26 +2,20 @@ package program
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"sort"
 
-	"lisa/internal/faultinject"
-
 	"lisa/internal/callgraph"
+	"lisa/internal/faultinject"
 	"lisa/internal/minij"
-	"lisa/internal/store"
 )
 
 // snapNamespace versions the snapshot records in the on-disk store; bump
 // it when the record encoding changes so stale stores read as misses.
 // snap.v2 records carry the binary AST (minij.EncodeProgram), making
-// restore parse-free; snapLegacyNamespace is the PR-7 record shape, still
-// readable (via the re-parse path) and migrated to v2 on first restore.
-const (
-	snapNamespace       = "snap.v2"
-	snapLegacyNamespace = "snap.v1"
-)
+// restore parse-free. Records under older namespaces are never read: the
+// snapshot compiles once and persists its v2 record.
+const snapNamespace = "snap.v2"
 
 // snapRecord is the persisted form of a fully-warmed snapshot: the binary
 // AST (self-checksummed by the codec), the canonical form with its own
@@ -212,74 +206,12 @@ func (r *recReader) bool() bool {
 	return b
 }
 
-// snapRecordV1 is the PR-7-era record: no AST, so restoring one re-parses
-// the source and re-renders the canon (the path v2 made a sampling knob).
-type snapRecordV1 struct {
-	Canon   string             `json:"canon"`
-	Shape   string             `json:"shape"`
-	Methods map[string]string  `json:"methods"`
-	Graph   *callgraph.Summary `json:"graph,omitempty"`
-}
-
-// SetStore attaches (nil: detaches) the on-disk tier behind this cache.
-// Safe to call concurrently with loads.
-func (c *Cache) SetStore(st *store.Store) { c.disk.Store(st) }
-
-// CacheName identifies this cache in unified tier stats.
-func (c *Cache) CacheName() string { return "snapshot" }
-
-// TierStats reports the two-tier counters in the unified shape. MemHits /
-// MemMisses are the LRU's counters; DiskHits counts successful restores,
-// split into decoded (binary AST adopted after the canon digest check) and
-// verified (full re-parse + re-render comparison: the deep-verify samples
-// and every legacy v1 restore); DiskMisses counts absent records and
-// records that failed either check.
-func (c *Cache) TierStats() store.TierStats {
-	c.mu.Lock()
-	hits, misses := c.hits, c.misses
-	c.mu.Unlock()
-	ts := store.TierStats{
-		Cache:            c.CacheName(),
-		MemHits:          hits,
-		MemMisses:        misses,
-		DiskHits:         c.restores.Load(),
-		DiskMisses:       c.diskMisses.Load(),
-		DiskWrites:       c.diskWrites.Load(),
-		DiskHitsDecoded:  c.restoresDecoded.Load(),
-		DiskHitsVerified: c.restoresVerified.Load(),
-	}
-	if st := c.disk.Load(); st != nil {
-		ts.DiskWriteErrors = st.NamespaceWriteErrors(snapNamespace) +
-			st.NamespaceWriteErrors(snapLegacyNamespace)
-	}
-	return ts
-}
-
-var _ store.CacheBackend = (*Cache)(nil)
-
 // compile populates the snapshot exactly once: from the disk tier when a
-// verified record exists (v2 binary AST first, legacy v1 as a fallback
-// that migrates), else by the full front-end build (which is then
+// verified record exists, else by the full front-end build (which is then
 // persisted, so the next process can restore it).
 func (s *Snapshot) compile() {
-	if s.cache != nil {
-		if st := s.cache.disk.Load(); st != nil {
-			if raw, ok := st.Get(snapNamespace, s.hash); ok {
-				if rec, ok := decodeRecord(raw); ok && s.restore(rec) {
-					return
-				}
-			} else if raw, ok := st.Get(snapLegacyNamespace, s.hash); ok {
-				var rec snapRecordV1
-				if json.Unmarshal(raw, &rec) == nil && s.restoreLegacy(&rec) {
-					// One-time migration: the legacy restore fully
-					// verified the AST, so rewrite the record in v2 form —
-					// every later process restores it parse-free.
-					s.persistRecord(st)
-					return
-				}
-			}
-			s.cache.diskMisses.Add(1)
-		}
+	if s.cache != nil && s.cache.Tier.Get(snapNamespace, s.hash, s.restore) {
+		return
 	}
 	s.build()
 	s.persist()
@@ -290,15 +222,18 @@ func (s *Snapshot) compile() {
 // to the record's digest, and the binary AST must decode (the codec frame
 // is itself sha256-sealed, so truncation or bit flips surface here as a
 // decode error, never as a wrong AST). Every Nth restore — and every
-// restore while a faultinject plan is armed — additionally runs the
-// legacy deep verification: re-parse the source, re-render both programs,
-// and require byte-identity with the stored canon. Any failure returns
-// false and the caller falls back to a full build (a miss, never a wrong
-// result). The derived artifacts (shape, per-method canon, graph summary)
-// are adopted without recomputation; the graph itself is re-anchored
-// lazily on first use.
-func (s *Snapshot) restore(rec *snapRecord) bool {
-	if Hash(rec.Canon) != rec.CanonSHA {
+// restore while a faultinject plan is armed — additionally runs the deep
+// verification: re-parse the source, re-render both programs, and require
+// byte-identity with the stored canon. Any failure returns false and the
+// caller falls back to a full build (a miss, never a wrong result). The
+// derived artifacts (shape, per-method canon, graph summary) are adopted
+// without recomputation; the graph itself is re-anchored lazily on first
+// use. The program.load fault-injection point fires on restored snapshots
+// exactly as on built ones, so a chaos run keeps its cold-process fault
+// cadence against a warm store.
+func (s *Snapshot) restore(raw []byte) bool {
+	rec, ok := decodeRecord(raw)
+	if !ok || Hash(rec.Canon) != rec.CanonSHA {
 		return false
 	}
 	prog, err := minij.DecodeProgram(rec.AST)
@@ -318,53 +253,19 @@ func (s *Snapshot) restore(rec *snapRecord) bool {
 	} else {
 		s.cache.restoresDecoded.Add(1)
 	}
-	s.adopt(prog, rec.Canon, rec.CanonSHA, rec.Shape, rec.Methods, rec.Graph)
-	return true
-}
-
-// restoreLegacy adopts a PR-7-era v1 record: the source is re-parsed and
-// re-checked (those records carry no AST), and the canonical render must
-// byte-match the record — the same Verify() machinery that catches mutated
-// snapshots catches stale or corrupt records here.
-func (s *Snapshot) restoreLegacy(rec *snapRecordV1) bool {
-	prog, err := minij.Parse(s.source)
-	if err != nil {
-		return false
-	}
-	if err := minij.Check(prog); err != nil {
-		return false
-	}
-	if minij.FormatProgram(prog) != rec.Canon {
-		return false
-	}
-	s.cache.restoresVerified.Add(1)
-	s.adopt(prog, rec.Canon, Hash(rec.Canon), rec.Shape, rec.Methods, rec.Graph)
-	return true
-}
-
-// adopt installs a restored program and its derived artifacts, bumps the
-// restore counter, and fires the program.load fault-injection point on
-// restored snapshots exactly as on built ones (after the canon is
-// captured), so a chaos run keeps its cold-process fault cadence against
-// a warm store.
-func (s *Snapshot) adopt(prog *minij.Program, canon, canonHash, shape string, methods map[string]string, graph *callgraph.Summary) {
 	s.prog = prog
-	s.canon = canon
-	s.canonHash = canonHash
+	s.canon = rec.Canon
+	s.canonHash = rec.CanonSHA
 	s.restored = true
-	if shape != "" {
-		s.shapeOnce.Do(func() { s.shape = shape })
+	if rec.Shape != "" {
+		s.shapeOnce.Do(func() { s.shape = rec.Shape })
 	}
-	if len(methods) > 0 {
-		s.methodsOnce.Do(func() { s.methodCanon = methods })
+	if len(rec.Methods) > 0 {
+		s.methodsOnce.Do(func() { s.methodCanon = rec.Methods })
 	}
-	s.graphSummary = graph
-	s.cache.restores.Add(1)
-	if faultinject.Armed() {
-		if k, ok := faultinject.At("program.load"); ok && k == faultinject.Corrupt {
-			corruptProgram(prog)
-		}
-	}
+	s.graphSummary = rec.Graph
+	injectLoadFault(prog)
+	return true
 }
 
 // persist writes a built snapshot to the disk tier: once right after the
@@ -378,22 +279,9 @@ func (s *Snapshot) adopt(prog *minij.Program, canon, canonHash, shape string, me
 // (faultinject.ScopeStore), in which case the computation is clean and the
 // store's own fault handling is what's under test.
 func (s *Snapshot) persist() {
-	if s.cache == nil || s.err != nil || s.restored {
+	if s.cache == nil || s.err != nil || s.restored || !s.cache.Attached() || s.Verify() != nil {
 		return
 	}
-	st := s.cache.disk.Load()
-	if st == nil {
-		return
-	}
-	if s.Verify() != nil {
-		return
-	}
-	s.persistRecord(st)
-}
-
-// persistRecord marshals and writes the v2 record for an already-verified
-// snapshot (a fresh build, or a legacy restore being migrated).
-func (s *Snapshot) persistRecord(st *store.Store) {
 	ast, err := minij.EncodeProgram(s.prog)
 	if err != nil {
 		return
@@ -407,11 +295,8 @@ func (s *Snapshot) persistRecord(st *store.Store) {
 	}
 	if s.graph != nil {
 		rec.Graph = s.graph.Summary()
-	} else if s.graphSummary != nil {
-		rec.Graph = s.graphSummary
 	}
-	st.Put(snapNamespace, s.hash, encodeRecord(&rec))
-	s.cache.diskWrites.Add(1)
+	s.cache.Tier.Put(snapNamespace, s.hash, encodeRecord(&rec))
 }
 
 // methodCanons returns the full per-method canonical map, building it once

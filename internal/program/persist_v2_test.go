@@ -1,33 +1,18 @@
 package program
 
 // Tests for the snap.v2 parse-free restore path: the decoded/deep-verified
-// split, the sampling knob, legacy v1 compatibility with migration, and
-// the corruption story (a damaged record is always a miss, never a wrong
-// snapshot).
+// split, the sampling knob, and the corruption story (a damaged record is
+// always a miss, never a wrong snapshot).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"lisa/internal/faultinject"
-	"lisa/internal/minij"
 	"lisa/internal/store"
 )
-
-func openStoreDir(t *testing.T, dir string) (*store.Store, error) {
-	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	t.Cleanup(func() { st.Close() })
-	return st, nil
-}
 
 // TestRestoreDecodedSkipsParse: with deep verification pushed out of
 // sampling range, a cold cache restores purely by decode + digest — no
@@ -305,107 +290,5 @@ func TestRecordEnvelopeRoundTrip(t *testing.T) {
 	garbage[0] = 'X'
 	if _, ok := decodeRecord(garbage); ok {
 		t.Fatal("bad magic decoded")
-	}
-}
-
-// TestLegacyV1StoreFixture opens a committed PR-7-era store directory (one
-// snap.v1 record, no binary AST): the snapshot must restore through the
-// legacy re-parse path with zero compiles, and the restore must migrate
-// the record to snap.v2 so the next cold process decodes instead.
-func TestLegacyV1StoreFixture(t *testing.T) {
-	dir := t.TempDir()
-	log, err := os.ReadFile(filepath.Join("testdata", "v1store", "store.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "store.log"), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := openStoreDir(t, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legacy := NewCache(8)
-	legacy.SetStore(st)
-	snap, err := legacy.Load(testSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := legacy.Stats()
-	if stats.Compiles != 0 || stats.Restores != 1 || stats.RestoresDeepVerified != 1 {
-		t.Fatalf("stats = %+v, want one deep-verified legacy restore", stats)
-	}
-	if err := snap.Verify(); err != nil {
-		t.Fatalf("legacy snapshot fails Verify: %v", err)
-	}
-	if snap.Graph() == nil {
-		t.Fatal("legacy snapshot lost its graph summary")
-	}
-	if g := legacy.Stats(); g.GraphBuilds != 0 || g.GraphRestores != 1 {
-		t.Fatalf("graph stats = %+v, want the summary re-anchored", g)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Migration happened: a v2 record now exists, and a second cold
-	// process restores parse-free.
-	if _, ok := st.Get(snapNamespace, Hash(testSource)); !ok {
-		t.Fatal("legacy restore did not migrate the record to snap.v2")
-	}
-	cold := NewCache(8)
-	cold.SetStore(st)
-	cold.SetDeepVerifyEvery(1 << 30)
-	if _, err := cold.Load(testSource); err != nil {
-		t.Fatal(err)
-	}
-	if s := cold.Stats(); s.Compiles != 0 || s.RestoresDecoded != 1 {
-		t.Fatalf("post-migration stats = %+v, want a decoded restore", s)
-	}
-}
-
-// TestMigratedRecordMatchesFreshPersist: the record a legacy restore
-// migrates must decode to the same canon a fresh build would persist.
-func TestMigratedRecordMatchesFreshPersist(t *testing.T) {
-	st := openStoreT(t)
-
-	// Write a v1-only store the way PR 7 did.
-	prog, err := minij.Parse(testSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := minij.Check(prog); err != nil {
-		t.Fatal(err)
-	}
-	rec := snapRecordV1{Canon: minij.FormatProgram(prog)}
-	raw, _ := json.Marshal(&rec)
-	st.Put(snapLegacyNamespace, Hash(testSource), raw)
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	legacy := NewCache(8)
-	legacy.SetStore(st)
-	if _, err := legacy.Load(testSource); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	v2raw, ok := st.Get(snapNamespace, Hash(testSource))
-	if !ok {
-		t.Fatal("no migrated v2 record")
-	}
-	v2, ok := decodeRecord(v2raw)
-	if !ok {
-		t.Fatal("migrated record does not decode")
-	}
-	dec, err := minij.DecodeProgram(v2.AST)
-	if err != nil {
-		t.Fatalf("migrated AST does not decode: %v", err)
-	}
-	if minij.FormatProgram(dec) != rec.Canon || v2.CanonSHA != Hash(rec.Canon) {
-		t.Fatal("migrated record disagrees with the v1 canon")
 	}
 }

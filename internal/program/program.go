@@ -16,7 +16,6 @@
 package program
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -27,6 +26,7 @@ import (
 
 	"lisa/internal/callgraph"
 	"lisa/internal/faultinject"
+	"lisa/internal/lru"
 	"lisa/internal/minij"
 	"lisa/internal/store"
 )
@@ -187,8 +187,14 @@ func (s *Snapshot) build() {
 	s.prog = prog
 	s.canon = minij.FormatProgram(prog)
 	s.canonHash = Hash(s.canon)
-	// Fault-injection point: corrupt the cached AST *after* the canonical
-	// form was captured, modeling a bad cache entry. Verify must catch it.
+	injectLoadFault(prog)
+}
+
+// injectLoadFault is the program.load fault-injection point, fired on
+// built and restored snapshots alike: a Corrupt rule damages the AST
+// *after* the canonical form was captured, modeling a bad cache entry.
+// Verify must catch it.
+func injectLoadFault(prog *minij.Program) {
 	if faultinject.Armed() {
 		if k, ok := faultinject.At("program.load"); ok && k == faultinject.Corrupt {
 			corruptProgram(prog)
@@ -238,31 +244,28 @@ func classShape(p *minij.Program) string {
 // compile it once and share the identical snapshot. Failed compiles are
 // cached too (negative entries), so replay sweeps that probe versions a
 // test cannot build against do not re-parse the failure every pass.
+//
+// The embedded Tier is the optional disk tier (SetStore): a memory miss
+// restores the snapshot from its persisted record when one verifies, and
+// a fresh build writes its record through (persist.go).
 type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element // hash → element; Value is *Snapshot
-	order    *list.List               // front = most recently used
+	*store.Tier
 
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	mu     sync.Mutex
+	mem    *lru.Cache[string, *Snapshot]
+	hits   uint64
+	misses uint64
 
 	compiles    atomic.Uint64
 	graphBuilds atomic.Uint64
 
-	// disk is the optional on-disk tier (SetStore); the counters split
-	// restores (verified disk hits) from full compiles, and restores
-	// further by path: decoded (binary AST + digest check) vs deep
-	// verified (re-parse + re-render comparison — the sampled slow path,
-	// and every legacy v1 restore).
-	disk             atomic.Pointer[store.Store]
-	restores         atomic.Uint64
+	// Disk restores split by path: decoded (binary AST + digest check) vs
+	// deep verified (re-parse + re-render comparison — the sampled slow
+	// path); graphRestores counts call graphs re-anchored from a restored
+	// summary.
 	restoresDecoded  atomic.Uint64
 	restoresVerified atomic.Uint64
 	graphRestores    atomic.Uint64
-	diskMisses       atomic.Uint64
-	diskWrites       atomic.Uint64
 
 	// restoreTick drives deep-verify sampling; deepVerifyEvery is the
 	// knob (0: DefaultDeepVerifyEvery).
@@ -273,8 +276,8 @@ type Cache struct {
 // DefaultDeepVerifyEvery is the default deep-verification sampling
 // interval: one restore in every N re-runs the full parse + re-render
 // comparison against the stored canon, so systematic store corruption is
-// still caught process-locally without paying the legacy per-restore
-// re-parse tax. faultinject-armed runs deep-verify every restore
+// still caught process-locally without paying the per-restore re-parse
+// tax. faultinject-armed runs deep-verify every restore
 // regardless of the knob.
 const DefaultDeepVerifyEvery = 16
 
@@ -297,11 +300,18 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Cache{
-		capacity: capacity,
-		entries:  map[string]*list.Element{},
-		order:    list.New(),
-	}
+	c := &Cache{mem: lru.New[string, *Snapshot](capacity)}
+	c.Tier = store.NewTier("snapshot", c.memTier, snapNamespace)
+	return c
+}
+
+// memTier fills the snapshot cache's side of its tier row: the LRU's
+// hits and misses, and the disk hits split by restore path.
+func (c *Cache) memTier(ts *store.TierStats) {
+	c.mu.Lock()
+	ts.MemHits, ts.MemMisses = c.hits, c.misses
+	c.mu.Unlock()
+	ts.DiskHitsDecoded, ts.DiskHitsVerified = c.restoresDecoded.Load(), c.restoresVerified.Load()
 }
 
 // Load returns the snapshot for source, compiling it at most once per
@@ -310,26 +320,17 @@ func NewCache(capacity int) *Cache {
 func (c *Cache) Load(source string) (*Snapshot, error) {
 	h := Hash(source)
 	c.mu.Lock()
-	if el, ok := c.entries[h]; ok {
-		c.order.MoveToFront(el)
+	snap, ok := c.mem.Get(h)
+	if ok {
 		c.hits++
-		snap := el.Value.(*Snapshot)
-		c.mu.Unlock()
-		// A concurrent loader may have inserted the entry and not finished
-		// compiling; Do blocks until the one compile completes.
-		snap.compileOnce.Do(snap.compile)
-		return snap.result()
-	}
-	c.misses++
-	snap := &Snapshot{source: source, hash: h, cache: c}
-	c.entries[h] = c.order.PushFront(snap)
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*Snapshot).hash)
-		c.evictions++
+	} else {
+		c.misses++
+		snap = &Snapshot{source: source, hash: h, cache: c}
+		c.mem.Put(h, snap)
 	}
 	c.mu.Unlock()
+	// A concurrent loader may have inserted the entry and not finished
+	// compiling; Do blocks until the one compile completes.
 	snap.compileOnce.Do(snap.compile)
 	return snap.result()
 }
@@ -356,7 +357,7 @@ type CacheStats struct {
 	// compiled; RestoresDecoded of those came through the parse-free
 	// binary-AST path (canon digest + codec checksum), while
 	// RestoresDeepVerified re-derived everything from source and compared
-	// (the sampled deep-verify path, plus every legacy v1 restore).
+	// (the sampled deep-verify path).
 	// GraphRestores counts call graphs re-anchored from a persisted
 	// summary instead of rebuilt. All stay zero without a store.
 	Restores             uint64
@@ -389,16 +390,17 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	decoded, verified := c.restoresDecoded.Load(), c.restoresVerified.Load()
 	return CacheStats{
-		Entries:              c.order.Len(),
+		Entries:              c.mem.Len(),
 		Hits:                 c.hits,
 		Misses:               c.misses,
-		Evictions:            c.evictions,
+		Evictions:            c.mem.Evictions(),
 		Compiles:             c.compiles.Load(),
 		GraphBuilds:          c.graphBuilds.Load(),
-		Restores:             c.restores.Load(),
-		RestoresDecoded:      c.restoresDecoded.Load(),
-		RestoresDeepVerified: c.restoresVerified.Load(),
+		Restores:             decoded + verified,
+		RestoresDecoded:      decoded,
+		RestoresDeepVerified: verified,
 		GraphRestores:        c.graphRestores.Load(),
 	}
 }
@@ -408,11 +410,7 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) Hashes() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*Snapshot).hash)
-	}
-	return out
+	return c.mem.Keys()
 }
 
 // defaultCache is the process-wide snapshot store shared by the engine,

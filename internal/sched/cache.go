@@ -2,13 +2,21 @@ package sched
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"lisa/internal/concolic"
 	"lisa/internal/contract"
 	"lisa/internal/core"
+	"lisa/internal/lru"
 	"lisa/internal/store"
 )
+
+// maxEntries bounds the fingerprint cache. It sits above one full plan of
+// the 10,000-site E-P1 system plus its change, so a paper-scale
+// incremental gate stays warm, while a daemon gating an endless stream of
+// distinct changes stops growing: each gate re-touches the entries it
+// reuses, and the least recently used — results of versions no later
+// change revisits — are evicted.
+const maxEntries = 1 << 14
 
 // Cache is the fingerprint-keyed result store. It survives across Assert
 // runs of one Scheduler, so a warm run serves unchanged jobs without
@@ -17,31 +25,34 @@ import (
 // corrupts cached state. All methods are safe for concurrent use by the
 // worker pool.
 //
-// An optional on-disk tier (SetStore) extends the cache across processes:
-// memory misses consult the store, decoded records are re-anchored onto the
-// current run's program and promoted into memory, and successful executions
-// write through (persist.go).
+// The memory tier is one LRU over every job kind: fingerprints hash their
+// kind in, so site, structural, and replay results share the key space
+// without colliding. The embedded Tier is an optional on-disk tier
+// (SetStore) that extends the cache across processes: memory misses
+// consult the store, decoded records are re-anchored onto the current
+// run's program and promoted into memory, and successful executions write
+// through (persist.go).
 type Cache struct {
-	mu         sync.Mutex
-	sites      map[string]*siteEntry
-	structural map[string]*core.SemanticReport
-	dynamic    map[string]*dynOverlay
-	hits       int
-	misses     int
+	*store.Tier
 
-	disk       atomic.Pointer[store.Store]
-	diskHits   atomic.Uint64
-	diskMisses atomic.Uint64
-	diskWrites atomic.Uint64
+	mu     sync.Mutex
+	mem    *lru.Cache[string, any] // *siteEntry, *core.SemanticReport, or *dynOverlay
+	hits   int
+	misses int
 }
 
-// NewCache returns an empty cache.
-func NewCache() *Cache {
-	return &Cache{
-		sites:      map[string]*siteEntry{},
-		structural: map[string]*core.SemanticReport{},
-		dynamic:    map[string]*dynOverlay{},
-	}
+func newCache(capacity int) *Cache {
+	c := &Cache{mem: lru.New[string, any](capacity)}
+	c.Tier = store.NewTier("fingerprint", c.memTier, siteNamespace, structuralNamespace, dynamicNamespace)
+	return c
+}
+
+// memTier fills the fingerprint cache's memory-tier fields into its tier
+// row.
+func (c *Cache) memTier(ts *store.TierStats) {
+	c.mu.Lock()
+	ts.MemHits, ts.MemMisses = uint64(c.hits), uint64(c.misses)
+	c.mu.Unlock()
 }
 
 // CacheStats is a point-in-time cache counter snapshot. The disk counters
@@ -50,6 +61,9 @@ type CacheStats struct {
 	Entries int
 	Hits    int
 	Misses  int
+	// Evictions counts entries the bound pushed out, least recently used
+	// first.
+	Evictions uint64
 	// Disk-tier counters: hits decoded and re-anchored from the store,
 	// misses (absent, stale, or unanchorable records), and write-throughs.
 	DiskHits   uint64
@@ -57,18 +71,40 @@ type CacheStats struct {
 	DiskWrites uint64
 }
 
-// Stats returns cumulative hit/miss counters and the entry count.
+// Stats returns cumulative counters and the entry count.
 func (c *Cache) Stats() CacheStats {
+	ts := c.TierStats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:    len(c.sites) + len(c.structural) + len(c.dynamic),
+		Entries:    c.mem.Len(),
 		Hits:       c.hits,
 		Misses:     c.misses,
-		DiskHits:   c.diskHits.Load(),
-		DiskMisses: c.diskMisses.Load(),
-		DiskWrites: c.diskWrites.Load(),
+		Evictions:  c.mem.Evictions(),
+		DiskHits:   ts.DiskHits,
+		DiskMisses: ts.DiskMisses,
+		DiskWrites: ts.DiskWrites,
 	}
+}
+
+// lookup serves fp from the memory tier as a T, counting the hit or miss.
+// Caller holds c.mu.
+func lookup[T any](c *Cache, fp string) (T, bool) {
+	v, _ := c.mem.Get(fp)
+	t, ok := v.(T)
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return t, ok
+}
+
+// put stores an already-copied result under fp.
+func (c *Cache) put(fp string, v any) {
+	c.mu.Lock()
+	c.mem.Put(fp, v)
+	c.mu.Unlock()
 }
 
 // siteEntry is the cached static result of one (semantic × site) job. The
@@ -90,44 +126,32 @@ func (c *Cache) getSiteBatch(fps []string) []*siteEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, fp := range fps {
-		ent, ok := c.sites[fp]
-		if !ok {
-			c.misses++
-			continue
+		if ent, ok := lookup[*siteEntry](c, fp); ok {
+			out[i] = &siteEntry{paths: clonePaths(ent.paths), truncated: ent.truncated}
 		}
-		c.hits++
-		out[i] = &siteEntry{paths: clonePaths(ent.paths), truncated: ent.truncated}
 	}
 	return out
 }
 
 // putSite stores a just-computed static site result.
 func (c *Cache) putSite(fp string, siteRep *core.SiteReport) {
-	ent := &siteEntry{paths: clonePaths(siteRep.Paths), truncated: siteRep.TreeTruncated}
-	c.mu.Lock()
-	c.sites[fp] = ent
-	c.mu.Unlock()
+	c.put(fp, &siteEntry{paths: clonePaths(siteRep.Paths), truncated: siteRep.TreeTruncated})
 }
 
 // getStructural serves a cached structural semantic report.
 func (c *Cache) getStructural(fp string) (*core.SemanticReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sr, ok := c.structural[fp]
+	sr, ok := lookup[*core.SemanticReport](c, fp)
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	return cloneStructural(sr), true
 }
 
 // putStructural stores a structural result.
 func (c *Cache) putStructural(fp string, sr *core.SemanticReport) {
-	clone := cloneStructural(sr)
-	c.mu.Lock()
-	c.structural[fp] = clone
-	c.mu.Unlock()
+	c.put(fp, cloneStructural(sr))
 }
 
 // dynOverlay is the cached dynamic result of one per-semantic replay job:
@@ -155,22 +179,17 @@ type pathDyn struct {
 func (c *Cache) getDynamic(fp string) (*dynOverlay, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ov, ok := c.dynamic[fp]
+	ov, ok := lookup[*dynOverlay](c, fp)
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	return ov.clone(), true
 }
 
 // putDynamic stores a replay overlay extracted from a finished semantic
 // report.
 func (c *Cache) putDynamic(fp string, ov *dynOverlay) {
-	clone := ov.clone()
-	c.mu.Lock()
-	c.dynamic[fp] = clone
-	c.mu.Unlock()
+	c.put(fp, ov.clone())
 }
 
 // --- deep copies ----------------------------------------------------------

@@ -8,7 +8,6 @@ import (
 	"lisa/internal/core"
 	"lisa/internal/minij"
 	"lisa/internal/smt"
-	"lisa/internal/store"
 )
 
 // Disk-tier namespaces, one per job kind, versioned so an encoding change
@@ -18,34 +17,6 @@ const (
 	structuralNamespace = "fp.str.v1"
 	dynamicNamespace    = "fp.dyn.v1"
 )
-
-// SetStore attaches (nil: detaches) the on-disk tier behind this cache.
-// Safe to call concurrently with running jobs.
-func (c *Cache) SetStore(st *store.Store) { c.disk.Store(st) }
-
-// CacheName identifies this cache in unified tier stats.
-func (c *Cache) CacheName() string { return "fingerprint" }
-
-// TierStats reports the two-tier counters in the unified shape.
-func (c *Cache) TierStats() store.TierStats {
-	c.mu.Lock()
-	hits, misses := c.hits, c.misses
-	c.mu.Unlock()
-	ts := store.TierStats{
-		Cache:      c.CacheName(),
-		MemHits:    uint64(hits),
-		MemMisses:  uint64(misses),
-		DiskHits:   c.diskHits.Load(),
-		DiskMisses: c.diskMisses.Load(),
-		DiskWrites: c.diskWrites.Load(),
-	}
-	if st := c.disk.Load(); st != nil {
-		ts.DiskWriteErrors = st.NamespaceWriteErrors(siteNamespace, structuralNamespace, dynamicNamespace)
-	}
-	return ts
-}
-
-var _ store.CacheBackend = (*Cache)(nil)
 
 // --- record shapes --------------------------------------------------------
 //
@@ -296,85 +267,67 @@ func decodeDynamic(rec *dynRecord) *dynOverlay {
 
 // --- disk tier ------------------------------------------------------------
 
-// diskGet fetches and unmarshals one record; a decode failure counts as a
-// miss (the CRC layer below already rejected torn or corrupted frames, so
-// a JSON failure here means a version skew).
-func (c *Cache) diskGet(ns, fp string, into any) bool {
-	st := c.disk.Load()
-	if st == nil {
-		return false
-	}
-	raw, ok := st.Get(ns, fp)
-	if !ok || json.Unmarshal(raw, into) != nil {
-		c.diskMisses.Add(1)
-		return false
-	}
-	return true
+// diskGet restores one JSON record through the disk tier: it must
+// unmarshal (the CRC layer below already rejected torn or corrupted
+// frames, so a failure here means a version skew) and adopt must
+// re-anchor it onto the current run, or the lookup is a disk miss.
+func diskGet[R any](c *Cache, ns, fp string, adopt func(*R) bool) bool {
+	return c.Tier.Get(ns, fp, func(raw []byte) bool {
+		var rec R
+		return json.Unmarshal(raw, &rec) == nil && adopt(&rec)
+	})
 }
 
 func (c *Cache) diskPut(ns, fp string, rec any) {
-	st := c.disk.Load()
-	if st == nil {
-		return
+	if raw, err := json.Marshal(rec); err == nil {
+		c.Tier.Put(ns, fp, raw)
 	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	st.Put(ns, fp, raw)
-	c.diskWrites.Add(1)
 }
 
 // diskGetSite serves a site job from the disk tier, re-anchored onto the
 // current run's site.
-func (c *Cache) diskGetSite(fp string, site *contract.Site) ([]*core.PathReport, bool, bool) {
-	var rec siteRecord
-	if !c.diskGet(siteNamespace, fp, &rec) {
-		return nil, false, false
-	}
-	paths, ok := decodeSite(&rec, site)
-	if !ok {
-		c.diskMisses.Add(1)
-		return nil, false, false
-	}
-	c.diskHits.Add(1)
-	return paths, rec.Truncated, true
+func (c *Cache) diskGetSite(fp string, site *contract.Site) (paths []*core.PathReport, truncated, ok bool) {
+	ok = diskGet(c, siteNamespace, fp, func(rec *siteRecord) (anchored bool) {
+		paths, anchored = decodeSite(rec, site)
+		truncated = rec.Truncated
+		return anchored
+	})
+	return paths, truncated, ok
 }
 
 func (c *Cache) diskPutSite(fp string, siteRep *core.SiteReport) {
-	c.diskPut(siteNamespace, fp, encodeSite(siteRep))
+	if c.Attached() {
+		c.diskPut(siteNamespace, fp, encodeSite(siteRep))
+	}
 }
 
 // diskGetStructural serves a structural job from the disk tier, re-anchored
 // onto the current system program.
-func (c *Cache) diskGetStructural(fp string, sem *contract.Semantic, prog *minij.Program) (*core.SemanticReport, bool) {
-	var rec structuralRecord
-	if !c.diskGet(structuralNamespace, fp, &rec) {
-		return nil, false
-	}
-	sr, ok := decodeStructural(&rec, sem, prog)
-	if !ok {
-		c.diskMisses.Add(1)
-		return nil, false
-	}
-	c.diskHits.Add(1)
-	return sr, true
+func (c *Cache) diskGetStructural(fp string, sem *contract.Semantic, prog *minij.Program) (sr *core.SemanticReport, ok bool) {
+	ok = diskGet(c, structuralNamespace, fp, func(rec *structuralRecord) (anchored bool) {
+		sr, anchored = decodeStructural(rec, sem, prog)
+		return anchored
+	})
+	return sr, ok
 }
 
 func (c *Cache) diskPutStructural(fp string, sr *core.SemanticReport) {
-	c.diskPut(structuralNamespace, fp, encodeStructural(sr))
+	if c.Attached() {
+		c.diskPut(structuralNamespace, fp, encodeStructural(sr))
+	}
 }
 
 // diskGetDynamic serves a replay overlay from the disk tier.
-func (c *Cache) diskGetDynamic(fp string) (*dynOverlay, bool) {
-	var rec dynRecord
-	if !c.diskGet(dynamicNamespace, fp, &rec) {
-		return nil, false
-	}
-	c.diskHits.Add(1)
-	return decodeDynamic(&rec), true
+func (c *Cache) diskGetDynamic(fp string) (ov *dynOverlay, ok bool) {
+	ok = diskGet(c, dynamicNamespace, fp, func(rec *dynRecord) bool {
+		ov = decodeDynamic(rec)
+		return true
+	})
+	return ov, ok
 }
 
 func (c *Cache) diskPutDynamic(fp string, ov *dynOverlay) {
-	c.diskPut(dynamicNamespace, fp, encodeDynamic(ov))
+	if c.Attached() {
+		c.diskPut(dynamicNamespace, fp, encodeDynamic(ov))
+	}
 }

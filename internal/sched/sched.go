@@ -66,10 +66,9 @@ type Stats struct {
 	// SnapshotRestores counts program snapshots this run adopted from the
 	// snapshot cache's disk tier instead of compiling, split by restore
 	// path: decoded (binary AST + canon digest, the parse-free fast path)
-	// vs deep-verified (sampled full re-parse comparison, and every
-	// legacy snap.v1 record). Exact when the engine carries a private
-	// snapshot cache (core.Engine.Snapshots); otherwise process-wide
-	// deltas, approximate under concurrent runs.
+	// vs deep-verified (sampled full re-parse comparison). Exact when the
+	// engine carries a private snapshot cache (core.Engine.Snapshots);
+	// otherwise process-wide deltas, approximate under concurrent runs.
 	SnapshotRestores             uint64
 	SnapshotRestoresDecoded      uint64
 	SnapshotRestoresDeepVerified uint64
@@ -93,13 +92,18 @@ type Stats struct {
 
 // Scheduler executes assertion runs over a persistent fingerprint cache.
 // One scheduler is meant to live as long as its registry does (e.g. for
-// the lifetime of a CI gate), accumulating cache entries across runs.
+// the lifetime of a CI gate), accumulating cache entries across runs up to
+// the cache's bound.
 type Scheduler struct {
 	cache *Cache
 }
 
 // New returns a scheduler with an empty cache.
-func New() *Scheduler { return &Scheduler{cache: NewCache()} }
+func New() *Scheduler { return newScheduler(maxEntries) }
+
+// newScheduler returns a scheduler whose fingerprint cache holds at most
+// capacity entries.
+func newScheduler(capacity int) *Scheduler { return &Scheduler{cache: newCache(capacity)} }
 
 // Cache exposes the scheduler's fingerprint cache (for stats).
 func (s *Scheduler) Cache() *Cache { return s.cache }
@@ -222,8 +226,8 @@ func (s *Scheduler) assertContext(parent context.Context, e *core.Engine, ctx *c
 		workers = runtime.GOMAXPROCS(0)
 	}
 	stats := &Stats{Workers: workers}
-	diskBefore := s.cache.diskHits.Load()
-	defer func() { stats.DiskHits = s.cache.diskHits.Load() - diskBefore }()
+	diskBefore := s.cache.TierStats().DiskHits
+	defer func() { stats.DiskHits = s.cache.TierStats().DiskHits - diskBefore }()
 	if e.Solver != nil {
 		// A private solver cache gives an exact per-run delta no matter
 		// what the rest of the process does concurrently.

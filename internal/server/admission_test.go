@@ -363,4 +363,3 @@ func TestDrainWithPrewarmAndQueuedRequest(t *testing.T) {
 		t.Errorf("history overload entries = %d, want 1", kinds["overload"])
 	}
 }
-

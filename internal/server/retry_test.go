@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
 )
 
 // flakyTransport fails the first n round-trips with a connection error,

@@ -78,65 +78,37 @@ func (c *QueryCache) loadBatch(keys []string, maxNodes int, solve func(int) (boo
 	// One pass under the lock: hits are served immediately; the first
 	// occurrence of each unresolved key becomes (or joins) an in-flight
 	// solve; later occurrences join their leader like any other follower.
-	type follow struct {
+	type slot struct { // a batch index and the in-flight solve answering it
 		idx int
 		fl  *inflightQuery
 	}
-	var leaders []int // indices that own their key's in-flight solve
-	var joins []follow
-	owned := map[string]*inflightQuery{} // key -> in-flight entry this batch leads
+	var leaders []slot // the indices that own their key's in-flight solve
+	var joins []slot
+	var memHits uint64
 	c.mu.Lock()
 	for i, key := range keys {
-		if el, ok := c.entries[key]; ok {
-			e := el.Value.(*cacheEntry)
-			if e.nodes <= maxNodes {
-				c.order.MoveToFront(el)
-				stats.hits.Add(1)
-				c.hits.Add(1)
-				sats[i] = e.sat
-				continue
-			}
+		if e, ok := c.mem.Get(key); ok && e.nodes <= maxNodes {
+			memHits++
+			c.countHit()
+			sats[i] = e.sat
+			continue
 		}
 		if fl, ok := c.inflight[key]; ok {
-			joins = append(joins, follow{i, fl})
+			joins = append(joins, slot{i, fl})
 			continue
 		}
 		fl := &inflightQuery{done: make(chan struct{}), maxNodes: maxNodes}
 		c.inflight[key] = fl
-		owned[key] = fl
-		leaders = append(leaders, i)
+		leaders = append(leaders, slot{i, fl})
 	}
 	c.mu.Unlock()
+	c.memHits.Add(memHits)
+	c.memMisses.Add(uint64(n) - memHits)
 
 	// Leaders: disk tier first, then a real solve, in first-occurrence
 	// order — the order a sequential caller would have issued them.
-	for _, i := range leaders {
-		key := keys[i]
-		fl := owned[key]
-		if sat, nodes, ok := c.diskGet(key); ok && nodes <= maxNodes {
-			fl.sat, fl.nodes = sat, nodes
-			close(fl.done)
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			stats.hits.Add(1)
-			c.hits.Add(1)
-			c.storeEntry(key, sat, nodes)
-			sats[i] = sat
-			continue
-		}
-		stats.misses.Add(1)
-		c.misses.Add(1)
-		fl.sat, fl.nodes, fl.err = c.runSolve(func() (bool, int, error) { return solve(i) })
-		close(fl.done)
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		if fl.err == nil {
-			c.storeEntry(key, fl.sat, fl.nodes)
-			c.diskPut(key, fl.sat, fl.nodes)
-		}
-		sats[i], errs[i] = fl.sat, fl.err
+	for _, l := range leaders {
+		sats[l.idx], errs[l.idx] = c.lead(keys[l.idx], l.fl, func() (bool, int, error) { return solve(l.idx) })
 	}
 
 	// Followers: wait on their leader (possibly one of this batch's own)
@@ -154,22 +126,18 @@ func (c *QueryCache) loadBatch(keys []string, maxNodes int, solve func(int) (boo
 // reproduced, and otherwise re-solve under the follower's own limits.
 func (c *QueryCache) followInflight(key string, fl *inflightQuery, maxNodes int, solve func() (bool, int, error)) (bool, error) {
 	if fl.err == nil && fl.nodes <= maxNodes {
-		stats.hits.Add(1)
-		c.hits.Add(1)
+		c.countHit()
 		return fl.sat, nil
 	}
+	c.countMiss()
 	if fl.err != nil && errors.Is(fl.err, ErrBudget) && maxNodes <= fl.maxNodes {
 		// The search is deterministic: a budget no larger than the
 		// leader's exhausts on exactly the same node, so every waiter gets
 		// the identical ErrBudget without duplicating the doomed search.
-		stats.misses.Add(1)
-		c.misses.Add(1)
 		return fl.sat, fl.err
 	}
 	// The leader degraded some other way (cancellation) or needed more
 	// nodes than we may spend; solve under our own limits.
-	stats.misses.Add(1)
-	c.misses.Add(1)
 	sat, nodes, err := c.runSolve(solve)
 	if err == nil {
 		c.storeEntry(key, sat, nodes)

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"lisa/internal/faultinject"
+	"lisa/internal/lru"
 	"lisa/internal/store"
 )
 
@@ -89,26 +89,25 @@ const queryNamespace = "smt.v1"
 // QueryCache is a bounded LRU of decided boolean queries keyed by the
 // formula's canonical render (TestRenderParseRoundTrip pins down that equal
 // renders imply equivalent formulas, so the render is a sound key), with an
-// optional on-disk tier behind it (SetStore). It has singleflight
-// semantics: concurrent misses on one key run a single solve, and followers
-// wait on the leader instead of duplicating work. The memory tier is
-// modeled on internal/program.Cache.
+// optional on-disk tier behind it (the embedded Tier; SetStore). It has
+// singleflight semantics: concurrent misses on one key run a single solve,
+// and followers wait on the leader instead of duplicating work.
 //
 // The process-wide default instance serves every query whose Limits carry
 // no explicit cache; engines that need exact per-run accounting own an
 // instance and pass it via Limits.Cache.
 type QueryCache struct {
+	*store.Tier
+
 	mu       sync.Mutex
-	cap      int
-	entries  map[string]*list.Element
-	order    *list.List // front = most recently used; values are *cacheEntry
+	mem      *lru.Cache[string, cacheEntry]
 	inflight map[string]*inflightQuery
 
-	disk atomic.Pointer[store.Store]
-
-	queries, hits, misses, evictions atomic.Uint64
-	solves, nodes                    atomic.Uint64
-	diskHits, diskMisses, diskWrites atomic.Uint64
+	queries, hits, misses, solves, nodes atomic.Uint64
+	// memHits and memMisses count memory-tier outcomes alone, for the tier
+	// row; hits and misses also count queries an in-flight leader or the
+	// disk tier answered.
+	memHits, memMisses atomic.Uint64
 }
 
 // QueryCacheStats is a snapshot of one QueryCache instance's counters —
@@ -160,7 +159,6 @@ func (s QueryCacheStats) Add(o QueryCacheStats) QueryCacheStats {
 // consumed. Hits are only served to callers whose node budget covers that
 // count, so budget-limited callers behave byte-identically warm or cold.
 type cacheEntry struct {
-	key   string
 	sat   bool
 	nodes int
 }
@@ -183,49 +181,35 @@ func NewQueryCache(capacity int) *QueryCache {
 	if capacity <= 0 {
 		capacity = DefaultQueryCacheCap
 	}
-	return &QueryCache{
-		cap:      capacity,
-		entries:  map[string]*list.Element{},
-		order:    list.New(),
+	c := &QueryCache{
+		mem:      lru.New[string, cacheEntry](capacity),
 		inflight: map[string]*inflightQuery{},
 	}
+	c.Tier = store.NewTier("solver", c.memTier, queryNamespace)
+	return c
 }
 
-// SetStore attaches (nil: detaches) the on-disk tier. Safe to call
-// concurrently with queries.
-func (c *QueryCache) SetStore(st *store.Store) { c.disk.Store(st) }
-
-// CacheName identifies this cache in unified tier stats.
-func (c *QueryCache) CacheName() string { return "solver" }
-
-// TierStats reports the two-tier counters in the unified shape.
-func (c *QueryCache) TierStats() store.TierStats {
-	ts := store.TierStats{
-		Cache:      c.CacheName(),
-		MemHits:    c.hits.Load(),
-		MemMisses:  c.misses.Load(),
-		DiskHits:   c.diskHits.Load(),
-		DiskMisses: c.diskMisses.Load(),
-		DiskWrites: c.diskWrites.Load(),
-	}
-	if st := c.disk.Load(); st != nil {
-		ts.DiskWriteErrors = st.NamespaceWriteErrors(queryNamespace)
-	}
-	return ts
+// memTier fills the solver cache's memory-tier fields into its tier row.
+func (c *QueryCache) memTier(ts *store.TierStats) {
+	ts.MemHits, ts.MemMisses = c.memHits.Load(), c.memMisses.Load()
 }
 
 // Stats snapshots this instance's counters.
 func (c *QueryCache) Stats() QueryCacheStats {
+	c.mu.Lock()
+	evictions := c.mem.Evictions()
+	c.mu.Unlock()
+	ts := c.TierStats()
 	return QueryCacheStats{
 		Queries:    c.queries.Load(),
 		Hits:       c.hits.Load(),
 		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
+		Evictions:  evictions,
 		Solves:     c.solves.Load(),
 		Nodes:      c.nodes.Load(),
-		DiskHits:   c.diskHits.Load(),
-		DiskMisses: c.diskMisses.Load(),
-		DiskWrites: c.diskWrites.Load(),
+		DiskHits:   ts.DiskHits,
+		DiskMisses: ts.DiskMisses,
+		DiskWrites: ts.DiskWrites,
 	}
 }
 
@@ -235,8 +219,7 @@ func (c *QueryCache) Stats() QueryCacheStats {
 func (c *QueryCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[string]*list.Element{}
-	c.order.Init()
+	c.mem.Clear()
 }
 
 var (
@@ -245,8 +228,6 @@ var (
 )
 
 func init() { cacheEnabled.Store(true) }
-
-var _ store.CacheBackend = (*QueryCache)(nil)
 
 // DefaultQueryCache returns the process-wide cache instance used by
 // queries whose Limits name no explicit cache.
@@ -297,19 +278,15 @@ func satCached(f Formula, lim Limits) (bool, error) {
 // of an in-flight solve on miss. A cached or in-flight result is only
 // reused when its node count fits maxNodes; otherwise this caller re-solves
 // under its own limits so ErrBudget surfaces exactly as it would uncached.
-// On a memory miss the leader consults the disk tier before solving.
 func (c *QueryCache) load(key string, maxNodes int, solve func() (bool, int, error)) (bool, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.nodes <= maxNodes {
-			c.order.MoveToFront(el)
-			c.mu.Unlock()
-			stats.hits.Add(1)
-			c.hits.Add(1)
-			return e.sat, nil
-		}
+	if e, ok := c.mem.Get(key); ok && e.nodes <= maxNodes {
+		c.mu.Unlock()
+		c.memHits.Add(1)
+		c.countHit()
+		return e.sat, nil
 	}
+	c.memMisses.Add(1)
 	if fl, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		<-fl.done
@@ -318,33 +295,50 @@ func (c *QueryCache) load(key string, maxNodes int, solve func() (bool, int, err
 	fl := &inflightQuery{done: make(chan struct{}), maxNodes: maxNodes}
 	c.inflight[key] = fl
 	c.mu.Unlock()
+	return c.lead(key, fl, solve)
+}
 
-	// Disk tier: a persisted verdict whose node count fits the budget is a
-	// hit — promote it to the memory tier and skip the solve.
-	if sat, nodes, ok := c.diskGet(key); ok && nodes <= maxNodes {
+// lead resolves a key whose in-flight entry fl this caller owns: the disk
+// tier first, then a real solve, releasing the followers either way. A
+// verdict is stored in the memory tier, and a solved one written through
+// to the disk tier.
+func (c *QueryCache) lead(key string, fl *inflightQuery, solve func() (bool, int, error)) (bool, error) {
+	if sat, nodes, ok := c.diskGet(key, fl.maxNodes); ok {
 		fl.sat, fl.nodes = sat, nodes
-		close(fl.done)
-		c.mu.Lock()
-		delete(c.inflight, key)
-		c.mu.Unlock()
-		stats.hits.Add(1)
-		c.hits.Add(1)
+		c.release(key, fl)
+		c.countHit()
 		c.storeEntry(key, sat, nodes)
 		return sat, nil
 	}
-
-	stats.misses.Add(1)
-	c.misses.Add(1)
+	c.countMiss()
 	fl.sat, fl.nodes, fl.err = c.runSolve(solve)
-	close(fl.done)
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
+	c.release(key, fl)
 	if fl.err == nil {
 		c.storeEntry(key, fl.sat, fl.nodes)
 		c.diskPut(key, fl.sat, fl.nodes)
 	}
 	return fl.sat, fl.err
+}
+
+// release publishes a finished in-flight solve to its followers and
+// retires its entry.
+func (c *QueryCache) release(key string, fl *inflightQuery) {
+	close(fl.done)
+	c.mu.Lock()
+	delete(c.inflight, key)
+	c.mu.Unlock()
+}
+
+// countHit and countMiss charge one answered or unanswered query to this
+// cache and to the process-wide counters.
+func (c *QueryCache) countHit() {
+	stats.hits.Add(1)
+	c.hits.Add(1)
+}
+
+func (c *QueryCache) countMiss() {
+	stats.misses.Add(1)
+	c.misses.Add(1)
 }
 
 // runSolve runs one uncached solve on this cache's behalf, charging the
@@ -357,21 +351,16 @@ func (c *QueryCache) runSolve(solve func() (bool, int, error)) (bool, int, error
 }
 
 // storeEntry inserts a decided query into the memory tier, evicting from
-// the LRU tail past capacity.
+// the LRU tail past capacity. A resident key keeps its verdict and is only
+// promoted.
 func (c *QueryCache) storeEntry(key string, sat bool, nodes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
+	if _, ok := c.mem.Get(key); ok {
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, sat: sat, nodes: nodes})
-	for c.order.Len() > c.cap {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).key)
+	if c.mem.Put(key, cacheEntry{sat: sat, nodes: nodes}) {
 		stats.evictions.Add(1)
-		c.evictions.Add(1)
 	}
 }
 
@@ -382,37 +371,34 @@ func diskKey(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// diskGet fetches a persisted verdict; any decode anomaly is a miss.
-func (c *QueryCache) diskGet(key string) (sat bool, nodes int, ok bool) {
-	st := c.disk.Load()
-	if st == nil {
+// diskGet serves a persisted verdict from the disk tier. A record is a hit
+// only when it decodes and its node count fits maxNodes: a verdict this
+// caller's budget could not have reached is re-solved, so ErrBudget
+// surfaces as it would in a cold process.
+func (c *QueryCache) diskGet(key string, maxNodes int) (sat bool, nodes int, ok bool) {
+	if !c.Attached() {
 		return false, 0, false
 	}
-	raw, found := st.Get(queryNamespace, diskKey(key))
-	if !found {
-		c.diskMisses.Add(1)
-		return false, 0, false
-	}
-	var satInt int
-	if _, err := fmt.Sscanf(string(raw), "%d %d", &satInt, &nodes); err != nil || satInt > 1 || satInt < 0 || nodes < 0 {
-		c.diskMisses.Add(1)
-		return false, 0, false
-	}
-	c.diskHits.Add(1)
-	return satInt == 1, nodes, true
+	ok = c.Tier.Get(queryNamespace, diskKey(key), func(raw []byte) bool {
+		var satInt int
+		if _, err := fmt.Sscanf(string(raw), "%d %d", &satInt, &nodes); err != nil || satInt > 1 || satInt < 0 || nodes < 0 {
+			return false
+		}
+		sat = satInt == 1
+		return nodes <= maxNodes
+	})
+	return sat, nodes, ok
 }
 
 // diskPut persists a decided verdict (write-behind; errors are invisible —
 // the disk tier is an optimization, never a source of truth).
 func (c *QueryCache) diskPut(key string, sat bool, nodes int) {
-	st := c.disk.Load()
-	if st == nil {
+	if !c.Attached() {
 		return
 	}
 	satInt := 0
 	if sat {
 		satInt = 1
 	}
-	st.Put(queryNamespace, diskKey(key), []byte(fmt.Sprintf("%d %d", satInt, nodes)))
-	c.diskWrites.Add(1)
+	c.Tier.Put(queryNamespace, diskKey(key), []byte(fmt.Sprintf("%d %d", satInt, nodes)))
 }

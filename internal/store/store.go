@@ -178,39 +178,6 @@ type Stats struct {
 	LastWriteError string `json:"last_write_error,omitempty"`
 }
 
-// TierStats is the unified two-tier counter block every CacheBackend
-// reports: the in-memory LRU in front, the shared disk store behind it.
-type TierStats struct {
-	Cache      string `json:"cache"`
-	MemHits    uint64 `json:"mem_hits"`
-	MemMisses  uint64 `json:"mem_misses"`
-	DiskHits   uint64 `json:"disk_hits"`
-	DiskMisses uint64 `json:"disk_misses"`
-	DiskWrites uint64 `json:"disk_writes"`
-	// DiskWriteErrors counts this cache's puts whose background append
-	// failed in the store — entries the next cold process will have to
-	// recompute even though this one paid for them.
-	DiskWriteErrors uint64 `json:"disk_write_errors,omitempty"`
-	// DiskHitsDecoded and DiskHitsVerified split DiskHits by restore
-	// path for caches that distinguish them (the snapshot cache since
-	// snap.v2): decoded restores adopt a checksummed binary artifact
-	// after a digest check, deep-verified restores additionally re-derive
-	// the artifact from source and compare (the legacy full-trust-nothing
-	// path, now sampled). Zero for caches without the split.
-	DiskHitsDecoded  uint64 `json:"disk_hits_decoded,omitempty"`
-	DiskHitsVerified uint64 `json:"disk_hits_verified,omitempty"`
-}
-
-// CacheBackend is the common two-tier shape of the sched fingerprint
-// cache, the program snapshot cache, and the smt query cache: a bounded
-// in-memory tier that can be backed by a shared on-disk store. SetStore
-// with nil detaches the disk tier (the default).
-type CacheBackend interface {
-	CacheName() string
-	SetStore(*Store)
-	TierStats() TierStats
-}
-
 // Open opens (creating if needed) the store rooted at dir. A torn tail
 // left by a crashed writer is truncated away before the index is built.
 func Open(dir string) (*Store, error) {
@@ -587,7 +554,7 @@ func (s *Store) noteWriteError(key string, err error) {
 
 // NamespaceWriteErrors returns how many failed background appends hit the
 // given namespaces — the per-cache slice of Stats.WriteErrors, surfaced
-// through each cache backend's TierStats.
+// through each cache's Tier row.
 func (s *Store) NamespaceWriteErrors(namespaces ...string) uint64 {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()

@@ -1,15 +1,19 @@
 #!/bin/sh
-# Full verify: tier-1 (build + all tests), vet, the race-detector suites
-# for the packages with concurrency (scheduler worker pool, snapshot
-# cache, solver result cache, prefix-pruning walker, fault injector, the
-# on-disk store with its goroutine hammer, and the serve daemon with its
-# request hammer and admission control), the binary AST codec fuzz suite
-# by name (round-trip byte-identity over the corpus and seeded mutants;
-# truncated/bit-flipped/version-skewed frames must be rejected), the
-# daemon smoke test by name (start a real listener, one gate round trip,
-# clean drain), the cold-process-on-warm-store smoke (two CLI invocations
-# sharing a store directory: the second must serve its jobs from the disk
-# tier AND restore its snapshots through the parse-free decode path), the
+# Full verify: tier-1 (build + all tests), vet, gofmt (any unformatted
+# file fails), the race-detector suites for the packages with concurrency
+# (scheduler worker pool, snapshot cache, solver result cache, the shared
+# LRU under them, prefix-pruning walker, fault injector, the on-disk store
+# with its goroutine hammer, and the serve daemon with its request hammer
+# and admission control), the bounded fingerprint cache test by name
+# (ten race-detector rounds of a capped cache gating a stream of edits:
+# the cap holds, entries evict, reports and executed-job counts match),
+# the binary AST codec fuzz suite by name (round-trip byte-identity over
+# the corpus and seeded mutants; truncated/bit-flipped/version-skewed
+# frames must be rejected), the daemon smoke test by name (start a real
+# listener, one gate round trip, clean drain), the cold-process-on-warm-
+# store smoke (two CLI invocations sharing a store directory: the second
+# must serve its jobs from the disk tier AND restore its snapshots through
+# the parse-free decode path), the
 # snapshot-record corruption round by name (a damaged snap.v2 record must
 # degrade to a recompute miss through the digest/codec checks, never a
 # wrong result), the crash-recovery campaign by name (seeded kill points
@@ -23,7 +27,9 @@ set -ex
 go build ./...
 go test ./...
 go vet ./...
-go test -race ./internal/sched/... ./internal/program/... ./internal/faultinject/... ./internal/smt/... ./internal/concolic/... ./internal/server/... ./internal/store/...
+test -z "$(gofmt -l .)"
+go test -race ./internal/sched/... ./internal/program/... ./internal/lru/... ./internal/faultinject/... ./internal/smt/... ./internal/concolic/... ./internal/server/... ./internal/store/...
+go test -race -count=10 -run TestBoundedFingerprintCacheStaysWarm ./internal/sched
 go test -run 'TestCodec' -count=1 ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
