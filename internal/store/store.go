@@ -12,9 +12,12 @@
 // append whole records under the exclusive lock, so a reader holding the
 // shared lock never observes a partial record — except after a crash,
 // which leaves a torn tail that Open (and the next writer) truncates at
-// the first frame that fails to parse. The last record for a key wins;
-// compaction rewrites the live set into a temp file and renames it over
-// the log once the dead-byte ratio passes a threshold, and other
+// the first frame that fails to parse. A scan (Open, and the rescan of
+// whatever other processes appended) reads the log sequentially through
+// one fixed-size buffer; a lookup reads its indexed frame with a single
+// read; both check the frame with the same parser. The last record for a
+// key wins; compaction rewrites the live set into a temp file and renames
+// it over the log once the dead-byte ratio passes a threshold, and other
 // processes detect the swap by comparing inodes and reopen.
 //
 // Puts are write-behind: they enqueue onto a bounded channel drained by a
@@ -35,6 +38,8 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,6 +47,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,11 +79,18 @@ const (
 	// writeQueueCap bounds the write-behind queue. A full queue makes Put
 	// block (backpressure) rather than drop, so a Flush sees everything.
 	writeQueueCap = 1024
+
+	// scanBufSize is the read buffer of a log scan (capped at the tail's
+	// length). It is small on purpose: a short-lived process pays a page
+	// fault for every fresh page of a new buffer, and a buffer holding the
+	// whole log would grow with it.
+	scanBufSize = 64 << 10
 )
 
-// Faultinject hook points in the store. Read is consulted on every disk
-// read; a Corrupt rule flips a byte in the frame before the CRC check,
-// which must surface as a detected miss, never as data. Write fires per
+// Faultinject hook points in the store. Read is consulted on every lookup
+// read, never during a scan; a Corrupt rule flips a byte in the frame
+// before the CRC check, which must surface as a detected miss, never as
+// data. Write fires per
 // frame append (Corrupt: the frame lands on disk with a flipped byte;
 // Budget: the append "fails" like a full disk and is counted as a write
 // error; Crash: half the frame reaches the disk and the process dies —
@@ -126,10 +139,6 @@ type Store struct {
 	scanned int64 // log offset up to which the index is current
 	live    int64 // bytes held by live frames
 	dead    int64 // bytes held by superseded frames
-
-	// lastVal carries the value out of readFrame(wantVal=true); guarded
-	// by s.mu like the rest of the read path.
-	lastVal []byte
 
 	// qmu guards queue sends against Close closing the channel: senders
 	// hold it shared, Close exclusively.
@@ -240,29 +249,52 @@ func (s *Store) openLogLocked(repair bool) error {
 }
 
 // scanTailLocked indexes frames from s.scanned to the end of the log,
-// stopping at the first frame that fails to parse (a torn or corrupt
-// tail). Caller holds s.mu.
+// stopping at the first frame that fails a check (a torn or corrupt
+// tail). The tail is read in one sequential pass through a buffer of at
+// most scanBufSize bytes; a frame longer than the buffer is read whole into
+// its own slice. Caller holds s.mu.
 func (s *Store) scanTailLocked() error {
 	fi, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	size := fi.Size()
-	for s.scanned < size {
-		key, frame, ok, err := s.readFrame(s.scanned, size, false)
+	if s.scanned+headerSize > size {
+		return nil
+	}
+	tail := size - s.scanned
+	r := bufio.NewReaderSize(io.NewSectionReader(s.f, s.scanned, tail), int(min(tail, scanBufSize)))
+	for s.scanned+headerSize <= size {
+		hdr, err := r.Peek(headerSize)
 		if err != nil {
-			return err
+			return fmt.Errorf("store: read: %w", err)
 		}
+		n, ok := frameLen(hdr)
+		if !ok || s.scanned+n > size {
+			break
+		}
+		var frame []byte
+		if n <= int64(r.Size()) {
+			frame, err = r.Peek(int(n))
+			r.Discard(len(frame))
+		} else {
+			frame = make([]byte, n)
+			_, err = io.ReadFull(r, frame)
+		}
+		if err != nil {
+			return fmt.Errorf("store: read: %w", err)
+		}
+		key, _, ok := parseFrame(frame)
 		if !ok {
 			break
 		}
-		if prev, dup := s.index[key]; dup {
+		if prev, dup := s.index[string(key)]; dup {
 			s.dead += prev.size
 			s.live -= prev.size
 		}
-		s.index[key] = indexEntry{off: s.scanned, size: frame}
-		s.live += frame
-		s.scanned += frame
+		s.index[string(key)] = indexEntry{off: s.scanned, size: n}
+		s.live += n
+		s.scanned += n
 	}
 	return nil
 }
@@ -302,47 +334,50 @@ func (s *Store) repairTailLocked() error {
 	return nil
 }
 
-// readFrame parses one frame at off (file size limit hi). It returns the
-// composite key, the frame length, and ok=false for a torn/corrupt frame.
-// With wantVal set it also returns the value via s.lastVal. Caller holds
-// s.mu.
-func (s *Store) readFrame(off, hi int64, wantVal bool) (key string, frame int64, ok bool, err error) {
-	if off+headerSize > hi {
-		return "", 0, false, nil
-	}
-	var hdr [headerSize]byte
-	if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-		return "", 0, false, fmt.Errorf("store: read: %w", err)
-	}
-	crc := binary.LittleEndian.Uint32(hdr[0:4])
-	version := hdr[4]
+// frameLen checks a frame header — the version byte and the key and value
+// length bounds — and returns the whole frame's length.
+func frameLen(hdr []byte) (int64, bool) {
 	keyLen := int64(binary.LittleEndian.Uint32(hdr[5:9]))
 	valLen := int64(binary.LittleEndian.Uint32(hdr[9:13]))
-	if version != recordVersion || keyLen == 0 || keyLen > maxKeyLen || valLen > maxValLen {
-		return "", 0, false, nil
+	if hdr[4] != recordVersion || keyLen == 0 || keyLen > maxKeyLen || valLen > maxValLen {
+		return 0, false
 	}
-	frame = headerSize + keyLen + valLen
-	if off+frame > hi {
-		return "", 0, false, nil
+	return headerSize + keyLen + valLen, true
+}
+
+// parseFrame checks one whole frame — its header, that the header's
+// lengths span exactly b, and the CRC — and returns the composite key and
+// the value, both aliasing b. ok=false means a torn or corrupt frame.
+func parseFrame(b []byte) (key, val []byte, ok bool) {
+	if len(b) < headerSize {
+		return nil, nil, false
 	}
-	body := make([]byte, 1+8+keyLen+valLen)
-	copy(body, hdr[4:])
-	if _, err := s.f.ReadAt(body[9:], off+headerSize); err != nil {
-		return "", 0, false, fmt.Errorf("store: read: %w", err)
+	if n, ok := frameLen(b); !ok || n != int64(len(b)) {
+		return nil, nil, false
 	}
-	if wantVal && faultinject.Armed() {
+	if crc32.ChecksumIEEE(b[4:]) != binary.LittleEndian.Uint32(b[0:4]) {
+		return nil, nil, false
+	}
+	keyEnd := headerSize + binary.LittleEndian.Uint32(b[5:9])
+	return b[headerSize:keyEnd], b[keyEnd:], true
+}
+
+// readIndexed reads the frame ent locates with one ReadAt and returns its
+// value; ok=false means the frame failed a check (disk corruption, or a
+// Corrupt rule at the store.read fault point, which every lookup consults
+// and no scan does). Caller holds s.mu.
+func (s *Store) readIndexed(ent indexEntry) (val []byte, ok bool, err error) {
+	buf := make([]byte, ent.size)
+	if _, err := s.f.ReadAt(buf, ent.off); err != nil {
+		return nil, false, fmt.Errorf("store: read: %w", err)
+	}
+	if faultinject.Armed() {
 		if kind, hit := faultinject.At(FaultPointRead); hit && kind == faultinject.Corrupt {
-			body[len(body)-1] ^= 0xff
+			buf[len(buf)-1] ^= 0xff
 		}
 	}
-	if crc32.ChecksumIEEE(body) != crc {
-		return "", 0, false, nil
-	}
-	key = string(body[9 : 9+keyLen])
-	if wantVal {
-		s.lastVal = body[9+keyLen:]
-	}
-	return key, frame, true, nil
+	_, val, ok = parseFrame(buf)
+	return val, ok, nil
 }
 
 // Get returns the stored value for (ns, key), or ok=false on a miss. A
@@ -370,7 +405,7 @@ func (s *Store) Get(ns, key string) ([]byte, bool) {
 			return nil, false
 		}
 	}
-	_, _, frameOK, err := s.readFrame(ent.off, ent.off+ent.size, true)
+	val, frameOK, err := s.readIndexed(ent)
 	if err != nil || !frameOK {
 		if err == nil {
 			s.corruptions.Add(1)
@@ -378,8 +413,6 @@ func (s *Store) Get(ns, key string) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	val := s.lastVal
-	s.lastVal = nil
 	s.hits.Add(1)
 	return val, true
 }
@@ -606,7 +639,7 @@ func (s *Store) appendBatch(batch []pendingPut) error {
 	var firstErr error
 	for i, p := range batch {
 		if prev, ok := s.index[p.key]; ok {
-			if same, _ := s.frameEqual(prev, p.val); same {
+			if s.frameEqual(prev, p.val) {
 				continue // identical live record already on disk
 			}
 		}
@@ -679,23 +712,9 @@ func (s *Store) appendBatch(batch []pendingPut) error {
 }
 
 // frameEqual reports whether the live frame at ent already stores val.
-func (s *Store) frameEqual(ent indexEntry, val []byte) (bool, error) {
-	_, _, ok, err := s.readFrame(ent.off, ent.off+ent.size, true)
-	if err != nil || !ok {
-		s.lastVal = nil
-		return false, err
-	}
-	cur := s.lastVal
-	s.lastVal = nil
-	if len(cur) != len(val) {
-		return false, nil
-	}
-	for i := range cur {
-		if cur[i] != val[i] {
-			return false, nil
-		}
-	}
-	return true, nil
+func (s *Store) frameEqual(ent indexEntry, val []byte) bool {
+	cur, ok, err := s.readIndexed(ent)
+	return err == nil && ok && bytes.Equal(cur, val)
 }
 
 // compactLocked rewrites the live record set into a temp file and renames
@@ -734,11 +753,7 @@ func (s *Store) compactLocked() {
 	for k, ent := range s.index {
 		recs = append(recs, liveRec{k, ent})
 	}
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].ent.off < recs[j-1].ent.off; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ent.off < recs[j].ent.off })
 	var off int64
 	newIndex := make(map[string]indexEntry, len(recs))
 	for _, r := range recs {

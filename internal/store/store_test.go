@@ -2,11 +2,17 @@ package store
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 
 	"lisa/internal/faultinject"
@@ -198,6 +204,43 @@ func TestCompaction(t *testing.T) {
 			t.Fatalf("live%d missing after compaction+reopen", i)
 		}
 	}
+
+	// One more compaction, forced: it keeps the live set in log order,
+	// and a reopen rebuilds exactly the index it leaves behind.
+	before := indexOf(s2)
+	s2.mu.Lock()
+	if err := s2.flock(syscall.LOCK_EX); err != nil {
+		s2.mu.Unlock()
+		t.Fatal(err)
+	}
+	s2.compactLocked()
+	s2.funlock()
+	s2.mu.Unlock()
+	after := indexOf(s2)
+	if got := s2.Stats().Compactions; got != 1 {
+		t.Fatalf("forced compaction did not run: %d compactions", got)
+	}
+	if a, b := keysInLogOrder(before), keysInLogOrder(after); !slices.Equal(a, b) {
+		t.Fatalf("compaction reordered the live set:\n before %q\n after  %q", a, b)
+	}
+	s2.Close()
+	if got := indexOf(openT(t, dir)); !reflect.DeepEqual(got, after) {
+		t.Fatalf("reopen after compaction rebuilt index %v, want %v", got, after)
+	}
+}
+
+// indexOf copies the store's in-memory index.
+func indexOf(s *Store) map[string]indexEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.index)
+}
+
+// keysInLogOrder lists an index's keys by frame offset.
+func keysInLogOrder(index map[string]indexEntry) []string {
+	keys := slices.Collect(maps.Keys(index))
+	slices.SortFunc(keys, func(a, b string) int { return cmp.Compare(index[a].off, index[b].off) })
+	return keys
 }
 
 // TestCorruptionDetected flips a byte in a stored value on disk; the CRC
@@ -571,5 +614,188 @@ func TestSetAfterWritesThenFails(t *testing.T) {
 		if _, ok := s.Get("a", fmt.Sprintf("k%d", i)); ok {
 			t.Fatalf("k%d (after fault armed) landed", i)
 		}
+	}
+}
+
+// rec is one record of a hand-built log.
+type rec struct {
+	key string
+	val []byte
+}
+
+func (r rec) frame() []byte { return encodeFrame("s"+nsSep+r.key, r.val) }
+
+// TestScanPaths opens hand-built logs that drive each branch of the
+// buffered scan: frames larger than the scan buffer, frames straddling a
+// buffer boundary, and damage in the middle of the log. Open must index
+// exactly the frames before the first damaged one, truncate the log there,
+// and serve only what it indexed; a second Open must then find the same
+// records without a recovery.
+func TestScanPaths(t *testing.T) {
+	small := make([]rec, 6)
+	for i := range small {
+		small[i] = rec{fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("small value %d", i))}
+	}
+	big := rec{"big", bytes.Repeat([]byte{0xb7}, 3*scanBufSize/2)}
+	// Frames of 3 KB and varying length, so frame starts drift across every
+	// multiple of the buffer size.
+	var straddle []rec
+	for i := 0; i < 60; i++ {
+		straddle = append(straddle, rec{fmt.Sprintf("st%d", i), bytes.Repeat([]byte{byte(i)}, 2980+i)})
+	}
+	badCRC := small[3].frame()
+	badCRC[len(badCRC)-1] ^= 0xff
+	// A header whose lengths pass every bound but run past the end of the
+	// file: the scan must stop there without reading or allocating them.
+	pastEOF := make([]byte, headerSize+20)
+	pastEOF[4] = recordVersion
+	binary.LittleEndian.PutUint32(pastEOF[5:9], 6)
+	binary.LittleEndian.PutUint32(pastEOF[9:13], maxValLen)
+
+	cases := []struct {
+		name       string
+		good       []rec  // frames Open must index, in log order
+		bad        []byte // a damaged tail after them
+		lost       []rec  // records in the damaged tail
+		recoveries uint64
+	}{
+		{name: "value larger than the buffer", good: []rec{small[0], big, small[1]}},
+		{name: "frames straddle buffer boundaries", good: straddle},
+		{
+			name:       "bad CRC mid-log",
+			good:       small[:3],
+			bad:        slices.Concat(badCRC, small[4].frame(), small[5].frame()),
+			lost:       small[3:],
+			recoveries: 1,
+		},
+		{
+			name:       "lengths past end of file",
+			good:       small[:3],
+			bad:        pastEOF,
+			recoveries: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var good []byte
+			for _, r := range tc.good {
+				good = append(good, r.frame()...)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, logName)
+			if err := os.WriteFile(path, append(slices.Clone(good), tc.bad...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check := func(s *Store, label string, recoveries uint64) {
+				t.Helper()
+				if st := s.Stats(); st.Recoveries != recoveries || st.Records != len(tc.good) {
+					t.Fatalf("%s: recoveries %d, records %d; want %d, %d", label, st.Recoveries, st.Records, recoveries, len(tc.good))
+				}
+				if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(good)) {
+					t.Fatalf("%s: log is %v bytes (%v), want %d", label, fi.Size(), err, len(good))
+				}
+				for _, r := range tc.good {
+					if v, ok := s.Get("s", r.key); !ok || !bytes.Equal(v, r.val) {
+						t.Fatalf("%s: Get %s = %d bytes, %v; want its %d bytes", label, r.key, len(v), ok, len(r.val))
+					}
+				}
+				for _, r := range tc.lost {
+					if _, ok := s.Get("s", r.key); ok {
+						t.Fatalf("%s: %s after the damage was served", label, r.key)
+					}
+				}
+			}
+			s := openT(t, dir)
+			check(s, "first open", tc.recoveries)
+			index := indexOf(s)
+			s.Close()
+			s2 := openT(t, dir)
+			check(s2, "second open", 0)
+			if got := indexOf(s2); !reflect.DeepEqual(got, index) {
+				t.Fatalf("second open indexed %v, first %v", got, index)
+			}
+		})
+	}
+	off, crossed := 0, false
+	for _, r := range straddle {
+		n := len(r.frame())
+		crossed = crossed || off/scanBufSize != (off+n-1)/scanBufSize
+		off += n
+	}
+	if !crossed {
+		t.Fatal("no straddle frame crosses a multiple of the buffer size")
+	}
+}
+
+// writeWarmLog writes a store.log shaped like the one a pass of cold
+// `lisa gate -store` processes over the corpus leaves behind, and returns
+// its frame count: 600 frames, 270 of them snapshot records of 9–18 KB (180
+// keys; every third snapshot frame rewrites an earlier key, as a snapshot
+// is written again once its call graph is built) and 330 small solver and
+// fingerprint records.
+func writeWarmLog(tb testing.TB, dir string) int {
+	tb.Helper()
+	const frames = 600
+	var log []byte
+	var snaps, smalls int
+	for i := 0; i < frames; i++ {
+		var key string
+		var size int
+		if i%20 < 9 {
+			// Of every three snapshot frames, the first two add keys and
+			// the third rewrites the first.
+			id := snaps/3*2 + snaps%3
+			if snaps%3 == 2 {
+				id -= 2
+			}
+			key, size = fmt.Sprintf("snap.v2%s%064x", nsSep, id), 9000+snaps*7919%9000
+			snaps++
+		} else {
+			key, size = fmt.Sprintf("fp.v1%s%064x", nsSep, smalls), []int{60, 60, 200, 550}[smalls%4]
+			smalls++
+		}
+		val := make([]byte, size)
+		for j := range val {
+			val[j] = byte(i + j*7)
+		}
+		log = append(log, encodeFrame(key, val)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return frames
+}
+
+// TestOpenAllocs guards what opening a warm store costs a cold process:
+// Open plus Close of a writeWarmLog store allocates at most one object per
+// frame (its index key) plus 64 for the handle, the files, the scan buffer
+// and the index map.
+func TestOpenAllocs(t *testing.T) {
+	dir := t.TempDir()
+	frames := writeWarmLog(t, dir)
+	allocs := testing.AllocsPerRun(10, func() {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	})
+	if limit := float64(frames + 64); allocs > limit {
+		t.Fatalf("Open+Close allocates %.0f objects on a %d-frame log, want at most %.0f", allocs, frames, limit)
+	}
+}
+
+// BenchmarkStoreOpen times Open plus Close of a writeWarmLog store, the
+// store's share of every cold `lisa gate -store` process.
+func BenchmarkStoreOpen(b *testing.B) {
+	dir := b.TempDir()
+	writeWarmLog(b, dir)
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
 	}
 }

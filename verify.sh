@@ -13,7 +13,10 @@
 # listener, one gate round trip, clean drain), the cold-process-on-warm-
 # store smoke (two CLI invocations sharing a store directory: the second
 # must serve its jobs from the disk tier AND restore its snapshots through
-# the parse-free decode path), the
+# the parse-free decode path; a third, after garbage is appended to the
+# log, must truncate it back and print the same report), the store-open
+# allocation guard by name and one iteration of the store-open benchmark
+# (so it keeps building and running), the
 # snapshot-record corruption round by name (a damaged snap.v2 record must
 # degrade to a recompute miss through the digest/codec checks, never a
 # wrong result), the crash-recovery campaign by name (seeded kill points
@@ -37,7 +40,14 @@ go run ./cmd/lisa assert -case zk-ephemeral -tests -store "$STORE_SMOKE/store" >
 go run ./cmd/lisa assert -case zk-ephemeral -tests -store "$STORE_SMOKE/store" > "$STORE_SMOKE/warm.out"
 grep "served from the disk tier" "$STORE_SMOKE/warm.out"
 grep "restored from the store (2 decoded, 0 deep-verified)" "$STORE_SMOKE/warm.out"
+LOG_SIZE=$(wc -c < "$STORE_SMOKE/store/store.log")
+printf 'torn tail: no frame here' >> "$STORE_SMOKE/store/store.log"
+go run ./cmd/lisa assert -case zk-ephemeral -tests -store "$STORE_SMOKE/store" > "$STORE_SMOKE/torn.out"
+cmp "$STORE_SMOKE/warm.out" "$STORE_SMOKE/torn.out"
+test "$(wc -c < "$STORE_SMOKE/store/store.log")" -eq "$LOG_SIZE"
 rm -rf "$STORE_SMOKE"
+go test -run 'TestOpenAllocs' -count=1 ./internal/store
+go test -run '^$' -bench StoreOpen -benchtime 1x ./internal/store
 go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss' -count=1 ./internal/program
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
