@@ -1,9 +1,11 @@
 package callgraph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"lisa/internal/corpus"
 	"lisa/internal/minij"
 )
 
@@ -287,4 +289,71 @@ class D {
 	if full.Truncated || len(full.Paths) != 8 {
 		t.Errorf("full tree = %d paths (truncated=%v), want 8", len(full.Paths), full.Truncated)
 	}
+}
+
+// edgeLines renders every edge of g in Build order, keyed both ways: each
+// caller's call sites (callers in program order), then each callee's
+// incoming edges (the order ExecutionTree walks them in).
+func edgeLines(g *Graph) []string {
+	var lines []string
+	for _, by := range []map[*minij.Method][]CallSite{g.Callees, g.Callers} {
+		for _, m := range g.Prog.Methods() {
+			for _, e := range by[m] {
+				lines = append(lines, fmt.Sprintf("%s dynamic=%v", e, e.Dynamic))
+			}
+		}
+	}
+	return lines
+}
+
+// TestBuildOnDecodedProgram: a snapshot restored from the store builds its
+// call graph on the program minij.DecodeProgram rebuilt from the binary
+// AST, not on a parsed one. For every distinct corpus version that parses
+// and checks — each case's head and ticket versions, alone and with the
+// case's tests appended — Build on the decoded program must give the same
+// edges as Build on the parsed one: caller, callee, call position and
+// Dynamic flag, in the same order.
+func TestBuildOnDecodedProgram(t *testing.T) {
+	seen := map[string]bool{}
+	var programs, edges int
+	for _, cs := range corpus.Load().Cases {
+		versions := []string{cs.Head()}
+		for _, tk := range cs.Tickets {
+			versions = append(versions, tk.BuggySource, tk.FixedSource)
+		}
+		for _, v := range versions {
+			withTests := v
+			for _, tc := range cs.Tests {
+				withTests += "\n" + tc.Source
+			}
+			for _, src := range []string{v, withTests} {
+				if seen[src] {
+					continue
+				}
+				seen[src] = true
+				prog, err := minij.Parse(src)
+				if err != nil || minij.Check(prog) != nil {
+					continue
+				}
+				enc, err := minij.EncodeProgram(prog)
+				if err != nil {
+					t.Fatalf("%s: encode: %v", cs.ID, err)
+				}
+				dec, err := minij.DecodeProgram(enc)
+				if err != nil {
+					t.Fatalf("%s: decode: %v", cs.ID, err)
+				}
+				want, got := edgeLines(Build(prog)), edgeLines(Build(dec))
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("%s: graph of the decoded program differs:\n got %q\nwant %q", cs.ID, got, want)
+				}
+				programs++
+				edges += len(want) / 2
+			}
+		}
+	}
+	if programs == 0 || edges == 0 {
+		t.Fatalf("compared %d programs with %d edges, want some of each", programs, edges)
+	}
+	t.Logf("%d programs, %d edges", programs, edges)
 }

@@ -5,33 +5,40 @@ import (
 	"errors"
 	"sort"
 
-	"lisa/internal/callgraph"
 	"lisa/internal/faultinject"
 	"lisa/internal/minij"
 )
 
-// snapNamespace versions the snapshot records in the on-disk store; bump
-// it when the record encoding changes so stale stores read as misses.
-// snap.v2 records carry the binary AST (minij.EncodeProgram), making
-// restore parse-free. Records under older namespaces are never read: the
-// snapshot compiles once and persists its v2 record.
+// snapNamespace names the snapshot records in the on-disk store. snap.v2
+// records carry the binary AST (minij.EncodeProgram), making restore
+// parse-free. Records under older namespaces are never read: the snapshot
+// compiles once and persists its v2 record.
+//
+// Two version knobs exist; bump exactly one. A change to the envelope's
+// fields bumps recVersion: an old record then fails to decode, the
+// snapshot compiles, and its new record is written under the same key, so
+// the stale frame is dead and compaction reclaims it. Bump the namespace
+// only when the key itself changes meaning (what a record is addressed
+// by): records under the old namespace stay live frames that nothing ever
+// reads again.
 const snapNamespace = "snap.v2"
 
-// snapRecord is the persisted form of a fully-warmed snapshot: the binary
-// AST (self-checksummed by the codec), the canonical form with its own
-// sha256 (the cheap integrity check restore runs every time), the derived
-// artifacts that are expensive to recompute, and the call-graph summary.
-// The raw source is NOT stored — the record is addressed by
-// sha256(source), and a restoring process always holds the source it is
-// asking about. Compile-error (negative) entries are never persisted: a
-// record's existence asserts that the source compiles.
+// snapRecord is the persisted form of a snapshot, written once right after
+// its front-end build: the binary AST (self-checksummed by the codec), the
+// canonical form with its own sha256 (the cheap integrity check restore
+// runs every time), and the derived artifacts that are expensive to
+// recompute (shape and per-method canons). The call graph is not stored:
+// Graph rebuilds it from the decoded AST. The raw source is NOT stored
+// either — the record is addressed by sha256(source), and a restoring
+// process always holds the source it is asking about. Compile-error
+// (negative) entries are never persisted: a record's existence asserts
+// that the source compiles.
 type snapRecord struct {
 	AST      []byte
 	Canon    string
 	CanonSHA string
 	Shape    string
 	Methods  map[string]string
-	Graph    *callgraph.Summary
 }
 
 // The v2 record's wire form is binary, not JSON: a restore happens on
@@ -45,7 +52,9 @@ type snapRecord struct {
 // error degrades the load to a recompute miss).
 var recMagic = [4]byte{'M', 'J', 'S', 'R'}
 
-const recVersion = 1
+// recVersion is the envelope layout; decodeRecord rejects every other
+// version, so a layout change bumps it (see snapNamespace).
+const recVersion = 2
 
 var errBadRecord = errors.New("program: malformed snapshot record")
 
@@ -65,19 +74,6 @@ func encodeRecord(rec *snapRecord) []byte {
 	for _, k := range keys {
 		w.str(k)
 		w.str(rec.Methods[k])
-	}
-	if rec.Graph == nil {
-		w.buf = append(w.buf, 0)
-	} else {
-		w.buf = append(w.buf, 1)
-		w.uvarint(uint64(len(rec.Graph.Edges)))
-		for _, e := range rec.Graph.Edges {
-			w.str(e.Caller)
-			w.str(e.Callee)
-			w.uvarint(uint64(e.Line))
-			w.uvarint(uint64(e.Col))
-			w.bool(e.Dynamic)
-		}
 	}
 	w.uvarint(uint64(len(rec.AST)))
 	w.buf = append(w.buf, rec.AST...)
@@ -102,20 +98,6 @@ func decodeRecord(raw []byte) (*snapRecord, bool) {
 			rec.Methods[k] = r.str()
 		}
 	}
-	if r.bool() {
-		sum := &callgraph.Summary{}
-		n := r.count(5)
-		for i := uint64(0); i < n && r.err == nil; i++ {
-			sum.Edges = append(sum.Edges, callgraph.EdgeSummary{
-				Caller:  r.str(),
-				Callee:  r.str(),
-				Line:    int(r.uvarint()),
-				Col:     int(r.uvarint()),
-				Dynamic: r.bool(),
-			})
-		}
-		rec.Graph = sum
-	}
 	rec.AST = r.bytes()
 	if r.err != nil || r.off != len(r.buf) {
 		return nil, false
@@ -129,13 +111,6 @@ func (w *recWriter) uvarint(n uint64) { w.buf = binary.AppendUvarint(w.buf, n) }
 func (w *recWriter) str(s string) {
 	w.uvarint(uint64(len(s)))
 	w.buf = append(w.buf, s...)
-}
-func (w *recWriter) bool(b bool) {
-	if b {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
-	}
 }
 
 // recReader is a sticky-error cursor: the first malformed read poisons
@@ -193,22 +168,10 @@ func (r *recReader) bytes() []byte {
 
 func (r *recReader) str() string { return string(r.bytes()) }
 
-func (r *recReader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.buf) || r.buf[r.off] > 1 {
-		r.fail()
-		return false
-	}
-	b := r.buf[r.off] == 1
-	r.off++
-	return b
-}
-
 // compile populates the snapshot exactly once: from the disk tier when a
-// verified record exists, else by the full front-end build (which is then
-// persisted, so the next process can restore it).
+// verified record exists, else by the full front-end build, which is then
+// persisted — the snapshot's only store write — so the next process can
+// restore it.
 func (s *Snapshot) compile() {
 	if s.cache != nil && s.cache.Tier.Get(snapNamespace, s.hash, s.restore) {
 		return
@@ -226,11 +189,12 @@ func (s *Snapshot) compile() {
 // verification: re-parse the source, re-render both programs, and require
 // byte-identity with the stored canon. Any failure returns false and the
 // caller falls back to a full build (a miss, never a wrong result). The
-// derived artifacts (shape, per-method canon, graph summary) are adopted
-// without recomputation; the graph itself is re-anchored lazily on first
-// use. The program.load fault-injection point fires on restored snapshots
-// exactly as on built ones, so a chaos run keeps its cold-process fault
-// cadence against a warm store.
+// derived artifacts (shape, per-method canon) are adopted without
+// recomputation; the call graph is built from the decoded AST on first
+// use, exactly as for a compiled snapshot. The program.load
+// fault-injection point fires on restored snapshots exactly as on built
+// ones, so a chaos run keeps its cold-process fault cadence against a
+// warm store.
 func (s *Snapshot) restore(raw []byte) bool {
 	rec, ok := decodeRecord(raw)
 	if !ok || Hash(rec.Canon) != rec.CanonSHA {
@@ -256,30 +220,26 @@ func (s *Snapshot) restore(raw []byte) bool {
 	s.prog = prog
 	s.canon = rec.Canon
 	s.canonHash = rec.CanonSHA
-	s.restored = true
 	if rec.Shape != "" {
 		s.shapeOnce.Do(func() { s.shape = rec.Shape })
 	}
 	if len(rec.Methods) > 0 {
 		s.methodsOnce.Do(func() { s.methodCanon = rec.Methods })
 	}
-	s.graphSummary = rec.Graph
 	injectLoadFault(prog)
 	return true
 }
 
-// persist writes a built snapshot to the disk tier: once right after the
-// front-end build (derived artifacts, no graph yet), and again after the
-// call graph is first built — the second record supersedes the first, so a
-// snapshot whose graph is never requested still restores without a
-// compile. A snapshot that fails its own Verify (the program.load
-// fault-injection point corrupts the AST after the canon is captured) is
-// never persisted, and store.Put additionally drops all writes while a
-// faultinject plan is armed — unless the plan is store-scoped
-// (faultinject.ScopeStore), in which case the computation is clean and the
-// store's own fault handling is what's under test.
+// persist writes a freshly built snapshot to the disk tier, once, right
+// after the front-end build; nothing later rewrites it. A snapshot that
+// fails its own Verify (the program.load fault-injection point corrupts
+// the AST after the canon is captured) is never persisted, and store.Put
+// additionally drops all writes while a faultinject plan is armed — unless
+// the plan is store-scoped (faultinject.ScopeStore), in which case the
+// computation is clean and the store's own fault handling is what's under
+// test.
 func (s *Snapshot) persist() {
-	if s.cache == nil || s.err != nil || s.restored || !s.cache.Attached() || s.Verify() != nil {
+	if s.cache == nil || s.err != nil || !s.cache.Attached() || s.Verify() != nil {
 		return
 	}
 	ast, err := minij.EncodeProgram(s.prog)
@@ -292,9 +252,6 @@ func (s *Snapshot) persist() {
 		CanonSHA: s.canonHash,
 		Shape:    s.Shape(),
 		Methods:  s.methodCanons(),
-	}
-	if s.graph != nil {
-		rec.Graph = s.graph.Summary()
 	}
 	s.cache.Tier.Put(snapNamespace, s.hash, encodeRecord(&rec))
 }

@@ -1,16 +1,17 @@
 package program
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"lisa/internal/callgraph"
 	"lisa/internal/faultinject"
 	"lisa/internal/store"
 )
 
-func openStoreT(t *testing.T) *store.Store {
+func openStoreT(t testing.TB) *store.Store {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -20,9 +21,9 @@ func openStoreT(t *testing.T) *store.Store {
 	return st
 }
 
-// warmStore compiles source into a store-attached cache far enough to
-// trigger persistence (the graph build), then flushes.
-func warmStore(t *testing.T, st *store.Store, source string) *Snapshot {
+// warmStore compiles source into a store-attached cache — the build
+// writes the snapshot's record — then flushes.
+func warmStore(t testing.TB, st *store.Store, source string) *Snapshot {
 	t.Helper()
 	warm := NewCache(8)
 	warm.SetStore(st)
@@ -30,16 +31,29 @@ func warmStore(t *testing.T, st *store.Store, source string) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Graph()
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return snap
 }
 
+// edgeLines renders a call graph's edges in callgraph.Build order: callers
+// in program order, each caller's call sites in AST walk order.
+func edgeLines(g *callgraph.Graph) []string {
+	var lines []string
+	for _, caller := range g.Prog.Methods() {
+		for _, e := range g.Callees[caller] {
+			lines = append(lines, fmt.Sprintf("%s -> %s @%s dynamic=%v",
+				e.Caller.FullName(), e.Callee.FullName(), e.Call.Pos(), e.Dynamic))
+		}
+	}
+	return lines
+}
+
 // TestSnapshotRestore: a cold cache on a warm store restores the snapshot
-// without compiling — zero Compiles, the graph re-anchored from its
-// summary, and every derived artifact identical to the built original.
+// without compiling — zero Compiles, every derived artifact identical to
+// the built original — and rebuilds its call graph from the decoded AST
+// into the same edges, in the same order.
 func TestSnapshotRestore(t *testing.T) {
 	st := openStoreT(t)
 	built := warmStore(t, st, testSource)
@@ -69,13 +83,52 @@ func TestSnapshotRestore(t *testing.T) {
 	if g == nil {
 		t.Fatal("restored snapshot has no graph")
 	}
-	gotSum, _ := json.Marshal(g.Summary())
-	wantSum, _ := json.Marshal(built.Graph().Summary())
-	if string(gotSum) != string(wantSum) {
-		t.Fatalf("restored graph differs:\n got %s\nwant %s", gotSum, wantSum)
+	got, want := edgeLines(g), edgeLines(built.Graph())
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored graph differs:\n got %q\nwant %q", got, want)
 	}
-	if stats := cold.Stats(); stats.GraphBuilds != 0 || stats.GraphRestores != 1 {
-		t.Fatalf("cold graph stats = %+v, want 0 builds and 1 restore", stats)
+	if stats := cold.Stats(); stats.Compiles != 0 || stats.GraphBuilds != 1 {
+		t.Fatalf("cold graph stats = %+v, want 0 compiles and 1 graph build", stats)
+	}
+}
+
+// TestSnapshotWrittenOnce: a snapshot's record is written once, right
+// after its front-end build; building its graph writes nothing more, and a
+// cold cache that restores it and builds its graph writes nothing at all.
+func TestSnapshotWrittenOnce(t *testing.T) {
+	st := openStoreT(t)
+	c := NewCache(8)
+	c.SetStore(st)
+	snap, err := c.Load(testSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Graph()
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w := c.TierStats().DiskWrites; w != 1 {
+		t.Fatalf("load + graph made %d snapshot writes, want 1", w)
+	}
+	if p := st.Stats().Puts; p != 1 {
+		t.Fatalf("load + graph made %d store puts, want 1", p)
+	}
+
+	cold := NewCache(8)
+	cold.SetStore(st)
+	snap, err = cold.Load(testSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Graph()
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if stats := cold.Stats(); stats.Restores != 1 || stats.GraphBuilds != 1 {
+		t.Fatalf("cold stats = %+v, want 1 restore and 1 graph build", stats)
+	}
+	if w, p := cold.TierStats().DiskWrites, st.Stats().Puts; w != 0 || p != 1 {
+		t.Fatalf("restore + graph wrote: %d snapshot writes, %d store puts in total (want 0, 1)", w, p)
 	}
 }
 
@@ -165,21 +218,20 @@ func TestArmedRunsNeverPersist(t *testing.T) {
 }
 
 // TestCorruptedASTNeverPersisted: the program.load Corrupt point damages
-// the AST after the canon is captured; the persist path must detect the
-// mismatch (Verify) and refuse to write even if the plan is disarmed
-// before the graph build triggers persistence.
+// the AST after the canon is captured, and the build persists right after.
+// The plan is store-scoped, so store.Put would accept the write: the
+// persist path's own Verify must detect the mismatch and refuse it.
 func TestCorruptedASTNeverPersisted(t *testing.T) {
 	st := openStoreT(t)
 	c := NewCache(8)
 	c.SetStore(st)
 
-	faultinject.Arm(faultinject.NewPlan(7).Set("program.load", faultinject.Corrupt))
-	snap, err := c.Load(testSource)
+	faultinject.Arm(faultinject.NewPlan(7).ScopeStore().Set("program.load", faultinject.Corrupt))
+	_, err := c.Load(testSource)
 	faultinject.Disarm()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Graph() // persist trigger — must refuse the corrupted snapshot
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}

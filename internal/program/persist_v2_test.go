@@ -5,7 +5,9 @@ package program
 // always a miss, never a wrong snapshot).
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -263,9 +265,20 @@ func TestStoreReadCorruptionDegradesToMiss(t *testing.T) {
 	}
 }
 
+// previousVersion returns a copy of an encoded record whose version field
+// holds the previous recVersion — what a store written before the last
+// envelope change holds under the same key.
+func previousVersion(raw []byte) []byte {
+	old := append([]byte{}, raw...)
+	binary.BigEndian.PutUint16(old[4:6], recVersion-1)
+	return old
+}
+
 // TestRecordEnvelopeRoundTrip: the binary record envelope is deterministic
-// and lossless, and any malformed envelope (truncation, garbage header) is
-// rejected rather than misread.
+// and lossless, and any malformed envelope (truncation, garbage header,
+// the previous version) is rejected rather than misread. A record of the
+// previous version reads as absent: the snapshot compiles once, rewrites
+// its record under the same key, and the next cold cache restores it.
 func TestRecordEnvelopeRoundTrip(t *testing.T) {
 	st := openStoreT(t)
 	warmStore(t, st, testSource)
@@ -291,4 +304,64 @@ func TestRecordEnvelopeRoundTrip(t *testing.T) {
 	if _, ok := decodeRecord(garbage); ok {
 		t.Fatal("bad magic decoded")
 	}
+
+	old := previousVersion(raw)
+	if _, ok := decodeRecord(old); ok {
+		t.Fatal("previous-version record decoded")
+	}
+	st.Put(snapNamespace, Hash(testSource), old)
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recompile := NewCache(8)
+	recompile.SetStore(st)
+	if _, err := recompile.Load(testSource); err != nil {
+		t.Fatal(err)
+	}
+	if stats := recompile.Stats(); stats.Compiles != 1 || stats.Restores != 0 {
+		t.Fatalf("stats = %+v, want the previous-version record to compile once", stats)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get(snapNamespace, Hash(testSource)); !ok || string(got) != string(raw) {
+		t.Fatal("recompile did not rewrite the current record under the same key")
+	}
+	restore := NewCache(8)
+	restore.SetStore(st)
+	if _, err := restore.Load(testSource); err != nil {
+		t.Fatal(err)
+	}
+	if stats := restore.Stats(); stats.Compiles != 0 || stats.Restores != 1 {
+		t.Fatalf("stats = %+v, want the rewritten record restored", stats)
+	}
+}
+
+// FuzzDecodeRecord: decodeRecord never panics on arbitrary bytes, and any
+// input it accepts re-encodes to bytes that decode to an equal record.
+// Seeds: a real record, that record cut in half, and its previous-version
+// copy.
+func FuzzDecodeRecord(f *testing.F) {
+	st := openStoreT(f)
+	warmStore(f, st, testSource)
+	raw, ok := st.Get(snapNamespace, Hash(testSource))
+	if !ok {
+		f.Fatal("no persisted record")
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add(previousVersion(raw))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		rec, ok := decodeRecord(in)
+		if !ok {
+			return
+		}
+		again, ok := decodeRecord(encodeRecord(rec))
+		if !ok {
+			t.Fatal("re-encoded record does not decode")
+		}
+		if !reflect.DeepEqual(again, rec) {
+			t.Fatalf("re-encoded record decodes differently:\n got %+v\nwant %+v", again, rec)
+		}
+	})
 }

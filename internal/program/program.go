@@ -50,11 +50,6 @@ type Snapshot struct {
 	canon       string
 	canonHash   string
 
-	// restored marks a snapshot adopted from the disk tier; graphSummary
-	// is its persisted call-graph, re-anchored lazily by Graph.
-	restored     bool
-	graphSummary *callgraph.Summary
-
 	graphOnce sync.Once
 	graph     *callgraph.Graph
 
@@ -91,31 +86,19 @@ func (s *Snapshot) Canon() string { return s.canon }
 // reformatting, unlike Hash.
 func (s *Snapshot) CanonHash() string { return s.canonHash }
 
-// Graph returns the call graph, built on first use and memoized. A
-// snapshot restored from the disk tier re-anchors its persisted summary
-// instead of rebuilding; any anchor failure falls back to a full build.
-// Building the graph is also the persist trigger: it is the last (and
-// most expensive) derived artifact, so a snapshot that reaches this point
-// cold is fully warmed and worth writing to the store.
+// Graph returns the call graph, built by callgraph.Build on first use and
+// memoized. Compiled and restored snapshots take the same path: the store
+// record carries no graph, because rebuilding it from the (decoded) AST is
+// cheaper than re-anchoring a persisted one.
 func (s *Snapshot) Graph() *callgraph.Graph {
 	s.graphOnce.Do(func() {
 		if s.prog == nil {
 			return
 		}
-		if s.graphSummary != nil {
-			if g, err := callgraph.FromSummary(s.prog, s.graphSummary); err == nil {
-				s.graph = g
-				if s.cache != nil {
-					s.cache.graphRestores.Add(1)
-				}
-				return
-			}
-		}
 		if s.cache != nil {
 			s.cache.graphBuilds.Add(1)
 		}
 		s.graph = callgraph.Build(s.prog)
-		s.persist()
 	})
 	return s.graph
 }
@@ -261,11 +244,9 @@ type Cache struct {
 
 	// Disk restores split by path: decoded (binary AST + digest check) vs
 	// deep verified (re-parse + re-render comparison — the sampled slow
-	// path); graphRestores counts call graphs re-anchored from a restored
-	// summary.
+	// path).
 	restoresDecoded  atomic.Uint64
 	restoresVerified atomic.Uint64
-	graphRestores    atomic.Uint64
 
 	// restoreTick drives deep-verify sampling; deepVerifyEvery is the
 	// knob (0: DefaultDeepVerifyEvery).
@@ -345,7 +326,8 @@ func (s *Snapshot) result() (*Snapshot, error) {
 // CacheStats is a point-in-time counter snapshot. Compiles counts actual
 // parse+resolve executions — on a warm replay it equals the number of
 // distinct versions, however many times each was loaded. GraphBuilds
-// likewise counts call-graph constructions (at most one per snapshot).
+// likewise counts call-graph constructions (at most one per snapshot,
+// whether it was compiled or restored).
 type CacheStats struct {
 	Entries     int
 	Hits        uint64
@@ -357,13 +339,10 @@ type CacheStats struct {
 	// compiled; RestoresDecoded of those came through the parse-free
 	// binary-AST path (canon digest + codec checksum), while
 	// RestoresDeepVerified re-derived everything from source and compared
-	// (the sampled deep-verify path).
-	// GraphRestores counts call graphs re-anchored from a persisted
-	// summary instead of rebuilt. All stay zero without a store.
+	// (the sampled deep-verify path). All stay zero without a store.
 	Restores             uint64
 	RestoresDecoded      uint64
 	RestoresDeepVerified uint64
-	GraphRestores        uint64
 }
 
 // Sub returns the field-wise counter delta s − base. Entries is a
@@ -382,7 +361,6 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 		Restores:             s.Restores - base.Restores,
 		RestoresDecoded:      s.RestoresDecoded - base.RestoresDecoded,
 		RestoresDeepVerified: s.RestoresDeepVerified - base.RestoresDeepVerified,
-		GraphRestores:        s.GraphRestores - base.GraphRestores,
 	}
 }
 
@@ -401,7 +379,6 @@ func (c *Cache) Stats() CacheStats {
 		Restores:             decoded + verified,
 		RestoresDecoded:      decoded,
 		RestoresDeepVerified: verified,
-		GraphRestores:        c.graphRestores.Load(),
 	}
 }
 

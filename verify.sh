@@ -19,7 +19,12 @@
 # (so it keeps building and running), the
 # snapshot-record corruption round by name (a damaged snap.v2 record must
 # degrade to a recompute miss through the digest/codec checks, never a
-# wrong result), the crash-recovery campaign by name (seeded kill points
+# wrong result), ten seconds of native fuzzing of the snapshot-record
+# envelope (FuzzDecodeRecord: the decoder never panics, and any record it
+# accepts re-encodes to bytes that decode to an equal record), one
+# iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
+# compile, restore and graph-build counter assertions fail the run), the
+# crash-recovery campaign by name (seeded kill points
 # in the store's write path, plus the daemon cold-gate byte-identity
 # rounds), the remote-failover smoke (a dead daemon must fall back to
 # local execution with byte-identical stdout, and report distinct exit
@@ -49,6 +54,8 @@ rm -rf "$STORE_SMOKE"
 go test -run 'TestOpenAllocs' -count=1 ./internal/store
 go test -run '^$' -bench StoreOpen -benchtime 1x ./internal/store
 go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss' -count=1 ./internal/program
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/program
+go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
 FO_SMOKE=$(mktemp -d)
