@@ -161,7 +161,13 @@ func GateWith(engine *core.Engine, ch Change, tests []ticket.TestCase, opts Gate
 		res.Asserted = engine.Registry.Len()
 	}
 	if ch.OldSource != "" {
-		st := diffutil.DiffStats(diffutil.Diff(ch.OldSource, ch.NewSource))
+		var st diffutil.Stats
+		if base != nil {
+			// The memoized diff the scheduler's dirty set also reads.
+			st = sched.ComputeDirtySnapshots(base, newSnap).Stat
+		} else {
+			st = diffutil.DiffStats(diffutil.Diff(ch.OldSource, ch.NewSource))
+		}
 		res.DiffStat = fmt.Sprintf("+%d -%d lines", st.Added, st.Removed)
 	}
 	for _, v := range report.Violations() {

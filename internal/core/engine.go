@@ -11,8 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"lisa/internal/callgraph"
@@ -20,6 +22,7 @@ import (
 	"lisa/internal/contract"
 	"lisa/internal/infer"
 	"lisa/internal/interp"
+	"lisa/internal/lru"
 	"lisa/internal/minij"
 	"lisa/internal/program"
 	"lisa/internal/smt"
@@ -69,7 +72,18 @@ type Engine struct {
 	// exact per-engine query/hit accounting (the daemon's /stats deltas)
 	// and can carry its own disk tier.
 	Solver *smt.QueryCache
+
+	// selectors holds the test indexes this engine built, keyed by corpus
+	// digest (see selector).
+	selMu     sync.Mutex
+	selectors *lru.Cache[string, *testsel.Selector]
 }
+
+// selectorCapacity bounds an engine's test-index cache. The daemon's case
+// engines and the CLI assert one test set per engine, so one entry would
+// do; the slack keeps callers that alternate a few suites on one engine
+// (experiments, ablations) warm.
+const selectorCapacity = 4
 
 // New returns an engine with the deterministic patch analyzer (with
 // generalization enabled), an empty registry, and cross-checking on.
@@ -385,10 +399,17 @@ func (r *AssertReport) Semantic(id string) *SemanticReport {
 // built once by Prepare and consumed by the stage primitives below —
 // sequentially by Assert, or fanned out across goroutines by the scheduler
 // in internal/sched. After Prepare returns, nothing in the context mutates,
-// so concurrent stage execution is safe.
+// so concurrent stage execution is safe. The snapshots and the call graph
+// come from the snapshot cache; the test index comes from the engine's
+// own cache, keyed by CorpusDigest and bounded by selectorCapacity — so a
+// run over a version and a suite the engine has seen rebuilds none of
+// them.
 type AssertContext struct {
 	Source string
 	Tests  []ticket.TestCase
+	// CorpusDigest identifies Tests: every field of every test, in order.
+	// It keys the test index, and the scheduler's fingerprints include it.
+	CorpusDigest string
 	// Snapshot is the system version under assertion; SnapshotAll covers
 	// system plus tests. Both are shared, content-addressed compilations —
 	// repeated runs over one version reuse them instead of re-parsing.
@@ -400,7 +421,9 @@ type AssertContext struct {
 	ProgSys *minij.Program
 	ProgAll *minij.Program
 	Graph   *callgraph.Graph
-	// Selector indexes the test corpus for similarity selection.
+	// Selector indexes the test corpus for similarity selection. It is
+	// shared with every run of this engine over the same corpus, and
+	// read-only.
 	Selector *testsel.Selector
 
 	systemClasses map[string]bool
@@ -498,8 +521,42 @@ func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase
 		ctx.systemClasses[c.Name] = true
 	}
 	tm.Time("callgraph", func() { ctx.Graph = ctx.SnapshotAll.Graph() })
-	tm.Time("test-index", func() { ctx.Selector = testsel.New(tests) })
+	tm.Time("test-index", func() {
+		ctx.CorpusDigest = corpusDigest(tests)
+		ctx.Selector = e.selector(ctx.CorpusDigest, tests)
+	})
 	return ctx, nil
+}
+
+// corpusDigest identifies a test corpus as one unit: selection ranks
+// against TF-IDF weights over every document, so any test change can
+// reorder any selection.
+func corpusDigest(tests []ticket.TestCase) string {
+	parts := make([]string, 0, 5*len(tests))
+	for _, tc := range tests {
+		parts = append(parts, tc.Name, tc.Class, tc.Method, tc.Description, tc.Source)
+	}
+	return program.HashParts(parts...)
+}
+
+// selector returns the engine's test index for the corpus with the given
+// digest, building it on first use. The index is a pure function of the
+// corpus, which the digest covers field by field, so one index serves
+// every run over that corpus. It indexes a private copy of tests: a
+// caller that later edits its slice in place cannot change an index
+// cached under the old digest.
+func (e *Engine) selector(digest string, tests []ticket.TestCase) *testsel.Selector {
+	e.selMu.Lock()
+	defer e.selMu.Unlock()
+	if e.selectors == nil {
+		e.selectors = lru.New[string, *testsel.Selector](selectorCapacity)
+	}
+	if sel, ok := e.selectors.Get(digest); ok {
+		return sel
+	}
+	sel := testsel.New(slices.Clone(tests))
+	e.selectors.Put(digest, sel)
+	return sel
 }
 
 // StructuralReport runs the structural check for sem over the system

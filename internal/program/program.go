@@ -20,6 +20,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,12 +59,37 @@ type Snapshot struct {
 
 	shapeOnce sync.Once
 	shape     string
+
+	memoMu sync.Mutex
+	memo   map[string]any
 }
 
 // Hash returns the content address of a source string (sha256, hex).
 func Hash(source string) string {
 	sum := sha256.Sum256([]byte(source))
 	return hex.EncodeToString(sum[:])
+}
+
+// HashParts digests a sequence of strings into a short fingerprint (the
+// first 16 bytes of a sha256, hex). Each part is framed as "<len>:<part>",
+// so part boundaries cannot alias. Every fingerprint derived from a
+// snapshot — the test corpus digest, the scheduler's job keys — shares
+// this one framing, and persisted keys depend on its exact bytes.
+func HashParts(parts ...string) string {
+	n := 0
+	for _, p := range parts {
+		n += len(p) + 21 // a decimal int64 and the colon
+	}
+	buf := make([]byte, 0, n)
+	for _, p := range parts {
+		buf = strconv.AppendInt(buf, int64(len(p)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, p...)
+	}
+	sum := sha256.Sum256(buf)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:])
 }
 
 // Source returns the raw source text the snapshot was loaded from.
@@ -132,6 +158,34 @@ func (s *Snapshot) Shape() string {
 		s.shape = classShape(s.prog)
 	})
 	return s.shape
+}
+
+// Memo returns the value memoized on snap under key, calling build the
+// first time the key is asked for. It is for pure functions of the
+// snapshot and of the inputs the key names (callers prefix their keys, so
+// users cannot collide). Two concurrent first callers may both build; the
+// first value stored is kept and returned to both, and never replaced.
+// Memo values are process-local — never persisted — and die with the
+// snapshot, so the snapshot cache's bound bounds them too. They are shared
+// by every holder of the snapshot and must be treated as read-only.
+func Memo[T any](snap *Snapshot, key string, build func() T) T {
+	snap.memoMu.Lock()
+	v, ok := snap.memo[key]
+	snap.memoMu.Unlock()
+	if ok {
+		return v.(T)
+	}
+	t := build()
+	snap.memoMu.Lock()
+	defer snap.memoMu.Unlock()
+	if v, ok := snap.memo[key]; ok {
+		return v.(T)
+	}
+	if snap.memo == nil {
+		snap.memo = map[string]any{}
+	}
+	snap.memo[key] = t
+	return t
 }
 
 // ErrMutated reports a snapshot whose shared AST no longer matches the

@@ -48,16 +48,21 @@ func ComputeDirty(oldSource, newSource string) *Dirty {
 }
 
 // ComputeDirtySnapshots is ComputeDirty over pre-loaded snapshots (the
-// gate's path: head and proposed change are loaded once and shared).
+// gate's path: head and proposed change are loaded once and shared). The
+// result is a pure function of the two versions, so it is memoized on the
+// change's snapshot, keyed by the base's content address: the scheduler's
+// dirty set and the gate's diff stat share one diff, and a resubmitted
+// change diffs nothing. The returned Dirty is shared and read-only.
 func ComputeDirtySnapshots(old, new *program.Snapshot) *Dirty {
-	d := &Dirty{Methods: map[string]bool{}}
-	edits := diffutil.Diff(old.Source(), new.Source())
-	d.Stat = diffutil.DiffStats(edits)
-	if !diffutil.Changed(edits) {
+	return program.Memo(new, "sched.dirty\x00"+old.Hash(), func() *Dirty {
+		d := &Dirty{Methods: map[string]bool{}}
+		edits := diffutil.Diff(old.Source(), new.Source())
+		d.Stat = diffutil.DiffStats(edits)
+		if diffutil.Changed(edits) {
+			localizeDirty(d, old, new)
+		}
 		return d
-	}
-	localizeDirty(d, old, new)
-	return d
+	})
 }
 
 // localizeDirty compares two compiled versions: an unchanged declaration

@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -12,7 +9,7 @@ import (
 	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/minij"
-	"lisa/internal/ticket"
+	"lisa/internal/program"
 )
 
 // Fingerprints are content hashes over everything a job's result depends
@@ -20,18 +17,9 @@ import (
 // same verdicts, coverage, and path conditions, so the cached result can be
 // served instead of re-executing. All inputs are canonical (AST pretty-
 // printing, formula rendering) — never source positions or whitespace — so
-// a reformatted file does not invalidate anything.
-
-// hashParts digests a sequence of strings with length framing (so part
-// boundaries cannot alias) into a short hex fingerprint.
-func hashParts(parts ...string) string {
-	h := sha256.New()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%d:", len(p))
-		io.WriteString(h, p)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
+// a reformatted file does not invalidate anything. Every fingerprint is
+// framed by program.HashParts, which the engine's corpus digest
+// (core.AssertContext.CorpusDigest) shares.
 
 // semFingerprint identifies a semantic by its checker content: the <P> s
 // <Q> contract (formula text, target pattern, slot bindings) or the
@@ -55,7 +43,7 @@ func semFingerprint(sem *contract.Semantic) string {
 		sort.Strings(binds)
 		parts = append(parts, pre, post, sem.Target.Callee, sem.Target.Within, strings.Join(binds, ","))
 	}
-	return hashParts(parts...)
+	return program.HashParts(parts...)
 }
 
 // scopeCanon renders a structural rule's method restriction.
@@ -87,17 +75,6 @@ func dynamicEngineFP(e *core.Engine) string {
 	return fmt.Sprintf("topk=%d runall=%v", e.TestTopK, e.RunAllTests)
 }
 
-// corpusFingerprint identifies the whole test corpus. Selection ranks
-// against TF-IDF weights over every document, so any test change can
-// reorder any selection — the corpus hashes as one unit.
-func corpusFingerprint(tests []ticket.TestCase) string {
-	parts := make([]string, 0, 5*len(tests))
-	for _, tc := range tests {
-		parts = append(parts, tc.Name, tc.Class, tc.Method, tc.Description, tc.Source)
-	}
-	return hashParts(parts...)
-}
-
 // siteClosure returns the methods whose content the site's static stage can
 // read, sorted by qualified name: the target method, every method on every
 // entry→site chain (interprocedural condition inheritance), and everything
@@ -117,13 +94,13 @@ func siteClosure(g *callgraph.Graph, siteRep *core.SiteReport) []*minij.Method {
 }
 
 // siteFingerprint hashes one (semantic × site) static job: the checker
-// formula, the target statement and slot operands, the caller-chain slice
-// of the call graph, and the canonical AST of every method the stage can
-// read — via methodFP, a per-plan memo of method canon digests, so a
-// method shared by many closures is digested once per run instead of
-// re-hashed in full per site. occ disambiguates canonically identical
-// target statements within the same method.
-func siteFingerprint(e *core.Engine, semFP string, siteRep *core.SiteReport, closure []*minij.Method, occ int, methodFP func(*minij.Method) string) string {
+// formula, the static engine options (staticFP), the target statement
+// and slot operands, the caller-chain slice of the call graph, and the
+// canonical AST of every method the stage can read — via methodFP, a memo
+// of method canon digests, so a method shared by many closures is
+// digested once instead of re-hashed in full per site. occ disambiguates
+// canonically identical target statements within the same method.
+func siteFingerprint(semFP, staticFP string, siteRep *core.SiteReport, closure []*minij.Method, occ int, methodFP func(*minij.Method) string) string {
 	site := siteRep.Site
 	binds := make([]string, 0, len(site.Bindings))
 	for slot, expr := range site.Bindings {
@@ -131,7 +108,7 @@ func siteFingerprint(e *core.Engine, semFP string, siteRep *core.SiteReport, clo
 	}
 	sort.Strings(binds)
 	parts := []string{
-		"site", semFP, staticEngineFP(e),
+		"site", semFP, staticFP,
 		fmt.Sprintf("occ=%d binderr=%v", occ, site.BindErr != nil),
 		minij.CanonStmt(site.Stmt),
 		strings.Join(binds, ","),
@@ -143,21 +120,25 @@ func siteFingerprint(e *core.Engine, semFP string, siteRep *core.SiteReport, clo
 	for _, m := range closure {
 		parts = append(parts, methodFP(m))
 	}
-	return hashParts(parts...)
+	return program.HashParts(parts...)
 }
 
 // dynamicFingerprint hashes one per-semantic replay job. Replayed tests
 // execute arbitrary system code, so the whole system program participates,
 // along with the semantic's site fingerprints (replay attributes hits to
-// those static paths) and the test corpus.
-func dynamicFingerprint(e *core.Engine, semFP, progFP, corpusFP string, siteFPs []string) string {
-	parts := []string{"dyn", semFP, dynamicEngineFP(e), progFP, corpusFP}
+// those static paths) and the test corpus. Test selection ranks tests
+// against path features that end in the rule's description
+// (testsel.PathFeature), which semFP leaves out, so the description is
+// hashed here too: a rule re-registered with new wording re-replays.
+func dynamicFingerprint(e *core.Engine, sem *contract.Semantic, semFP, progFP, corpusFP string, siteFPs []string) string {
+	parts := make([]string, 0, 6+len(siteFPs))
+	parts = append(parts, "dyn", semFP, sem.Description, dynamicEngineFP(e), progFP, corpusFP)
 	parts = append(parts, siteFPs...)
-	return hashParts(parts...)
+	return program.HashParts(parts...)
 }
 
 // structuralFingerprint hashes a structural job: the rule plus the whole
 // system program it scans (and the corpus, for runtime confirmation).
 func structuralFingerprint(semFP, progFP, corpusFP string) string {
-	return hashParts("structural", semFP, progFP, corpusFP)
+	return program.HashParts("structural", semFP, progFP, corpusFP)
 }

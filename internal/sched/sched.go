@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sync"
 
+	"lisa/internal/callgraph"
 	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/minij"
@@ -355,25 +356,31 @@ func (sp *semPlan) jobs() []*job {
 	return out
 }
 
-// plan decomposes the registry into jobs with fingerprints. Site matching
-// and execution trees are computed here (they are cheap and their outputs
-// participate in the fingerprints); the expensive stages — path
-// enumeration with SMT verdicts, structural scans, concolic replay — are
-// deferred to the jobs.
+// plan decomposes the registry into jobs with fingerprints; the expensive
+// stages — path enumeration with SMT verdicts, structural scans, concolic
+// replay — are deferred to the jobs. What plan computes per site itself
+// (the matched site, its caller chains, its read closure and its
+// fingerprint) is memoized on the analysis snapshot by sitePlans, so the
+// snapshot cache bounds it and a warm plan re-matches, re-walks and
+// re-hashes nothing (contract.Match alone walks every statement once per
+// semantic). Each run still builds fresh site reports and jobs from the
+// memo, since jobs write paths, selected tests and coverage into them.
+// The corpus digest comes from the context, computed once per run by
+// PrepareSnapshot.
 func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty) []*semPlan {
 	// The system program's identity is the snapshot's canonical content
 	// address — memoized, so a warm replay never re-renders the program.
 	progFP := ctx.Snapshot.CanonHash()
-	corpusFP := corpusFingerprint(ctx.Tests)
-	// Site fingerprints hash every method in the site's closure; closures
-	// overlap heavily across sites, so each method's canonical text is
-	// digested once per plan and the per-site hash covers digests, not
-	// full texts.
+	staticFP := staticEngineFP(e)
+	// On a memo miss, site fingerprints hash every method in the site's
+	// closure; closures overlap heavily across sites and semantics, so
+	// each method's canonical text is digested once per plan and the
+	// per-site hash covers digests, not full texts.
 	canonFPs := map[*minij.Method]string{}
 	methodFP := func(m *minij.Method) string {
 		fp, ok := canonFPs[m]
 		if !ok {
-			fp = hashParts("canon", ctx.MethodCanon(m))
+			fp = program.HashParts("canon", ctx.MethodCanon(m))
 			canonFPs[m] = fp
 		}
 		return fp
@@ -387,32 +394,30 @@ func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty) 
 				kind:     jobStructural,
 				name:     core.JobNameStructural(sem.ID),
 				sem:      sem,
-				fp:       structuralFingerprint(semFP, progFP, corpusFP),
+				fp:       structuralFingerprint(semFP, progFP, ctx.CorpusDigest),
 				impacted: dirty == nil || dirty.Any(),
 			}
 			plans = append(plans, sp)
 			continue
 		}
 		sp.sr = &core.SemanticReport{Semantic: sem}
-		occ := map[string]int{}
 		var siteFPs []string
 		anyImpacted := false
-		for _, site := range e.MatchSites(ctx, sem, nil) {
-			siteRep := e.SiteChains(ctx, site, nil)
+		for _, memo := range sitePlans(e, ctx, sem, semFP, staticFP, methodFP) {
+			site := *memo.site
+			site.Semantic = sem
+			siteRep := &core.SiteReport{Site: &site, Chains: memo.chains, TreeTruncated: memo.truncated}
 			sp.sr.Sites = append(sp.sr.Sites, siteRep)
-			key := site.Method.FullName() + "\x00" + minij.CanonStmt(site.Stmt)
-			closure := siteClosure(ctx.Graph, siteRep)
 			j := &job{
 				kind:     jobSite,
-				name:     core.JobNameSite(sem.ID, len(sp.sites)),
+				name:     memo.name,
 				sem:      sem,
 				sr:       sp.sr,
 				siteRep:  siteRep,
-				closure:  closure,
-				fp:       siteFingerprint(e, semFP, siteRep, closure, occ[key], methodFP),
-				impacted: dirty == nil || dirty.impactsClosure(closure),
+				closure:  memo.closure,
+				fp:       memo.fp,
+				impacted: dirty == nil || dirty.impactsClosure(memo.closure),
 			}
-			occ[key]++
 			siteFPs = append(siteFPs, j.fp)
 			anyImpacted = anyImpacted || j.impacted
 			sp.sites = append(sp.sites, j)
@@ -423,7 +428,7 @@ func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty) 
 				name: core.JobNameDynamic(sem.ID),
 				sem:  sem,
 				sr:   sp.sr,
-				fp:   dynamicFingerprint(e, semFP, progFP, corpusFP, siteFPs),
+				fp:   dynamicFingerprint(e, sem, semFP, progFP, ctx.CorpusDigest, siteFPs),
 				// Replay executes arbitrary reachable code, so any change
 				// anywhere impacts it.
 				impacted: dirty == nil || dirty.Any() || anyImpacted,
@@ -432,6 +437,53 @@ func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty) 
 		plans = append(plans, sp)
 	}
 	return plans
+}
+
+// sitePlan is the run-independent part of one site job. It is memoized on
+// the analysis snapshot, shared by every run that hits the memo — across
+// engines too, when they share a snapshot cache — and read-only.
+type sitePlan struct {
+	// site is the matched site with Semantic unset: each run binds a copy
+	// to its own semantic, because the description that test selection
+	// reads is not part of the memo key.
+	site      *contract.Site
+	name      string
+	chains    []callgraph.Path
+	truncated bool
+	closure   []*minij.Method
+	fp        string
+}
+
+// sitePlans returns sem's site plans over ctx in match order, memoized on
+// ctx.SnapshotAll. The key covers everything matching, chain enumeration,
+// closures and site fingerprints read besides the analysis snapshot
+// itself: the system snapshot (which classes are system code), the
+// semantic's checker content and ID, and the static engine options.
+// Occurrence numbering (occ) is per semantic, so it is part of the memo.
+func sitePlans(e *core.Engine, ctx *core.AssertContext, sem *contract.Semantic, semFP, staticFP string, methodFP func(*minij.Method) string) []sitePlan {
+	key := "sched.sites\x00" + ctx.Snapshot.Hash() + "\x00" + semFP + "\x00" + staticFP
+	return program.Memo(ctx.SnapshotAll, key, func() []sitePlan {
+		var plans []sitePlan
+		occ := map[string]int{}
+		for i, site := range e.MatchSites(ctx, sem, nil) {
+			siteRep := e.SiteChains(ctx, site, nil)
+			closure := siteClosure(ctx.Graph, siteRep)
+			stmtKey := site.Method.FullName() + "\x00" + minij.CanonStmt(site.Stmt)
+			fp := siteFingerprint(semFP, staticFP, siteRep, closure, occ[stmtKey], methodFP)
+			occ[stmtKey]++
+			bare := *site
+			bare.Semantic = nil
+			plans = append(plans, sitePlan{
+				site:      &bare,
+				name:      core.JobNameSite(sem.ID, i),
+				chains:    siteRep.Chains,
+				truncated: siteRep.TreeTruncated,
+				closure:   closure,
+				fp:        fp,
+			})
+		}
+		return plans
+	})
 }
 
 // runJob executes or cache-serves one job, recording stage timings into

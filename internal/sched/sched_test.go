@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"lisa/internal/core"
 	"lisa/internal/corpus"
+	"lisa/internal/program"
 	"lisa/internal/ticket"
 )
 
@@ -315,6 +317,33 @@ func TestDirtySet(t *testing.T) {
 	}
 }
 
+// TestDirtySnapshotsMemoPerBase: the snapshot dirty set is memoized on
+// the change, once per base — gating one change against two bases gives
+// each its own diff, and asking again diffs nothing.
+func TestDirtySnapshotsMemoPerBase(t *testing.T) {
+	cache := program.NewCache(0)
+	load := func(src string) *program.Snapshot {
+		t.Helper()
+		snap, err := cache.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	change := load(strings.Replace(sysFixed, "used = used + n;", "used = used + n + 1;", 1))
+	for _, base := range []*program.Snapshot{load(sysFixed), change} {
+		got := ComputeDirtySnapshots(base, change)
+		want := ComputeDirty(base.Source(), change.Source())
+		if got.All != want.All || got.Stat != want.Stat || !slices.Equal(got.SortedMethods(), want.SortedMethods()) {
+			t.Errorf("dirty set = all=%v %+v %v, want all=%v %+v %v",
+				got.All, got.Stat, got.SortedMethods(), want.All, want.Stat, want.SortedMethods())
+		}
+		if again := ComputeDirtySnapshots(base, change); again != got {
+			t.Error("second call recomputed the dirty set")
+		}
+	}
+}
+
 // TestEngineOptionsInvalidateCache: ablation switches participate in the
 // fingerprints, so flipping one on the same scheduler cache re-executes.
 func TestEngineOptionsInvalidateCache(t *testing.T) {
@@ -331,6 +360,41 @@ func TestEngineOptionsInvalidateCache(t *testing.T) {
 	}
 	if stats.Executed == 0 {
 		t.Error("IntraOnly flip served from cache — engine options missing from fingerprint")
+	}
+}
+
+// TestReplayFingerprintCoversDescription: a rule re-registered with the
+// same ID and checker but a new description must not be served the old
+// replay overlay, because test selection ranks against the description.
+// Only the replay job re-runs; site jobs do not read the description.
+func TestReplayFingerprintCoversDescription(t *testing.T) {
+	e := engineWithRule(t)
+	e.TestTopK = 1
+	s := New()
+	if _, _, err := s.Assert(e, sysFixed, testSuite(), Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	redescribed := *e.Registry.All()[0]
+	redescribed.Description = "quota accounting for large writes: a quota charge accumulates, quota used is charged"
+	if err := e.Registry.Add(&redescribed); err != nil {
+		t.Fatal(err)
+	}
+	warm, stats, err := s.Assert(e, sysFixed, testSuite(), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := e.Assert(sysFixed, testSuite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(seq.Render(), "selected=QuotaTest.chargeAccumulates") {
+		t.Fatalf("the new description does not steer selection; the scenario tests nothing:\n%s", seq.Render())
+	}
+	if warm.Render() != seq.Render() {
+		t.Errorf("warm run differs from sequential:\n--- sequential ---\n%s\n--- warm ---\n%s", seq.Render(), warm.Render())
+	}
+	if stats.Executed != stats.DynamicJobs {
+		t.Errorf("executed=%d, want only the %d dynamic jobs", stats.Executed, stats.DynamicJobs)
 	}
 }
 

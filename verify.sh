@@ -7,6 +7,10 @@
 # and admission control), the bounded fingerprint cache test by name
 # (ten race-detector rounds of a capped cache gating a stream of edits:
 # the cap holds, entries evict, reports and executed-job counts match),
+# the cross-engine memo test by name (ten race-detector rounds of two
+# engines sharing one snapshot cache, registering one rule ID under two
+# descriptions and gating the same sources concurrently: each report must
+# equal its own engine's sequential run),
 # the binary AST codec fuzz suite by name (round-trip byte-identity over
 # the corpus and seeded mutants; truncated/bit-flipped/version-skewed
 # frames must be rejected), the daemon smoke test by name (start a real
@@ -16,7 +20,9 @@
 # the parse-free decode path; a third, after garbage is appended to the
 # log, must truncate it back and print the same report), the store-open
 # allocation guard by name and one iteration of the store-open benchmark
-# (so it keeps building and running), the
+# (so it keeps building and running), the warm-gate allocation guard by
+# name (TestWarmGateAllocs: a re-gated change memoizes its test index,
+# site plans and diff, so it stays under 400 allocations), the
 # snapshot-record corruption round by name (a damaged snap.v2 record must
 # degrade to a recompute miss through the digest/codec checks, never a
 # wrong result), ten seconds of native fuzzing of the snapshot-record
@@ -38,6 +44,7 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go test -race ./internal/sched/... ./internal/program/... ./internal/lru/... ./internal/faultinject/... ./internal/smt/... ./internal/concolic/... ./internal/server/... ./internal/store/...
 go test -race -count=10 -run TestBoundedFingerprintCacheStaysWarm ./internal/sched
+go test -race -count=10 -run TestCrossEngineGatesShareSnapshots ./internal/ci
 go test -run 'TestCodec' -count=1 ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
@@ -52,6 +59,7 @@ cmp "$STORE_SMOKE/warm.out" "$STORE_SMOKE/torn.out"
 test "$(wc -c < "$STORE_SMOKE/store/store.log")" -eq "$LOG_SIZE"
 rm -rf "$STORE_SMOKE"
 go test -run 'TestOpenAllocs' -count=1 ./internal/store
+go test -run 'TestWarmGateAllocs' -count=1 ./internal/ci
 go test -run '^$' -bench StoreOpen -benchtime 1x ./internal/store
 go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss' -count=1 ./internal/program
 go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/program
