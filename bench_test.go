@@ -399,8 +399,8 @@ func BenchmarkSnapshotReuse(b *testing.B) {
 		}
 	})
 	// seedStoreDir populates a fresh store directory with every distinct
-	// version's snap.v2 record (binary AST + canon digest + derived
-	// artifacts), the way a previous process would have left it.
+	// version's snap.v2 record (the bare binary-AST codec frame), the way a
+	// previous process would have left it.
 	seedStoreDir := func(b *testing.B) string {
 		b.Helper()
 		dir := b.TempDir()
@@ -426,8 +426,9 @@ func BenchmarkSnapshotReuse(b *testing.B) {
 	// persisted records — the compile counter must stay at zero — builds
 	// each restored version's call graph once (records carry no graph),
 	// and then replays at memory-tier speed. The delta to "warm" is the
-	// one-time restore tax (decode + digest per distinct version) plus one
-	// graph build per distinct version, amortized over the iterations.
+	// one-time restore tax (decode + render for the canon digest per
+	// distinct version) plus one graph build per distinct version,
+	// amortized over the iterations.
 	b.Run("warmstore", func(b *testing.B) {
 		disk, err := store.Open(seedStoreDir(b))
 		if err != nil {
@@ -467,9 +468,10 @@ func BenchmarkSnapshotReuse(b *testing.B) {
 	})
 	// The restore tax itself, isolated: every iteration is a brand-new cold
 	// cache restoring all distinct versions from the store. "warmstore-decoded"
-	// is the snap.v2 path (binary AST decode + canon digest; deep verify
-	// sampled out), "warmstore-reparse" forces a deep verify on every
-	// restore — re-parse + check + re-render, the pre-codec restore cost.
+	// is the snap.v2 path (frame decode + one render for the canon digest;
+	// deep verify sampled out), "warmstore-reparse" forces a deep verify on
+	// every restore — it adds re-parse + check + re-render, the pre-codec
+	// restore cost.
 	// The E-D2 row in EXPERIMENTS.md tracks the ratio (target: >= 3x).
 	restoreTax := func(deepVerifyEvery int, wantDecoded, wantDeepVerified bool) func(*testing.B) {
 		return func(b *testing.B) {

@@ -119,8 +119,8 @@ func GateWith(engine *core.Engine, ch Change, tests []ticket.TestCase, opts Gate
 	}
 	var base *program.Snapshot
 	if ch.OldSource != "" {
-		// An unloadable base is tolerated: the dirty set then falls back to
-		// the source path, which conservatively marks everything dirty.
+		// An unloadable base is tolerated: the scheduler's dirty set then
+		// conservatively marks everything dirty.
 		base, _ = engine.LoadSnapshot(ch.OldSource)
 	}
 	var report *core.AssertReport

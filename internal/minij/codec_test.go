@@ -263,3 +263,55 @@ func TestCodecRejectsVersionSkew(t *testing.T) {
 		t.Fatalf("bad magic: got %v, want ErrCodecVersion", err)
 	}
 }
+
+// FuzzDecodeProgram: DecodeProgram never panics on arbitrary bytes, and
+// any frame it accepts re-encodes to bytes that decode to a program with
+// the same canonical render. Seeds: a corpus program's frame, that frame
+// cut in half, and the frame with its version field bumped. The sha256
+// trailer rejects nearly every mutation before the payload decoder runs,
+// so each input is also tried re-sealed, which lets the fuzzer reach it.
+func FuzzDecodeProgram(f *testing.F) {
+	prog, err := Parse(corpus.Load().Cases[0].Head())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := Check(prog); err != nil {
+		f.Fatal(err)
+	}
+	enc, err := EncodeProgram(prog)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bumped := append([]byte{}, enc...)
+	bumped[5]++ // the low byte of the big-endian version
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add(bumped)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		decodeReencodes(t, in)
+		if len(in) >= sha256.Size {
+			sealed := append([]byte{}, in...)
+			copy(sealed[len(sealed)-sha256.Size:], sha256Sum(sealed[:len(sealed)-sha256.Size]))
+			decodeReencodes(t, sealed)
+		}
+	})
+}
+
+func decodeReencodes(t *testing.T, frame []byte) {
+	t.Helper()
+	prog, err := DecodeProgram(frame)
+	if err != nil {
+		return
+	}
+	again, err := EncodeProgram(prog)
+	if err != nil {
+		t.Fatalf("accepted frame does not re-encode: %v", err)
+	}
+	dec, err := DecodeProgram(again)
+	if err != nil {
+		t.Fatalf("re-encoded frame does not decode: %v", err)
+	}
+	if got, want := FormatProgram(dec), FormatProgram(prog); got != want {
+		t.Fatalf("re-encoded frame decodes to a different program:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+}

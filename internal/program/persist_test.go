@@ -1,12 +1,15 @@
 package program
 
 import (
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"lisa/internal/callgraph"
+	"lisa/internal/corpus"
 	"lisa/internal/faultinject"
 	"lisa/internal/store"
 )
@@ -51,9 +54,8 @@ func edgeLines(g *callgraph.Graph) []string {
 }
 
 // TestSnapshotRestore: a cold cache on a warm store restores the snapshot
-// without compiling — zero Compiles, every derived artifact identical to
-// the built original — and rebuilds its call graph from the decoded AST
-// into the same edges, in the same order.
+// without compiling — zero Compiles, the built canon digest, Verify-clean —
+// and builds its call graph once, from the decoded AST.
 func TestSnapshotRestore(t *testing.T) {
 	st := openStoreT(t)
 	built := warmStore(t, st, testSource)
@@ -67,29 +69,109 @@ func TestSnapshotRestore(t *testing.T) {
 	if stats := cold.Stats(); stats.Compiles != 0 || stats.Restores != 1 {
 		t.Fatalf("cold stats = %+v, want 0 compiles and 1 restore", stats)
 	}
-	if snap.Canon() != built.Canon() || snap.CanonHash() != built.CanonHash() {
-		t.Fatal("restored canon differs from built canon")
-	}
-	if snap.Shape() != built.Shape() {
-		t.Fatal("restored shape differs")
-	}
-	if snap.MethodCanon("PrepProcessor.processCreate") != built.MethodCanon("PrepProcessor.processCreate") {
-		t.Fatal("restored method canon differs")
+	if snap.CanonHash() != built.CanonHash() {
+		t.Fatal("restored canon digest differs from built")
 	}
 	if err := snap.Verify(); err != nil {
 		t.Fatalf("restored snapshot fails Verify: %v", err)
 	}
-	g := snap.Graph()
-	if g == nil {
+	if snap.Graph() == nil {
 		t.Fatal("restored snapshot has no graph")
-	}
-	got, want := edgeLines(g), edgeLines(built.Graph())
-	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("restored graph differs:\n got %q\nwant %q", got, want)
 	}
 	if stats := cold.Stats(); stats.Compiles != 0 || stats.GraphBuilds != 1 {
 		t.Fatalf("cold graph stats = %+v, want 0 compiles and 1 graph build", stats)
 	}
+}
+
+// corpusPrograms lists every distinct program the corpus gates: each
+// case's head and every ticket version, alone and with the case's tests
+// appended as the engine appends them, keeping the ones that compile.
+func corpusPrograms() []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, cs := range corpus.Load().Cases {
+		versions := []string{cs.Head()}
+		for _, tk := range cs.Tickets {
+			versions = append(versions, tk.BuggySource, tk.FixedSource)
+		}
+		for _, v := range versions {
+			withTests := v
+			for _, tc := range cs.Tests {
+				withTests += "\n" + tc.Source
+			}
+			for _, src := range []string{v, withTests} {
+				if seen[src] {
+					continue
+				}
+				seen[src] = true
+				if _, err := Compile(src); err == nil {
+					out = append(out, src)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestRestoredEqualsCompiled: over every distinct corpus program, a
+// snapshot restored on the decode path derives exactly what the compiled
+// one does — canon digest, shape, every method canon, and call-graph
+// edges in order — from the decoded AST alone.
+func TestRestoredEqualsCompiled(t *testing.T) {
+	sources := corpusPrograms()
+	st := openStoreT(t)
+	warm := NewCache(len(sources))
+	warm.SetStore(st)
+	built := make([]*Snapshot, len(sources))
+	for i, src := range sources {
+		snap, err := warm.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built[i] = snap
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := NewCache(len(sources))
+	cold.SetStore(st)
+	cold.SetDeepVerifyEvery(1 << 30)
+	edges := 0
+	for i, src := range sources {
+		snap, err := cold.Load(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := built[i]
+		if snap.CanonHash() != want.CanonHash() {
+			t.Fatalf("program %d: restored canon digest differs", i)
+		}
+		if snap.Shape() != want.Shape() {
+			t.Fatalf("program %d: restored shape differs", i)
+		}
+		methods := want.Program().Methods()
+		if got := snap.Program().Methods(); len(got) != len(methods) {
+			t.Fatalf("program %d: restored %d methods, compiled %d", i, len(got), len(methods))
+		}
+		for _, m := range methods {
+			if snap.MethodCanon(m.FullName()) != want.MethodCanon(m.FullName()) {
+				t.Fatalf("program %d: restored method canon of %s differs", i, m.FullName())
+			}
+		}
+		got, wantEdges := edgeLines(snap.Graph()), edgeLines(want.Graph())
+		if fmt.Sprint(got) != fmt.Sprint(wantEdges) {
+			t.Fatalf("program %d: restored graph differs:\n got %q\nwant %q", i, got, wantEdges)
+		}
+		edges += len(got)
+	}
+	if stats := cold.Stats(); stats.Compiles != 0 || stats.RestoresDecoded != uint64(len(sources)) {
+		t.Fatalf("cold stats = %+v, want %d decoded restores and 0 compiles", stats, len(sources))
+	}
+	if edges == 0 {
+		t.Fatal("no call-graph edges compared")
+	}
+	t.Logf("%d distinct corpus programs, %d call-graph edges", len(sources), edges)
 }
 
 // TestSnapshotWrittenOnce: a snapshot's record is written once, right
@@ -132,40 +214,51 @@ func TestSnapshotWrittenOnce(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsTamperedRecord: a record whose canon does not match
-// what the source actually renders to is refused — the Verify machinery on
-// the load path — and the snapshot falls back to a full compile.
+// reseal recomputes a codec frame's sha256 trailer after a test edits the
+// frame, so the edit reaches the checks behind the checksum.
+func reseal(frame []byte) []byte {
+	sum := sha256.Sum256(frame[:len(frame)-sha256.Size])
+	copy(frame[len(frame)-sha256.Size:], sum[:])
+	return frame
+}
+
+// TestRestoreRejectsTamperedRecord: the codec frame is the record's only
+// format layer, so a frame it cannot vouch for — cut short, or re-sealed
+// under another codec version or magic — is refused, and the snapshot
+// falls back to a full compile.
 func TestRestoreRejectsTamperedRecord(t *testing.T) {
 	st := openStoreT(t)
 	warmStore(t, st, testSource)
-
-	// Forge the record: well-formed envelope, wrong canon (so the canon no
-	// longer matches its stored digest).
-	raw, ok := st.Get(snapNamespace, Hash(testSource))
+	frame, ok := st.Get(snapNamespace, Hash(testSource))
 	if !ok {
 		t.Fatal("no persisted record")
 	}
-	rec, ok := decodeRecord(raw)
-	if !ok {
-		t.Fatal("persisted record does not decode")
+	version := append([]byte{}, frame...)
+	version[5]++ // the low byte of the big-endian codec version
+	magic := append([]byte{}, frame...)
+	magic[0] = 'X'
+	tampered := map[string][]byte{
+		"truncated": frame[:len(frame)/2],
+		"version":   reseal(version),
+		"magic":     reseal(magic),
 	}
-	rec.Canon = rec.Canon + "\n// drifted"
-	st.Put(snapNamespace, Hash(testSource), encodeRecord(rec))
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	cold := NewCache(8)
-	cold.SetStore(st)
-	snap, err := cold.Load(testSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats := cold.Stats(); stats.Compiles != 1 || stats.Restores != 0 {
-		t.Fatalf("stats = %+v, want fallback compile", stats)
-	}
-	if err := snap.Verify(); err != nil {
-		t.Fatalf("fallback snapshot fails Verify: %v", err)
+	for name, raw := range tampered {
+		st.Put(snapNamespace, Hash(testSource), raw)
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		cold := NewCache(8)
+		cold.SetStore(st)
+		snap, err := cold.Load(testSource)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats := cold.Stats(); stats.Compiles != 1 || stats.Restores != 0 {
+			t.Fatalf("%s: stats = %+v, want fallback compile", name, stats)
+		}
+		if err := snap.Verify(); err != nil {
+			t.Fatalf("%s: fallback snapshot fails Verify: %v", name, err)
+		}
 	}
 }
 
@@ -237,5 +330,28 @@ func TestCorruptedASTNeverPersisted(t *testing.T) {
 	}
 	if _, ok := st.Get(snapNamespace, Hash(testSource)); ok {
 		t.Fatal("corrupted snapshot reached the disk tier")
+	}
+}
+
+// TestRestoredCorruptionCaughtByVerify: the program.load Corrupt point
+// fires on a restored snapshot too, after its canon digest was taken from
+// the decoded AST, so Verify catches the damage exactly as after a build.
+func TestRestoredCorruptionCaughtByVerify(t *testing.T) {
+	st := openStoreT(t)
+	warmStore(t, st, testSource)
+
+	cold := NewCache(8)
+	cold.SetStore(st)
+	faultinject.Arm(faultinject.NewPlan(7).Set("program.load", faultinject.Corrupt))
+	snap, err := cold.Load(testSource)
+	faultinject.Disarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := cold.Stats(); stats.Compiles != 0 || stats.Restores != 1 {
+		t.Fatalf("stats = %+v, want a restore", stats)
+	}
+	if err := snap.Verify(); !errors.Is(err, ErrMutated) {
+		t.Fatalf("Verify = %v, want ErrMutated", err)
 	}
 }

@@ -48,7 +48,6 @@ type Snapshot struct {
 	compileOnce sync.Once
 	prog        *minij.Program
 	err         error
-	canon       string
 	canonHash   string
 
 	graphOnce sync.Once
@@ -103,13 +102,10 @@ func (s *Snapshot) Hash() string { return s.hash }
 // private mutable copy.
 func (s *Snapshot) Program() *minij.Program { return s.prog }
 
-// Canon returns the canonical pretty-printing of the program — whitespace
-// and formatting independent, so two reformattings of one program share it.
-func (s *Snapshot) Canon() string { return s.canon }
-
-// CanonHash returns the content address of the canonical form. This is the
-// identity fingerprint callers hash into cache keys: it is stable across
-// reformatting, unlike Hash.
+// CanonHash returns the content address of the program's canonical
+// pretty-printing (minij.FormatProgram). This is the identity fingerprint
+// callers hash into cache keys: it is stable across reformatting, unlike
+// Hash.
 func (s *Snapshot) CanonHash() string { return s.canonHash }
 
 // Graph returns the call graph, built by callgraph.Build on first use and
@@ -189,19 +185,19 @@ func Memo[T any](snap *Snapshot, key string, build func() T) T {
 }
 
 // ErrMutated reports a snapshot whose shared AST no longer matches the
-// canonical form captured at compile time — some holder mutated it, or a
+// canonical digest taken at compile time — some holder mutated it, or a
 // cache entry was corrupted. Callers match it with errors.Is.
 var ErrMutated = errors.New("program: snapshot mutated")
 
 // Verify checks the immutability contract: it re-renders the shared AST
-// and compares it against the canonical form captured at compile time. A
-// non-nil error wrapping ErrMutated means some holder mutated the
+// and compares the render's digest against the one taken at compile time.
+// A non-nil error wrapping ErrMutated means some holder mutated the
 // snapshot's program.
 func (s *Snapshot) Verify() error {
 	if s.err != nil {
 		return s.err
 	}
-	if got := minij.FormatProgram(s.prog); got != s.canon {
+	if Hash(minij.FormatProgram(s.prog)) != s.canonHash {
 		return fmt.Errorf("%w: %.12s canonical AST drifted from its content address", ErrMutated, s.hash)
 	}
 	return nil
@@ -222,14 +218,13 @@ func (s *Snapshot) build() {
 		return
 	}
 	s.prog = prog
-	s.canon = minij.FormatProgram(prog)
-	s.canonHash = Hash(s.canon)
+	s.canonHash = Hash(minij.FormatProgram(prog))
 	injectLoadFault(prog)
 }
 
 // injectLoadFault is the program.load fault-injection point, fired on
 // built and restored snapshots alike: a Corrupt rule damages the AST
-// *after* the canonical form was captured, modeling a bad cache entry.
+// *after* the canon digest was taken, modeling a bad cache entry.
 // Verify must catch it.
 func injectLoadFault(prog *minij.Program) {
 	if faultinject.Armed() {
@@ -296,9 +291,8 @@ type Cache struct {
 	compiles    atomic.Uint64
 	graphBuilds atomic.Uint64
 
-	// Disk restores split by path: decoded (binary AST + digest check) vs
-	// deep verified (re-parse + re-render comparison — the sampled slow
-	// path).
+	// Disk restores split by path: decoded (codec frame only) vs deep
+	// verified (re-parse + re-render comparison — the sampled slow path).
 	restoresDecoded  atomic.Uint64
 	restoresVerified atomic.Uint64
 
@@ -309,16 +303,16 @@ type Cache struct {
 }
 
 // DefaultDeepVerifyEvery is the default deep-verification sampling
-// interval: one restore in every N re-runs the full parse + re-render
-// comparison against the stored canon, so systematic store corruption is
+// interval: one restore in every N re-parses the source and compares its
+// render with the decoded program's, so systematic store corruption is
 // still caught process-locally without paying the per-restore re-parse
 // tax. faultinject-armed runs deep-verify every restore
 // regardless of the knob.
 const DefaultDeepVerifyEvery = 16
 
 // SetDeepVerifyEvery sets the deep-verification sampling interval: every
-// nth disk restore re-parses the source and re-renders the canon (the
-// pre-v2 trust-nothing path). 1 deep-verifies every restore; n <= 0
+// nth disk restore re-parses the source and compares renders (the
+// trust-nothing path). 1 deep-verifies every restore; n <= 0
 // resets to DefaultDeepVerifyEvery. Safe to call concurrently with loads.
 func (c *Cache) SetDeepVerifyEvery(n int) { c.deepVerifyEvery.Store(int64(n)) }
 
@@ -391,7 +385,7 @@ type CacheStats struct {
 	GraphBuilds uint64
 	// Restores counts snapshots adopted from the disk tier instead of
 	// compiled; RestoresDecoded of those came through the parse-free
-	// binary-AST path (canon digest + codec checksum), while
+	// binary-AST path (codec checksum only), while
 	// RestoresDeepVerified re-derived everything from source and compared
 	// (the sampled deep-verify path). All stay zero without a store.
 	Restores             uint64

@@ -54,7 +54,7 @@ func TestLoadBasics(t *testing.T) {
 	if snap.Program() == nil || len(snap.Program().Classes) != 3 {
 		t.Fatalf("program not compiled: %+v", snap.Program())
 	}
-	if snap.Canon() == "" || snap.CanonHash() != Hash(snap.Canon()) {
+	if snap.CanonHash() != Hash(minij.FormatProgram(snap.Program())) {
 		t.Error("canonical form not captured")
 	}
 	if snap.MethodCanon("PrepProcessor.processCreate") == "" {

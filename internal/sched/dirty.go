@@ -25,30 +25,9 @@ type Dirty struct {
 	Stat diffutil.Stats
 }
 
-// ComputeDirty diffs two versions of a system source and localizes the
-// change to method bodies. Whitespace-only edits produce an empty set:
-// method identity is canonical AST text, not source text. Both versions
-// are loaded through the snapshot cache, so the front-end work is shared
-// with the assertion run (the new source) and the previous gate (the old).
-func ComputeDirty(oldSource, newSource string) *Dirty {
-	d := &Dirty{Methods: map[string]bool{}}
-	edits := diffutil.Diff(oldSource, newSource)
-	d.Stat = diffutil.DiffStats(edits)
-	if !diffutil.Changed(edits) {
-		return d
-	}
-	oldSnap, errOld := program.Load(oldSource)
-	newSnap, errNew := program.Load(newSource)
-	if errOld != nil || errNew != nil {
-		d.All = true
-		return d
-	}
-	localizeDirty(d, oldSnap, newSnap)
-	return d
-}
-
-// ComputeDirtySnapshots is ComputeDirty over pre-loaded snapshots (the
-// gate's path: head and proposed change are loaded once and shared). The
+// ComputeDirtySnapshots diffs two loaded versions of a system source and
+// localizes the change to method bodies. Whitespace-only edits produce an
+// empty set: method identity is canonical AST text, not source text. The
 // result is a pure function of the two versions, so it is memoized on the
 // change's snapshot, keyed by the base's content address: the scheduler's
 // dirty set and the gate's diff stat share one diff, and a resubmitted

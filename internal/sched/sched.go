@@ -16,6 +16,7 @@ import (
 	"lisa/internal/callgraph"
 	"lisa/internal/contract"
 	"lisa/internal/core"
+	"lisa/internal/diffutil"
 	"lisa/internal/minij"
 	"lisa/internal/program"
 	"lisa/internal/smt"
@@ -32,7 +33,8 @@ type Options struct {
 	Incremental bool
 	// Base is the pre-change system snapshot the dirty set diffs against
 	// (the gate loads it once and shares it). When nil, BaseSource is
-	// loaded through the snapshot cache instead.
+	// loaded through the engine's snapshot cache instead; a base that does
+	// not build marks everything dirty.
 	Base *program.Snapshot
 	// BaseSource is the pre-change system source (typically
 	// ci.Change.OldSource); used when Base is nil.
@@ -66,7 +68,7 @@ type Stats struct {
 	DiskHits uint64
 	// SnapshotRestores counts program snapshots this run adopted from the
 	// snapshot cache's disk tier instead of compiling, split by restore
-	// path: decoded (binary AST + canon digest, the parse-free fast path)
+	// path: decoded (the binary AST frame alone, the parse-free fast path)
 	// vs deep-verified (sampled full re-parse comparison). Exact when the
 	// engine carries a private snapshot cache (core.Engine.Snapshots);
 	// otherwise process-wide deltas, approximate under concurrent runs.
@@ -250,10 +252,15 @@ func (s *Scheduler) assertContext(parent context.Context, e *core.Engine, ctx *c
 	var dirty *Dirty
 	if opts.Incremental && (opts.Base != nil || opts.BaseSource != "") {
 		tm.Time("dirty-set", func() {
-			if opts.Base != nil {
-				dirty = ComputeDirtySnapshots(opts.Base, ctx.Snapshot)
+			base := opts.Base
+			if base == nil {
+				base, _ = e.LoadSnapshot(opts.BaseSource)
+			}
+			if base != nil {
+				dirty = ComputeDirtySnapshots(base, ctx.Snapshot)
 			} else {
-				dirty = ComputeDirty(opts.BaseSource, ctx.Source)
+				// A base that does not build cannot localize the change.
+				dirty = &Dirty{All: true, Stat: diffutil.DiffStats(diffutil.Diff(opts.BaseSource, ctx.Source))}
 			}
 		})
 		stats.DirtyAll = dirty.All

@@ -286,15 +286,32 @@ func TestGuardChangeInvalidatesSite(t *testing.T) {
 	}
 }
 
+// loadIn loads src through cache, failing the test when it does not build.
+func loadIn(t *testing.T, cache *program.Cache, src string) *program.Snapshot {
+	t.Helper()
+	snap, err := cache.Load(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // TestDirtySet exercises the change-localization ladder.
 func TestDirtySet(t *testing.T) {
+	cache := program.NewCache(0)
+	base := loadIn(t, cache, sysFixed)
+	dirty := func(src string) *Dirty {
+		t.Helper()
+		return ComputeDirtySnapshots(base, loadIn(t, cache, src))
+	}
+
 	reformatted := strings.ReplaceAll(sysFixed, "\t", "  ")
-	if d := ComputeDirty(sysFixed, reformatted); d.Any() {
+	if d := dirty(reformatted); d.Any() {
 		t.Errorf("whitespace-only change dirty: all=%v methods=%v", d.All, d.SortedMethods())
 	}
 
 	body := strings.Replace(sysFixed, "used = used + n;", "used = used + n + 1;", 1)
-	d := ComputeDirty(sysFixed, body)
+	d := dirty(body)
 	if d.All || len(d.Methods) != 1 || !d.Contains("Quota.charge") {
 		t.Errorf("body change: all=%v methods=%v", d.All, d.SortedMethods())
 	}
@@ -303,17 +320,28 @@ func TestDirtySet(t *testing.T) {
 	}
 
 	sig := strings.Replace(sysFixed, "void charge(int n)", "void charge(int n, int m)", 1)
-	if d := ComputeDirty(sysFixed, sig); !d.All {
+	if d := dirty(sig); !d.All {
 		t.Error("signature change not marked All")
 	}
 
-	if d := ComputeDirty(sysFixed, "class Broken {"); !d.All {
-		t.Error("unparsable change not marked All")
-	}
-
 	newClass := sysFixed + "\nclass Extra {\n\tint x;\n}\n"
-	if d := ComputeDirty(sysFixed, newClass); !d.All {
+	if d := dirty(newClass); !d.All {
 		t.Error("new class not marked All")
+	}
+}
+
+// TestUnbuildableBaseMarksAllDirty: a base source that does not build
+// cannot localize the change, so the whole change is dirty and every job
+// is impacted.
+func TestUnbuildableBaseMarksAllDirty(t *testing.T) {
+	_, stats, err := New().Assert(engineWithRule(t), sysFixed, nil, Options{
+		Workers: 1, Incremental: true, BaseSource: "class Broken {",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.DirtyAll || stats.Jobs == 0 || stats.ImpactedJobs != stats.Jobs {
+		t.Errorf("all=%v impacted=%d of %d jobs, want every job impacted", stats.DirtyAll, stats.ImpactedJobs, stats.Jobs)
 	}
 }
 
@@ -321,19 +349,13 @@ func TestDirtySet(t *testing.T) {
 // the change, once per base — gating one change against two bases gives
 // each its own diff, and asking again diffs nothing.
 func TestDirtySnapshotsMemoPerBase(t *testing.T) {
-	cache := program.NewCache(0)
-	load := func(src string) *program.Snapshot {
-		t.Helper()
-		snap, err := cache.Load(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-	change := load(strings.Replace(sysFixed, "used = used + n;", "used = used + n + 1;", 1))
-	for _, base := range []*program.Snapshot{load(sysFixed), change} {
+	cache, fresh := program.NewCache(0), program.NewCache(0)
+	changed := strings.Replace(sysFixed, "used = used + n;", "used = used + n + 1;", 1)
+	change := loadIn(t, cache, changed)
+	for _, base := range []*program.Snapshot{loadIn(t, cache, sysFixed), change} {
 		got := ComputeDirtySnapshots(base, change)
-		want := ComputeDirty(base.Source(), change.Source())
+		// The same diff over snapshots no memo has seen.
+		want := ComputeDirtySnapshots(loadIn(t, fresh, base.Source()), loadIn(t, fresh, changed))
 		if got.All != want.All || got.Stat != want.Stat || !slices.Equal(got.SortedMethods(), want.SortedMethods()) {
 			t.Errorf("dirty set = all=%v %+v %v, want all=%v %+v %v",
 				got.All, got.Stat, got.SortedMethods(), want.All, want.Stat, want.SortedMethods())

@@ -162,3 +162,55 @@ func fireOne(cl *Client, spec hammerSpec) error {
 	}
 	return nil
 }
+
+// TestStatsDuringFirstGates: /stats polled while four cases take their
+// first /gate reads each case runtime only once it is built, never while
+// another request is building it. Run it under -race (verify.sh does).
+func TestStatsDuringFirstGates(t *testing.T) {
+	_, cl, done := newTestServer(t, Config{})
+	defer done()
+	ids := []string{"zk-ephemeral", "zk-session-expiry", "zk-quota", "hdfs-lease-recovery"}
+	heads := make([]string, len(ids))
+	for i, id := range ids {
+		heads[i] = corpusCase(t, id).Head()
+	}
+
+	stop := make(chan struct{})
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := cl.Stats(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var gates sync.WaitGroup
+	for i, id := range ids {
+		gates.Add(1)
+		go func(id, head string) {
+			defer gates.Done()
+			if _, err := cl.Gate(GateRequest{Case: id, Change: head, Summary: "first gate"}); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}(id, heads[i])
+	}
+	gates.Wait()
+	close(stop)
+	poller.Wait()
+
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Cases) != len(ids) {
+		t.Fatalf("/stats shows %d case runtimes after %d first gates", len(st.Cases), len(ids))
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lisa/internal/ci"
@@ -105,11 +106,15 @@ type Config struct {
 
 // caseRuntime is the long-lived per-case state: the engine with the case's
 // rules registered, and the scheduler whose fingerprint cache accumulates
-// across requests. mu serializes assertion runs on the case.
+// across requests. mu serializes assertion runs on the case. A runtime is
+// in Server.cases before once has built it; ready is set after the build,
+// so /stats reads engine and sched only once they exist, without waiting
+// on the build or on mu.
 type caseRuntime struct {
-	cs   *ticket.Case
-	once sync.Once
-	err  error
+	cs    *ticket.Case
+	once  sync.Once
+	err   error
+	ready atomic.Bool
 
 	mu     sync.Mutex
 	engine *core.Engine
@@ -217,6 +222,7 @@ func (s *Server) runtime(id string) (*caseRuntime, error) {
 		rt.engine = e
 		rt.sched = sched.New()
 		rt.sched.Cache().SetStore(s.cfg.Store)
+		rt.ready.Store(true)
 	})
 	return rt, rt.err
 }
@@ -582,7 +588,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.casesMu.Lock()
 		rt := s.cases[id]
 		s.casesMu.Unlock()
-		if rt.sched == nil {
+		if !rt.ready.Load() {
 			continue
 		}
 		qs := rt.engine.Solver.Stats()

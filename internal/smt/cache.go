@@ -56,27 +56,6 @@ func Stats() SolverStats {
 	}
 }
 
-// Sub returns the field-wise counter delta s − base. Long-lived holders
-// (the lisa serve daemon, per-run scheduler stats) snapshot the
-// process-wide counters at a baseline and attribute later growth to their
-// own traffic. The attribution is exact while the holder is the only
-// solver user in the process and approximate when other runs share the
-// process concurrently — holders that need exactness under concurrency
-// attach their own QueryCache (Limits.Cache / core.Engine.Solver) and read
-// its per-instance stats instead.
-func (s SolverStats) Sub(base SolverStats) SolverStats {
-	return SolverStats{
-		Queries:        s.Queries - base.Queries,
-		CacheHits:      s.CacheHits - base.CacheHits,
-		CacheMisses:    s.CacheMisses - base.CacheMisses,
-		CacheEvictions: s.CacheEvictions - base.CacheEvictions,
-		Solves:         s.Solves - base.Solves,
-		Nodes:          s.Nodes - base.Nodes,
-		SolveTime:      s.SolveTime - base.SolveTime,
-		TheoryTime:     s.TheoryTime - base.TheoryTime,
-	}
-}
-
 // DefaultQueryCacheCap bounds a solver result cache's memory tier. Corpus
 // runs issue a few thousand distinct queries; the cap is a memory backstop,
 // not a tuning knob.

@@ -19,9 +19,9 @@ type TierStats struct {
 	DiskWriteErrors uint64 `json:"disk_write_errors,omitempty"`
 	// DiskHitsDecoded and DiskHitsVerified split DiskHits by restore
 	// path for caches that distinguish them (the snapshot cache): decoded
-	// restores adopt a checksummed binary artifact after a digest check,
-	// deep-verified restores additionally re-derive the artifact from
-	// source and compare. Zero for caches without the split.
+	// restores adopt a checksummed binary artifact, deep-verified
+	// restores additionally re-derive the artifact from source and
+	// compare. Zero for caches without the split.
 	DiskHitsDecoded  uint64 `json:"disk_hits_decoded,omitempty"`
 	DiskHitsVerified uint64 `json:"disk_hits_verified,omitempty"`
 }

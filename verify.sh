@@ -10,7 +10,9 @@
 # the cross-engine memo test by name (ten race-detector rounds of two
 # engines sharing one snapshot cache, registering one rule ID under two
 # descriptions and gating the same sources concurrently: each report must
-# equal its own engine's sequential run),
+# equal its own engine's sequential run), the daemon /stats test by name
+# (ten race-detector rounds of /stats polled while four cases take their
+# first /gate),
 # the binary AST codec fuzz suite by name (round-trip byte-identity over
 # the corpus and seeded mutants; truncated/bit-flipped/version-skewed
 # frames must be rejected), the daemon smoke test by name (start a real
@@ -24,10 +26,11 @@
 # name (TestWarmGateAllocs: a re-gated change memoizes its test index,
 # site plans and diff, so it stays under 400 allocations), the
 # snapshot-record corruption round by name (a damaged snap.v2 record must
-# degrade to a recompute miss through the digest/codec checks, never a
-# wrong result), ten seconds of native fuzzing of the snapshot-record
-# envelope (FuzzDecodeRecord: the decoder never panics, and any record it
-# accepts re-encodes to bytes that decode to an equal record), one
+# degrade to a recompute miss through the codec checks, never a wrong
+# result), ten seconds of native fuzzing of the binary AST codec, which a
+# snap.v2 record is (FuzzDecodeProgram: the decoder never panics, and any
+# frame it accepts re-encodes to bytes that decode to a program with the
+# same canonical render), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
@@ -45,6 +48,7 @@ test -z "$(gofmt -l .)"
 go test -race ./internal/sched/... ./internal/program/... ./internal/lru/... ./internal/faultinject/... ./internal/smt/... ./internal/concolic/... ./internal/server/... ./internal/store/...
 go test -race -count=10 -run TestBoundedFingerprintCacheStaysWarm ./internal/sched
 go test -race -count=10 -run TestCrossEngineGatesShareSnapshots ./internal/ci
+go test -race -count=10 -run TestStatsDuringFirstGates ./internal/server
 go test -run 'TestCodec' -count=1 ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
@@ -62,7 +66,7 @@ go test -run 'TestOpenAllocs' -count=1 ./internal/store
 go test -run 'TestWarmGateAllocs' -count=1 ./internal/ci
 go test -run '^$' -bench StoreOpen -benchtime 1x ./internal/store
 go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss' -count=1 ./internal/program
-go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/program
+go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s ./internal/minij
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
