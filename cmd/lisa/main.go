@@ -457,7 +457,16 @@ func runAssert(args []string) error {
 		}
 	}
 
-	target, err := resolveAssertTarget(cs, *sourcePath, *version, id)
+	// -source wins over -version.
+	var target string
+	var err error
+	if *sourcePath != "" {
+		var data []byte
+		data, err = os.ReadFile(*sourcePath)
+		target = string(data)
+	} else {
+		target, err = cs.Version(*version)
+	}
 	if err != nil {
 		return err
 	}
@@ -518,45 +527,6 @@ func runAssert(args []string) error {
 		os.Exit(1)
 	}
 	return nil
-}
-
-// resolveAssertTarget picks the system source an assert run targets:
-// -source wins, then -version selects among the case's recorded versions.
-func resolveAssertTarget(cs *ticket.Case, sourcePath, version, id string) (string, error) {
-	switch {
-	case sourcePath != "":
-		data, err := os.ReadFile(sourcePath)
-		if err != nil {
-			return "", err
-		}
-		return string(data), nil
-	case version == "head":
-		return cs.Head(), nil
-	case version == "latest":
-		if cs.Latest == "" {
-			return "", fmt.Errorf("case %s has no latest head", id)
-		}
-		return cs.Latest, nil
-	}
-	parts := strings.SplitN(version, ":", 2)
-	if len(parts) != 2 {
-		return "", fmt.Errorf("bad -version %q", version)
-	}
-	var target string
-	for _, tk := range cs.Tickets {
-		if tk.ID != parts[0] {
-			continue
-		}
-		if parts[1] == "buggy" {
-			target = tk.BuggySource
-		} else {
-			target = tk.FixedSource
-		}
-	}
-	if target == "" {
-		return "", fmt.Errorf("no version %q in case %s", version, id)
-	}
-	return target, nil
 }
 
 func runGate(args []string) error {

@@ -65,7 +65,7 @@ type Semantic struct {
 	Post smt.Formula
 
 	// Structural is set for StructuralKind semantics.
-	Structural StructuralRule
+	Structural *LockRule
 }
 
 // Validate checks internal consistency: state contracts must have a target

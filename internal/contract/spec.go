@@ -111,28 +111,18 @@ func ParseSpec(src string) ([]*Semantic, error) {
 			}
 			cur.Post = f
 		case "structural":
-			switch value {
-			case "no-blocking-io-in-sync":
-				cur.Structural = NoBlockingInSync{}
-			case "no-nested-sync":
-				cur.Structural = NoNestedSync{}
-			default:
+			rule, ok := LockRuleNamed(value)
+			if !ok {
 				return nil, fmt.Errorf("spec: line %d: unknown structural rule %q", lineNo, value)
 			}
+			cur.Structural = rule
 		case "only":
-			only := map[string]bool{}
-			for _, m := range strings.Split(value, ",") {
-				only[strings.TrimSpace(m)] = true
-			}
-			switch rule := cur.Structural.(type) {
-			case NoBlockingInSync:
-				rule.Only = only
-				cur.Structural = rule
-			case NoNestedSync:
-				rule.Only = only
-				cur.Structural = rule
-			default:
+			if cur.Structural == nil {
 				return nil, fmt.Errorf("spec: line %d: \"only\" requires a preceding \"structural\" line", lineNo)
+			}
+			cur.Structural.Only = map[string]bool{}
+			for _, m := range strings.Split(value, ",") {
+				cur.Structural.Only[strings.TrimSpace(m)] = true
 			}
 		default:
 			return nil, fmt.Errorf("spec: line %d: unknown key %q", lineNo, key)
@@ -185,24 +175,9 @@ func FormatSpec(sems []*Semantic) string {
 			fmt.Fprintf(&sb, "high-level: %s\n", sem.HighLevel)
 		}
 		if sem.Kind == StructuralKind {
-			var name string
-			var only map[string]bool
-			switch rule := sem.Structural.(type) {
-			case NoBlockingInSync:
-				name, only = "no-blocking-io-in-sync", rule.Only
-			case NoNestedSync:
-				name, only = "no-nested-sync", rule.Only
-			}
-			if name != "" {
-				fmt.Fprintf(&sb, "structural: %s\n", name)
-				if len(only) > 0 {
-					var ms []string
-					for m := range only {
-						ms = append(ms, m)
-					}
-					sort.Strings(ms)
-					fmt.Fprintf(&sb, "only: %s\n", strings.Join(ms, ", "))
-				}
+			fmt.Fprintf(&sb, "structural: %s\n", sem.Structural.Hazard.Rule())
+			if len(sem.Structural.Only) > 0 {
+				fmt.Fprintf(&sb, "only: %s\n", strings.Join(sem.Structural.Scope(), ", "))
 			}
 			continue
 		}

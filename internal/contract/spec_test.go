@@ -70,8 +70,8 @@ func TestParseSpec(t *testing.T) {
 	if structural.Kind != StructuralKind {
 		t.Fatalf("rule 2 kind = %v", structural.Kind)
 	}
-	rule := structural.Structural.(NoBlockingInSync)
-	if !rule.Only["SyncRequestProcessor.serializeNode"] || !rule.Only["ACLCache.serialize"] {
+	rule := structural.Structural
+	if rule.Hazard != BlockingIO || !rule.Only["SyncRequestProcessor.serializeNode"] || !rule.Only["ACLCache.serialize"] {
 		t.Errorf("only = %v", rule.Only)
 	}
 }

@@ -45,10 +45,6 @@ type Engine struct {
 	MaxStaticPaths int
 	// NoPrune disables relevant-variable pruning (ablation).
 	NoPrune bool
-	// NoPrefixPrune disables unsat-prefix subtree pruning during path
-	// enumeration (ablation): statically infeasible subtrees are then
-	// enumerated and discharged path by path.
-	NoPrefixPrune bool
 	// IntraOnly disables interprocedural condition inheritance along
 	// execution-tree chains (ablation: guards in callers are then
 	// invisible, flagging internal helpers their callers protect).
@@ -146,10 +142,7 @@ func (e *Engine) findEquivalent(sem *contract.Semantic) *contract.Semantic {
 		}
 		switch sem.Kind {
 		case contract.StructuralKind:
-			if ex.Structural.Name() != sem.Structural.Name() {
-				continue
-			}
-			if stringSetsEqual(structuralScope(ex.Structural), structuralScope(sem.Structural)) {
+			if ex.Structural.Hazard == sem.Structural.Hazard && slices.Equal(ex.Structural.Scope(), sem.Structural.Scope()) {
 				return ex
 			}
 		case contract.StateKind:
@@ -178,29 +171,6 @@ func canonicalPre(sem *contract.Semantic) smt.Formula {
 		f = smt.RenameRoot(f, slot, fmt.Sprintf("$op%d", idx))
 	}
 	return f
-}
-
-// structuralScope extracts a structural rule's method restriction, if any.
-func structuralScope(rule contract.StructuralRule) map[string]bool {
-	switch r := rule.(type) {
-	case contract.NoBlockingInSync:
-		return r.Only
-	case contract.NoNestedSync:
-		return r.Only
-	}
-	return nil
-}
-
-func stringSetsEqual(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 func bindingsIntEqual(a, b map[string]int) bool {
@@ -256,8 +226,8 @@ type SemanticReport struct {
 	Sites      []*SiteReport
 	Structural []*contract.StructuralViolation
 	// StructuralConfirmedBy maps an index into Structural to the tests
-	// whose replay dynamically blocked inside the flagged method while a
-	// lock was held (the runtime-monitor confirmation of a static finding).
+	// whose replay ran the rule's hazard while the flagged method held a
+	// lock (the runtime-monitor confirmation of a static finding).
 	StructuralConfirmedBy map[int][]string
 	// SanityOK means at least one path verified — the paper keeps the
 	// "fixed" paths in the tree precisely so that a correct rule shows at
@@ -561,13 +531,13 @@ func (e *Engine) selector(digest string, tests []ticket.TestCase) *testsel.Selec
 
 // StructuralReport runs the structural check for sem over the system
 // program and, when violations surface and tests exist, confirms them under
-// the runtime blocking monitor. rctx bounds the confirmation replays.
+// the rule's runtime monitor. rctx bounds the confirmation replays.
 func (e *Engine) StructuralReport(rctx context.Context, ctx *AssertContext, sem *contract.Semantic, tm StageTimings) *SemanticReport {
 	sr := &SemanticReport{Semantic: sem}
 	tm.Time("structural", func() { sr.Structural = sem.Structural.Check(ctx.ProgSys) })
 	if len(sr.Structural) > 0 && len(ctx.Tests) > 0 {
 		tm.Time("structural-replay", func() {
-			sr.StructuralConfirmedBy = e.confirmStructural(rctx, ctx.ProgAll, sr.Structural, ctx.Tests)
+			sr.StructuralConfirmedBy = e.confirmStructural(rctx, ctx.ProgAll, sem.Structural, sr.Structural, ctx.Tests)
 		})
 	}
 	sr.SanityOK = true
@@ -610,11 +580,10 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 	tm.Time("static-paths", func() {
 		lim := e.solverLimits(rctx)
 		opts := concolic.Options{
-			MaxPaths:      e.MaxStaticPaths,
-			NoPrune:       e.NoPrune,
-			Ctx:           rctx,
-			Lim:           lim,
-			NoPrefixPrune: e.NoPrefixPrune,
+			MaxPaths: e.MaxStaticPaths,
+			NoPrune:  e.NoPrune,
+			Ctx:      rctx,
+			Lim:      lim,
 		}
 		chains := siteRep.Chains
 		if e.IntraOnly || len(chains) == 0 {
@@ -809,10 +778,10 @@ func (e *Engine) assertOver(rctx context.Context, ctx *AssertContext, tm StageTi
 	return report
 }
 
-// confirmStructural replays the test suite under the runtime blocking
-// monitor and attributes blocking-under-lock events to the statically
-// flagged methods.
-func (e *Engine) confirmStructural(rctx context.Context, prog *minij.Program, violations []*contract.StructuralViolation, tests []ticket.TestCase) map[int][]string {
+// confirmStructural replays the test suite under the rule's own runtime
+// monitor: a test confirms a finding when the rule's hazard ran while the
+// finding's method held a lock.
+func (e *Engine) confirmStructural(rctx context.Context, prog *minij.Program, rule *contract.LockRule, violations []*contract.StructuralViolation, tests []ticket.TestCase) map[int][]string {
 	confirmed := map[int][]string{}
 	for _, tc := range tests {
 		if rctx.Err() != nil {
@@ -820,15 +789,12 @@ func (e *Engine) confirmStructural(rctx context.Context, prog *minij.Program, vi
 			break
 		}
 		in := interp.NewWithOptions(prog, interp.Options{Ctx: rctx, StepBudget: e.Budget.StepBudget})
-		mon := &contract.RuntimeBlockingMonitor{}
-		mon.Attach(in)
+		mon := rule.Monitor(in)
 		// Expected exceptions do not invalidate observed events.
 		_, _ = in.CallStatic(tc.Class, tc.Method)
-		for _, ev := range mon.Events {
-			for i, v := range violations {
-				if ev.Method == v.Method.FullName() && !containsString(confirmed[i], tc.Name) {
-					confirmed[i] = append(confirmed[i], tc.Name)
-				}
+		for i, v := range violations {
+			if mon.Holders[v.Method.FullName()] {
+				confirmed[i] = append(confirmed[i], tc.Name)
 			}
 		}
 	}

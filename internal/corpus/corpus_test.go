@@ -253,7 +253,7 @@ func TestFigure6Generalization(t *testing.T) {
 		if s.Kind != contract.StructuralKind {
 			continue
 		}
-		if len(s.Structural.(contract.NoBlockingInSync).Only) > 0 {
+		if len(s.Structural.Only) > 0 {
 			literal = s
 		} else {
 			general = s

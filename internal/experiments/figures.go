@@ -206,7 +206,7 @@ func RunGeneralize(c *ticket.Corpus) string {
 		if s.Kind != contract.StructuralKind {
 			continue
 		}
-		if len(s.Structural.(contract.NoBlockingInSync).Only) > 0 {
+		if len(s.Structural.Only) > 0 {
 			literal = s
 		} else {
 			general = s

@@ -393,11 +393,12 @@ func semanticID(ticketID, callee string) string {
 // to the fixed method) and the generalized system-wide rule; the ablation
 // compares their reach.
 func generalizeBlocking(tk *ticket.Ticket, buggy, fixed *minij.Program) ([]*contract.Semantic, []string) {
-	buggyViolations := contract.NoBlockingInSync{}.Check(buggy)
+	rule := &contract.LockRule{Hazard: contract.BlockingIO}
+	buggyViolations := rule.Check(buggy)
 	if len(buggyViolations) == 0 {
 		return nil, nil
 	}
-	fixedViolations := contract.NoBlockingInSync{}.Check(fixed)
+	fixedViolations := rule.Check(fixed)
 	if len(fixedViolations) >= len(buggyViolations) {
 		return nil, nil
 	}
@@ -427,14 +428,14 @@ func generalizeBlocking(tk *ticket.Ticket, buggy, fixed *minij.Program) ([]*cont
 		ID:          strings.ToLower(tk.ID) + "-no-blocking-in-sync-literal",
 		Kind:        contract.StructuralKind,
 		Origin:      []string{tk.ID},
-		Structural:  contract.NoBlockingInSync{Only: removed},
+		Structural:  &contract.LockRule{Hazard: contract.BlockingIO, Only: removed},
 		Description: fmt.Sprintf("No blocking I/O inside the synchronized blocks of %s.", strings.Join(methods, ", ")),
 	}
 	general := &contract.Semantic{
 		ID:          strings.ToLower(tk.ID) + "-no-blocking-in-sync",
 		Kind:        contract.StructuralKind,
 		Origin:      []string{tk.ID},
-		Structural:  contract.NoBlockingInSync{},
+		Structural:  rule,
 		Description: "No blocking I/O within synchronized blocks, anywhere in the system.",
 	}
 	reasoning := []string{

@@ -239,11 +239,11 @@ func TestInferGeneralizesBlockingRule(t *testing.T) {
 	if literal == nil || general == nil {
 		t.Fatalf("expected literal+general structural semantics, got %v", res.Semantics)
 	}
-	rule := literal.Structural.(contract.NoBlockingInSync)
-	if !rule.Only["SyncProcessor.serializeNode"] {
+	rule := literal.Structural
+	if rule.Hazard != contract.BlockingIO || !rule.Only["SyncProcessor.serializeNode"] {
 		t.Errorf("literal scope = %v", rule.Only)
 	}
-	if len(general.Structural.(contract.NoBlockingInSync).Only) != 0 {
+	if general.Structural.Hazard != contract.BlockingIO || len(general.Structural.Only) != 0 {
 		t.Error("general rule should be unscoped")
 	}
 	// Without Generalize, no structural semantics appear.

@@ -257,7 +257,7 @@ func (in *Interp) callBuiltin(name string, args []Value, pos minij.Pos) (Value, 
 		if len(in.curMethod) > 0 {
 			method = in.curMethod[len(in.curMethod)-1].FullName()
 		}
-		ev := IOEvent{Builtin: name, Detail: detail, Blocking: sig.Blocking, LocksHeld: in.locksHeld, Pos: pos, Method: method}
+		ev := IOEvent{Builtin: name, Detail: detail, Blocking: sig.Blocking, LocksHeld: len(in.lockHolders), Pos: pos, Method: method}
 		in.IOLog = append(in.IOLog, ev)
 		if in.Hooks.OnBuiltin != nil {
 			in.Hooks.OnBuiltin(ev)

@@ -147,8 +147,9 @@ type Interp struct {
 	depth     int
 	curMethod []*minij.Method
 	maxDepth  int
-	locksHeld int
-	lockDepth map[Value]int
+	// lockHolders has one entry per synchronized block being executed,
+	// outermost first: the method whose body contains the block.
+	lockHolders []*minij.Method
 }
 
 // New returns an interpreter for prog with default options.
@@ -167,13 +168,12 @@ func NewWithOptions(prog *minij.Program, opts Options) *Interp {
 		maxDepth = DefaultMaxDepth
 	}
 	return &Interp{
-		Prog:      prog,
-		Clock:     opts.Clock,
-		Files:     map[string]string{},
-		budget:    budget,
-		ctx:       opts.Ctx,
-		maxDepth:  maxDepth,
-		lockDepth: map[Value]int{},
+		Prog:     prog,
+		Clock:    opts.Clock,
+		Files:    map[string]string{},
+		budget:   budget,
+		ctx:      opts.Ctx,
+		maxDepth: maxDepth,
 	}
 }
 
@@ -181,7 +181,12 @@ func NewWithOptions(prog *minij.Program, opts Options) *Interp {
 func (in *Interp) Steps() int { return in.steps }
 
 // LocksHeld reports the current synchronized-block nesting depth.
-func (in *Interp) LocksHeld() int { return in.locksHeld }
+func (in *Interp) LocksHeld() int { return len(in.lockHolders) }
+
+// LockHolders returns the method lexically containing each synchronized
+// block being executed, outermost first. The slice is the interpreter's
+// own; callers must not modify or retain it.
+func (in *Interp) LockHolders() []*minij.Method { return in.lockHolders }
 
 // CallStatic invokes a static method by qualified name with the given
 // arguments. An exception escaping the method is returned as *UncaughtError.
@@ -524,14 +529,9 @@ func (in *Interp) exec(s minij.Stmt, fr *Frame) (outcome, error) {
 		if IsNull(lock) {
 			return throw("NullPointerException", n.Lock.Pos()), nil
 		}
-		in.locksHeld++
-		in.lockDepth[lock]++
+		in.lockHolders = append(in.lockHolders, fr.Method)
 		out, err := in.execBlock(n.Body, fr)
-		in.lockDepth[lock]--
-		if in.lockDepth[lock] == 0 {
-			delete(in.lockDepth, lock)
-		}
-		in.locksHeld--
+		in.lockHolders = in.lockHolders[:len(in.lockHolders)-1]
 		return out, err
 	case *minij.ExprStmt:
 		_, exc, err := in.eval(n.E, fr)

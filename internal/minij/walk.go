@@ -3,31 +3,39 @@ package minij
 // WalkStmts visits s and every statement nested within it, in source order,
 // calling fn on each. Nil statements are skipped.
 func WalkStmts(s Stmt, fn func(Stmt)) {
-	if s == nil {
+	InspectStmts(s, func(st Stmt) bool {
+		fn(st)
+		return true
+	})
+}
+
+// InspectStmts is WalkStmts with pruning: when fn returns false, the
+// statements nested within the visited one are skipped.
+func InspectStmts(s Stmt, fn func(Stmt) bool) {
+	if s == nil || !fn(s) {
 		return
 	}
-	fn(s)
 	switch n := s.(type) {
 	case *Block:
 		for _, st := range n.Stmts {
-			WalkStmts(st, fn)
+			InspectStmts(st, fn)
 		}
 	case *If:
-		WalkStmts(n.Then, fn)
-		WalkStmts(n.Else, fn)
+		InspectStmts(n.Then, fn)
+		InspectStmts(n.Else, fn)
 	case *While:
-		WalkStmts(n.Body, fn)
+		InspectStmts(n.Body, fn)
 	case *For:
-		WalkStmts(n.Init, fn)
-		WalkStmts(n.Post, fn)
-		WalkStmts(n.Body, fn)
+		InspectStmts(n.Init, fn)
+		InspectStmts(n.Post, fn)
+		InspectStmts(n.Body, fn)
 	case *ForEach:
-		WalkStmts(n.Body, fn)
+		InspectStmts(n.Body, fn)
 	case *Try:
-		WalkStmts(n.Body, fn)
-		WalkStmts(n.Catch, fn)
+		InspectStmts(n.Body, fn)
+		InspectStmts(n.Catch, fn)
 	case *Sync:
-		WalkStmts(n.Body, fn)
+		InspectStmts(n.Body, fn)
 	}
 }
 

@@ -158,21 +158,22 @@ func (c *Cache) putStructural(fp string, sr *core.SemanticReport) {
 // selected tests and per-path coverage/verdict attributions, addressed by
 // (site index, path index). The addressing is sound because the dynamic
 // fingerprint covers every site fingerprint — a hit implies the static
-// structure is identical.
+// structure is identical. It is also the disk tier's fp.dyn.v1 record, as
+// JSON.
 type dynOverlay struct {
-	testsRun int
-	sites    []siteDyn
+	TestsRun int       `json:"testsRun"`
+	Sites    []siteDyn `json:"sites"`
 }
 
 type siteDyn struct {
-	selected []string
-	paths    []pathDyn
+	Selected []string  `json:"selected,omitempty"`
+	Paths    []pathDyn `json:"paths"`
 }
 
 type pathDyn struct {
-	coveredBy      []string
-	dynVerdicts    map[string]concolic.Verdict
-	postViolatedBy []string
+	CoveredBy      []string                    `json:"coveredBy,omitempty"`
+	DynVerdicts    map[string]concolic.Verdict `json:"dynVerdicts,omitempty"`
+	PostViolatedBy []string                    `json:"postViolatedBy,omitempty"`
 }
 
 // getDynamic serves a cached replay overlay.
@@ -224,17 +225,17 @@ func cloneStructural(sr *core.SemanticReport) *core.SemanticReport {
 }
 
 func (ov *dynOverlay) clone() *dynOverlay {
-	out := &dynOverlay{testsRun: ov.testsRun, sites: make([]siteDyn, len(ov.sites))}
-	for i, s := range ov.sites {
-		cs := siteDyn{selected: cloneStrings(s.selected), paths: make([]pathDyn, len(s.paths))}
-		for j, p := range s.paths {
-			cs.paths[j] = pathDyn{
-				coveredBy:      cloneStrings(p.coveredBy),
-				dynVerdicts:    cloneVerdicts(p.dynVerdicts),
-				postViolatedBy: cloneStrings(p.postViolatedBy),
+	out := &dynOverlay{TestsRun: ov.TestsRun, Sites: make([]siteDyn, len(ov.Sites))}
+	for i, s := range ov.Sites {
+		cs := siteDyn{Selected: cloneStrings(s.Selected), Paths: make([]pathDyn, len(s.Paths))}
+		for j, p := range s.Paths {
+			cs.Paths[j] = pathDyn{
+				CoveredBy:      cloneStrings(p.CoveredBy),
+				DynVerdicts:    cloneVerdicts(p.DynVerdicts),
+				PostViolatedBy: cloneStrings(p.PostViolatedBy),
 			}
 		}
-		out.sites[i] = cs
+		out.Sites[i] = cs
 	}
 	return out
 }
@@ -242,17 +243,17 @@ func (ov *dynOverlay) clone() *dynOverlay {
 // extractOverlay lifts the dynamic attributions out of a replayed semantic
 // report.
 func extractOverlay(sr *core.SemanticReport, testsRun int) *dynOverlay {
-	ov := &dynOverlay{testsRun: testsRun, sites: make([]siteDyn, len(sr.Sites))}
+	ov := &dynOverlay{TestsRun: testsRun, Sites: make([]siteDyn, len(sr.Sites))}
 	for i, siteRep := range sr.Sites {
-		s := siteDyn{selected: cloneStrings(siteRep.SelectedTests), paths: make([]pathDyn, len(siteRep.Paths))}
+		s := siteDyn{Selected: cloneStrings(siteRep.SelectedTests), Paths: make([]pathDyn, len(siteRep.Paths))}
 		for j, p := range siteRep.Paths {
-			s.paths[j] = pathDyn{
-				coveredBy:      cloneStrings(p.CoveredBy),
-				dynVerdicts:    cloneVerdicts(p.DynamicVerdicts),
-				postViolatedBy: cloneStrings(p.PostViolatedBy),
+			s.Paths[j] = pathDyn{
+				CoveredBy:      cloneStrings(p.CoveredBy),
+				DynVerdicts:    cloneVerdicts(p.DynamicVerdicts),
+				PostViolatedBy: cloneStrings(p.PostViolatedBy),
 			}
 		}
-		ov.sites[i] = s
+		ov.Sites[i] = s
 	}
 	return ov
 }
@@ -261,18 +262,18 @@ func extractOverlay(sr *core.SemanticReport, testsRun int) *dynOverlay {
 // whose static structure matches (guaranteed by the dynamic fingerprint).
 func applyOverlay(sr *core.SemanticReport, ov *dynOverlay) {
 	for i, siteRep := range sr.Sites {
-		if i >= len(ov.sites) {
+		if i >= len(ov.Sites) {
 			break
 		}
-		s := ov.sites[i]
-		siteRep.SelectedTests = cloneStrings(s.selected)
+		s := ov.Sites[i]
+		siteRep.SelectedTests = cloneStrings(s.Selected)
 		for j, p := range siteRep.Paths {
-			if j >= len(s.paths) {
+			if j >= len(s.Paths) {
 				break
 			}
-			p.CoveredBy = cloneStrings(s.paths[j].coveredBy)
-			p.DynamicVerdicts = cloneVerdicts(s.paths[j].dynVerdicts)
-			p.PostViolatedBy = cloneStrings(s.paths[j].postViolatedBy)
+			p.CoveredBy = cloneStrings(s.Paths[j].CoveredBy)
+			p.DynamicVerdicts = cloneVerdicts(s.Paths[j].DynVerdicts)
+			p.PostViolatedBy = cloneStrings(s.Paths[j].PostViolatedBy)
 		}
 	}
 }

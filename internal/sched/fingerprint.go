@@ -27,7 +27,7 @@ import (
 func semFingerprint(sem *contract.Semantic) string {
 	parts := []string{"sem", sem.ID, sem.Kind.String()}
 	if sem.Kind == contract.StructuralKind {
-		parts = append(parts, sem.Structural.Name(), scopeCanon(sem.Structural))
+		parts = append(parts, sem.Structural.Name(), strings.Join(sem.Structural.Scope(), ","))
 	} else {
 		pre, post := "", ""
 		if sem.Pre != nil {
@@ -44,23 +44,6 @@ func semFingerprint(sem *contract.Semantic) string {
 		parts = append(parts, pre, post, sem.Target.Callee, sem.Target.Within, strings.Join(binds, ","))
 	}
 	return program.HashParts(parts...)
-}
-
-// scopeCanon renders a structural rule's method restriction.
-func scopeCanon(rule contract.StructuralRule) string {
-	var scope map[string]bool
-	switch r := rule.(type) {
-	case contract.NoBlockingInSync:
-		scope = r.Only
-	case contract.NoNestedSync:
-		scope = r.Only
-	}
-	names := make([]string, 0, len(scope))
-	for n := range scope {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
 }
 
 // staticEngineFP captures the engine options that change static-stage

@@ -14,7 +14,7 @@ import (
 // reads as a clean miss instead of a decode failure.
 const (
 	siteNamespace       = "fp.site.v1"
-	structuralNamespace = "fp.str.v1"
+	structuralNamespace = "fp.str.v2"
 	dynamicNamespace    = "fp.dyn.v1"
 )
 
@@ -65,22 +65,6 @@ type structuralRecord struct {
 	SanityOK    bool              `json:"sanityOK"`
 	Violations  []violationRecord `json:"violations,omitempty"`
 	ConfirmedBy map[int][]string  `json:"confirmedBy,omitempty"`
-}
-
-type dynPathRecord struct {
-	CoveredBy      []string       `json:"coveredBy,omitempty"`
-	DynVerdicts    map[string]int `json:"dynVerdicts,omitempty"`
-	PostViolatedBy []string       `json:"postViolatedBy,omitempty"`
-}
-
-type dynSiteRecord struct {
-	Selected []string        `json:"selected,omitempty"`
-	Paths    []dynPathRecord `json:"paths"`
-}
-
-type dynRecord struct {
-	TestsRun int             `json:"testsRun"`
-	Sites    []dynSiteRecord `json:"sites"`
 }
 
 // --- formulas -------------------------------------------------------------
@@ -231,40 +215,6 @@ func decodeStructural(rec *structuralRecord, sem *contract.Semantic, prog *minij
 	return sr, true
 }
 
-// --- dynamic records ------------------------------------------------------
-
-func encodeDynamic(ov *dynOverlay) *dynRecord {
-	rec := &dynRecord{TestsRun: ov.testsRun, Sites: make([]dynSiteRecord, len(ov.sites))}
-	for i, s := range ov.sites {
-		ds := dynSiteRecord{Selected: s.selected, Paths: make([]dynPathRecord, len(s.paths))}
-		for j, p := range s.paths {
-			ds.Paths[j] = dynPathRecord{
-				CoveredBy:      p.coveredBy,
-				DynVerdicts:    encodeVerdicts(p.dynVerdicts),
-				PostViolatedBy: p.postViolatedBy,
-			}
-		}
-		rec.Sites[i] = ds
-	}
-	return rec
-}
-
-func decodeDynamic(rec *dynRecord) *dynOverlay {
-	ov := &dynOverlay{testsRun: rec.TestsRun, sites: make([]siteDyn, len(rec.Sites))}
-	for i, ds := range rec.Sites {
-		s := siteDyn{selected: ds.Selected, paths: make([]pathDyn, len(ds.Paths))}
-		for j, p := range ds.Paths {
-			s.paths[j] = pathDyn{
-				coveredBy:      p.CoveredBy,
-				dynVerdicts:    decodeVerdicts(p.DynVerdicts),
-				postViolatedBy: p.PostViolatedBy,
-			}
-		}
-		ov.sites[i] = s
-	}
-	return ov
-}
-
 // --- disk tier ------------------------------------------------------------
 
 // diskGet restores one JSON record through the disk tier: it must
@@ -319,8 +269,8 @@ func (c *Cache) diskPutStructural(fp string, sr *core.SemanticReport) {
 
 // diskGetDynamic serves a replay overlay from the disk tier.
 func (c *Cache) diskGetDynamic(fp string) (ov *dynOverlay, ok bool) {
-	ok = diskGet(c, dynamicNamespace, fp, func(rec *dynRecord) bool {
-		ov = decodeDynamic(rec)
+	ok = diskGet(c, dynamicNamespace, fp, func(rec *dynOverlay) bool {
+		ov = rec
 		return true
 	})
 	return ov, ok
@@ -328,6 +278,6 @@ func (c *Cache) diskGetDynamic(fp string) (ov *dynOverlay, ok bool) {
 
 func (c *Cache) diskPutDynamic(fp string, ov *dynOverlay) {
 	if c.Attached() {
-		c.diskPut(dynamicNamespace, fp, encodeDynamic(ov))
+		c.diskPut(dynamicNamespace, fp, ov)
 	}
 }

@@ -1,10 +1,15 @@
 package sched
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"lisa/internal/concolic"
+	"lisa/internal/core"
+	"lisa/internal/corpus"
 	"lisa/internal/faultinject"
 	"lisa/internal/store"
 )
@@ -165,5 +170,104 @@ func TestStoreDisabledUnchanged(t *testing.T) {
 	cs := s.Cache().Stats()
 	if cs.DiskHits != 0 || cs.DiskMisses != 0 || cs.DiskWrites != 0 {
 		t.Fatalf("disk counters moved without a store: %+v", cs)
+	}
+}
+
+// dynRecordV1 is an fp.dyn.v1 record as the encoder that mirrored
+// dynOverlay field for field wrote it.
+const dynRecordV1 = `{"testsRun":3,"sites":[{"selected":["T.a","T.b"],"paths":[{"coveredBy":["T.a"],"dynVerdicts":{"T.a":0,"T.b":1},"postViolatedBy":["T.a"]},{}]},{"paths":[]}]}`
+
+// TestDynamicRecordBytesUnchanged: a replay overlay is its own fp.dyn.v1
+// record. A record written before the mirror types were deleted decodes to
+// the overlay it came from, and encoding that overlay gives the same bytes.
+func TestDynamicRecordBytesUnchanged(t *testing.T) {
+	want := &dynOverlay{TestsRun: 3, Sites: []siteDyn{
+		{Selected: []string{"T.a", "T.b"}, Paths: []pathDyn{
+			{CoveredBy: []string{"T.a"}, DynVerdicts: map[string]concolic.Verdict{"T.b": concolic.VerdictViolation, "T.a": concolic.VerdictVerified}, PostViolatedBy: []string{"T.a"}},
+			{DynVerdicts: map[string]concolic.Verdict{}},
+		}},
+		{Paths: []pathDyn{}},
+	}}
+	raw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != dynRecordV1 {
+		t.Errorf("encoded overlay:\n%s\nwant:\n%s", raw, dynRecordV1)
+	}
+	var got dynOverlay
+	if err := json.Unmarshal([]byte(dynRecordV1), &got); err != nil {
+		t.Fatal(err)
+	}
+	// The empty verdict map is omitted on disk and decodes as nil.
+	want.Sites[0].Paths[1].DynVerdicts = nil
+	if !reflect.DeepEqual(&got, want) {
+		t.Errorf("decoded %+v, want %+v", got, *want)
+	}
+}
+
+// TestStructuralV1RecordIsMiss: structural records moved to fp.str.v2
+// when each finding began to be confirmed by its own rule's monitor, so a
+// record stored only under fp.str.v1 is recomputed, never served. The same
+// bytes under the current namespace are served.
+func TestStructuralV1RecordIsMiss(t *testing.T) {
+	cs := corpus.Load().Get("zk-sync-serialize")
+	e := engineForCase(t, cs)
+	src := cs.Tickets[1].BuggySource
+	ctx, err := e.Prepare(src, nil, core.StageTimings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []string
+	for _, sp := range New().plan(e, ctx, nil) {
+		if sp.structural != nil {
+			fps = append(fps, sp.structural.fp)
+		}
+	}
+	if len(fps) == 0 {
+		t.Fatal("no structural jobs planned")
+	}
+
+	warmStore := openStoreT(t)
+	warm := New()
+	warm.Cache().SetStore(warmStore)
+	base, _, err := warm.Assert(e, src, nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warmStore.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tt := range []struct {
+		ns   string
+		hits uint64
+	}{
+		{"fp.str.v1", 0},
+		{structuralNamespace, uint64(len(fps))},
+	} {
+		st := openStoreT(t)
+		for _, fp := range fps {
+			raw, ok := warmStore.Get(structuralNamespace, fp)
+			if !ok {
+				t.Fatalf("no %s record for %s", structuralNamespace, fp)
+			}
+			st.Put(tt.ns, fp, raw)
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		cold := New()
+		cold.Cache().SetStore(st)
+		rep, stats, err := cold.Assert(e, src, nil, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.DiskHits != tt.hits {
+			t.Errorf("records under %s: %d disk hits, want %d", tt.ns, stats.DiskHits, tt.hits)
+		}
+		if rep.Render() != base.Render() {
+			t.Errorf("records under %s changed the report:\n%s", tt.ns, rep.Render())
+		}
 	}
 }

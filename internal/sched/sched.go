@@ -19,7 +19,6 @@ import (
 	"lisa/internal/diffutil"
 	"lisa/internal/minij"
 	"lisa/internal/program"
-	"lisa/internal/smt"
 	"lisa/internal/ticket"
 )
 
@@ -84,13 +83,6 @@ type Stats struct {
 	DirtyMethods []string
 	// DirtyAll marks a change that could not be localized to method bodies.
 	DirtyAll bool
-	// SolverQueries and SolverCacheHits count the satisfiability queries
-	// the run issued and how many the solver result cache answered.
-	// Exact when the engine carries a private solver cache (core.Engine
-	// .Solver); otherwise they are deltas of the process-wide smt
-	// counters, approximate when other runs share the process.
-	SolverQueries   uint64
-	SolverCacheHits uint64
 }
 
 // Scheduler executes assertion runs over a persistent fingerprint cache.
@@ -231,23 +223,6 @@ func (s *Scheduler) assertContext(parent context.Context, e *core.Engine, ctx *c
 	stats := &Stats{Workers: workers}
 	diskBefore := s.cache.TierStats().DiskHits
 	defer func() { stats.DiskHits = s.cache.TierStats().DiskHits - diskBefore }()
-	if e.Solver != nil {
-		// A private solver cache gives an exact per-run delta no matter
-		// what the rest of the process does concurrently.
-		before := e.Solver.Stats()
-		defer func() {
-			d := e.Solver.Stats().Sub(before)
-			stats.SolverQueries = d.Queries
-			stats.SolverCacheHits = d.Hits
-		}()
-	} else {
-		solverBefore := smt.Stats()
-		defer func() {
-			solverAfter := smt.Stats()
-			stats.SolverQueries = solverAfter.Queries - solverBefore.Queries
-			stats.SolverCacheHits = solverAfter.CacheHits - solverBefore.CacheHits
-		}()
-	}
 
 	var dirty *Dirty
 	if opts.Incremental && (opts.Base != nil || opts.BaseSource != "") {
@@ -541,13 +516,13 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 	case jobDynamic:
 		if ov, ok := s.cache.getDynamic(j.fp); ok {
 			applyOverlay(j.sr, ov)
-			j.testsRun = ov.testsRun
+			j.testsRun = ov.TestsRun
 			j.cacheHit = true
 			return
 		}
 		if ov, ok := s.cache.diskGetDynamic(j.fp); ok {
 			applyOverlay(j.sr, ov)
-			j.testsRun = ov.testsRun
+			j.testsRun = ov.TestsRun
 			s.cache.putDynamic(j.fp, ov)
 			j.cacheHit = true
 			return

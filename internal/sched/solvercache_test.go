@@ -43,20 +43,3 @@ func TestSolverCacheDoesNotChangeReports(t *testing.T) {
 		})
 	}
 }
-
-// TestStatsCarrySolverDeltas: a scheduled run reports how many solver
-// queries it issued; a fresh formula-heavy run must issue at least one.
-func TestStatsCarrySolverDeltas(t *testing.T) {
-	e := engineWithRule(t)
-	s := New()
-	_, stats, err := s.Assert(e, sysFixed, testSuite(), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SolverQueries == 0 {
-		t.Error("cold scheduled run reported zero solver queries")
-	}
-	if stats.SolverCacheHits > stats.SolverQueries {
-		t.Errorf("solver cache hits (%d) exceed queries (%d)", stats.SolverCacheHits, stats.SolverQueries)
-	}
-}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"lisa/internal/core"
@@ -10,7 +8,6 @@ import (
 	"lisa/internal/sched"
 	"lisa/internal/smt"
 	"lisa/internal/store"
-	"lisa/internal/ticket"
 )
 
 // GateRequest asks the daemon to run the CI gate for a proposed change
@@ -200,36 +197,4 @@ type StatsResponse struct {
 // errorResponse is the JSON body of every non-2xx reply.
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// resolveTarget picks the source an assert request targets, mirroring the
-// version semantics of the lisa CLI: an explicit source wins, then "head"
-// (default), "latest", or "<ticket-id>:buggy|fixed".
-func resolveTarget(cs *ticket.Case, version, source string) (string, error) {
-	if source != "" {
-		return source, nil
-	}
-	switch version {
-	case "", "head":
-		return cs.Head(), nil
-	case "latest":
-		if cs.Latest == "" {
-			return "", fmt.Errorf("case %s has no latest head", cs.ID)
-		}
-		return cs.Latest, nil
-	}
-	parts := strings.SplitN(version, ":", 2)
-	if len(parts) != 2 || (parts[1] != "buggy" && parts[1] != "fixed") {
-		return "", fmt.Errorf("bad version %q (want head, latest, or <ticket-id>:buggy|fixed)", version)
-	}
-	for _, tk := range cs.Tickets {
-		if tk.ID != parts[0] {
-			continue
-		}
-		if parts[1] == "buggy" {
-			return tk.BuggySource, nil
-		}
-		return tk.FixedSource, nil
-	}
-	return "", fmt.Errorf("no version %q in case %s", version, cs.ID)
 }

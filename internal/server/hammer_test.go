@@ -74,7 +74,7 @@ func TestHammerByteIdentity(t *testing.T) {
 			{id + "/assert-head-tests", "head", true},
 			{id + "/assert-buggy", cs.Tickets[0].ID + ":buggy", false},
 		} {
-			target, err := resolveTarget(cs, a.version, "")
+			target, err := cs.Version(a.version)
 			if err != nil {
 				t.Fatalf("%s: %v", a.name, err)
 			}

@@ -83,9 +83,6 @@ type Config struct {
 	// Budget is the default per-request budget (zero = no deadlines,
 	// package defaults).
 	Budget core.Budget
-	// SnapshotCapacity bounds the server's private snapshot cache
-	// (0 = program.DefaultCapacity).
-	SnapshotCapacity int
 	// Store, when set, is the shared on-disk tier behind every cache the
 	// daemon owns (snapshots, per-case fingerprints, per-case solver
 	// results). The caller opens and closes it; the server only attaches.
@@ -159,7 +156,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		corpus:    cfg.Corpus,
-		snapshots: program.NewCache(cfg.SnapshotCapacity),
+		snapshots: program.NewCache(program.DefaultCapacity),
 		hist:      NewHistory(cfg.HistorySize),
 		started:   time.Now(),
 		cases:     map[string]*caseRuntime{},
@@ -485,10 +482,13 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	target, err := resolveTarget(rt.cs, req.Version, req.Source)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	// An explicit source wins over the version spec, as in the lisa CLI.
+	target := req.Source
+	if target == "" {
+		if target, err = rt.cs.Version(req.Version); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 	s.stateMu.Lock()
 	s.reqAssert++

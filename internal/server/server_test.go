@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,14 +182,16 @@ func TestAssertByteIdentity(t *testing.T) {
 		tests   bool
 	}{
 		{"head", "head", false},
+		{"default", "", false},
 		{"buggy", cs.Tickets[0].ID + ":buggy", false},
+		{"fixed", cs.Tickets[0].ID + ":fixed", false},
 		{"head+tests", "head", true},
 	} {
 		resp, err := cl.Assert(AssertRequest{Case: cs.ID, Version: tt.version, Tests: tt.tests})
 		if err != nil {
 			t.Fatalf("%s: %v", tt.name, err)
 		}
-		target, err := resolveTarget(cs, tt.version, "")
+		target, err := cs.Version(tt.version)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +213,15 @@ func TestAssertByteIdentity(t *testing.T) {
 }
 
 // TestAssertBadVersion: version resolution errors surface as 4xx, not 500.
+// A misspelled side is rejected, as the lisa CLI rejects it.
 func TestAssertBadVersion(t *testing.T) {
 	_, cl, done := newTestServer(t, Config{})
 	defer done()
-	if _, err := cl.Assert(AssertRequest{Case: "zk-ephemeral", Version: "nope:sideways"}); err == nil {
-		t.Fatal("want error for bad version")
+	for _, version := range []string{"nope:sideways", "ZKS-1208:bugy", "ZKS-1208", "ZKS-9999:buggy", "latest"} {
+		_, err := cl.Assert(AssertRequest{Case: "zk-ephemeral", Version: version})
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Errorf("version %q: err = %v, want a 400", version, err)
+		}
 	}
 	if _, err := cl.Assert(AssertRequest{Case: "no-such-case"}); err == nil {
 		t.Fatal("want error for unknown case")

@@ -114,6 +114,35 @@ func (c *Case) Head() string {
 	return ""
 }
 
+// Version returns the system source a version spec names: "head" (or
+// empty) for Head, "latest" for Latest, or "<ticket-id>:buggy" and
+// "<ticket-id>:fixed" for one ticket's sources.
+func (c *Case) Version(spec string) (string, error) {
+	switch spec {
+	case "", "head":
+		return c.Head(), nil
+	case "latest":
+		if c.Latest == "" {
+			return "", fmt.Errorf("case %s has no latest head", c.ID)
+		}
+		return c.Latest, nil
+	}
+	id, side, ok := strings.Cut(spec, ":")
+	if !ok || (side != "buggy" && side != "fixed") {
+		return "", fmt.Errorf("bad version %q (want head, latest, or <ticket-id>:buggy|fixed)", spec)
+	}
+	for _, tk := range c.Tickets {
+		if tk.ID != id {
+			continue
+		}
+		if side == "buggy" {
+			return tk.BuggySource, nil
+		}
+		return tk.FixedSource, nil
+	}
+	return "", fmt.Errorf("no version %q in case %s", spec, c.ID)
+}
+
 // Bugs returns the number of bugs in the case (one per ticket).
 func (c *Case) Bugs() int { return len(c.Tickets) }
 

@@ -84,3 +84,37 @@ func TestCorpusStats(t *testing.T) {
 		t.Errorf("names = %v", names)
 	}
 }
+
+func TestCaseVersion(t *testing.T) {
+	tk := sample()
+	c := &Case{ID: "sys", Tickets: []*Ticket{tk}}
+	withLatest := &Case{ID: "sys", Tickets: []*Ticket{tk}, Latest: "class Latest {\n}\n"}
+	for _, tt := range []struct {
+		c       *Case
+		spec    string
+		want    string
+		wantErr string
+	}{
+		{c, "", tk.FixedSource, ""},
+		{c, "head", tk.FixedSource, ""},
+		{withLatest, "head", withLatest.Latest, ""},
+		{withLatest, "latest", withLatest.Latest, ""},
+		{c, "latest", "", "has no latest head"},
+		{c, "SYS-1:buggy", tk.BuggySource, ""},
+		{c, "SYS-1:fixed", tk.FixedSource, ""},
+		{c, "SYS-1:bugy", "", "bad version"},
+		{c, "SYS-1", "", "bad version"},
+		{c, "SYS-2:buggy", "", "no version"},
+	} {
+		got, err := tt.c.Version(tt.spec)
+		if tt.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Errorf("Version(%q): err = %v, want %q", tt.spec, err, tt.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tt.want {
+			t.Errorf("Version(%q) = %q, %v; want %q", tt.spec, got, err, tt.want)
+		}
+	}
+}

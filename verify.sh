@@ -1,13 +1,15 @@
 #!/bin/sh
-# Full verify: tier-1 (build + all tests), vet, gofmt (any unformatted
-# file fails), the race-detector suites for the packages with concurrency
-# (scheduler worker pool, snapshot cache, solver result cache, the shared
-# LRU under them, prefix-pruning walker, fault injector, the on-disk store
-# with its goroutine hammer, and the serve daemon with its request hammer
-# and admission control), the bounded fingerprint cache test by name
-# (ten race-detector rounds of a capped cache gating a stream of edits:
-# the cap holds, entries evict, reports and executed-job counts match),
-# the cross-engine memo test by name (ten race-detector rounds of two
+# Full verify: tier-1 (build + all tests), vet, a vet of the bench/
+# benchmark module (its own module, built against this one: a renamed or
+# deleted exported name it uses fails here, not in a benchmark run), gofmt
+# (any unformatted file fails), the race-detector suites for the packages
+# with concurrency (scheduler worker pool, snapshot cache, solver result
+# cache, the shared LRU under them, prefix-pruning walker, fault injector,
+# the on-disk store with its goroutine hammer, and the serve daemon with
+# its request hammer and admission control), the bounded fingerprint cache
+# test by name (ten race-detector rounds of a capped cache gating a stream
+# of edits: the cap holds, entries evict, reports and executed-job counts
+# match), the cross-engine memo test by name (ten race-detector rounds of two
 # engines sharing one snapshot cache, registering one rule ID under two
 # descriptions and gating the same sources concurrently: each report must
 # equal its own engine's sequential run), the daemon /stats test by name
@@ -44,6 +46,7 @@ set -ex
 go build ./...
 go test ./...
 go vet ./...
+(cd bench && go vet ./...)
 test -z "$(gofmt -l .)"
 go test -race ./internal/sched/... ./internal/program/... ./internal/lru/... ./internal/faultinject/... ./internal/smt/... ./internal/concolic/... ./internal/server/... ./internal/store/...
 go test -race -count=10 -run TestBoundedFingerprintCacheStaysWarm ./internal/sched
