@@ -25,7 +25,7 @@
 //	    Assert the case's rules over an arbitrary MiniJ source file.
 //	    Assertions run on the parallel scheduler with a GOMAXPROCS-wide
 //	    pool by default; -workers N overrides the width, and -workers 1
-//	    selects the sequential engine loop (the byte-identity baseline).
+//	    runs every job inline on the calling goroutine.
 //
 //	lisa gate -case <id> -change <file> [-workers N] [-incremental]
 //	    Run the CI gate for a proposed full-source change against the
@@ -52,8 +52,11 @@
 //
 //	lisa gate -remote URL ... / lisa assert -remote URL ...
 //	    Run gate or assert through a daemon at URL instead of in-process.
-//	    A cold client against a warm server skips the whole front end; the
-//	    report and exit code are identical to the local run. Transient
+//	    A cold client against a warm server skips the whole front end.
+//	    Without -remote, and on failover, the command sends the same
+//	    request to an in-process server.Server, so every path prints from
+//	    one renderer with the same exit code; only the cache-hit lines
+//	    show how warm the daemon was. Transient
 //	    daemon failures (connection refused, timeout, 503-drain, overload
 //	    shed) are retried -remote-retries times (default 3) under seeded
 //	    jittered exponential backoff honoring the server's Retry-After;
@@ -82,50 +85,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"sync"
 	"time"
 
-	"lisa/internal/ci"
-	"lisa/internal/concolic"
 	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/corpus"
 	"lisa/internal/experiments"
 	"lisa/internal/infer"
-	"lisa/internal/program"
-	"lisa/internal/sched"
 	"lisa/internal/server"
-	"lisa/internal/smt"
 	"lisa/internal/store"
 	"lisa/internal/ticket"
 )
-
-// attachStore opens (creating if needed) the on-disk cache store at dir and
-// wires it behind private snapshot and solver caches on the engine, so a
-// cold process starts warm from a previous run's results. The returned
-// cleanup flushes the write-behind queue and releases the store lock; it is
-// idempotent so the blocking-verdict paths can flush explicitly before
-// os.Exit (which skips deferred calls) while the normal return still runs
-// the deferred copy.
-func attachStore(dir string, e *core.Engine) (*store.Store, func(), error) {
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open store %s: %w", dir, err)
-	}
-	snaps := program.NewCache(0)
-	snaps.SetStore(st)
-	e.Snapshots = snaps
-	e.Solver = smt.NewQueryCache(0)
-	e.Solver.SetStore(st)
-	var once sync.Once
-	return st, func() {
-		once.Do(func() {
-			st.Flush()
-			st.Close()
-		})
-	}, nil
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -387,146 +357,32 @@ func runAssert(args []string) error {
 	version := fs.String("version", "head", "target version: head, latest, or <ticket-id>:buggy|fixed")
 	sourcePath := fs.String("source", "", "path to a MiniJ source file to assert over")
 	withTests := fs.Bool("tests", false, "also replay similarity-selected tests")
-	workers := fs.Int("workers", 0, "scheduler pool width; 0 = GOMAXPROCS (the default), 1 = the sequential engine loop")
-	storeDir := fs.String("store", "", "back the snapshot, solver, and fingerprint caches with an on-disk store at this directory (created if missing)")
-	remote := fs.String("remote", "", "assert through a running lisa serve daemon at this base URL instead of in-process")
-	remoteRetries := fs.Int("remote-retries", server.DefaultRemoteRetries, "with -remote: retries after a transient daemon failure (connection refused, timeout, drain, overload)")
-	remoteTimeout := fs.Duration("remote-timeout", 0, "with -remote: overall deadline across all attempts and backoff sleeps (0 = none)")
-	remoteFailover := fs.Bool("remote-failover", true, "with -remote: fall back to in-process execution when the daemon stays unreachable, times out, or drains past the retry budget")
-	remoteToken := fs.String("remote-token", "", "with -remote: client identity for the daemon's per-token admission quotas")
+	rf := addRequestFlags(fs, "assert")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	id := *caseID
-	if id == "" {
-		id = *rulesID
+	req := server.AssertRequest{Case: *caseID, Version: *version, Tests: *withTests}
+	if req.Case == "" {
+		req.Case = *rulesID
 	}
-	if id == "" {
+	if req.Case == "" {
 		return fmt.Errorf("need -case or -rules")
 	}
-	if *remote != "" {
-		req := server.AssertRequest{Case: id, Version: *version, Tests: *withTests}
-		if *sourcePath != "" {
-			data, err := os.ReadFile(*sourcePath)
-			if err != nil {
-				return err
-			}
-			req.Source = string(data)
-		}
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				req.Workers = *workers
-			}
-		})
-		err := remoteAssert(*remote, req, remotePolicy(*remoteRetries, *remoteTimeout, 0), *remoteToken)
-		if !failoverable(err, *remoteFailover) {
-			return err
-		}
-		// Fall through to the local path below — the same code a store-less
-		// (or -store-backed) local invocation runs, so the printed report is
-		// byte-identical to one.
-		fmt.Fprintf(os.Stderr, "lisa: %v; failing over to local execution\n", err)
-	}
-	cs := corpus.Load().Get(id)
-	if cs == nil {
-		return fmt.Errorf("unknown case %q (try 'lisa list')", id)
-	}
-
-	e := core.New()
-	var st *store.Store
-	flushStore := func() {}
-	if *storeDir != "" {
-		s, cleanup, err := attachStore(*storeDir, e)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		flushStore = cleanup
-		st = s
-	}
-	for _, tk := range cs.Tickets {
-		rep, err := e.ProcessTicket(tk)
-		if err != nil {
-			return fmt.Errorf("process %s: %w", tk.ID, err)
-		}
-		for _, sem := range rep.Registered {
-			fmt.Printf("registered %s\n", sem)
-		}
-		for _, sem := range rep.AlreadyKnown {
-			fmt.Printf("ticket %s re-derives known rule %s\n", tk.ID, sem.ID)
-		}
-	}
-
 	// -source wins over -version.
-	var target string
-	var err error
 	if *sourcePath != "" {
-		var data []byte
-		data, err = os.ReadFile(*sourcePath)
-		target = string(data)
-	} else {
-		target, err = cs.Version(*version)
-	}
-	if err != nil {
-		return err
-	}
-
-	var tests []ticket.TestCase
-	if *withTests {
-		tests = cs.Tests
-	}
-	var rep *core.AssertReport
-	if *workers != 1 || st != nil {
-		s := sched.New()
-		s.Cache().SetStore(st)
-		var stats *sched.Stats
-		rep, stats, err = s.Assert(e, target, tests, sched.Options{Workers: *workers})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nscheduled %d jobs on %d workers (%d site, %d dynamic, %d structural)\n",
-			stats.Jobs, stats.Workers, stats.SiteJobs, stats.DynamicJobs, stats.StructuralJobs)
-		if stats.DiskHits > 0 {
-			fmt.Printf("store: %d job(s) served from the disk tier\n", stats.DiskHits)
-		}
-		if stats.SnapshotRestores > 0 {
-			fmt.Printf("snapshots: %d restored from the store (%d decoded, %d deep-verified)\n",
-				stats.SnapshotRestores, stats.SnapshotRestoresDecoded, stats.SnapshotRestoresDeepVerified)
-		}
-	} else {
-		rep, err = e.Assert(target, tests)
-		if err != nil {
+		var err error
+		if req.Source, err = readSource(*sourcePath); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("\nverdicts: %d verified, %d violations, %d unknown, %d uncovered\n\n",
-		rep.Counts.Verified, rep.Counts.Violations, rep.Counts.Unknown, rep.Counts.Uncovered)
-	for _, sr := range rep.Semantics {
-		for _, v := range sr.Structural {
-			fmt.Printf("VIOLATION [%s] %s\n", sr.Semantic.ID, v)
+	req.Workers = rf.explicitWorkers(fs)
+	return rf.send(0, func(d daemon) (string, bool, error) {
+		resp, err := d.Assert(req)
+		if err != nil {
+			return "", false, err
 		}
-		for _, site := range sr.Sites {
-			for _, p := range site.Paths {
-				mark := "  "
-				if p.Verdict == concolic.VerdictViolation {
-					mark = "!!"
-				}
-				fmt.Printf("%s %-9s %s  cond={%s}", mark, p.Verdict, site.Site, p.Static.Cond)
-				if len(p.CoveredBy) > 0 {
-					fmt.Printf("  covered by %s", strings.Join(p.CoveredBy, ","))
-				}
-				fmt.Println()
-			}
-		}
-		if !sr.SanityOK {
-			fmt.Printf("WARN [%s] sanity check failed: no verified path anywhere\n", sr.Semantic.ID)
-		}
-	}
-	if rep.Counts.Violations > 0 {
-		flushStore()
-		os.Exit(1)
-	}
-	return nil
+		return resp.Summary, resp.Counts.Violations > 0, nil
+	})
 }
 
 func runGate(args []string) error {
@@ -534,7 +390,6 @@ func runGate(args []string) error {
 	caseID := fs.String("case", "", "corpus case id providing the registered rules")
 	changePath := fs.String("change", "", "path to the proposed full MiniJ source")
 	summary := fs.String("summary", "proposed change", "change summary for the gate log")
-	workers := fs.Int("workers", 0, "scheduler pool width; 0 = GOMAXPROCS (the default), 1 = the sequential engine loop")
 	incremental := fs.Bool("incremental", false, "prime the fingerprint cache on the current head, then gate only what the change impacts")
 	failClosed := fs.Bool("fail-closed", true, "block the change when any contract's assertion is INCONCLUSIVE (degraded by a deadline, budget, or contained crash)")
 	failOpen := fs.Bool("fail-open", false, "downgrade INCONCLUSIVE outcomes to warnings and let the change pass; overrides -fail-closed")
@@ -542,105 +397,145 @@ func runGate(args []string) error {
 	jobTimeout := fs.Duration("job-timeout", 0, "deadline per assertion job (0 = none)")
 	solverNodes := fs.Int("solver-nodes", 0, "DPLL node ceiling per SMT query (0 = default)")
 	stepBudget := fs.Int("step-budget", 0, "interpreter statement ceiling per test replay (0 = default)")
-	storeDir := fs.String("store", "", "back the snapshot, solver, and fingerprint caches with an on-disk store at this directory (created if missing)")
-	remote := fs.String("remote", "", "gate through a running lisa serve daemon at this base URL (e.g. http://127.0.0.1:7333) instead of in-process")
-	remoteRetries := fs.Int("remote-retries", server.DefaultRemoteRetries, "with -remote: retries after a transient daemon failure (connection refused, timeout, drain, overload)")
-	remoteTimeout := fs.Duration("remote-timeout", 0, "with -remote: overall deadline across all attempts and backoff sleeps (0 = none)")
-	remoteFailover := fs.Bool("remote-failover", true, "with -remote: fall back to in-process execution when the daemon stays unreachable, times out, or drains past the retry budget")
-	remoteToken := fs.String("remote-token", "", "with -remote: client identity for the daemon's per-token admission quotas")
+	rf := addRequestFlags(fs, "gate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *caseID == "" || *changePath == "" {
 		return fmt.Errorf("need -case and -change")
 	}
-	data, err := os.ReadFile(*changePath)
+	change, err := readSource(*changePath)
 	if err != nil {
 		return err
 	}
-	if *remote != "" {
-		req := server.GateRequest{
-			Case:        *caseID,
-			Change:      string(data),
-			Summary:     *summary,
-			Incremental: *incremental,
-			FailOpen:    *failOpen || !*failClosed,
-		}
-		// The daemon picks its own pool width unless -workers was given
-		// explicitly (both sides default to GOMAXPROCS, but the daemon's
-		// operator may have configured a different width).
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "workers":
-				req.Workers = *workers
-			case "run-timeout", "job-timeout", "solver-nodes", "step-budget":
-				req.Budget = &server.BudgetSpec{
-					RunTimeoutMS: runTimeout.Milliseconds(),
-					JobTimeoutMS: jobTimeout.Milliseconds(),
-					SolverNodes:  *solverNodes,
-					StepBudget:   *stepBudget,
-				}
+	req := server.GateRequest{
+		Case:        *caseID,
+		Change:      change,
+		Summary:     *summary,
+		Incremental: *incremental,
+		FailOpen:    *failOpen || !*failClosed,
+		Workers:     rf.explicitWorkers(fs),
+	}
+	// The budget rides in the request only when a budget flag was given;
+	// otherwise the daemon applies its own default.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "run-timeout", "job-timeout", "solver-nodes", "step-budget":
+			req.Budget = &server.BudgetSpec{
+				RunTimeoutMS: float64(*runTimeout) / float64(time.Millisecond),
+				JobTimeoutMS: float64(*jobTimeout) / float64(time.Millisecond),
+				SolverNodes:  *solverNodes,
+				StepBudget:   *stepBudget,
 			}
-		})
-		err := remoteGate(*remote, req, remotePolicy(*remoteRetries, *remoteTimeout, *runTimeout), *remoteToken)
-		if !failoverable(err, *remoteFailover) {
-			return err
 		}
-		// Fall through to the local gate below — the same code a pure-local
-		// invocation runs, so the printed gate log is byte-identical to one,
-		// and a shared -store still applies.
+	})
+	return rf.send(*runTimeout, func(d daemon) (string, bool, error) {
+		resp, err := d.Gate(req)
+		if err != nil {
+			return "", false, err
+		}
+		return resp.Summary, !resp.Pass, nil
+	})
+}
+
+// readSource reads a MiniJ source file named by a flag. An empty file is
+// an error: the daemon would read an empty change or source as absent.
+func readSource(path string) (string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", err
+	}
+	if len(data) == 0 {
+		return "", fmt.Errorf("%s: empty source file", path)
+	}
+	return string(data), nil
+}
+
+// daemon runs gate and assert requests: a lisa serve daemon behind a
+// *server.Client, or an in-process *server.Server.
+type daemon interface {
+	Gate(server.GateRequest) (*server.GateResponse, error)
+	Assert(server.AssertRequest) (*server.AssertResponse, error)
+}
+
+// requestFlags are the flags gate and assert share: the pool width, the
+// on-disk store, and the daemon to send the request to.
+type requestFlags struct {
+	workers  *int
+	store    *string
+	remote   *string
+	retries  *int
+	timeout  *time.Duration
+	failover *bool
+	token    *string
+}
+
+func addRequestFlags(fs *flag.FlagSet, verb string) *requestFlags {
+	return &requestFlags{
+		workers:  fs.Int("workers", 0, "scheduler pool width; 0 = GOMAXPROCS (the default), 1 = run every job inline"),
+		store:    fs.String("store", "", "back the snapshot, solver, and fingerprint caches with an on-disk store at this directory (created if missing)"),
+		remote:   fs.String("remote", "", verb+" through a running lisa serve daemon at this base URL (e.g. http://127.0.0.1:7333) instead of in-process"),
+		retries:  fs.Int("remote-retries", server.DefaultRemoteRetries, "with -remote: retries after a transient daemon failure (connection refused, timeout, drain, overload)"),
+		timeout:  fs.Duration("remote-timeout", 0, "with -remote: overall deadline across all attempts and backoff sleeps (0 = none)"),
+		failover: fs.Bool("remote-failover", true, "with -remote: fall back to in-process execution when the daemon stays unreachable, times out, or drains past the retry budget"),
+		token:    fs.String("remote-token", "", "with -remote: client identity for the daemon's per-token admission quotas"),
+	}
+}
+
+// explicitWorkers is the -workers value when the flag was given, and 0,
+// the daemon's own default, when it was not.
+func (rf *requestFlags) explicitWorkers(fs *flag.FlagSet) int {
+	workers := 0
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "workers" {
+			workers = *rf.workers
+		}
+	})
+	return workers
+}
+
+// send runs one request through call: on the daemon at -remote, or, run
+// locally and when a remote failure fails over, on an in-process server
+// over the study corpus and the -store directory. Every path prints the
+// summary call returns and exits 1 when call reports a failed run.
+// runTimeout is the request's run deadline, which bounds each remote
+// attempt.
+func (rf *requestFlags) send(runTimeout time.Duration, call func(daemon) (summary string, failed bool, err error)) error {
+	if *rf.remote != "" {
+		cl := server.NewClient(*rf.remote)
+		cl.SetRetryPolicy(remotePolicy(*rf.retries, *rf.timeout, runTimeout))
+		cl.SetToken(*rf.token)
+		summary, failed, err := call(cl)
+		if !failoverable(err, *rf.failover) {
+			return finish(summary, failed, err, nil)
+		}
 		fmt.Fprintf(os.Stderr, "lisa: %v; failing over to local execution\n", err)
 	}
-	cs := corpus.Load().Get(*caseID)
-	if cs == nil {
-		return fmt.Errorf("unknown case %q", *caseID)
-	}
-	e := core.New()
-	e.Budget = core.Budget{
-		RunTimeout:  *runTimeout,
-		JobTimeout:  *jobTimeout,
-		SolverNodes: *solverNodes,
-		StepBudget:  *stepBudget,
-	}
 	var st *store.Store
-	flushStore := func() {}
-	if *storeDir != "" {
-		s, cleanup, err := attachStore(*storeDir, e)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		flushStore = cleanup
-		st = s
-	}
-	for _, tk := range cs.Tickets {
-		if _, err := e.ProcessTicket(tk); err != nil {
-			return err
+	if *rf.store != "" {
+		var err error
+		if st, err = store.Open(*rf.store); err != nil {
+			return fmt.Errorf("open store %s: %w", *rf.store, err)
 		}
 	}
-	opts := ci.GateOptions{Workers: *workers, Incremental: *incremental, FailOpen: *failOpen || !*failClosed}
-	if *workers != 1 || *incremental || st != nil {
-		opts.Scheduler = sched.New()
-		opts.Scheduler.Cache().SetStore(st)
+	summary, failed, err := call(server.New(server.Config{Corpus: corpus.Load(), Store: st}))
+	return finish(summary, failed, err, st)
+}
+
+// finish ends a request: it flushes and closes the store, if any, then
+// prints the summary and exits 1 when the run failed. The store is closed
+// first because os.Exit skips deferred calls. Its write errors are not
+// the request's: the store is a cache, and it counts them itself.
+func finish(summary string, failed bool, err error, st *store.Store) error {
+	if st != nil {
+		st.Flush()
+		st.Close()
 	}
-	if *incremental && opts.Scheduler != nil {
-		// Warm the cache on the current head so the gate re-executes only
-		// the jobs the change impacts.
-		if _, _, err := opts.Scheduler.Assert(e, cs.Head(), cs.Tests, sched.Options{Workers: *workers}); err != nil {
-			return fmt.Errorf("priming cache on head: %w", err)
-		}
-	}
-	res, err := ci.GateWith(e, ci.Change{
-		Summary:   *summary,
-		OldSource: cs.Head(),
-		NewSource: string(data),
-	}, cs.Tests, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.Summary())
-	if !res.Pass {
-		flushStore()
+	fmt.Print(summary)
+	if failed {
 		os.Exit(1)
 	}
 	return nil

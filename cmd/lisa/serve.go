@@ -149,50 +149,3 @@ func runServe(args []string) error {
 	}
 	return nil
 }
-
-// remoteClient builds the daemon client with the CLI's resilience posture:
-// the retry/backoff/deadline policy from the -remote-* flags and the
-// optional admission-quota token.
-func remoteClient(base string, pol server.RetryPolicy, token string) *server.Client {
-	cl := server.NewClient(base)
-	cl.SetRetryPolicy(pol)
-	if token != "" {
-		cl.SetToken(token)
-	}
-	return cl
-}
-
-// remoteGate runs the gate via a running daemon instead of in-process: the
-// change file is shipped over the wire and the server's warm caches do the
-// work. The printed gate log and exit code match the local path.
-func remoteGate(base string, req server.GateRequest, pol server.RetryPolicy, token string) error {
-	cl := remoteClient(base, pol, token)
-	resp, err := cl.Gate(req)
-	if err != nil {
-		return err
-	}
-	fmt.Print(resp.Summary)
-	if !resp.Pass {
-		os.Exit(1)
-	}
-	return nil
-}
-
-// remoteAssert asserts via a running daemon. The canonical report render
-// (byte-identical to a local sequential run) is printed after the verdict
-// counts.
-func remoteAssert(base string, req server.AssertRequest, pol server.RetryPolicy, token string) error {
-	cl := remoteClient(base, pol, token)
-	resp, err := cl.Assert(req)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("verdicts: %d verified, %d violations, %d unknown, %d uncovered (server %.1fms, %d solver queries, %d cache hits)\n\n",
-		resp.Counts.Verified, resp.Counts.Violations, resp.Counts.Unknown, resp.Counts.Uncovered,
-		resp.DurationMS, resp.Cache.SolverQueries, resp.Cache.SolverCacheHits)
-	fmt.Print(resp.Report)
-	if resp.Counts.Violations > 0 {
-		os.Exit(1)
-	}
-	return nil
-}

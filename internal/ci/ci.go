@@ -69,14 +69,6 @@ type GateOptions struct {
 	// checking a contract must not let the change merge on partial
 	// evidence.
 	FailOpen bool
-	// Budget, when non-nil, bounds this gate's assertion run, overriding
-	// the engine's configured budget for the duration of the call (the
-	// engine's own budget is restored before GateWith returns). This lets a
-	// long-lived engine shared across requests — the lisa serve daemon —
-	// apply per-request limits without staying mutated. Callers that share
-	// one engine across goroutines must serialize GateWith calls; the
-	// daemon serializes per case.
-	Budget *core.Budget
 }
 
 // inconclusiveSeverity maps the gate policy to a finding severity.
@@ -104,11 +96,6 @@ func Gate(engine *core.Engine, ch Change, tests []ticket.TestCase) (*Result, err
 // once, shared by every job of the run: the dirty-set diff, the site
 // fingerprints, and the assertion stages all consume the same compilation.
 func GateWith(engine *core.Engine, ch Change, tests []ticket.TestCase, opts GateOptions) (*Result, error) {
-	if opts.Budget != nil {
-		prev := engine.Budget
-		engine.Budget = *opts.Budget
-		defer func() { engine.Budget = prev }()
-	}
 	newSnap, cerr := engine.LoadSnapshot(ch.NewSource)
 	if cerr != nil {
 		// A change that does not compile or resolve is itself a block.

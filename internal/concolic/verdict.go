@@ -98,43 +98,3 @@ func CheckStaticPathLim(p *StaticPath, lim smt.Limits) (Verdict, error) {
 	}
 	return CheckPathLim(p.Cond, checker, lim)
 }
-
-// CheckStaticPathsLim computes the verdicts of a batch of enumerated static
-// paths in one solver submission, deduplicating identical complement
-// queries within the batch (sites instantiated over the same operand paths
-// under the same conditions produce textually identical formulas). Verdicts
-// are exactly what per-path CheckStaticPathLim calls in index order would
-// return; the error is the first non-budget solver error in index order
-// (verdicts past it are unspecified), matching the sequential loop's
-// abandon-on-error behavior.
-func CheckStaticPathsLim(ps []*StaticPath, lim smt.Limits) ([]Verdict, error) {
-	verdicts := make([]Verdict, len(ps))
-	fs := make([]smt.Formula, 0, len(ps))
-	idx := make([]int, 0, len(ps))
-	for i, p := range ps {
-		checker, ok := CheckerFor(p.Site.Semantic, p.Bindings)
-		if !ok {
-			verdicts[i] = VerdictUnknown
-			continue
-		}
-		fs = append(fs, smt.NewAnd(p.Cond, smt.Complement(checker)))
-		idx = append(idx, i)
-	}
-	if len(fs) == 0 {
-		return verdicts, nil
-	}
-	sats, errs := smt.SATBatchLim(fs, lim)
-	for k, i := range idx {
-		switch err := errs[k]; {
-		case err == nil && sats[k]:
-			verdicts[i] = VerdictViolation
-		case err == nil:
-			verdicts[i] = VerdictVerified
-		case errors.Is(err, smt.ErrBudget):
-			verdicts[i] = VerdictInconclusive
-		default:
-			return verdicts, err
-		}
-	}
-	return verdicts, nil
-}

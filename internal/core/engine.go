@@ -41,8 +41,6 @@ type Engine struct {
 	CrossCheck bool
 	// TestTopK is how many tests the selector picks per path (default 3).
 	TestTopK int
-	// MaxStaticPaths bounds per-site path enumeration.
-	MaxStaticPaths int
 	// NoPrune disables relevant-variable pruning (ablation).
 	NoPrune bool
 	// IntraOnly disables interprocedural condition inheritance along
@@ -580,19 +578,17 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 	tm.Time("static-paths", func() {
 		lim := e.solverLimits(rctx)
 		opts := concolic.Options{
-			MaxPaths: e.MaxStaticPaths,
-			NoPrune:  e.NoPrune,
-			Ctx:      rctx,
-			Lim:      lim,
+			NoPrune: e.NoPrune,
+			Ctx:     rctx,
+			Lim:     lim,
 		}
 		chains := siteRep.Chains
 		if e.IntraOnly || len(chains) == 0 {
 			chains = []callgraph.Path{nil}
 		}
-		// Enumerate first, then submit every complement check as one
-		// solver batch: identical instantiated queries across the site's
-		// paths dedup onto a single solve, and the cache is consulted in
-		// one lock pass instead of one round trip per path.
+		// Enumerate first, then check each distinct path in order. An
+		// instantiated query repeated across the site's paths is a memory
+		// hit in the solver cache.
 		seen := map[string]bool{}
 		var pending []*concolic.StaticPath
 		for _, chain := range chains {
@@ -612,15 +608,15 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 				pending = append(pending, p)
 			}
 		}
-		verdicts, err := concolic.CheckStaticPathsLim(pending, lim)
-		if err != nil {
-			stageErr = err
-			return
-		}
-		for i, p := range pending {
+		for _, p := range pending {
+			verdict, err := concolic.CheckStaticPathLim(p, lim)
+			if err != nil {
+				stageErr = err
+				return
+			}
 			siteRep.Paths = append(siteRep.Paths, &PathReport{
 				Static:          p,
-				Verdict:         verdicts[i],
+				Verdict:         verdict,
 				DynamicVerdicts: map[string]concolic.Verdict{},
 			})
 		}
@@ -731,17 +727,12 @@ func (e *Engine) AssertCtx(ctx context.Context, source string, tests []ticket.Te
 
 // AssertSnapshot is Assert over an already-loaded program snapshot.
 func (e *Engine) AssertSnapshot(snap *program.Snapshot, tests []ticket.TestCase) (*AssertReport, error) {
-	return e.AssertSnapshotCtx(context.Background(), snap, tests)
-}
-
-// AssertSnapshotCtx is AssertSnapshot under an external context.
-func (e *Engine) AssertSnapshotCtx(ctx context.Context, snap *program.Snapshot, tests []ticket.TestCase) (*AssertReport, error) {
 	tm := StageTimings{}
 	actx, err := e.PrepareSnapshot(snap, tests, tm)
 	if err != nil {
 		return nil, err
 	}
-	rctx, cancel := e.Budget.RunContext(ctx)
+	rctx, cancel := e.Budget.RunContext(context.Background())
 	defer cancel()
 	return e.assertOver(rctx, actx, tm), nil
 }

@@ -52,11 +52,11 @@ func TestBoundedFingerprintCacheStaysWarm(t *testing.T) {
 	// stream primes s with the head, then gates every edit against it. One
 	// job per batch, so a wide pool really runs the cache concurrently.
 	stream := func(t *testing.T, s *Scheduler, workers int, check func(k int, rep *core.AssertReport, stats *Stats)) {
-		if _, _, err := s.Assert(e, head, cs.Tests, Options{Workers: workers, BatchSize: 1}); err != nil {
+		if _, _, err := s.Assert(e, head, cs.Tests, Options{Workers: workers, batchSize: 1}); err != nil {
 			t.Fatal(err)
 		}
 		for k, src := range edits {
-			rep, stats, err := s.Assert(e, src, cs.Tests, Options{Workers: workers, BatchSize: 1, Incremental: true, Base: base})
+			rep, stats, err := s.Assert(e, src, cs.Tests, Options{Workers: workers, batchSize: 1, Incremental: true, Base: base})
 			if err != nil {
 				t.Fatalf("edit %d: %v", k, err)
 			}

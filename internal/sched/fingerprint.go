@@ -47,9 +47,10 @@ func semFingerprint(sem *contract.Semantic) string {
 }
 
 // staticEngineFP captures the engine options that change static-stage
-// results (the ablation switches).
+// results (the ablation switches). "max=0" is the path bound the engine
+// no longer has; it stays so persisted site fingerprints keep their keys.
 func staticEngineFP(e *core.Engine) string {
-	return fmt.Sprintf("max=%d noprune=%v intra=%v", e.MaxStaticPaths, e.NoPrune, e.IntraOnly)
+	return fmt.Sprintf("max=0 noprune=%v intra=%v", e.NoPrune, e.IntraOnly)
 }
 
 // dynamicEngineFP captures the engine options that change test selection

@@ -38,10 +38,11 @@ type Options struct {
 	// BaseSource is the pre-change system source (typically
 	// ci.Change.OldSource); used when Base is nil.
 	BaseSource string
-	// BatchSize groups jobs into units dispatched to a worker as one
+	// batchSize groups jobs into units dispatched to a worker as one
 	// message, amortizing the channel handoff and letting the batch answer
-	// its cache lookups in one lock pass; <= 0 means DefaultBatchSize.
-	BatchSize int
+	// its cache lookups in one lock pass; <= 0 means defaultBatchSize.
+	// Only this package's tests vary it.
+	batchSize int
 }
 
 // Stats describes what one scheduled run did: the job breakdown, how much
@@ -138,6 +139,9 @@ type job struct {
 	// attached to the semantic report at merge time, single-threaded, so
 	// workers never append to a shared slice.
 	failure *core.JobFailure
+	// sites are the semantic's site jobs, whose paths a dynamic job's
+	// replay is attributed to (dynamic jobs only; they run a wave later).
+	sites []*job
 }
 
 // semPlan groups one semantic's jobs.
@@ -154,19 +158,13 @@ type semPlan struct {
 // merged report is byte-identical (per core.AssertReport.Render) to what
 // the sequential Engine.Assert produces for the same inputs.
 func (s *Scheduler) Assert(e *core.Engine, source string, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
-	return s.AssertCtx(context.Background(), e, source, tests, opts)
-}
-
-// AssertCtx is Assert under an external context: cancelling ctx promptly
-// drains the pool, failing in-flight jobs with reason "cancelled".
-func (s *Scheduler) AssertCtx(ctx context.Context, e *core.Engine, source string, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
 	tm := core.StageTimings{}
 	before := snapshotStats(e)
 	actx, err := e.Prepare(source, tests, tm)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, stats, err := s.assertContext(ctx, e, actx, tm, opts)
+	rep, stats, err := s.assertContext(e, actx, tm, opts)
 	applySnapshotDelta(stats, e, before)
 	return rep, stats, err
 }
@@ -175,18 +173,13 @@ func (s *Scheduler) AssertCtx(ctx context.Context, e *core.Engine, source string
 // gate's path: head and proposed change are loaded once and shared across
 // every job of the run).
 func (s *Scheduler) AssertSnapshot(e *core.Engine, snap *program.Snapshot, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
-	return s.AssertSnapshotCtx(context.Background(), e, snap, tests, opts)
-}
-
-// AssertSnapshotCtx is AssertSnapshot under an external context.
-func (s *Scheduler) AssertSnapshotCtx(ctx context.Context, e *core.Engine, snap *program.Snapshot, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
 	tm := core.StageTimings{}
 	before := snapshotStats(e)
 	actx, err := e.PrepareSnapshot(snap, tests, tm)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, stats, err := s.assertContext(ctx, e, actx, tm, opts)
+	rep, stats, err := s.assertContext(e, actx, tm, opts)
 	applySnapshotDelta(stats, e, before)
 	return rep, stats, err
 }
@@ -213,8 +206,8 @@ func applySnapshotDelta(stats *Stats, e *core.Engine, before program.CacheStats)
 	stats.SnapshotRestoresDeepVerified = d.RestoresDeepVerified
 }
 
-func (s *Scheduler) assertContext(parent context.Context, e *core.Engine, ctx *core.AssertContext, tm core.StageTimings, opts Options) (*core.AssertReport, *Stats, error) {
-	rctx, cancel := e.Budget.RunContext(parent)
+func (s *Scheduler) assertContext(e *core.Engine, ctx *core.AssertContext, tm core.StageTimings, opts Options) (*core.AssertReport, *Stats, error) {
+	rctx, cancel := e.Budget.RunContext(context.Background())
 	defer cancel()
 	workers := opts.Workers
 	if workers <= 0 {
@@ -258,9 +251,9 @@ func (s *Scheduler) assertContext(parent context.Context, e *core.Engine, ctx *c
 			wave2 = append(wave2, sp.dynamic)
 		}
 	}
-	batchSize := opts.BatchSize
+	batchSize := opts.batchSize
 	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
+		batchSize = defaultBatchSize
 	}
 	batches1 := makeBatches(wave1, batchSize)
 	batches2 := makeBatches(wave2, batchSize)
@@ -406,11 +399,12 @@ func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty) 
 		}
 		if len(ctx.Tests) > 0 {
 			sp.dynamic = &job{
-				kind: jobDynamic,
-				name: core.JobNameDynamic(sem.ID),
-				sem:  sem,
-				sr:   sp.sr,
-				fp:   dynamicFingerprint(e, sem, semFP, progFP, ctx.CorpusDigest, siteFPs),
+				kind:  jobDynamic,
+				name:  core.JobNameDynamic(sem.ID),
+				sem:   sem,
+				sr:    sp.sr,
+				fp:    dynamicFingerprint(e, sem, semFP, progFP, ctx.CorpusDigest, siteFPs),
+				sites: sp.sites,
 				// Replay executes arbitrary reachable code, so any change
 				// anywhere impacts it.
 				impacted: dirty == nil || dirty.Any() || anyImpacted,
@@ -514,21 +508,30 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 		}
 		j.executed = true
 	case jobDynamic:
-		if ov, ok := s.cache.getDynamic(j.fp); ok {
-			applyOverlay(j.sr, ov)
-			j.testsRun = ov.TestsRun
-			j.cacheHit = true
-			return
+		// A site job that failed in this run left its site without paths,
+		// so the replay is not the one the fingerprint names: it runs
+		// uncached, neither served from nor stored in the cache.
+		cacheable := true
+		for _, sj := range j.sites {
+			cacheable = cacheable && sj.failure == nil
 		}
-		if ov, ok := s.cache.diskGetDynamic(j.fp); ok {
-			applyOverlay(j.sr, ov)
-			j.testsRun = ov.TestsRun
-			s.cache.putDynamic(j.fp, ov)
-			j.cacheHit = true
-			return
+		if cacheable {
+			if ov, ok := s.cache.getDynamic(j.fp); ok {
+				applyOverlay(j.sr, ov)
+				j.testsRun = ov.TestsRun
+				j.cacheHit = true
+				return
+			}
+			if ov, ok := s.cache.diskGetDynamic(j.fp); ok {
+				applyOverlay(j.sr, ov)
+				j.testsRun = ov.TestsRun
+				s.cache.putDynamic(j.fp, ov)
+				j.cacheHit = true
+				return
+			}
 		}
 		j.testsRun, j.failure = e.DynamicJob(rctx, ctx, j.name, j.sr, tm)
-		if j.failure == nil {
+		if j.failure == nil && cacheable {
 			ov := extractOverlay(j.sr, j.testsRun)
 			s.cache.putDynamic(j.fp, ov)
 			s.cache.diskPutDynamic(j.fp, ov)
@@ -537,12 +540,12 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 	}
 }
 
-// DefaultBatchSize bounds how many jobs ride one worker dispatch. Jobs in
+// defaultBatchSize bounds how many jobs ride one worker dispatch. Jobs in
 // the corpus run sub-millisecond, so a dispatch has to carry enough of
 // them to amortize the channel round trip; 32 keeps dispatch overhead
 // under ~3% of even the cheapest batch while still feeding an 8-wide pool
 // from modest job sets.
-const DefaultBatchSize = 32
+const defaultBatchSize = 32
 
 // batchUnit is the unit of worker dispatch: a contiguous run of planned
 // jobs (wave order is registry order, so a chunk's site jobs share their

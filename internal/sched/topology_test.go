@@ -141,7 +141,7 @@ func TestBatchSizeDoesNotChangeReport(t *testing.T) {
 	}
 	want := seq.Render()
 	for _, size := range []int{1, 3, 1024} {
-		rep, stats, err := New().Assert(mk(), src, tests, Options{Workers: 8, BatchSize: size})
+		rep, stats, err := New().Assert(mk(), src, tests, Options{Workers: 8, batchSize: size})
 		if err != nil {
 			t.Fatalf("batch size %d: %v", size, err)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"time"
 
 	"lisa/internal/core"
@@ -31,12 +32,14 @@ type GateRequest struct {
 	Budget *BudgetSpec `json:"budget,omitempty"`
 }
 
-// BudgetSpec is the wire form of core.Budget.
+// BudgetSpec is the wire form of core.Budget. Timeouts are fractional
+// milliseconds, so a sub-millisecond deadline (lisa gate -run-timeout
+// 1ns) survives the trip instead of truncating to none.
 type BudgetSpec struct {
-	RunTimeoutMS int64 `json:"run_timeout_ms,omitempty"`
-	JobTimeoutMS int64 `json:"job_timeout_ms,omitempty"`
-	SolverNodes  int   `json:"solver_nodes,omitempty"`
-	StepBudget   int   `json:"step_budget,omitempty"`
+	RunTimeoutMS float64 `json:"run_timeout_ms,omitempty"`
+	JobTimeoutMS float64 `json:"job_timeout_ms,omitempty"`
+	SolverNodes  int     `json:"solver_nodes,omitempty"`
+	StepBudget   int     `json:"step_budget,omitempty"`
 }
 
 // Budget converts the wire spec to the engine's budget type.
@@ -45,11 +48,17 @@ func (b *BudgetSpec) Budget() core.Budget {
 		return core.Budget{}
 	}
 	return core.Budget{
-		RunTimeout:  time.Duration(b.RunTimeoutMS) * time.Millisecond,
-		JobTimeout:  time.Duration(b.JobTimeoutMS) * time.Millisecond,
+		RunTimeout:  msDuration(b.RunTimeoutMS),
+		JobTimeout:  msDuration(b.JobTimeoutMS),
 		SolverNodes: b.SolverNodes,
 		StepBudget:  b.StepBudget,
 	}
+}
+
+// msDuration converts fractional milliseconds to a duration, rounded to
+// the nearest nanosecond.
+func msDuration(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
 }
 
 // Finding is one gate finding (mirror of ci.Finding).
@@ -105,13 +114,16 @@ type AssertCounts struct {
 
 // AssertResponse carries the assertion outcome. Report is the canonical
 // render — byte-identical to the sequential local run (same contract as
-// GateResponse.Report).
+// GateResponse.Report). Summary is what lisa assert prints: the case's
+// registration lines, the scheduler's job and store lines, the verdict
+// counts and one line per path.
 type AssertResponse struct {
 	Case       string       `json:"case"`
 	Verdict    string       `json:"verdict"` // "PASS" or "VIOLATED"
 	Counts     AssertCounts `json:"counts"`
 	TestsRun   int          `json:"tests_run"`
 	Report     string       `json:"report"`
+	Summary    string       `json:"summary"`
 	DurationMS float64      `json:"duration_ms"`
 	Cache      CacheDelta   `json:"cache"`
 }

@@ -26,6 +26,11 @@
 // per-request deltas remain exact under serial load and approximate across
 // concurrently running cases (the cache is shared between cases).
 //
+// One request path: Server.Gate and Server.Assert run a gate or assert
+// request. The HTTP handlers only decode, call and encode, and the lisa
+// CLI calls the same methods on an in-process Server when it runs
+// without -remote or fails over, so every path prints the same bytes.
+//
 // Two-tier mode: when Config.Store is set, the snapshot cache, every
 // case's fingerprint cache, and every case engine's solver cache are
 // backed by the shared on-disk store, so a restarted daemon starts warm.
@@ -35,17 +40,20 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lisa/internal/ci"
+	"lisa/internal/concolic"
 	"lisa/internal/core"
 	"lisa/internal/program"
 	"lisa/internal/sched"
@@ -112,6 +120,10 @@ type caseRuntime struct {
 	once  sync.Once
 	err   error
 	ready atomic.Bool
+
+	// registered holds the lines processing the case's tickets printed:
+	// one per registered rule and one per re-derived known rule.
+	registered string
 
 	mu     sync.Mutex
 	engine *core.Engine
@@ -210,12 +222,21 @@ func (s *Server) runtime(id string) (*caseRuntime, error) {
 		e.Snapshots = s.snapshots
 		e.Solver = smt.NewQueryCache(0)
 		e.Solver.SetStore(s.cfg.Store)
+		var reg strings.Builder
 		for _, tk := range cs.Tickets {
-			if _, err := e.ProcessTicket(tk); err != nil {
+			rep, err := e.ProcessTicket(tk)
+			if err != nil {
 				rt.err = fmt.Errorf("process %s: %w", tk.ID, err)
 				return
 			}
+			for _, sem := range rep.Registered {
+				fmt.Fprintf(&reg, "registered %s\n", sem)
+			}
+			for _, sem := range rep.AlreadyKnown {
+				fmt.Fprintf(&reg, "ticket %s re-derives known rule %s\n", tk.ID, sem.ID)
+			}
 		}
+		rt.registered = reg.String()
 		rt.engine = e
 		rt.sched = sched.New()
 		rt.sched.Cache().SetStore(s.cfg.Store)
@@ -293,8 +314,8 @@ const (
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/gate", s.guard("POST", admitQueued, s.handleGate))
-	mux.HandleFunc("/assert", s.guard("POST", admitQueued, s.handleAssert))
+	mux.HandleFunc("/gate", s.guard("POST", admitQueued, serveJSON(s.Gate)))
+	mux.HandleFunc("/assert", s.guard("POST", admitQueued, serveJSON(s.Assert)))
 	mux.HandleFunc("/history", s.guard("GET", admitNone, s.handleHistory))
 	mux.HandleFunc("/stats", s.guard("GET", admitNone, s.handleStats))
 	mux.HandleFunc("/watch", s.guard("POST", admitShed, s.handleWatch))
@@ -369,83 +390,60 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleGate(w http.ResponseWriter, r *http.Request) {
-	var req GateRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// Gate runs the CI gate for req on its case's runtime. It is what POST
+// /gate serves and what lisa gate runs in process, so the daemon, the
+// CLI and its failover print one gate log. An error carries the HTTP
+// status the daemon answers it with.
+func (s *Server) Gate(req GateRequest) (*GateResponse, error) {
 	if req.Case == "" || req.Change == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("need case and change"))
-		return
+		return nil, &statusError{http.StatusBadRequest, fmt.Errorf("need case and change")}
 	}
 	rt, err := s.runtime(req.Case)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	s.stateMu.Lock()
-	s.reqGate++
-	s.stateMu.Unlock()
-
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	if workers <= 0 {
-		// Explicitly resolve the default here so responses report the
-		// actual pool width instead of 0.
-		workers = runtime.GOMAXPROCS(0)
-	}
-	budget := s.cfg.Budget
-	if req.Budget != nil {
-		budget = req.Budget.Budget()
+		return nil, &statusError{http.StatusNotFound, err}
 	}
 	summary := req.Summary
 	if summary == "" {
 		summary = "proposed change"
 	}
-
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	start := time.Now()
-	solverBefore := rt.engine.Solver.Stats()
-	snapBefore := s.snapshots.Stats()
-	if req.Incremental && !rt.primed {
-		// Warm the fingerprint cache on the current head once per case, so
-		// incremental gates re-execute only the jobs the change impacts —
-		// the same priming the CLI does per invocation, paid once here.
-		if _, _, err := rt.sched.Assert(rt.engine, rt.cs.Head(), rt.cs.Tests, sched.Options{Workers: workers}); err != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("priming cache on head: %w", err))
-			return
+	var res *ci.Result
+	entry, err := s.serve(rt, "gate", req.Change, req.Workers, req.Budget, func(workers int) (*sched.Stats, string, string, error) {
+		if req.Incremental && !rt.primed {
+			// Warm the fingerprint cache on the current head once per case, so
+			// incremental gates re-execute only the jobs the change impacts.
+			if _, _, err := rt.sched.Assert(rt.engine, rt.cs.Head(), rt.cs.Tests, sched.Options{Workers: workers}); err != nil {
+				return nil, "", "", fmt.Errorf("priming cache on head: %w", err)
+			}
+			rt.primed = true
 		}
-		rt.primed = true
-	}
-	res, err := ci.GateWith(rt.engine, ci.Change{
-		Summary:   summary,
-		OldSource: rt.cs.Head(),
-		NewSource: req.Change,
-	}, rt.cs.Tests, ci.GateOptions{
-		Scheduler:   rt.sched,
-		Workers:     workers,
-		Incremental: req.Incremental,
-		FailOpen:    req.FailOpen || s.cfg.FailOpen,
-		Budget:      &budget,
+		var err error
+		res, err = ci.GateWith(rt.engine, ci.Change{
+			Summary:   summary,
+			OldSource: rt.cs.Head(),
+			NewSource: req.Change,
+		}, rt.cs.Tests, ci.GateOptions{
+			Scheduler:   rt.sched,
+			Workers:     workers,
+			Incremental: req.Incremental,
+			FailOpen:    req.FailOpen || s.cfg.FailOpen,
+		})
+		if err != nil {
+			return nil, "", "", err
+		}
+		return res.Sched, gateVerdict(res.Pass), gateDetail(res), nil
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return nil, &statusError{http.StatusInternalServerError, err}
 	}
-	delta := s.cacheDelta(rt, solverBefore, snapBefore, res.Sched)
 	resp := &GateResponse{
 		Case:       req.Case,
 		Pass:       res.Pass,
-		Verdict:    gateVerdict(res.Pass),
+		Verdict:    entry.Verdict,
 		Summary:    res.Summary(),
 		Asserted:   res.Asserted,
 		Skipped:    res.Skipped,
-		DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Cache:      delta,
+		DurationMS: entry.DurationMS,
+		Cache:      entry.Cache,
 	}
 	for _, f := range res.Findings {
 		resp.Findings = append(resp.Findings, Finding{Severity: f.Severity, Text: f.Text})
@@ -453,82 +451,50 @@ func (s *Server) handleGate(w http.ResponseWriter, r *http.Request) {
 	if res.Report != nil {
 		resp.Report = res.Report.Render()
 	}
-	s.hist.Add(HistoryEntry{
-		Time:       start,
-		Kind:       "gate",
-		Case:       req.Case,
-		Target:     shortHash(req.Change),
-		Verdict:    resp.Verdict,
-		Detail:     gateDetail(res),
-		Workers:    workers,
-		DurationMS: resp.DurationMS,
-		Cache:      delta,
-	})
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
-	var req AssertRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// Assert asserts the case's rules over req's target on its case's
+// runtime. It is what POST /assert serves and what lisa assert runs in
+// process; Summary is the CLI's output. An error carries the HTTP status
+// the daemon answers it with.
+func (s *Server) Assert(req AssertRequest) (*AssertResponse, error) {
 	if req.Case == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("need case"))
-		return
+		return nil, &statusError{http.StatusBadRequest, fmt.Errorf("need case")}
 	}
 	rt, err := s.runtime(req.Case)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
+		return nil, &statusError{http.StatusNotFound, err}
 	}
 	// An explicit source wins over the version spec, as in the lisa CLI.
 	target := req.Source
 	if target == "" {
 		if target, err = rt.cs.Version(req.Version); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return nil, &statusError{http.StatusBadRequest, err}
 		}
-	}
-	s.stateMu.Lock()
-	s.reqAssert++
-	s.stateMu.Unlock()
-
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
-	}
-	if workers <= 0 {
-		// Explicitly resolve the default here so responses report the
-		// actual pool width instead of 0.
-		workers = runtime.GOMAXPROCS(0)
 	}
 	var tests []ticket.TestCase
 	if req.Tests {
 		tests = rt.cs.Tests
 	}
-	budget := s.cfg.Budget
-	if req.Budget != nil {
-		budget = req.Budget.Budget()
-	}
-
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	start := time.Now()
-	solverBefore := rt.engine.Solver.Stats()
-	snapBefore := s.snapshots.Stats()
-	prevBudget := rt.engine.Budget
-	rt.engine.Budget = budget
-	rep, stats, err := rt.sched.Assert(rt.engine, target, tests, sched.Options{Workers: workers})
-	rt.engine.Budget = prevBudget
+	var rep *core.AssertReport
+	var stats *sched.Stats
+	entry, err := s.serve(rt, "assert", target, req.Workers, req.Budget, func(workers int) (*sched.Stats, string, string, error) {
+		var err error
+		rep, stats, err = rt.sched.Assert(rt.engine, target, tests, sched.Options{Workers: workers})
+		if err != nil {
+			return nil, "", "", err
+		}
+		c := rep.Counts
+		return stats, assertVerdict(c.Violations),
+			fmt.Sprintf("verified=%d violations=%d unknown=%d uncovered=%d", c.Verified, c.Violations, c.Unknown, c.Uncovered), nil
+	})
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return nil, &statusError{http.StatusUnprocessableEntity, err}
 	}
-	delta := s.cacheDelta(rt, solverBefore, snapBefore, stats)
-	resp := &AssertResponse{
+	return &AssertResponse{
 		Case:    req.Case,
-		Verdict: assertVerdict(rep.Counts.Violations),
+		Verdict: entry.Verdict,
 		Counts: AssertCounts{
 			Verified:   rep.Counts.Verified,
 			Violations: rep.Counts.Violations,
@@ -537,21 +503,104 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		},
 		TestsRun:   rep.TestsRun,
 		Report:     rep.Render(),
-		DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Cache:      delta,
+		Summary:    rt.registered + assertSummary(rep, stats),
+		DurationMS: entry.DurationMS,
+		Cache:      entry.Cache,
+	}, nil
+}
+
+// serve is the step every gate and assert request shares. It resolves
+// the pool width and the budget, serializes on the case, and runs fn with
+// the case engine under the request's budget, restoring the engine's own
+// afterwards. fn returns the run's scheduler stats and its history
+// verdict and detail. serve records the request's cache delta and history
+// entry, and returns the entry; target is the source the history names.
+func (s *Server) serve(rt *caseRuntime, kind, target string, workers int, budget *BudgetSpec, fn func(workers int) (stats *sched.Stats, verdict, detail string, err error)) (HistoryEntry, error) {
+	s.stateMu.Lock()
+	if kind == "gate" {
+		s.reqGate++
+	} else {
+		s.reqAssert++
 	}
-	s.hist.Add(HistoryEntry{
+	s.stateMu.Unlock()
+	if workers == 0 {
+		workers = s.cfg.Workers
+	}
+	if workers <= 0 {
+		// Explicitly resolve the default here so responses report the
+		// actual pool width instead of 0.
+		workers = runtime.GOMAXPROCS(0)
+	}
+	b := s.cfg.Budget
+	if budget != nil {
+		b = budget.Budget()
+	}
+
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	start := time.Now()
+	solverBefore := rt.engine.Solver.Stats()
+	snapBefore := s.snapshots.Stats()
+	prev := rt.engine.Budget
+	rt.engine.Budget = b
+	stats, verdict, detail, err := fn(workers)
+	rt.engine.Budget = prev
+	if err != nil {
+		return HistoryEntry{}, err
+	}
+	entry := HistoryEntry{
 		Time:       start,
-		Kind:       "assert",
-		Case:       req.Case,
+		Kind:       kind,
+		Case:       rt.cs.ID,
 		Target:     shortHash(target),
-		Verdict:    resp.Verdict,
-		Detail:     fmt.Sprintf("verified=%d violations=%d unknown=%d uncovered=%d", resp.Counts.Verified, resp.Counts.Violations, resp.Counts.Unknown, resp.Counts.Uncovered),
+		Verdict:    verdict,
+		Detail:     detail,
 		Workers:    workers,
-		DurationMS: resp.DurationMS,
-		Cache:      delta,
-	})
-	writeJSON(w, http.StatusOK, resp)
+		DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
+		Cache:      s.cacheDelta(rt, solverBefore, snapBefore, stats),
+	}
+	s.hist.Add(entry)
+	return entry, nil
+}
+
+// assertSummary renders an assert run the way lisa assert prints it: the
+// scheduler's job and store lines, the verdict counts, one line per
+// structural violation and per path, and a WARN per failed sanity check.
+func assertSummary(rep *core.AssertReport, stats *sched.Stats) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "\nscheduled %d jobs on %d workers (%d site, %d dynamic, %d structural)\n",
+		stats.Jobs, stats.Workers, stats.SiteJobs, stats.DynamicJobs, stats.StructuralJobs)
+	if stats.DiskHits > 0 {
+		fmt.Fprintf(&sb, "store: %d job(s) served from the disk tier\n", stats.DiskHits)
+	}
+	if stats.SnapshotRestores > 0 {
+		fmt.Fprintf(&sb, "snapshots: %d restored from the store (%d decoded, %d deep-verified)\n",
+			stats.SnapshotRestores, stats.SnapshotRestoresDecoded, stats.SnapshotRestoresDeepVerified)
+	}
+	fmt.Fprintf(&sb, "\nverdicts: %d verified, %d violations, %d unknown, %d uncovered\n\n",
+		rep.Counts.Verified, rep.Counts.Violations, rep.Counts.Unknown, rep.Counts.Uncovered)
+	for _, sr := range rep.Semantics {
+		for _, v := range sr.Structural {
+			fmt.Fprintf(&sb, "VIOLATION [%s] %s\n", sr.Semantic.ID, v)
+		}
+		for _, site := range sr.Sites {
+			for _, p := range site.Paths {
+				mark := "  "
+				if p.Verdict == concolic.VerdictViolation {
+					mark = "!!"
+				}
+				fmt.Fprintf(&sb, "%s %-9s %s  cond={%s}", mark, p.Verdict, site.Site, p.Static.Cond)
+				if len(p.CoveredBy) > 0 {
+					fmt.Fprintf(&sb, "  covered by %s", strings.Join(p.CoveredBy, ","))
+				}
+				sb.WriteByte('\n')
+			}
+		}
+		if !sr.SanityOK {
+			fmt.Fprintf(&sb, "WARN [%s] sanity check failed: no verified path anywhere\n", sr.Semantic.ID)
+		}
+	}
+	return sb.String()
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
@@ -709,6 +758,40 @@ func shortHash(source string) string {
 	}
 	return h
 }
+
+// serveJSON is the handler of a request endpoint: decode the request,
+// call the Server method that runs it, and encode its response or its
+// error's status.
+func serveJSON[Req, Resp any](call func(Req) (*Resp, error)) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if err := decodeJSON(r.Body, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		resp, err := call(req)
+		if err != nil {
+			status := http.StatusInternalServerError
+			var se *statusError
+			if errors.As(err, &se) {
+				status = se.status
+			}
+			writeError(w, status, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
+	}
+}
+
+// statusError is a failed request and the HTTP status the daemon answers
+// it with.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
 
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)

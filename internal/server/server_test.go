@@ -353,3 +353,54 @@ func TestHistoryEndpoint(t *testing.T) {
 		t.Fatalf("history?n=1 should return the newest entry, got %+v", one.Entries)
 	}
 }
+
+// TestPerRequestBudget: a budgeted gate and assert degrade, and the
+// budget ends with its request. A 1 ns run deadline fails every job: the
+// gate (incremental, so its head priming runs under the budget too) is
+// INCONCLUSIVE and blocks, failing closed, and the assert's semantic is
+// INCONCLUSIVE. The next unbudgeted gate and assert on the same case
+// render like a local sequential run.
+func TestPerRequestBudget(t *testing.T) {
+	_, cl, done := newTestServer(t, Config{})
+	defer done()
+	cs := corpusCase(t, "zk-ephemeral")
+	oneNS := &BudgetSpec{RunTimeoutMS: 1e-6}
+
+	g, err := cl.Gate(GateRequest{Case: cs.ID, Change: cs.Head(), Incremental: true, Budget: oneNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Pass || g.Verdict != "BLOCKED" || !strings.Contains(g.Summary, "BLOCK [zks-1208-datatree-createephemeral] INCONCLUSIVE") {
+		t.Errorf("budgeted gate did not block on INCONCLUSIVE:\n%s", g.Summary)
+	}
+	a, err := cl.Assert(AssertRequest{Case: cs.ID, Tests: true, Budget: oneNS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(a.Report, "outcome=INCONCLUSIVE") {
+		t.Errorf("budgeted assert did not degrade:\n%s", a.Report)
+	}
+
+	g, err = cl.Gate(GateRequest{Case: cs.ID, Change: cs.Head(), Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := ci.GateWith(localTwin(t, cs), ci.Change{OldSource: cs.Head(), NewSource: cs.Head()}, cs.Tests, ci.GateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Pass != seq.Pass || g.Report != seq.Report.Render() {
+		t.Errorf("unbudgeted gate after a budgeted one differs from the local sequential run:\n--- daemon ---\n%s\n--- local ---\n%s", g.Report, seq.Report.Render())
+	}
+	a, err = cl.Assert(AssertRequest{Case: cs.ID, Tests: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := localTwin(t, cs).Assert(cs.Head(), cs.Tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Report != rep.Render() {
+		t.Errorf("unbudgeted assert after a budgeted one differs from the local sequential run:\n--- daemon ---\n%s\n--- local ---\n%s", a.Report, rep.Render())
+	}
+}

@@ -3,6 +3,7 @@ package smt
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -275,6 +276,31 @@ func (c *QueryCache) load(key string, maxNodes int, solve func() (bool, int, err
 	c.inflight[key] = fl
 	c.mu.Unlock()
 	return c.lead(key, fl, solve)
+}
+
+// followInflight resolves a follower against a finished in-flight solve:
+// reuse the leader's verdict when it fits this caller's budget, propagate a
+// budget exhaustion the follower's own (equal or smaller) budget would have
+// reproduced, and otherwise re-solve under the follower's own limits.
+func (c *QueryCache) followInflight(key string, fl *inflightQuery, maxNodes int, solve func() (bool, int, error)) (bool, error) {
+	if fl.err == nil && fl.nodes <= maxNodes {
+		c.countHit()
+		return fl.sat, nil
+	}
+	c.countMiss()
+	if fl.err != nil && errors.Is(fl.err, ErrBudget) && maxNodes <= fl.maxNodes {
+		// The search is deterministic: a budget no larger than the
+		// leader's exhausts on exactly the same node, so every waiter gets
+		// the identical ErrBudget without duplicating the doomed search.
+		return fl.sat, fl.err
+	}
+	// The leader degraded some other way (cancellation) or needed more
+	// nodes than we may spend; solve under our own limits.
+	sat, nodes, err := c.runSolve(solve)
+	if err == nil {
+		c.storeEntry(key, sat, nodes)
+	}
+	return sat, err
 }
 
 // lead resolves a key whose in-flight entry fl this caller owns: the disk

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestQueryCacheLRU: capacity bounds the cache, eviction drops the least
@@ -155,5 +157,136 @@ func TestQueryCacheDisabledStillCorrect(t *testing.T) {
 		if got != wantSat {
 			t.Fatalf("#%d %s: cache-off SATErr = %v, reference = %v", i, f, got, wantSat)
 		}
+	}
+}
+
+// TestSingleflightConcurrentSameQuery: N goroutines racing on one cold key
+// produce exactly one solve; everyone sees the leader's verdict. The leader
+// blocks on a gate until all racers have launched, so the overlap is real.
+func TestSingleflightConcurrentSameQuery(t *testing.T) {
+	c := NewQueryCache(16)
+	gate := make(chan struct{})
+	var calls, entered atomic.Int64
+	const n = 8
+	results := make([]bool, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			entered.Add(1)
+			results[g], errs[g] = c.load("hot", DefaultMaxNodes, func() (bool, int, error) {
+				<-gate
+				calls.Add(1)
+				return true, 5, nil
+			})
+		}(g)
+	}
+	for entered.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let late racers reach the join
+	close(gate)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("solves = %d, want exactly 1", calls.Load())
+	}
+	for g := 0; g < n; g++ {
+		if errs[g] != nil || !results[g] {
+			t.Fatalf("goroutine %d: sat=%v err=%v, want true/nil", g, results[g], errs[g])
+		}
+	}
+	if st := c.Stats(); st.Solves != 1 {
+		t.Fatalf("instance solves = %d, want 1", st.Solves)
+	}
+}
+
+// TestSingleflightBudgetErrorToAllWaiters: when the gated leader exhausts
+// its budget, every same-budget waiter receives ErrBudget directly — one
+// doomed search, not N.
+func TestSingleflightBudgetErrorToAllWaiters(t *testing.T) {
+	c := NewQueryCache(16)
+	gate := make(chan struct{})
+	var calls, entered atomic.Int64
+	const n = 6
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			entered.Add(1)
+			_, errs[g] = c.load("doomed", 100, func() (bool, int, error) {
+				<-gate
+				calls.Add(1)
+				return false, 0, ErrBudget
+			})
+		}(g)
+	}
+	for entered.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("solves = %d, want 1 (waiters must inherit ErrBudget)", calls.Load())
+	}
+	for g := 0; g < n; g++ {
+		if !errors.Is(errs[g], ErrBudget) {
+			t.Fatalf("goroutine %d: err = %v, want ErrBudget", g, errs[g])
+		}
+	}
+}
+
+// TestSingleflightOtherErrorsResolvePerWaiter: a leader that fails with a
+// non-budget error (cancellation, say) hands no verdict to its waiters:
+// each re-solves under its own limits, and a successful re-solve is
+// cached.
+func TestSingleflightOtherErrorsResolvePerWaiter(t *testing.T) {
+	c := NewQueryCache(16)
+	boom := errors.New("boom")
+	gate := make(chan struct{})
+	var calls, entered atomic.Int64
+	const n = 6
+	sats := make([]bool, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			entered.Add(1)
+			sats[g], errs[g] = c.load("k", 100, func() (bool, int, error) {
+				if calls.Add(1) == 1 {
+					<-gate
+					return false, 0, boom
+				}
+				return true, 1, nil
+			})
+		}(g)
+	}
+	for entered.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(gate)
+	wg.Wait()
+	failed := 0
+	for g := 0; g < n; g++ {
+		switch {
+		case errors.Is(errs[g], boom):
+			failed++
+		case errs[g] != nil || !sats[g]:
+			t.Fatalf("goroutine %d: sat=%v err=%v, want true/nil after re-solving", g, sats[g], errs[g])
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d callers got the leader's error, want only the leader", failed)
+	}
+	before := calls.Load()
+	if sat, err := c.load("k", 100, func() (bool, int, error) { calls.Add(1); return false, 0, nil }); err != nil || !sat || calls.Load() != before {
+		t.Fatalf("re-solved verdict not cached: sat=%v err=%v solves %d -> %d", sat, err, before, calls.Load())
 	}
 }

@@ -37,7 +37,12 @@
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
 # in the store's write path, plus the daemon cold-gate byte-identity
-# rounds), the remote-failover smoke (a dead daemon must fall back to
+# rounds), the one-request-path tests by name (lisa gate and assert print
+# the same stdout and exit code in process, against a fresh daemon with
+# -remote and failing over from a dead one; an empty -source or -change
+# file fails on every path; a per-request budget degrades its own gate and
+# assert and leaves the next request rendering like a local sequential
+# run), the remote-failover smoke (a dead daemon must fall back to
 # local execution with byte-identical stdout, and report distinct exit
 # codes with failover off), the perf-regression gate against
 # the committed counter baseline, and a smoke run of the fault-injection
@@ -73,6 +78,8 @@ go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s ./internal/minij
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
+go test -run 'TestRemoteFailoverLocalPrintTheSame|TestEmptySourceFileRejected' -count=1 ./cmd/lisa
+go test -run 'TestPerRequestBudget' -count=1 ./internal/server
 FO_SMOKE=$(mktemp -d)
 go build -o "$FO_SMOKE/lisa" ./cmd/lisa
 "$FO_SMOKE/lisa" assert -case zk-ephemeral > "$FO_SMOKE/local.out"
