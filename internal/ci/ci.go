@@ -116,9 +116,8 @@ func GateWith(engine *core.Engine, ch Change, tests []ticket.TestCase, opts Gate
 	if opts.Scheduler != nil {
 		report, stats, err = opts.Scheduler.AssertSnapshot(engine, newSnap, tests, sched.Options{
 			Workers:     opts.Workers,
-			Incremental: opts.Incremental,
+			Incremental: opts.Incremental && ch.OldSource != "",
 			Base:        base,
-			BaseSource:  ch.OldSource,
 		})
 	} else {
 		report, err = engine.AssertSnapshot(newSnap, tests)

@@ -1,6 +1,7 @@
 package concolic
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,73 +81,11 @@ func stmtOfCall(prog *minij.Program, m *minij.Method, call *minij.Call) minij.St
 	// Refine to the innermost owning statement.
 	inner := found
 	minij.WalkStmts(found, func(s minij.Stmt) {
-		owns := false
-		for _, c := range ownCalls(s) {
-			if c == call {
-				owns = true
-			}
-		}
-		if owns {
+		if slices.Contains(minij.OwnCalls(s), call) {
 			inner = s
 		}
 	})
 	return inner
-}
-
-// ownCalls lists calls belonging to the statement itself (mirrors
-// contract's immediate-call notion without exporting it).
-func ownCalls(s minij.Stmt) []*minij.Call {
-	var out []*minij.Call
-	var fromExpr func(e minij.Expr)
-	fromExpr = func(e minij.Expr) {
-		switch n := e.(type) {
-		case *minij.Call:
-			out = append(out, n)
-			if n.Recv != nil {
-				fromExpr(n.Recv)
-			}
-			for _, a := range n.Args {
-				fromExpr(a)
-			}
-		case *minij.FieldAccess:
-			fromExpr(n.Recv)
-		case *minij.New:
-			for _, a := range n.Args {
-				fromExpr(a)
-			}
-		case *minij.Unary:
-			fromExpr(n.X)
-		case *minij.Binary:
-			fromExpr(n.X)
-			fromExpr(n.Y)
-		}
-	}
-	switch n := s.(type) {
-	case *minij.VarDecl:
-		if n.Init != nil {
-			fromExpr(n.Init)
-		}
-	case *minij.Assign:
-		fromExpr(n.Target)
-		fromExpr(n.Value)
-	case *minij.If:
-		fromExpr(n.Cond)
-	case *minij.While:
-		fromExpr(n.Cond)
-	case *minij.ForEach:
-		fromExpr(n.Iter)
-	case *minij.Return:
-		if n.Value != nil {
-			fromExpr(n.Value)
-		}
-	case *minij.Throw:
-		fromExpr(n.Value)
-	case *minij.Sync:
-		fromExpr(n.Lock)
-	case *minij.ExprStmt:
-		fromExpr(n.E)
-	}
-	return out
 }
 
 // inheritFrame builds the callee's seed state from a caller state at a call

@@ -200,7 +200,7 @@ func Match(sem *Semantic, prog *minij.Program) []*Site {
 			continue
 		}
 		minij.WalkStmts(m.Body, func(s minij.Stmt) {
-			for _, call := range immediateCalls(s) {
+			for _, call := range minij.OwnCalls(s) {
 				if CalleeName(prog, m, call) != sem.Target.Callee {
 					continue
 				}
@@ -237,69 +237,6 @@ func Match(sem *Semantic, prog *minij.Program) []*Site {
 		return sites[i].Stmt.Pos().Before(sites[j].Stmt.Pos())
 	})
 	return sites
-}
-
-// immediateCalls returns the call expressions belonging to statement s
-// itself (not to nested statements), so a target statement is the statement
-// that directly performs the call.
-func immediateCalls(s minij.Stmt) []*minij.Call {
-	var out []*minij.Call
-	for _, e := range stmtOwnExprs(s) {
-		collectCalls(e, &out)
-	}
-	return out
-}
-
-func stmtOwnExprs(s minij.Stmt) []minij.Expr {
-	switch n := s.(type) {
-	case *minij.VarDecl:
-		if n.Init != nil {
-			return []minij.Expr{n.Init}
-		}
-	case *minij.Assign:
-		return []minij.Expr{n.Target, n.Value}
-	case *minij.If:
-		return []minij.Expr{n.Cond}
-	case *minij.While:
-		return []minij.Expr{n.Cond}
-	case *minij.ForEach:
-		return []minij.Expr{n.Iter}
-	case *minij.Return:
-		if n.Value != nil {
-			return []minij.Expr{n.Value}
-		}
-	case *minij.Throw:
-		return []minij.Expr{n.Value}
-	case *minij.Sync:
-		return []minij.Expr{n.Lock}
-	case *minij.ExprStmt:
-		return []minij.Expr{n.E}
-	}
-	return nil
-}
-
-func collectCalls(e minij.Expr, out *[]*minij.Call) {
-	switch n := e.(type) {
-	case *minij.Call:
-		*out = append(*out, n)
-		if n.Recv != nil {
-			collectCalls(n.Recv, out)
-		}
-		for _, a := range n.Args {
-			collectCalls(a, out)
-		}
-	case *minij.FieldAccess:
-		collectCalls(n.Recv, out)
-	case *minij.New:
-		for _, a := range n.Args {
-			collectCalls(a, out)
-		}
-	case *minij.Unary:
-		collectCalls(n.X, out)
-	case *minij.Binary:
-		collectCalls(n.X, out)
-		collectCalls(n.Y, out)
-	}
 }
 
 // CalleeName resolves the qualified "Class.method" name a call refers to,

@@ -168,7 +168,7 @@ func (r *LockRule) Check(prog *minij.Program) []*StructuralViolation {
 					add(inner, syncLink, []string{syncLink})
 					return
 				}
-				for _, call := range immediateCalls(inner) {
+				for _, call := range minij.OwnCalls(inner) {
 					if call.Kind == minij.CallBuiltin {
 						if r.Hazard == BlockingIO && minij.IsBlockingBuiltin(call.Name) {
 							add(inner, call.Name, []string{"builtin." + call.Name})

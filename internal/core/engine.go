@@ -36,9 +36,6 @@ type Engine struct {
 	Inferencer infer.Inferencer
 	// Registry stores the executable contracts.
 	Registry *contract.Registry
-	// CrossCheck validates mined semantics against the ticket's fixed
-	// source before registering them (the §5 defence).
-	CrossCheck bool
 	// TestTopK is how many tests the selector picks per path (default 3).
 	TestTopK int
 	// NoPrune disables relevant-variable pruning (ablation).
@@ -80,12 +77,11 @@ type Engine struct {
 const selectorCapacity = 4
 
 // New returns an engine with the deterministic patch analyzer (with
-// generalization enabled), an empty registry, and cross-checking on.
+// generalization enabled) and an empty registry.
 func New() *Engine {
 	return &Engine{
 		Inferencer: &infer.PatchAnalyzer{Generalize: true},
 		Registry:   contract.NewRegistry(),
-		CrossCheck: true,
 		TestTopK:   3,
 	}
 }
@@ -111,13 +107,10 @@ func (e *Engine) ProcessTicket(tk *ticket.Ticket) (*TicketReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &TicketReport{Ticket: tk, Result: res}
-	sems := res.Semantics
-	if e.CrossCheck {
-		kept, rejected := infer.FilterGrounded(res, tk)
-		sems = kept
-		rep.Rejected = rejected
-	}
+	// Mined semantics are cross-checked against the ticket's fixed source
+	// before registering (the §5 defence).
+	sems, rejected := infer.FilterGrounded(res, tk)
+	rep := &TicketReport{Ticket: tk, Result: res, Rejected: rejected}
 	for _, sem := range sems {
 		if known := e.findEquivalent(sem); known != nil {
 			known.Origin = append(known.Origin, sem.Origin...)
@@ -373,8 +366,7 @@ func (r *AssertReport) Semantic(id string) *SemanticReport {
 // run over a version and a suite the engine has seen rebuilds none of
 // them.
 type AssertContext struct {
-	Source string
-	Tests  []ticket.TestCase
+	Tests []ticket.TestCase
 	// CorpusDigest identifies Tests: every field of every test, in order.
 	// It keys the test index, and the scheduler's fingerprints include it.
 	CorpusDigest string
@@ -406,10 +398,6 @@ func (c *AssertContext) MethodCanon(m *minij.Method) string {
 	}
 	return minij.FormatMethod(m)
 }
-
-// SystemClass reports whether the named class belongs to the system source
-// (as opposed to test code).
-func (c *AssertContext) SystemClass(name string) bool { return c.systemClasses[name] }
 
 // IsEntry reports whether m is an entry function: a system method not
 // called from system code (test callers do not disqualify it).
@@ -457,7 +445,7 @@ func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase
 			return nil, err
 		}
 	}
-	ctx := &AssertContext{Source: snap.Source(), Snapshot: snap, Tests: tests}
+	ctx := &AssertContext{Snapshot: snap, Tests: tests}
 	ctx.ProgSys = snap.Program()
 	var err error
 	tm.Time("compile", func() {
@@ -626,15 +614,6 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 		stageErr = rctx.Err()
 	})
 	return stageErr
-}
-
-// SiteStatic runs the full static pipeline for one site: execution tree,
-// then path enumeration with verdicts — unbounded, for callers outside an
-// assertion run (tools and tests).
-func (e *Engine) SiteStatic(ctx *AssertContext, site *contract.Site, tm StageTimings) *SiteReport {
-	siteRep := e.SiteChains(ctx, site, tm)
-	_ = e.SitePaths(context.Background(), ctx, siteRep, tm)
-	return siteRep
 }
 
 // DynamicReplay selects tests per site, replays them concolically, and

@@ -34,7 +34,7 @@ var Registry = []struct {
 	{"mutation", "DESIGN sweep: guard-weakening mutants, tests vs LISA (E-M1)", RunMutation},
 	{"ablations", "Design ablations: pruning, complement check, test selection (E-A1)", RunAblations},
 	{"chaos", "Degradation modes: fault-injection matrix over the gate (E-R1)", RunChaos},
-	{"stress", "Scaling: sequential loop vs batched scheduler widths on the synthetic stress corpus (E-P1)", RunStress},
+	{"stress", "Scaling: sequential loop vs scheduler widths on the synthetic stress corpus (E-P1)", RunStress},
 }
 
 // Run executes the named experiment over the corpus, or every experiment

@@ -3,7 +3,7 @@ package experiments
 // This file is the E-P1 scaling study: a seeded synthetic corpus far
 // larger than the paper's case studies — thousands of guarded call sites
 // behind deep helper chains — asserted under every execution topology the
-// engine offers (sequential loop, batched scheduler at several widths).
+// engine offers (sequential loop, scheduler at several widths).
 // The point is the shape of the scaling curve and the byte-identity
 // invariant, not the absolute numbers: every topology must render the same
 // report.
@@ -218,7 +218,7 @@ func RunStress(_ *ticket.Corpus) string {
 		identical = identical && same
 		t.AddRow(label, ms(wall), speedup(wall), yesNo(same))
 	}
-	schedTopo("scheduler, workers=1 (batched inline)", 1)
+	schedTopo("scheduler, workers=1 (inline)", 1)
 	schedTopo(fmt.Sprintf("scheduler, workers=GOMAXPROCS (%d)", runtime.GOMAXPROCS(0)), 0)
 
 	if identical {

@@ -1,9 +1,8 @@
 // Package lru is the bounded, recency-ordered map behind every in-memory
 // cache tier in LISA: the snapshot cache, the solver result cache, and the
 // scheduler's fingerprint cache. It does no locking of its own — each
-// caller already holds a lock around its lookups (and the solver and
-// scheduler answer whole batches under one acquisition), so a second,
-// internal lock would only add a round trip.
+// caller already holds a lock around its lookups, so a second, internal
+// lock would only add a round trip.
 package lru
 
 import "container/list"

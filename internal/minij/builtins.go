@@ -45,15 +45,6 @@ func IsBlockingBuiltin(name string) bool {
 	return ok && sig.Blocking
 }
 
-// BuiltinNames returns all registered builtin names (unordered).
-func BuiltinNames() []string {
-	out := make([]string, 0, len(builtinSigs))
-	for n := range builtinSigs {
-		out = append(out, n)
-	}
-	return out
-}
-
 // listMethods maps list instance-method names to their arity.
 var listMethods = map[string]int{
 	"add": 1, "get": 1, "size": 0, "contains": 1, "remove": 1,

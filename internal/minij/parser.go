@@ -30,18 +30,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error. It is a test helper only:
-// production code parses with Parse (or loads through internal/program)
-// and threads the error to its caller, so malformed input degrades the
-// run instead of crashing the process.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 type parser struct {
 	toks []Token
 	i    int

@@ -110,14 +110,24 @@ func walkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// Calls returns every call expression appearing anywhere in s.
-func Calls(s Stmt) []*Call {
+// OwnCalls returns the calls statement s itself performs (not those of
+// nested statements), in evaluation order: a contract site anchors on the
+// statement that directly performs its call. A for statement's condition
+// is left out: it runs after the statement's init, in the loop's own
+// scope, so a site anchored on the for statement would be reached before
+// the operands it binds (typically the loop variable) exist.
+func OwnCalls(s Stmt) []*Call {
+	if _, ok := s.(*For); ok {
+		return nil
+	}
 	var out []*Call
-	WalkExprs(s, func(e Expr) {
-		if c, ok := e.(*Call); ok {
-			out = append(out, c)
-		}
-	})
+	for _, e := range stmtExprs(s) {
+		walkExpr(e, func(x Expr) {
+			if c, ok := x.(*Call); ok {
+				out = append(out, c)
+			}
+		})
+	}
 	return out
 }
 

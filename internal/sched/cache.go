@@ -116,21 +116,16 @@ type siteEntry struct {
 	truncated bool
 }
 
-// getSiteBatch answers many site fingerprints in a single lock
-// acquisition (one batch of jobs pays one lock round trip instead of one
-// per job). Misses come back nil; hits are served as deep copies — fresh
-// PathReports ready for dynamic attribution — and the hit/miss counters
-// advance per fingerprint.
-func (c *Cache) getSiteBatch(fps []string) []*siteEntry {
-	out := make([]*siteEntry, len(fps))
+// getSite serves a cached static site result as a deep copy: fresh
+// PathReports, ready for dynamic attribution.
+func (c *Cache) getSite(fp string) (*siteEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, fp := range fps {
-		if ent, ok := lookup[*siteEntry](c, fp); ok {
-			out[i] = &siteEntry{paths: clonePaths(ent.paths), truncated: ent.truncated}
-		}
+	ent, ok := lookup[*siteEntry](c, fp)
+	if !ok {
+		return nil, false
 	}
-	return out
+	return &siteEntry{paths: clonePaths(ent.paths), truncated: ent.truncated}, true
 }
 
 // putSite stores a just-computed static site result.
@@ -191,6 +186,21 @@ func (c *Cache) getDynamic(fp string) (*dynOverlay, bool) {
 // report.
 func (c *Cache) putDynamic(fp string, ov *dynOverlay) {
 	c.put(fp, ov.clone())
+}
+
+// starved reports whether a solver budget left any replayed hit's dynamic
+// verdict undecided.
+func (ov *dynOverlay) starved() bool {
+	for _, s := range ov.Sites {
+		for _, p := range s.Paths {
+			for _, v := range p.DynVerdicts {
+				if v == concolic.VerdictInconclusive {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // --- deep copies ----------------------------------------------------------

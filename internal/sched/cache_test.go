@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lisa/internal/core"
-	"lisa/internal/corpus"
 )
 
 // voidBody matches the opening of a void method body, where a dead local
@@ -14,8 +13,10 @@ import (
 var voidBody = regexp.MustCompile(`\bvoid\s+\w+\([^)]*\)\s*\{`)
 
 // TestBoundedFingerprintCacheStaysWarm gates a stream of distinct
-// one-method edits of a corpus case incrementally against its primed head,
-// through a fingerprint cache capped far below what the stream writes. The
+// one-method edits of a 33-replica system incrementally against its primed
+// head, through a fingerprint cache capped far below what the stream
+// writes. Each gate's site wave holds 66 jobs, so a wide pool spreads it
+// over several goroutines and the cache really runs concurrently. The
 // bound must hold after every gate and evict, reports must stay
 // byte-identical to the sequential engine, and every gate must execute
 // exactly what an uncapped scheduler executes on the same stream: the
@@ -23,15 +24,17 @@ var voidBody = regexp.MustCompile(`\bvoid\s+\w+\([^)]*\)\s*\{`)
 // closure, are never the least recently used.
 func TestBoundedFingerprintCacheStaysWarm(t *testing.T) {
 	const (
-		gates = 50
-		// capacity is four gates' worth of zk-ephemeral jobs: small enough
-		// that the stream evicts, large enough that a head entry outlives
-		// the longest run of consecutive edits inside its closure.
-		capacity = 16
+		gates = 24
+		// Each gate writes 35 entries (an edited replica's two sites and
+		// every replica's replay) and re-touches the other head site
+		// entries. Consecutive gates edit one replica's three void methods,
+		// so its head entries go three gates untouched: about 200 entries
+		// land after them. The cap keeps them, and still evicts most of the
+		// 840 entries the stream writes.
+		capacity = 256
 	)
-	cs := corpus.Load().Get("zk-ephemeral")
-	e := engineForCase(t, cs)
-	head := cs.Head()
+	mk, head, tests := topoWorkload(t, 33)
+	e := mk()
 	base, err := e.LoadSnapshot(head)
 	if err != nil {
 		t.Fatal(err)
@@ -42,21 +45,20 @@ func TestBoundedFingerprintCacheStaysWarm(t *testing.T) {
 	for k := range edits {
 		off := voids[k%len(voids)][1]
 		edits[k] = head[:off] + fmt.Sprintf(" int lruEdit%d = %d;", k, k) + head[off:]
-		seq, err := e.Assert(edits[k], cs.Tests)
+		seq, err := e.Assert(edits[k], tests)
 		if err != nil {
 			t.Fatalf("edit %d: %v", k, err)
 		}
 		want[k] = seq.Render()
 	}
 
-	// stream primes s with the head, then gates every edit against it. One
-	// job per batch, so a wide pool really runs the cache concurrently.
+	// stream primes s with the head, then gates every edit against it.
 	stream := func(t *testing.T, s *Scheduler, workers int, check func(k int, rep *core.AssertReport, stats *Stats)) {
-		if _, _, err := s.Assert(e, head, cs.Tests, Options{Workers: workers, batchSize: 1}); err != nil {
+		if _, _, err := s.Assert(e, head, tests, Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		for k, src := range edits {
-			rep, stats, err := s.Assert(e, src, cs.Tests, Options{Workers: workers, batchSize: 1, Incremental: true, Base: base})
+			rep, stats, err := s.Assert(e, src, tests, Options{Workers: workers, Incremental: true, Base: base})
 			if err != nil {
 				t.Fatalf("edit %d: %v", k, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/faultinject"
+	"lisa/internal/smt"
 	"lisa/internal/ticket"
 )
 
@@ -156,5 +157,74 @@ func TestWorkerPanicIsolation(t *testing.T) {
 	}
 	if got := after.Semantic(victim.ID).Outcome(); got != core.OutcomePass {
 		t.Errorf("after disarm: victim outcome = %s, want %s", got, core.OutcomePass)
+	}
+}
+
+// TestBudgetStarvedVerdictNotCached: a solver-node budget too small to
+// decide a path leaves it INCONCLUSIVE, under a site fingerprint that does
+// not name the budget. That result is cached in neither tier, so the next
+// unbudgeted run, on the same scheduler or on a fresh one over the same
+// store, renders like a fresh sequential run.
+func TestBudgetStarvedVerdictNotCached(t *testing.T) {
+	const src = `class Acct { int a; void sink(int v, int w) { a = v; } void work(int x, int y, Acct t) { if (x > 0 || y > 0) { if (x > 5 || y > 5) { t.sink(x, y); } } } }`
+	// mk gives each engine a private solver cache, so no earlier
+	// unbudgeted solve can answer the starved query.
+	mk := func(solverNodes int) *core.Engine {
+		sems, err := contract.ParseSpec(`
+rule acct-sink
+description: a sink takes a large positive pair
+target: Acct.sink
+bind: v = arg 0
+bind: w = arg 1
+require: (v > 0 || w > 0) && (v > 5 || w > 5)
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := core.New()
+		e.Solver = smt.NewQueryCache(0)
+		e.Budget.SolverNodes = solverNodes
+		for _, sem := range sems {
+			if err := e.Registry.Add(sem); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	seq, err := mk(0).Assert(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seq.Render()
+	if !strings.Contains(want, "path VERIFIED") {
+		t.Fatalf("the unbudgeted run does not verify the path:\n%s", want)
+	}
+	for _, next := range []string{"same scheduler", "fresh scheduler over the store"} {
+		t.Run(next, func(t *testing.T) {
+			st := openStoreT(t)
+			s := New()
+			s.Cache().SetStore(st)
+			starved, _, err := s.Assert(mk(1), src, nil, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(starved.Render(), "path INCONCLUSIVE") {
+				t.Fatalf("a one-node budget did not starve the path:\n%s", starved.Render())
+			}
+			if next != "same scheduler" {
+				if err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				s = New()
+				s.Cache().SetStore(st)
+			}
+			rep, stats, err := s.Assert(mk(0), src, nil, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Render(); got != want {
+				t.Errorf("served the starved verdict (%d cache hits):\n--- sequential ---\n%s\n--- got ---\n%s", stats.CacheHits, want, got)
+			}
+		})
 	}
 }

@@ -10,13 +10,15 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"lisa/internal/callgraph"
+	"lisa/internal/concolic"
 	"lisa/internal/contract"
 	"lisa/internal/core"
-	"lisa/internal/diffutil"
 	"lisa/internal/minij"
 	"lisa/internal/program"
 	"lisa/internal/ticket"
@@ -26,23 +28,15 @@ import (
 type Options struct {
 	// Workers is the pool width; 0 or negative means GOMAXPROCS.
 	Workers int
-	// Incremental computes a dirty set against Base/BaseSource and reports
-	// which jobs the change impacts; unimpacted jobs are served from cache
-	// when present.
+	// Incremental computes a dirty set against Base and reports which jobs
+	// the change impacts; unimpacted jobs are served from cache when
+	// present.
 	Incremental bool
 	// Base is the pre-change system snapshot the dirty set diffs against
-	// (the gate loads it once and shares it). When nil, BaseSource is
-	// loaded through the engine's snapshot cache instead; a base that does
-	// not build marks everything dirty.
+	// (the gate loads it once and shares it). Nil on an incremental run
+	// means the base did not build, so the change cannot be localized and
+	// everything is dirty.
 	Base *program.Snapshot
-	// BaseSource is the pre-change system source (typically
-	// ci.Change.OldSource); used when Base is nil.
-	BaseSource string
-	// batchSize groups jobs into units dispatched to a worker as one
-	// message, amortizing the channel handoff and letting the batch answer
-	// its cache lookups in one lock pass; <= 0 means defaultBatchSize.
-	// Only this package's tests vary it.
-	batchSize int
 }
 
 // Stats describes what one scheduled run did: the job breakdown, how much
@@ -158,23 +152,28 @@ type semPlan struct {
 // merged report is byte-identical (per core.AssertReport.Render) to what
 // the sequential Engine.Assert produces for the same inputs.
 func (s *Scheduler) Assert(e *core.Engine, source string, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
-	tm := core.StageTimings{}
-	before := snapshotStats(e)
-	actx, err := e.Prepare(source, tests, tm)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, stats, err := s.assertContext(e, actx, tm, opts)
-	applySnapshotDelta(stats, e, before)
-	return rep, stats, err
+	return s.assert(e, source, nil, tests, opts)
 }
 
 // AssertSnapshot is Assert over an already-loaded system snapshot (the CI
 // gate's path: head and proposed change are loaded once and shared across
 // every job of the run).
 func (s *Scheduler) AssertSnapshot(e *core.Engine, snap *program.Snapshot, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
+	return s.assert(e, "", snap, tests, opts)
+}
+
+// assert is Assert and AssertSnapshot: a nil snap is loaded from source,
+// inside the run's compile timing and snapshot-restore accounting.
+func (s *Scheduler) assert(e *core.Engine, source string, snap *program.Snapshot, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
 	tm := core.StageTimings{}
 	before := snapshotStats(e)
+	var err error
+	if snap == nil {
+		tm.Time("compile", func() { snap, err = e.LoadSnapshot(source) })
+		if err != nil {
+			return nil, nil, fmt.Errorf("system source: %w", err)
+		}
+	}
 	actx, err := e.PrepareSnapshot(snap, tests, tm)
 	if err != nil {
 		return nil, nil, err
@@ -218,17 +217,12 @@ func (s *Scheduler) assertContext(e *core.Engine, ctx *core.AssertContext, tm co
 	defer func() { stats.DiskHits = s.cache.TierStats().DiskHits - diskBefore }()
 
 	var dirty *Dirty
-	if opts.Incremental && (opts.Base != nil || opts.BaseSource != "") {
+	if opts.Incremental {
 		tm.Time("dirty-set", func() {
-			base := opts.Base
-			if base == nil {
-				base, _ = e.LoadSnapshot(opts.BaseSource)
-			}
-			if base != nil {
-				dirty = ComputeDirtySnapshots(base, ctx.Snapshot)
+			if opts.Base != nil {
+				dirty = ComputeDirtySnapshots(opts.Base, ctx.Snapshot)
 			} else {
-				// A base that does not build cannot localize the change.
-				dirty = &Dirty{All: true, Stat: diffutil.DiffStats(diffutil.Diff(opts.BaseSource, ctx.Source))}
+				dirty = &Dirty{All: true}
 			}
 		})
 		stats.DirtyAll = dirty.All
@@ -251,20 +245,8 @@ func (s *Scheduler) assertContext(e *core.Engine, ctx *core.AssertContext, tm co
 			wave2 = append(wave2, sp.dynamic)
 		}
 	}
-	batchSize := opts.batchSize
-	if batchSize <= 0 {
-		batchSize = defaultBatchSize
-	}
-	batches1 := makeBatches(wave1, batchSize)
-	batches2 := makeBatches(wave2, batchSize)
-	s.runBatches(rctx, e, ctx, batches1, workers)
-	s.runBatches(rctx, e, ctx, batches2, workers)
-	for _, b := range batches1 {
-		tm.AddAll(b.tm)
-	}
-	for _, b := range batches2 {
-		tm.AddAll(b.tm)
-	}
+	s.runWave(rctx, e, ctx, wave1, workers, tm)
+	s.runWave(rctx, e, ctx, wave2, workers, tm)
 
 	// Deterministic merge: registry order, site order.
 	report := &core.AssertReport{StageTimings: tm, StaticOnly: len(ctx.Tests) == 0}
@@ -463,16 +445,15 @@ func sitePlans(e *core.Engine, ctx *core.AssertContext, sem *contract.Semantic, 
 }
 
 // runJob executes or cache-serves one job, recording stage timings into
-// the enclosing batch's tm (jobs of one batch run on one worker, so the
-// shared map is race-free). Site jobs arrive with the memory tier already
-// answered by the batch precheck (runBatch), so their lookup starts at the
-// disk tier. Cache hits are re-anchored onto the current run's report
-// objects so downstream stages and rendering always see current sites.
-// Execution goes through the engine's contained job wrappers — the same
-// decomposition the sequential loop uses — so a panicking or over-budget
-// job degrades instead of killing the worker. Failed jobs are never
-// cached: a cached entry must be an authoritative result, and the next run
-// should retry.
+// tm, which belongs to the goroutine running it. Each job looks up the
+// memory tier, then the disk tier. Cache hits are re-anchored onto the
+// current run's report objects so downstream stages and rendering always
+// see current sites. Execution goes through the engine's contained job
+// wrappers — the same decomposition the sequential loop uses — so a
+// panicking or over-budget job degrades instead of killing the worker.
+// Only an authoritative result is cached, so the next run retries the
+// rest: a failed job's, and one a solver budget left INCONCLUSIVE, whose
+// fingerprint does not name the budget.
 func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.AssertContext, j *job, tm core.StageTimings) {
 	switch j.kind {
 	case jobStructural:
@@ -494,6 +475,12 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 		}
 		j.executed = true
 	case jobSite:
+		if ent, ok := s.cache.getSite(j.fp); ok {
+			j.siteRep.Paths = ent.paths
+			j.siteRep.TreeTruncated = ent.truncated
+			j.cacheHit = true
+			return
+		}
 		if paths, truncated, ok := s.cache.diskGetSite(j.fp, j.siteRep.Site); ok {
 			j.siteRep.Paths = paths
 			j.siteRep.TreeTruncated = truncated
@@ -502,18 +489,20 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 			return
 		}
 		j.failure = e.SiteJob(rctx, ctx, j.name, j.siteRep, tm)
-		if j.failure == nil {
+		if j.failure == nil && !starved(j.siteRep.Paths) {
 			s.cache.putSite(j.fp, j.siteRep)
 			s.cache.diskPutSite(j.fp, j.siteRep)
 		}
 		j.executed = true
 	case jobDynamic:
 		// A site job that failed in this run left its site without paths,
-		// so the replay is not the one the fingerprint names: it runs
-		// uncached, neither served from nor stored in the cache.
+		// and one a solver budget starved may have kept paths an
+		// unbudgeted walk prunes, so the replay is not the one the
+		// fingerprint names: it runs uncached, neither served from nor
+		// stored in the cache.
 		cacheable := true
 		for _, sj := range j.sites {
-			cacheable = cacheable && sj.failure == nil
+			cacheable = cacheable && sj.failure == nil && !starved(sj.siteRep.Paths)
 		}
 		if cacheable {
 			if ov, ok := s.cache.getDynamic(j.fp); ok {
@@ -532,103 +521,66 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 		}
 		j.testsRun, j.failure = e.DynamicJob(rctx, ctx, j.name, j.sr, tm)
 		if j.failure == nil && cacheable {
-			ov := extractOverlay(j.sr, j.testsRun)
-			s.cache.putDynamic(j.fp, ov)
-			s.cache.diskPutDynamic(j.fp, ov)
+			if ov := extractOverlay(j.sr, j.testsRun); !ov.starved() {
+				s.cache.putDynamic(j.fp, ov)
+				s.cache.diskPutDynamic(j.fp, ov)
+			}
 		}
 		j.executed = true
 	}
 }
 
-// defaultBatchSize bounds how many jobs ride one worker dispatch. Jobs in
-// the corpus run sub-millisecond, so a dispatch has to carry enough of
-// them to amortize the channel round trip; 32 keeps dispatch overhead
-// under ~3% of even the cheapest batch while still feeding an 8-wide pool
-// from modest job sets.
-const defaultBatchSize = 32
-
-// batchUnit is the unit of worker dispatch: a contiguous run of planned
-// jobs (wave order is registry order, so a chunk's site jobs share their
-// semantic and read overlapping closures) plus the stage-timing map they
-// share.
-type batchUnit struct {
-	jobs []*job
-	tm   core.StageTimings
-}
-
-// makeBatches chunks jobs into units of at most size, preserving order.
-func makeBatches(jobs []*job, size int) []*batchUnit {
-	var batches []*batchUnit
-	for len(jobs) > 0 {
-		n := size
-		if n > len(jobs) {
-			n = len(jobs)
-		}
-		batches = append(batches, &batchUnit{jobs: jobs[:n]})
-		jobs = jobs[n:]
-	}
-	return batches
-}
-
-// runBatch executes one batch on the calling goroutine. The batch's site
-// jobs answer their memory-tier lookups in a single lock pass first; the
-// remaining jobs then run in order.
-func (s *Scheduler) runBatch(rctx context.Context, e *core.Engine, ctx *core.AssertContext, b *batchUnit) {
-	b.tm = core.StageTimings{}
-	var siteJobs []*job
-	for _, j := range b.jobs {
-		if j.kind == jobSite {
-			siteJobs = append(siteJobs, j)
+// starved reports whether a solver budget left any of a site's paths
+// undecided.
+func starved(paths []*core.PathReport) bool {
+	for _, p := range paths {
+		if p.Verdict == concolic.VerdictInconclusive {
+			return true
 		}
 	}
-	if len(siteJobs) > 0 {
-		fps := make([]string, len(siteJobs))
-		for i, j := range siteJobs {
-			fps[i] = j.fp
-		}
-		for i, hit := range s.cache.getSiteBatch(fps) {
-			if hit == nil {
-				continue
+	return false
+}
+
+// jobsPerWorker is the smallest share of a wave worth a goroutine of its
+// own. A corpus job runs in well under a millisecond, so handing a few to
+// a second goroutine costs more than it saves: spreading every wave, down
+// to a gate's three or four jobs, over two goroutines made the daemon's
+// gate latency worse under concurrent clients, which already keep every
+// core busy. At 32 every corpus gate runs inline, and a run with hundreds
+// of site jobs still spreads over the whole pool.
+const jobsPerWorker = 32
+
+// runWave runs a wave's jobs on min(workers, ⌈len(jobs)/jobsPerWorker⌉)
+// goroutines, the calling goroutine among them, so a wave of at most
+// jobsPerWorker jobs, or width 1, runs inline in plan order. Each
+// goroutine claims the next unclaimed job until none is left, timing its
+// stages into a map of its own (the calling goroutine's is tm); the
+// others' maps are merged into tm after the wave.
+func (s *Scheduler) runWave(rctx context.Context, e *core.Engine, ctx *core.AssertContext, jobs []*job, workers int, tm core.StageTimings) {
+	var next atomic.Int64
+	work := func(own core.StageTimings) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return
 			}
-			j := siteJobs[i]
-			j.siteRep.Paths = hit.paths
-			j.siteRep.TreeTruncated = hit.truncated
-			j.cacheHit = true
+			s.runJob(rctx, e, ctx, jobs[i], own)
 		}
 	}
-	for _, j := range b.jobs {
-		if !j.cacheHit {
-			s.runJob(rctx, e, ctx, j, b.tm)
-		}
-	}
-}
-
-// runBatches fans batches out over a fixed-width worker pool. Width 1
-// runs everything inline on the calling goroutine — no channels, no
-// goroutine handoff — which is the deterministic baseline the parallel
-// runs are checked against and the fix for the old width-1 pool paying
-// dispatch overhead for nothing.
-func (s *Scheduler) runBatches(rctx context.Context, e *core.Engine, ctx *core.AssertContext, batches []*batchUnit, workers int) {
-	if workers <= 1 || len(batches) <= 1 {
-		for _, b := range batches {
-			s.runBatch(rctx, e, ctx, b)
-		}
-		return
-	}
-	ch := make(chan *batchUnit)
+	width := min(workers, (len(jobs)+jobsPerWorker-1)/jobsPerWorker)
+	helpers := make([]core.StageTimings, max(width-1, 0))
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := range helpers {
+		helpers[i] = core.StageTimings{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := range ch {
-				s.runBatch(rctx, e, ctx, b)
-			}
+			work(helpers[i])
 		}()
 	}
-	for _, b := range batches {
-		ch <- b
-	}
-	close(ch)
+	work(tm)
 	wg.Wait()
+	for _, h := range helpers {
+		tm.AddAll(h)
+	}
 }

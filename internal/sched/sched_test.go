@@ -225,7 +225,7 @@ func TestIncrementalSingleMethodChange(t *testing.T) {
 		t.Fatal("mutation failed")
 	}
 	rep, stats, err := s.Assert(e, changed, testSuite(), Options{
-		Workers: 4, Incremental: true, BaseSource: sysFixed,
+		Workers: 4, Incremental: true, Base: loadIn(t, e.LoadSnapshot, sysFixed),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestGuardChangeInvalidatesSite(t *testing.T) {
 	}
 	weakened := strings.Replace(sysFixed, "s == null || s.closing", "s == null", 1)
 	rep, stats, err := s.Assert(e, weakened, nil, Options{
-		Workers: 1, Incremental: true, BaseSource: sysFixed,
+		Workers: 1, Incremental: true, Base: loadIn(t, e.LoadSnapshot, sysFixed),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +286,11 @@ func TestGuardChangeInvalidatesSite(t *testing.T) {
 	}
 }
 
-// loadIn loads src through cache, failing the test when it does not build.
-func loadIn(t *testing.T, cache *program.Cache, src string) *program.Snapshot {
+// loadIn loads src through load (a snapshot cache's, or an engine's),
+// failing the test when it does not build.
+func loadIn(t *testing.T, load func(string) (*program.Snapshot, error), src string) *program.Snapshot {
 	t.Helper()
-	snap, err := cache.Load(src)
+	snap, err := load(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,10 +300,10 @@ func loadIn(t *testing.T, cache *program.Cache, src string) *program.Snapshot {
 // TestDirtySet exercises the change-localization ladder.
 func TestDirtySet(t *testing.T) {
 	cache := program.NewCache(0)
-	base := loadIn(t, cache, sysFixed)
+	base := loadIn(t, cache.Load, sysFixed)
 	dirty := func(src string) *Dirty {
 		t.Helper()
-		return ComputeDirtySnapshots(base, loadIn(t, cache, src))
+		return ComputeDirtySnapshots(base, loadIn(t, cache.Load, src))
 	}
 
 	reformatted := strings.ReplaceAll(sysFixed, "\t", "  ")
@@ -334,8 +335,13 @@ func TestDirtySet(t *testing.T) {
 // cannot localize the change, so the whole change is dirty and every job
 // is impacted.
 func TestUnbuildableBaseMarksAllDirty(t *testing.T) {
-	_, stats, err := New().Assert(engineWithRule(t), sysFixed, nil, Options{
-		Workers: 1, Incremental: true, BaseSource: "class Broken {",
+	e := engineWithRule(t)
+	base, err := e.LoadSnapshot("class Broken {")
+	if err == nil {
+		t.Fatal("the broken base built")
+	}
+	_, stats, err := New().Assert(e, sysFixed, nil, Options{
+		Workers: 1, Incremental: true, Base: base,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,11 +357,11 @@ func TestUnbuildableBaseMarksAllDirty(t *testing.T) {
 func TestDirtySnapshotsMemoPerBase(t *testing.T) {
 	cache, fresh := program.NewCache(0), program.NewCache(0)
 	changed := strings.Replace(sysFixed, "used = used + n;", "used = used + n + 1;", 1)
-	change := loadIn(t, cache, changed)
-	for _, base := range []*program.Snapshot{loadIn(t, cache, sysFixed), change} {
+	change := loadIn(t, cache.Load, changed)
+	for _, base := range []*program.Snapshot{loadIn(t, cache.Load, sysFixed), change} {
 		got := ComputeDirtySnapshots(base, change)
 		// The same diff over snapshots no memo has seen.
-		want := ComputeDirtySnapshots(loadIn(t, fresh, base.Source()), loadIn(t, fresh, changed))
+		want := ComputeDirtySnapshots(loadIn(t, fresh.Load, base.Source()), loadIn(t, fresh.Load, changed))
 		if got.All != want.All || got.Stat != want.Stat || !slices.Equal(got.SortedMethods(), want.SortedMethods()) {
 			t.Errorf("dirty set = all=%v %+v %v, want all=%v %+v %v",
 				got.All, got.Stat, got.SortedMethods(), want.All, want.Stat, want.SortedMethods())

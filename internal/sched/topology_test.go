@@ -100,57 +100,32 @@ class TopoTest {
 	return mkEngine, sb.String(), tests
 }
 
-// TestMakeBatches: chunking preserves order and covers every job.
-func TestMakeBatches(t *testing.T) {
-	jobs := make([]*job, 10)
-	for i := range jobs {
-		jobs[i] = &job{name: fmt.Sprintf("j%d", i)}
-	}
-	batches := makeBatches(jobs, 4)
-	if len(batches) != 3 {
-		t.Fatalf("got %d batches, want 3", len(batches))
-	}
-	var flat []*job
-	for i, b := range batches {
-		want := 4
-		if i == 2 {
-			want = 2
-		}
-		if len(b.jobs) != want {
-			t.Errorf("batch %d has %d jobs, want %d", i, len(b.jobs), want)
-		}
-		flat = append(flat, b.jobs...)
-	}
-	for i, j := range flat {
-		if j != jobs[i] {
-			t.Fatalf("batching reordered jobs at %d", i)
-		}
-	}
-	if got := makeBatches(nil, 4); got != nil {
-		t.Errorf("empty job set produced %d batches", len(got))
-	}
-}
-
-// TestBatchSizeDoesNotChangeReport: the batch unit is pure dispatch
-// mechanics — any size renders byte-identically to the sequential engine.
-func TestBatchSizeDoesNotChangeReport(t *testing.T) {
-	mk, src, tests := topoWorkload(t, 4)
-	seq, err := mk().Assert(src, tests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seq.Render()
-	for _, size := range []int{1, 3, 1024} {
-		rep, stats, err := New().Assert(mk(), src, tests, Options{Workers: 8, batchSize: size})
+// TestWaveWidthDoesNotChangeReport: how many goroutines share a wave is
+// pure dispatch mechanics. A wave of 80 site jobs runs inline at width 1
+// and spreads over two and three goroutines at widths 2 and 8; each run,
+// and one without tests (an empty replay wave), renders byte-identically
+// to the sequential engine.
+func TestWaveWidthDoesNotChangeReport(t *testing.T) {
+	mk, src, tests := topoWorkload(t, 40)
+	runs := []struct {
+		workers int
+		tests   []ticket.TestCase
+	}{{1, tests}, {2, tests}, {8, tests}, {8, nil}}
+	for _, run := range runs {
+		seq, err := mk().Assert(src, run.tests)
 		if err != nil {
-			t.Fatalf("batch size %d: %v", size, err)
+			t.Fatal(err)
 		}
-		if got := rep.Render(); got != want {
-			t.Errorf("batch size %d renders differently from sequential", size)
+		rep, stats, err := New().Assert(mk(), src, run.tests, Options{Workers: run.workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", run.workers, err)
 		}
-		if stats.Executed+stats.CacheHits != stats.Jobs {
-			t.Errorf("batch size %d: executed(%d)+hits(%d) != jobs(%d)",
-				size, stats.Executed, stats.CacheHits, stats.Jobs)
+		if got, want := rep.Render(), seq.Render(); got != want {
+			t.Errorf("workers=%d, %d tests: renders differently from sequential", run.workers, len(run.tests))
+		}
+		if stats.SiteJobs != 80 || stats.Executed+stats.CacheHits != stats.Jobs {
+			t.Errorf("workers=%d, %d tests: %d site jobs, executed(%d)+hits(%d) != jobs(%d)",
+				run.workers, len(run.tests), stats.SiteJobs, stats.Executed, stats.CacheHits, stats.Jobs)
 		}
 	}
 }
@@ -197,7 +172,7 @@ func TestStoreTopologyByteIdentity(t *testing.T) {
 }
 
 // TestWorkersOneNoSlowerThanSequential is the width-1 pool satellite:
-// batched workers=1 runs every job inline on the calling goroutine, so its
+// workers=1 runs every job inline on the calling goroutine, so its
 // wall clock must stay within 2% of the sequential engine loop (plus a
 // small absolute allowance for timer noise on loaded runners). Both paths
 // are warmed once first so the process-wide solver and snapshot caches

@@ -7,9 +7,14 @@
 # cache, the shared LRU under them, prefix-pruning walker, fault injector,
 # the on-disk store with its goroutine hammer, and the serve daemon with
 # its request hammer and admission control), the bounded fingerprint cache
-# test by name (ten race-detector rounds of a capped cache gating a stream
-# of edits: the cap holds, entries evict, reports and executed-job counts
-# match), the cross-engine memo test by name (ten race-detector rounds of two
+# and wave-width tests by name (ten race-detector rounds of a capped cache
+# gating a stream of edits whose 66-job site waves spread over several
+# goroutines: the cap holds, entries evict, reports and executed-job counts
+# match; and of one 80-site-job run at widths 1, 2 and 8, each rendering
+# like the sequential engine), the budget-starved verdict test by name (an
+# INCONCLUSIVE path left by a one-node solver budget is cached in neither
+# tier, so the next unbudgeted run verifies it), the cross-engine memo test
+# by name (ten race-detector rounds of two
 # engines sharing one snapshot cache, registering one rule ID under two
 # descriptions and gating the same sources concurrently: each report must
 # equal its own engine's sequential run), the daemon /stats test by name
@@ -54,7 +59,8 @@ go vet ./...
 (cd bench && go vet ./...)
 test -z "$(gofmt -l .)"
 go test -race ./internal/sched/... ./internal/program/... ./internal/lru/... ./internal/faultinject/... ./internal/smt/... ./internal/concolic/... ./internal/server/... ./internal/store/...
-go test -race -count=10 -run TestBoundedFingerprintCacheStaysWarm ./internal/sched
+go test -race -count=10 -run 'TestBoundedFingerprintCacheStaysWarm|TestWaveWidthDoesNotChangeReport' ./internal/sched
+go test -run 'TestBudgetStarvedVerdictNotCached' -count=1 ./internal/sched
 go test -race -count=10 -run TestCrossEngineGatesShareSnapshots ./internal/ci
 go test -race -count=10 -run TestStatsDuringFirstGates ./internal/server
 go test -run 'TestCodec' -count=1 ./internal/minij
