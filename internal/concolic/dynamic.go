@@ -83,13 +83,12 @@ type Runner struct {
 
 // dframe is the shadow symbolic state of one runtime frame.
 type dframe struct {
-	env   *sframe
-	order []int // guard stmt IDs in first-recorded order
-	conds map[int]recordedCond
-	// inherited carries caller-frame conditions over values passed as call
-	// arguments, renamed into this frame's parameter vocabulary —
-	// the dynamic counterpart of chain analysis.
-	inherited []recordedCond
+	// env's conditions are the ones inherited at entry, then this frame's
+	// own recordings in first-recorded order.
+	env *sframe
+	// recorded maps a guard statement ID to the index of its recording in
+	// env.conds.
+	recorded map[int]int
 	// pendingPost holds hits whose postcondition Q awaits evaluation at
 	// the next observation point in this frame (the state "after s").
 	pendingPost []*pendingPost
@@ -118,17 +117,6 @@ func (d *dframe) flushPost() {
 	d.pendingPost = nil
 }
 
-// allConds returns inherited conditions followed by this frame's own, in
-// recording order.
-func (d *dframe) allConds() []recordedCond {
-	out := make([]recordedCond, 0, len(d.inherited)+len(d.order))
-	out = append(out, d.inherited...)
-	for _, id := range d.order {
-		out = append(out, d.conds[id])
-	}
-	return out
-}
-
 // NewRunner builds a runner over prog with the given registered sites,
 // creating a fresh interpreter with the supplied options.
 func NewRunner(prog *minij.Program, sites []*contract.Site, opts interp.Options) *Runner {
@@ -152,44 +140,14 @@ func (r *Runner) SetNoPrune(v bool) { r.noPrune = v }
 
 func (r *Runner) install() {
 	r.In.Hooks.OnEnter = func(m *minij.Method, fr *interp.Frame, call *minij.Call) {
-		child := &dframe{env: newSFrame(r.Prog), conds: map[int]recordedCond{}}
-		if call != nil {
-			if caller := r.top(); caller != nil {
-				renames := map[string]string{}
-				for i, p := range m.Params {
-					if i >= len(call.Args) {
-						break
-					}
-					if t, ok := translateTerm(call.Args[i], caller.env); ok {
-						if t.isPath {
-							renames[t.path] = p.Name
-						} else if t.isConst {
-							child.env.consts[p.Name] = t.c
-							child.env.assigned[p.Name] = true
-						}
-					}
-				}
-				for _, rc := range caller.allConds() {
-					if rf, ok := renameFormula(rc.f, renames); ok {
-						child.inherited = append(child.inherited, recordedCond{
-							f: rf,
-							guard: GuardStep{
-								Guard: strings.TrimSuffix(rc.guard.Guard, " (inherited)") + " (inherited)",
-								Taken: rc.guard.Taken,
-								Pos:   rc.guard.Pos,
-							},
-						})
-					}
-				}
-				for path, c := range caller.env.consts {
-					if rp, ok := renamePath(path, renames); ok {
-						child.env.consts[rp] = c
-					}
-				}
-			}
+		var env *sframe
+		if caller := r.top(); call != nil && caller != nil {
+			env = inheritFrame(r.Prog, caller.env, m, call)
+		} else {
+			env = newSFrame(r.Prog)
 		}
 		r.methodStack = append(r.methodStack, m)
-		r.shadow = append(r.shadow, child)
+		r.shadow = append(r.shadow, &dframe{env: env, recorded: map[int]int{}})
 	}
 	r.In.Hooks.OnExit = func(m *minij.Method) {
 		if top := r.top(); top != nil {
@@ -208,25 +166,20 @@ func (r *Runner) install() {
 		if top == nil {
 			return
 		}
-		f, ok := Translate(cond, top.env)
+		rc, ok, _ := branchCond(cond, top.env, taken)
 		if !ok {
 			return
 		}
-		if !taken {
-			f = smt.NNF(smt.NewNot(f))
-		}
-		if _, isConst := f.(*smt.Const); isConst {
+		// Replay keeps the latest recording per guard statement, where
+		// enumeration appends one per fork: a loop body runs many times,
+		// and its most recent decision reflects the state that reaches
+		// the target.
+		if i, seen := top.recorded[id]; seen {
+			top.env.conds[i] = rc
 			return
 		}
-		if _, seen := top.conds[id]; !seen {
-			top.order = append(top.order, id)
-		}
-		// Keep the latest recording: inside loops the most recent decision
-		// reflects the state that reaches the target.
-		top.conds[id] = recordedCond{
-			f:     f,
-			guard: GuardStep{Guard: minij.CanonExpr(cond), Taken: taken, Pos: cond.Pos()},
-		}
+		top.recorded[id] = len(top.env.conds)
+		top.env.conds = append(top.env.conds, rc)
 	}
 	r.In.Hooks.OnStmt = func(s minij.Stmt, fr *interp.Frame) {
 		r.StmtsCovered[s.ID()] = true
@@ -242,24 +195,7 @@ func (r *Runner) install() {
 				r.recordHit(site, top, fr)
 			}
 		}
-		// Apply assignment effects to the shadow environment.
-		switch n := s.(type) {
-		case *minij.VarDecl:
-			if n.Init != nil {
-				top.env.store(n.Name, n.Init)
-			} else {
-				top.env.store(n.Name, zeroLiteral(n.Type))
-			}
-		case *minij.Assign:
-			switch t := n.Target.(type) {
-			case *minij.Ident:
-				top.env.store(t.Name, n.Value)
-			case *minij.FieldAccess:
-				if term, ok := translateTerm(t, top.env); ok && term.isPath {
-					top.env.storePath(term.path, n.Value)
-				}
-			}
-		}
+		top.env.apply(s)
 	}
 }
 
@@ -271,42 +207,18 @@ func (r *Runner) top() *dframe {
 }
 
 func (r *Runner) recordHit(site *contract.Site, top *dframe, fr *interp.Frame) {
-	bindings := map[string]string{}
-	relevant := map[string]bool{}
-	for slot := range site.Semantic.Target.Bind {
-		operand, ok := site.Bindings[slot]
-		if !ok {
-			continue
-		}
-		if t, tok := translateTerm(operand, top.env); tok && t.isPath {
-			bindings[slot] = t.path
-			relevant[smt.Root(t.path)] = true
-		}
-	}
-	var conds []smt.Formula
-	for _, rc := range top.allConds() {
-		keep := r.noPrune
-		if !keep {
-			for root := range smt.Roots(rc.f) {
-				if relevant[root] {
-					keep = true
-					break
-				}
-			}
-		}
-		if keep {
-			conds = append(conds, rc.f)
-		}
-	}
+	bindings, conds, _, roots := siteCondition(site, top.env, r.noPrune)
 	if r.noPrune {
-		all := map[string]bool{}
+		// Under NoPrune a hit's constant facts cover every root its frame
+		// holds a constant for, where a static path's cover only the
+		// bindings' roots: a replayed frame folds branches over constants
+		// the test passed in, which enumeration records as conditions. The
+		// facts put them back.
 		for path := range top.env.consts {
-			all[smt.Root(path)] = true
+			roots[smt.Root(path)] = true
 		}
-		conds = append(conds, constFacts(top.env, all)...)
-	} else {
-		conds = append(conds, constFacts(top.env, relevant)...)
 	}
+	conds = append(conds, constFacts(top.env, roots)...)
 	chain := make([]string, len(r.methodStack))
 	for i, m := range r.methodStack {
 		chain[i] = m.FullName()

@@ -111,67 +111,41 @@ func staticPathsFrom(prog *minij.Program, site *contract.Site, opts Options, see
 		maxPaths = DefaultMaxPaths
 	}
 	collector := &siteCollector{site: site, opts: opts, seen: map[string]bool{}}
-	trunc := false
-	for _, seed := range seeds {
-		w := &staticWalker{
-			prog:      prog,
-			method:    site.Method,
-			targetID:  site.Stmt.ID(),
-			maxPaths:  maxPaths,
-			ctx:       opts.Ctx,
-			lim:       opts.Lim,
-			prune:     !opts.NoPrefixPrune,
-			seedPrune: !opts.NoPrefixPrune,
-			emit:      collector.emit,
-		}
-		// A seed carrying an unsatisfiable inherited prefix can reach
-		// nothing; one query kills the whole walk.
-		if w.seedPrune && len(seed.conds) > 0 && !w.prefixSat(seed) {
-			continue
-		}
-		w.walkSeq(site.Method.Body.Stmts, 0, seed, walkCtx{}, func(*sframe) {})
-		trunc = trunc || w.trunc
-	}
+	trunc := walkSeeds(prog, site.Method, site.Stmt.ID(), maxPaths, seeds, opts, true, collector.emit, nil)
 	sort.Slice(collector.out, func(i, j int) bool {
 		return collector.out[i].Cond.String() < collector.out[j].Cond.String()
 	})
 	return collector.out, trunc
 }
 
-// walkStatesTo enumerates the symbolic states reaching an arbitrary target
-// statement of a method from the given seeds (used by chain analysis to
-// reach call sites of the next frame).
-func walkStatesTo(prog *minij.Program, m *minij.Method, targetID, maxStates int, seeds []*sframe, opts Options) (states []*sframe, truncated bool) {
-	trunc := false
+// walkSeeds walks m from each seed to the statement targetID, passing every
+// state that reaches it to emit, and reports whether a walk was cut short.
+// A seed carrying an unsatisfiable inherited prefix can reach nothing; one
+// query skips its whole walk. forkPrune also drops each branch direction
+// whose prefix is unsatisfiable. When enough is non-nil, the loop stops
+// after the first seed that leaves it true, and the walk counts as cut
+// short.
+func walkSeeds(prog *minij.Program, m *minij.Method, targetID, maxPaths int, seeds []*sframe, opts Options, forkPrune bool, emit func(*sframe), enough func() bool) (truncated bool) {
 	for _, seed := range seeds {
 		w := &staticWalker{
 			prog:     prog,
-			method:   m,
 			targetID: targetID,
-			maxPaths: maxStates,
+			maxPaths: maxPaths,
 			ctx:      opts.Ctx,
 			lim:      opts.Lim,
-			// Fork-level pruning is deliberately off here: chain states
-			// carrying an unsatisfiable prefix die at the next frame's
-			// seed check (one query per seed), which costs far less than
-			// checking every fork of every intermediate state.
-			seedPrune: !opts.NoPrefixPrune,
-			emit: func(st *sframe) {
-				if len(states) < maxStates {
-					states = append(states, st.clone())
-				}
-			},
+			prune:    forkPrune && !opts.NoPrefixPrune,
+			emit:     emit,
 		}
-		if w.seedPrune && len(seed.conds) > 0 && !w.prefixSat(seed) {
+		if !opts.NoPrefixPrune && len(seed.conds) > 0 && !w.prefixSat(seed) {
 			continue
 		}
 		w.walkSeq(m.Body.Stmts, 0, seed, walkCtx{}, func(*sframe) {})
-		trunc = trunc || w.trunc
-		if len(states) >= maxStates {
-			return states, true
+		truncated = truncated || w.trunc
+		if enough != nil && enough() {
+			return true
 		}
 	}
-	return states, trunc
+	return truncated
 }
 
 // siteCollector converts emitted walker states into deduplicated
@@ -184,47 +158,20 @@ type siteCollector struct {
 }
 
 func (c *siteCollector) emit(st *sframe) {
-	bindings := map[string]string{}
-	relevant := map[string]bool{}
-	for slot := range c.site.Semantic.Target.Bind {
-		operand, ok := c.site.Bindings[slot]
-		if !ok {
-			continue
-		}
-		if t, tok := translateTerm(operand, st); tok && t.isPath {
-			bindings[slot] = t.path
-			relevant[smt.Root(t.path)] = true
-		}
-	}
-	var filtered, full []smt.Formula
-	var guards []GuardStep
-	for _, rc := range st.conds {
-		full = append(full, rc.f)
-		keep := c.opts.NoPrune
-		if !keep {
-			for r := range smt.Roots(rc.f) {
-				if relevant[r] {
-					keep = true
-					break
-				}
-			}
-		}
-		if keep {
-			filtered = append(filtered, rc.f)
-			guards = append(guards, rc.guard)
-		}
-	}
-	// Known constants over relevant paths are state facts guaranteed on
+	bindings, cond, guards, roots := siteCondition(c.site, st, c.opts.NoPrune)
+	// Known constants over the bindings' roots are state facts guaranteed on
 	// this path (a guard mentioning them folded during translation); they
 	// belong in the path condition or the complement check would treat
 	// them as unconstrained.
-	facts := constFacts(st, relevant)
-	filtered = append(filtered, facts...)
-	full = append(full, facts...)
+	facts := constFacts(st, roots)
+	full := make([]smt.Formula, 0, len(st.conds)+len(facts))
+	for _, rc := range st.conds {
+		full = append(full, rc.f)
+	}
 	p := &StaticPath{
 		Site:     c.site,
-		Cond:     smt.NewAnd(filtered...),
-		FullCond: smt.NewAnd(full...),
+		Cond:     smt.NewAnd(append(cond, facts...)...),
+		FullCond: smt.NewAnd(append(full, facts...)...),
 		Bindings: bindings,
 		Guards:   guards,
 	}
@@ -236,12 +183,45 @@ func (c *siteCollector) emit(st *sframe) {
 	c.out = append(c.out, p)
 }
 
-// constFacts materializes the environment's constant knowledge about
-// relevant paths as formulas, in deterministic order.
-func constFacts(st *sframe, relevant map[string]bool) []smt.Formula {
+// siteCondition is the site's condition in state st: the slot bindings as
+// operand paths, the recorded conditions over the bindings' roots (all of
+// them under noPrune) with their guards, and those roots. Enumeration and
+// replay both build a site's condition with it.
+func siteCondition(site *contract.Site, st *sframe, noPrune bool) (bindings map[string]string, conds []smt.Formula, guards []GuardStep, roots map[string]bool) {
+	bindings = map[string]string{}
+	roots = map[string]bool{}
+	for slot := range site.Semantic.Target.Bind {
+		operand, ok := site.Bindings[slot]
+		if !ok {
+			continue
+		}
+		if t, tok := translateTerm(operand, st); tok && t.isPath {
+			bindings[slot] = t.path
+			roots[smt.Root(t.path)] = true
+		}
+	}
+	for _, rc := range st.conds {
+		if noPrune || mentionsRoot(rc.f, roots) {
+			conds = append(conds, rc.f)
+			guards = append(guards, rc.guard)
+		}
+	}
+	return bindings, conds, guards, roots
+}
+
+// mentionsRoot reports whether f mentions a path under one of roots.
+func mentionsRoot(f smt.Formula, roots map[string]bool) bool {
+	return !smt.VisitAtoms(f, func(a smt.Atom) bool {
+		return !roots[smt.Root(a.Path)] && (a.Kind != smt.AtomCmpV || !roots[smt.Root(a.Path2)])
+	})
+}
+
+// constFacts materializes the environment's constant knowledge about paths
+// under roots as formulas, in deterministic order.
+func constFacts(st *sframe, roots map[string]bool) []smt.Formula {
 	var keys []string
 	for path := range st.consts {
-		if relevant[smt.Root(path)] {
+		if roots[smt.Root(path)] {
 			keys = append(keys, path)
 		}
 	}
@@ -390,6 +370,30 @@ func (st *sframe) store(name string, value minij.Expr) {
 	}
 }
 
+// apply records a statement's effect on the state: a declaration (an
+// uninitialized one binds its type's zero value), or an assignment to a
+// name or to a field path. Other statements leave the state unchanged.
+// Enumeration and replay both apply assignments with it.
+func (st *sframe) apply(s minij.Stmt) {
+	switch n := s.(type) {
+	case *minij.VarDecl:
+		if n.Init != nil {
+			st.store(n.Name, n.Init)
+		} else {
+			st.store(n.Name, zeroLiteral(n.Type))
+		}
+	case *minij.Assign:
+		switch t := n.Target.(type) {
+		case *minij.Ident:
+			st.store(t.Name, n.Value)
+		case *minij.FieldAccess:
+			if term, ok := translateTerm(t, st); ok && term.isPath {
+				st.storePath(term.path, n.Value)
+			}
+		}
+	}
+}
+
 // storePath records the effect of an assignment to a field path.
 func (st *sframe) storePath(path string, value minij.Expr) {
 	st.invalidate(path)
@@ -424,13 +428,11 @@ type handler struct {
 
 type staticWalker struct {
 	prog      *minij.Program
-	method    *minij.Method
 	targetID  int
 	maxPaths  int
 	ctx       context.Context
 	lim       smt.Limits
 	prune     bool
-	seedPrune bool
 	emit      func(*sframe)
 	emitted   int
 	states    int
@@ -626,28 +628,14 @@ func (w *staticWalker) walkSeq(stmts []minij.Stmt, i int, st *sframe, ctx walkCt
 	switch n := s.(type) {
 	case *minij.Block:
 		w.walkSeq(n.Stmts, 0, st, ctx, next)
-	case *minij.VarDecl:
-		if n.Init != nil {
-			st.store(n.Name, n.Init)
-		} else {
-			st.store(n.Name, zeroLiteral(n.Type))
-		}
-		next(st)
-	case *minij.Assign:
-		switch t := n.Target.(type) {
-		case *minij.Ident:
-			st.store(t.Name, n.Value)
-		case *minij.FieldAccess:
-			if term, ok := translateTerm(t, st); ok && term.isPath {
-				st.storePath(term.path, n.Value)
-			}
-		}
+	case *minij.VarDecl, *minij.Assign:
+		st.apply(s)
 		next(st)
 	case *minij.If:
-		w.fork(n, n.Cond, st, true, func(st2 *sframe) {
+		w.fork(n.Cond, st, true, func(st2 *sframe) {
 			w.walkSeq(n.Then.Stmts, 0, st2, ctx, next)
 		})
-		w.fork(n, n.Cond, st, false, func(st2 *sframe) {
+		w.fork(n.Cond, st, false, func(st2 *sframe) {
 			if n.Else != nil {
 				w.walkSeq([]minij.Stmt{n.Else}, 0, st2, ctx, next)
 			} else {
@@ -655,13 +643,13 @@ func (w *staticWalker) walkSeq(stmts []minij.Stmt, i int, st *sframe, ctx walkCt
 			}
 		})
 	case *minij.While:
-		w.walkLoop(n, n.Cond, n.Body, st, ctx, next)
+		w.walkLoop(n.Cond, n.Body, st, ctx, next)
 	case *minij.For:
 		st2 := st.clone()
 		if n.Init != nil {
-			w.applyEffect(n.Init, st2)
+			st2.apply(n.Init)
 		}
-		w.walkLoop(n, n.Cond, n.Body, st2, ctx, next)
+		w.walkLoop(n.Cond, n.Body, st2, ctx, next)
 	case *minij.ForEach:
 		// Skip the loop entirely...
 		next(st.clone())
@@ -695,30 +683,16 @@ func (w *staticWalker) walkSeq(stmts []minij.Stmt, i int, st *sframe, ctx walkCt
 	}
 }
 
-// applyEffect applies a simple statement's state effect (for-init/post).
-func (w *staticWalker) applyEffect(s minij.Stmt, st *sframe) {
-	switch n := s.(type) {
-	case *minij.VarDecl:
-		if n.Init != nil {
-			st.store(n.Name, n.Init)
-		}
-	case *minij.Assign:
-		if t, ok := n.Target.(*minij.Ident); ok {
-			st.store(t.Name, n.Value)
-		}
-	}
-}
-
 // walkLoop unrolls a condition-guarded loop zero-or-one times.
-func (w *staticWalker) walkLoop(s minij.Stmt, cond minij.Expr, body *minij.Block, st *sframe, ctx walkCtx, next func(*sframe)) {
+func (w *staticWalker) walkLoop(cond minij.Expr, body *minij.Block, st *sframe, ctx walkCtx, next func(*sframe)) {
 	if cond != nil {
 		// Skip the loop: condition false.
-		w.fork(s, cond, st, false, next)
+		w.fork(cond, st, false, next)
 		// One iteration: condition true, then exit unconditionally (the
 		// exit test after an executed iteration is deliberately not
 		// recorded; it would contradict the entry condition for loops
 		// whose counters we do not model).
-		w.fork(s, cond, st, true, func(st2 *sframe) {
+		w.fork(cond, st, true, func(st2 *sframe) {
 			w.walkSeq(body.Stmts, 0, st2, walkCtx{loopExit: next, handlers: ctx.handlers}, next)
 		})
 		return
@@ -727,44 +701,54 @@ func (w *staticWalker) walkLoop(s minij.Stmt, cond minij.Expr, body *minij.Block
 	w.walkSeq(body.Stmts, 0, st.clone(), walkCtx{loopExit: next, handlers: ctx.handlers}, next)
 }
 
-// fork explores one direction of a branch, recording the guard when it is
-// translatable.
-func (w *staticWalker) fork(s minij.Stmt, cond minij.Expr, st *sframe, taken bool, k func(*sframe)) {
+// fork explores one direction of a branch. Enumeration unrolls a loop at
+// most once, so each fork appends its own recording.
+func (w *staticWalker) fork(cond minij.Expr, st *sframe, taken bool, k func(*sframe)) {
 	st2 := st.clone()
-	if f, ok := Translate(cond, st2); ok {
-		if !taken {
-			f = smt.NNF(smt.NewNot(f))
-		}
+	rc, ok, dead := branchCond(cond, st2, taken)
+	if dead {
 		// Constant-folded guards prune impossible directions outright.
-		if c, isConst := f.(*smt.Const); isConst {
-			if !c.Value {
-				return
+		return
+	}
+	if ok {
+		if w.prune {
+			rc.roots = condRoots(rc.f)
+		}
+		st2.conds = append(st2.conds, rc)
+		if w.prune {
+			// Solver errors keep the subtree, exactly as in prefixSat.
+			check := rc.f
+			if prefixOverlaps(rc.roots, st.conds) {
+				check = componentCond(st2)
 			}
-		} else {
-			var roots []string
-			if w.prune {
-				roots = condRoots(f)
-			}
-			st2.conds = append(st2.conds, recordedCond{
-				f:     f,
-				guard: GuardStep{Guard: minij.CanonExpr(cond), Taken: taken, Pos: cond.Pos()},
-				roots: roots,
-			})
-			if w.prune {
-				// Solver errors keep the subtree, exactly as in prefixSat.
-				check := f
-				if prefixOverlaps(roots, st.conds) {
-					check = componentCond(st2)
-				}
-				if !trivSat(check) {
-					if sat, err := smt.SATLim(check, w.lim); err == nil && !sat {
-						return
-					}
+			if !trivSat(check) {
+				if sat, err := smt.SATLim(check, w.lim); err == nil && !sat {
+					return
 				}
 			}
 		}
 	}
 	k(st2)
+}
+
+// branchCond records one direction of a branch in st's vocabulary: the
+// translated condition, negated (NNF) when the branch is not taken, and
+// its guard step. ok is false when the branch records nothing, because the
+// guard is outside the predicate fragment or folds to a constant; dead
+// reports a direction that folds to false. Enumeration and replay both
+// record branches with it.
+func branchCond(cond minij.Expr, st *sframe, taken bool) (rc recordedCond, ok, dead bool) {
+	f, ok := Translate(cond, st)
+	if !ok {
+		return recordedCond{}, false, false
+	}
+	if !taken {
+		f = smt.NNF(smt.NewNot(f))
+	}
+	if c, isConst := f.(*smt.Const); isConst {
+		return recordedCond{}, false, !c.Value
+	}
+	return recordedCond{f: f, guard: GuardStep{Guard: minij.CanonExpr(cond), Taken: taken, Pos: cond.Pos()}}, true, false
 }
 
 // unwind transfers control to the innermost catch handler, or drops the

@@ -570,6 +570,7 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 			Ctx:     rctx,
 			Lim:     lim,
 		}
+		// The nil chain enumerates the site's method alone (StaticPaths).
 		chains := siteRep.Chains
 		if e.IntraOnly || len(chains) == 0 {
 			chains = []callgraph.Path{nil}
@@ -580,13 +581,7 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 		seen := map[string]bool{}
 		var pending []*concolic.StaticPath
 		for _, chain := range chains {
-			var paths []*concolic.StaticPath
-			var truncated bool
-			if e.IntraOnly {
-				paths, truncated = concolic.StaticPaths(ctx.ProgAll, site, opts)
-			} else {
-				paths, truncated = concolic.ChainStaticPaths(ctx.ProgAll, site, chain, opts)
-			}
+			paths, truncated := concolic.ChainStaticPaths(ctx.ProgAll, site, chain, opts)
 			siteRep.TreeTruncated = siteRep.TreeTruncated || truncated
 			for _, p := range paths {
 				if seen[p.Key()] {
