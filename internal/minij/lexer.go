@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // LexError describes a lexical error with its source position.
@@ -167,18 +168,20 @@ func (lx *Lexer) Next() (Token, error) {
 				if lx.off >= len(lx.src) {
 					return Token{}, &LexError{Pos: start, Msg: "unterminated escape sequence"}
 				}
-				esc := lx.advance()
-				switch esc {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case '"':
-					sb.WriteByte('"')
-				case '\\':
-					sb.WriteByte('\\')
-				default:
-					return Token{}, &LexError{Pos: start, Msg: fmt.Sprintf("unknown escape \\%c", esc)}
+				// Decode every escape strconv.Quote emits, so a quoted
+				// render (the printer's, the smt atom's) lexes back to the
+				// string it quoted.
+				v, multibyte, tail, err := strconv.UnquoteChar(lx.src[lx.off-1:], '"')
+				if err != nil {
+					return Token{}, &LexError{Pos: start, Msg: fmt.Sprintf("unknown escape \\%c", lx.peek())}
+				}
+				for n := len(lx.src) - len(tail) - lx.off; n > 0; n-- {
+					lx.advance()
+				}
+				if v < utf8.RuneSelf || !multibyte {
+					sb.WriteByte(byte(v))
+				} else {
+					sb.WriteRune(v)
 				}
 				continue
 			}

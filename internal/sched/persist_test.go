@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lisa/internal/concolic"
+	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/corpus"
 	"lisa/internal/faultinject"
@@ -269,5 +271,64 @@ func TestStructuralV1RecordIsMiss(t *testing.T) {
 		if rep.Render() != base.Render() {
 			t.Errorf("records under %s changed the report:\n%s", tt.ns, rep.Render())
 		}
+	}
+}
+
+// TestControlByteGuardRestoresFromStore: a guard comparing against a string
+// constant that holds a raw control byte renders the constant with a \x01
+// escape. The lexer decodes every escape strconv.Quote emits, so the
+// persisted site record parses back, and a fresh scheduler over the store
+// serves the site job from the disk tier instead of recomputing it.
+func TestControlByteGuardRestoresFromStore(t *testing.T) {
+	const src = "class Sess { string mode; }\n" +
+		"class Srv {\n" +
+		"\tvoid open(Sess s) { log(\"open\"); }\n" +
+		"\tvoid handle(Sess s) {\n" +
+		"\t\tif (s != null && s.mode != \"a\x01b\") {\n" +
+		"\t\t\topen(s);\n" +
+		"\t\t}\n" +
+		"\t}\n" +
+		"}\n"
+	sems, err := contract.ParseSpec(`
+rule srv-open
+description: a server opens only a live session
+target: Srv.open
+bind: s = arg 0
+require: s != null
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := core.New()
+	for _, sem := range sems {
+		if err := e.Registry.Add(sem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := openStoreT(t)
+	first := New()
+	first.Cache().SetStore(st)
+	rep, _, err := first.Assert(e, src, nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.Render()
+	if !strings.Contains(want, `s.mode != "a\x01b"`) {
+		t.Fatalf("the path condition does not quote the control byte:\n%s", want)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	second := New()
+	second.Cache().SetStore(st)
+	rep, stats, err := second.Assert(e, src, nil, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Render(); got != want {
+		t.Fatalf("restored report differs:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+	if hits := second.Cache().Stats().DiskHits; stats.Executed != 0 || hits != 1 {
+		t.Fatalf("second scheduler executed %d jobs with %d disk hits, want 0 and 1", stats.Executed, hits)
 	}
 }
