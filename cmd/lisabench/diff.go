@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"lisa/internal/experiments"
@@ -120,30 +118,6 @@ func diffBench(baselinePath string, base, fresh benchOutput) int {
 		}
 	}
 
-	// Committed go-test benchmark numbers (merged into BENCH_*.json by
-	// hand) are compared only when both sides carry them — a fresh sweep
-	// does not re-run go test.
-	benchNames := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		if _, ok := fresh.Benchmarks[name]; ok {
-			benchNames = append(benchNames, name)
-		}
-	}
-	sort.Strings(benchNames)
-	for _, name := range benchNames {
-		b, berr := parseNsPerOp(base.Benchmarks[name])
-		f, ferr := parseNsPerOp(fresh.Benchmarks[name])
-		if berr != nil || ferr != nil {
-			continue
-		}
-		verdict := "ok"
-		if f > b*diffGrowthFactor {
-			verdict = "REGRESSION"
-			regressions++
-		}
-		fmt.Printf("  %-40s %12.0f %12.0f %8s  %s\n", name, b, f, ratio(b, f), verdict)
-	}
-
 	if regressions > 0 {
 		fmt.Printf("perf diff: %d regression(s) past the ×%.2f threshold\n", regressions, diffGrowthFactor)
 	} else {
@@ -170,13 +144,4 @@ func pct(hit, total uint64) string {
 		return "—"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(hit)/float64(total))
-}
-
-// parseNsPerOp parses a go-test benchmark value like "17690 ns/op".
-func parseNsPerOp(s string) (float64, error) {
-	fields := strings.Fields(s)
-	if len(fields) < 2 || fields[1] != "ns/op" {
-		return 0, fmt.Errorf("not a ns/op value: %q", s)
-	}
-	return strconv.ParseFloat(fields[0], 64)
 }

@@ -457,6 +457,16 @@ func TestCheckerFor(t *testing.T) {
 	if _, ok := CheckerFor(sem, map[string]string{}); ok {
 		t.Error("missing binding should fail")
 	}
+	// A receiver slot instantiates like an argument slot.
+	receiver := &contract.Semantic{
+		ID:     "hbase-snapshot-expiry",
+		Kind:   contract.StateKind,
+		Target: contract.TargetPattern{Callee: "Snapshot.materialize", Bind: map[string]int{"snap": contract.ReceiverSlot}},
+		Pre:    smt.MustParsePredicate(`snap.expired == false`),
+	}
+	if checker, ok := CheckerFor(receiver, map[string]string{"snap": "snap"}); !ok || checker.String() != "!(snap.expired)" {
+		t.Errorf("receiver checker = %v (ok=%v), want !(snap.expired)", checker, ok)
+	}
 }
 
 func TestTranslateFragment(t *testing.T) {

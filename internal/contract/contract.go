@@ -148,17 +148,6 @@ func (st *Site) String() string {
 	return fmt.Sprintf("%s @%s (%s)", st.Method.FullName(), st.Stmt.Pos(), minij.CanonStmt(st.Stmt))
 }
 
-// BindingPath returns the dotted path of the operand bound to slot, if the
-// operand is a simple access chain (identifier or field chain); otherwise
-// ok is false and the site requires developer review.
-func (st *Site) BindingPath(slot string) (string, bool) {
-	e, ok := st.Bindings[slot]
-	if !ok {
-		return "", false
-	}
-	return ExprPath(e)
-}
-
 // ExprPath converts an access-chain expression to a dotted path: an
 // identifier, a chain of field accesses, or a nullary method call in getter
 // position. Non-chain expressions are not path-convertible.
@@ -259,25 +248,6 @@ func CalleeName(prog *minij.Program, caller *minij.Method, call *minij.Call) str
 		return "builtin." + call.Name
 	}
 	return ""
-}
-
-// SiteChecker instantiates the semantic's precondition at a site by
-// renaming each slot root to the concrete operand path. The returned
-// formula is expressed over the site's variable names, ready to compare
-// with recorded path conditions. Slots whose operands are not simple access
-// chains make ok false; such sites need developer review (the paper's
-// normalization step covers simple chains only).
-func SiteChecker(site *Site) (smt.Formula, bool) {
-	sem := site.Semantic
-	f := sem.Pre
-	for slot := range sem.Target.Bind {
-		path, ok := site.BindingPath(slot)
-		if !ok {
-			return nil, false
-		}
-		f = smt.RenameRoot(f, slot, path)
-	}
-	return f, true
 }
 
 // Registry is an ordered collection of semantics, the "executable contract"

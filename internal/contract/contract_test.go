@@ -91,22 +91,18 @@ func TestMatchFindsAllCallSites(t *testing.T) {
 	}
 }
 
-func TestSiteBindingAndChecker(t *testing.T) {
+func TestSiteBinding(t *testing.T) {
 	prog := compile(t, zkLikeSrc)
 	sem := ephemeralSemantic(t)
 	sites := Match(sem, prog)
-	for _, site := range sites {
-		path, ok := site.BindingPath("session")
-		if !ok {
-			t.Fatalf("site %s: binding failed", site)
-		}
-		checker, ok := SiteChecker(site)
-		if !ok {
-			t.Fatalf("site %s: checker failed", site)
-		}
-		want := path + " != null && !(" + path + ".closing)"
-		if checker.String() != want {
-			t.Errorf("checker at %s = %q, want %q", site, checker, want)
+	want := []string{"sess", "s"} // FollowerProcessor.forward, PrepProcessor.processCreate
+	if len(sites) != len(want) {
+		t.Fatalf("sites = %d, want %d", len(sites), len(want))
+	}
+	for i, site := range sites {
+		path, ok := ExprPath(site.Bindings["session"])
+		if !ok || path != want[i] {
+			t.Errorf("site %s binds session to %q (ok=%v), want %q", site, path, ok, want[i])
 		}
 	}
 }
@@ -155,12 +151,8 @@ func TestReceiverSlotBinding(t *testing.T) {
 	if len(sites) != 1 {
 		t.Fatalf("sites = %d, want 1", len(sites))
 	}
-	checker, ok := SiteChecker(sites[0])
-	if !ok {
-		t.Fatal("checker failed")
-	}
-	if checker.String() != "!(snap.expired)" {
-		t.Errorf("checker = %q", checker)
+	if path, ok := ExprPath(sites[0].Bindings["snap"]); !ok || path != "snap" {
+		t.Errorf("receiver slot binds %q (ok=%v), want snap", path, ok)
 	}
 }
 
