@@ -19,7 +19,14 @@
 # descriptions and gating the same sources concurrently: each report must
 # equal its own engine's sequential run), the daemon /stats test by name
 # (ten race-detector rounds of /stats polled while four cases take their
-# first /gate),
+# first /gate), the corpus report golden by name (TestCorpusReportsGolden:
+# every corpus version asserted with its case's suite on a default, a
+# NoPrune and an IntraOnly engine must render exactly the committed
+# reports and error lines, so static enumeration and concolic replay keep
+# building path conditions the same way), the quoted-constant store test
+# by name (TestControlByteGuardRestoresFromStore: a site whose condition
+# quotes a control byte must restore from the store in a fresh
+# scheduler),
 # the binary AST codec fuzz suite by name (round-trip byte-identity over
 # the corpus and seeded mutants; truncated/bit-flipped/version-skewed
 # frames must be rejected), the daemon smoke test by name (start a real
@@ -37,7 +44,9 @@
 # result), ten seconds of native fuzzing of the binary AST codec, which a
 # snap.v2 record is (FuzzDecodeProgram: the decoder never panics, and any
 # frame it accepts re-encodes to bytes that decode to a program with the
-# same canonical render), one
+# same canonical render), ten seconds of native fuzzing of the predicate
+# parse/render round trip (FuzzPredicateRoundTrip: any predicate the parser
+# accepts renders to text that parses back to the same render), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
@@ -63,6 +72,8 @@ go test -race -count=10 -run 'TestBoundedFingerprintCacheStaysWarm|TestWaveWidth
 go test -run 'TestBudgetStarvedVerdictNotCached' -count=1 ./internal/sched
 go test -race -count=10 -run TestCrossEngineGatesShareSnapshots ./internal/ci
 go test -race -count=10 -run TestStatsDuringFirstGates ./internal/server
+go test -run 'TestCorpusReportsGolden' -count=1 ./internal/core
+go test -run 'TestControlByteGuardRestoresFromStore' -count=1 ./internal/sched
 go test -run 'TestCodec' -count=1 ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
@@ -81,6 +92,7 @@ go test -run 'TestWarmGateAllocs' -count=1 ./internal/ci
 go test -run '^$' -bench StoreOpen -benchtime 1x ./internal/store
 go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss' -count=1 ./internal/program
 go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s ./internal/minij
+go test -run '^$' -fuzz '^FuzzPredicateRoundTrip$' -fuzztime 10s ./internal/smt
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
