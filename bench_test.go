@@ -225,7 +225,7 @@ func BenchmarkStaticPaths(b *testing.B) {
 		for _, site := range sites {
 			paths, _ := concolic.StaticPaths(prog, site, concolic.Options{})
 			for _, p := range paths {
-				_ = concolic.CheckStaticPath(p)
+				_ = concolic.CheckStaticPath(site.Semantic, p)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func TestChainInheritsCallerGuard(t *testing.T) {
 
 	// Intraprocedural: the helper has no guard — flagged.
 	intra, _ := StaticPaths(prog, site, Options{})
-	if len(intra) != 1 || CheckStaticPath(intra[0]) != VerdictViolation {
+	if len(intra) != 1 || CheckStaticPath(sem, intra[0]) != VerdictViolation {
 		t.Fatalf("intraprocedural should flag the helper: %v", intra)
 	}
 
@@ -75,7 +75,7 @@ func TestChainInheritsCallerGuard(t *testing.T) {
 	if !strings.Contains(cond, "sess != null") || !strings.Contains(cond, "!(sess.closing)") {
 		t.Errorf("inherited condition = %q", cond)
 	}
-	if v := CheckStaticPath(paths[0]); v != VerdictVerified {
+	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
 		t.Errorf("chain verdict = %v, want VERIFIED", v)
 	}
 	// Inherited guards are labeled.
@@ -132,7 +132,7 @@ class AdminBackdoor {
 		paths, _ := ChainStaticPaths(prog, site, chain, Options{})
 		for _, p := range paths {
 			entry := chain.Entry(site.Method).FullName()
-			v := CheckStaticPath(p)
+			v := CheckStaticPath(sem, p)
 			if old, ok := verdictByEntry[entry]; !ok || v == VerdictViolation {
 				_ = old
 				verdictByEntry[entry] = v
@@ -280,7 +280,7 @@ class Router {
 	if !strings.Contains(cond, "sess != null") || !strings.Contains(cond, "!(sess.closing)") {
 		t.Errorf("two-hop inherited condition = %q", cond)
 	}
-	if v := CheckStaticPath(paths[0]); v != VerdictVerified {
+	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
 		t.Errorf("verdict = %v", v)
 	}
 }

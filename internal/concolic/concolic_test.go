@@ -90,7 +90,7 @@ func TestStaticPathsFindRegression(t *testing.T) {
 		if len(paths) != 1 {
 			t.Fatalf("site %s: paths = %d, want 1", site, len(paths))
 		}
-		verdicts[site.Method.FullName()] = CheckStaticPath(paths[0])
+		verdicts[site.Method.FullName()] = CheckStaticPath(sem, paths[0])
 	}
 	if verdicts["PrepProcessor.processCreate"] != VerdictVerified {
 		t.Errorf("patched path = %v, want VERIFIED", verdicts["PrepProcessor.processCreate"])
@@ -162,7 +162,7 @@ class User {
 		if len(paths) != 1 {
 			t.Fatalf("paths = %d for %s", len(paths), site)
 		}
-		verdicts = append(verdicts, CheckStaticPath(paths[0]))
+		verdicts = append(verdicts, CheckStaticPath(sem, paths[0]))
 	}
 	// mode==1 branch does not check r.open: violation. Third branch checks
 	// it: verified.
@@ -217,7 +217,7 @@ class User {
 	if len(paths) != 1 {
 		t.Fatalf("paths = %d, want 1 (constant fold should collapse forks)", len(paths))
 	}
-	if got := CheckStaticPath(paths[0]); got != VerdictVerified {
+	if got := CheckStaticPath(sem, paths[0]); got != VerdictVerified {
 		t.Errorf("verdict = %v, want VERIFIED; cond = %s", got, paths[0].Cond)
 	}
 }
@@ -268,7 +268,7 @@ class User {
 	// null) violates, the one-iteration path leaves r opaque.
 	var verdicts []Verdict
 	for _, p := range paths {
-		verdicts = append(verdicts, CheckStaticPath(p))
+		verdicts = append(verdicts, CheckStaticPath(sem, p))
 	}
 	hasViolation := false
 	for _, v := range verdicts {
@@ -319,7 +319,7 @@ class User {
 	if len(paths) != 1 {
 		t.Fatalf("paths = %d, want 1 (throw path lands in catch, never reaching touch)", len(paths))
 	}
-	if got := CheckStaticPath(paths[0]); got != VerdictVerified {
+	if got := CheckStaticPath(sem, paths[0]); got != VerdictVerified {
 		t.Errorf("verdict = %v, cond = %s", got, paths[0].Cond)
 	}
 }

@@ -28,9 +28,10 @@ func (g GuardStep) String() string {
 }
 
 // StaticPath is one intraprocedural branch path from the entry of the
-// site's enclosing method to the target statement.
+// site's enclosing method to the target statement. It holds no AST node
+// and no site, so a cached path keeps no program alive; checking it takes
+// the site's semantic from the caller (CheckStaticPath).
 type StaticPath struct {
-	Site *contract.Site
 	// Cond is the relevance-filtered path condition: the conjunction of
 	// recorded guard formulas whose roots intersect the slot operand roots
 	// (the paper's pruning).
@@ -169,7 +170,6 @@ func (c *siteCollector) emit(st *sframe) {
 		full = append(full, rc.f)
 	}
 	p := &StaticPath{
-		Site:     c.site,
 		Cond:     smt.NewAnd(append(cond, facts...)...),
 		FullCond: smt.NewAnd(append(full, facts...)...),
 		Bindings: bindings,

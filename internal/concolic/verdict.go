@@ -84,15 +84,16 @@ func CheckPathLim(pathCond, checker smt.Formula, lim smt.Limits) (Verdict, error
 	return VerdictVerified, nil
 }
 
-// CheckStaticPath computes the verdict of one enumerated static path.
-func CheckStaticPath(p *StaticPath) Verdict {
-	v, _ := CheckStaticPathLim(p, smt.Limits{})
+// CheckStaticPath computes the verdict of one static path enumerated for a
+// site of sem.
+func CheckStaticPath(sem *contract.Semantic, p *StaticPath) Verdict {
+	v, _ := CheckStaticPathLim(sem, p, smt.Limits{})
 	return v
 }
 
 // CheckStaticPathLim is CheckStaticPath under explicit solver limits.
-func CheckStaticPathLim(p *StaticPath, lim smt.Limits) (Verdict, error) {
-	checker, ok := CheckerFor(p.Site.Semantic, p.Bindings)
+func CheckStaticPathLim(sem *contract.Semantic, p *StaticPath, lim smt.Limits) (Verdict, error) {
+	checker, ok := CheckerFor(sem, p.Bindings)
 	if !ok {
 		return VerdictUnknown, nil
 	}

@@ -64,17 +64,17 @@ type Engine struct {
 	// and can carry its own disk tier.
 	Solver *smt.QueryCache
 
-	// selectors holds the test indexes this engine built, keyed by corpus
-	// digest (see selector).
-	selMu     sync.Mutex
-	selectors *lru.Cache[string, *testsel.Selector]
+	// testSets holds what this engine derived from each test corpus it
+	// asserted with, keyed by corpus digest (see testSet).
+	testSetMu sync.Mutex
+	testSets  *lru.Cache[string, *testSet]
 }
 
-// selectorCapacity bounds an engine's test-index cache. The daemon's case
+// testSetCapacity bounds an engine's test-set cache. The daemon's case
 // engines and the CLI assert one test set per engine, so one entry would
 // do; the slack keeps callers that alternate a few suites on one engine
 // (experiments, ablations) warm.
-const selectorCapacity = 4
+const testSetCapacity = 4
 
 // New returns an engine with the deterministic patch analyzer (with
 // generalization enabled) and an empty registry.
@@ -361,18 +361,19 @@ func (r *AssertReport) Semantic(id string) *SemanticReport {
 // sequentially by Assert, or fanned out across goroutines by the scheduler
 // in internal/sched. After Prepare returns, nothing in the context mutates,
 // so concurrent stage execution is safe. The snapshots and the call graph
-// come from the snapshot cache; the test index comes from the engine's
-// own cache, keyed by CorpusDigest and bounded by selectorCapacity — so a
-// run over a version and a suite the engine has seen rebuilds none of
-// them.
+// come from the snapshot cache; the test index and the parsed suite come
+// from the engine's own cache, keyed by CorpusDigest and bounded by
+// testSetCapacity — so a run over a version and a suite the engine has
+// seen rebuilds none of them.
 type AssertContext struct {
 	Tests []ticket.TestCase
 	// CorpusDigest identifies Tests: every field of every test, in order.
 	// It keys the test index, and the scheduler's fingerprints include it.
 	CorpusDigest string
 	// Snapshot is the system version under assertion; SnapshotAll covers
-	// system plus tests. Both are shared, content-addressed compilations —
-	// repeated runs over one version reuse them instead of re-parsing.
+	// system plus tests: the suite linked onto Snapshot's program
+	// (program.Cache.Link). Both are shared and cached — repeated runs
+	// over one version reuse them instead of re-parsing or re-linking.
 	Snapshot    *program.Snapshot
 	SnapshotAll *program.Snapshot
 	// ProgSys is the system alone (the class inventory); ProgAll is system
@@ -413,11 +414,12 @@ func (c *AssertContext) IsEntry(m *minij.Method) bool {
 	return true
 }
 
-// Prepare loads the target source as a shared snapshot (with and without
-// tests), builds the call graph, and indexes the test corpus — the shared
-// setup every assertion stage depends on. Snapshots are memoized by content
-// hash, so replaying a version that was prepared before skips the parse,
-// resolve, and call-graph stages entirely.
+// Prepare loads the target source as a shared snapshot, links the test
+// suite onto it, builds the call graph, and indexes the test corpus — the
+// shared setup every assertion stage depends on. Snapshots are memoized by
+// content hash and links by system hash and corpus digest, so replaying a
+// version that was prepared before skips the parse, resolve, link, and
+// call-graph stages entirely.
 func (e *Engine) Prepare(source string, tests []ticket.TestCase, tm StageTimings) (*AssertContext, error) {
 	var snap *program.Snapshot
 	var err error
@@ -431,14 +433,23 @@ func (e *Engine) Prepare(source string, tests []ticket.TestCase, tm StageTimings
 // LoadSnapshot loads source through the engine's snapshot cache — the
 // private one when Snapshots is set, the process-wide cache otherwise.
 func (e *Engine) LoadSnapshot(source string) (*program.Snapshot, error) {
+	return e.snapshotCache().Load(source)
+}
+
+// snapshotCache is the engine's snapshot cache: Snapshots, or the
+// process-wide one.
+func (e *Engine) snapshotCache() *program.Cache {
 	if e.Snapshots != nil {
-		return e.Snapshots.Load(source)
+		return e.Snapshots
 	}
-	return program.Load(source)
+	return program.DefaultCache()
 }
 
 // PrepareSnapshot is Prepare for an already-loaded system snapshot (the CI
 // gate loads head and proposed change once and shares them across jobs).
+// The analysis program links the corpus's suite, parsed once per engine,
+// onto snap's program; a suite that does not link is compiled appended to
+// the system source, so its errors read as they always have.
 func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase, tm StageTimings) (*AssertContext, error) {
 	if e.VerifySnapshots {
 		if err := snap.Verify(); err != nil {
@@ -447,6 +458,11 @@ func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase
 	}
 	ctx := &AssertContext{Snapshot: snap, Tests: tests}
 	ctx.ProgSys = snap.Program()
+	var suite *program.Suite
+	tm.Time("test-index", func() {
+		ctx.CorpusDigest = corpusDigest(tests)
+		suite, ctx.Selector = e.testSet(ctx.CorpusDigest, tests)
+	})
 	var err error
 	tm.Time("compile", func() {
 		if len(tests) == 0 {
@@ -454,11 +470,7 @@ func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase
 			ctx.SnapshotAll = snap
 			return
 		}
-		full := snap.Source()
-		for _, tc := range tests {
-			full += "\n" + tc.Source
-		}
-		ctx.SnapshotAll, err = e.LoadSnapshot(full)
+		ctx.SnapshotAll, err = e.snapshotCache().Link(snap, suite)
 		if err != nil {
 			err = fmt.Errorf("system+tests: %w", err)
 		}
@@ -477,10 +489,6 @@ func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase
 		ctx.systemClasses[c.Name] = true
 	}
 	tm.Time("callgraph", func() { ctx.Graph = ctx.SnapshotAll.Graph() })
-	tm.Time("test-index", func() {
-		ctx.CorpusDigest = corpusDigest(tests)
-		ctx.Selector = e.selector(ctx.CorpusDigest, tests)
-	})
 	return ctx, nil
 }
 
@@ -495,24 +503,39 @@ func corpusDigest(tests []ticket.TestCase) string {
 	return program.HashParts(parts...)
 }
 
-// selector returns the engine's test index for the corpus with the given
-// digest, building it on first use. The index is a pure function of the
-// corpus, which the digest covers field by field, so one index serves
-// every run over that corpus. It indexes a private copy of tests: a
-// caller that later edits its slice in place cannot change an index
-// cached under the old digest.
-func (e *Engine) selector(digest string, tests []ticket.TestCase) *testsel.Selector {
-	e.selMu.Lock()
-	defer e.selMu.Unlock()
-	if e.selectors == nil {
-		e.selectors = lru.New[string, *testsel.Selector](selectorCapacity)
+// testSet is what an engine derives from one test corpus alone: the suite,
+// parsed at most once and linked onto each system snapshot, and the test
+// index.
+type testSet struct {
+	suite *program.Suite
+	sel   *testsel.Selector
+}
+
+// testSet returns the engine's suite and test index for the corpus with
+// the given digest, building them on first use. Both are pure functions of
+// the corpus, which the digest covers field by field, so one test set
+// serves every run over that corpus. The index is built over a private
+// copy of tests: a caller that later edits its slice in place cannot
+// change an index cached under the old digest.
+func (e *Engine) testSet(digest string, tests []ticket.TestCase) (*program.Suite, *testsel.Selector) {
+	e.testSetMu.Lock()
+	defer e.testSetMu.Unlock()
+	if e.testSets == nil {
+		e.testSets = lru.New[string, *testSet](testSetCapacity)
 	}
-	if sel, ok := e.selectors.Get(digest); ok {
-		return sel
+	if set, ok := e.testSets.Get(digest); ok {
+		return set.suite, set.sel
 	}
-	sel := testsel.New(slices.Clone(tests))
-	e.selectors.Put(digest, sel)
-	return sel
+	// The suite's text is what a system source is appended with for the
+	// concatenated compile, so a failed link falls back to exactly it.
+	var sb strings.Builder
+	for _, tc := range tests {
+		sb.WriteString("\n")
+		sb.WriteString(tc.Source)
+	}
+	set := &testSet{suite: program.NewSuite(digest, sb.String()), sel: testsel.New(slices.Clone(tests))}
+	e.testSets.Put(digest, set)
+	return set.suite, set.sel
 }
 
 // StructuralReport runs the structural check for sem over the system
@@ -592,7 +615,7 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 			}
 		}
 		for _, p := range pending {
-			verdict, err := concolic.CheckStaticPathLim(p, lim)
+			verdict, err := concolic.CheckStaticPathLim(site.Semantic, p, lim)
 			if err != nil {
 				stageErr = err
 				return

@@ -67,7 +67,7 @@ func CrossCheck(sem *contract.Semantic, tk *ticket.Ticket) CrossCheckResult {
 		for _, chain := range chains {
 			paths, _ := concolic.ChainStaticPaths(prog, site, chain, concolic.Options{})
 			for _, p := range paths {
-				if v := concolic.CheckStaticPath(p); v == concolic.VerdictViolation {
+				if v := concolic.CheckStaticPath(sem, p); v == concolic.VerdictViolation {
 					res.Reason = fmt.Sprintf("patched code contradicts the rule: %s on path %s of %s",
 						v, p, site)
 					return res

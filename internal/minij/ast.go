@@ -68,17 +68,33 @@ type Program struct {
 
 	// ExprTypes records the static type of every expression, populated by
 	// Resolve. Consumers (call-graph construction, symbolic evaluation)
-	// require a resolved program.
+	// require a resolved program. A linked program's table covers only
+	// the classes Link added; TypeOf finds the rest in base.
 	ExprTypes map[Expr]Type
+
+	// base is the program Link extended, nil for a parsed one.
+	base *Program
 }
 
 // TypeOf returns the statically inferred type of e, or TypeAny when the
 // program has not been resolved or e was synthesized after resolution.
 func (p *Program) TypeOf(e Expr) Type {
-	if t, ok := p.ExprTypes[e]; ok {
+	if t, ok := p.exprType(e); ok {
 		return t
 	}
 	return Type{Kind: TypeAny}
+}
+
+// exprType looks e up in the base program's table first (most lookups are
+// system expressions), then in p's own.
+func (p *Program) exprType(e Expr) (Type, bool) {
+	if p.base != nil {
+		if t, ok := p.base.ExprTypes[e]; ok {
+			return t, true
+		}
+	}
+	t, ok := p.ExprTypes[e]
+	return t, ok
 }
 
 // MethodOf returns the method whose body contains the statement with the

@@ -359,7 +359,7 @@ func (e *encoder) expr(x Expr) {
 	// survive serialization, so each node carries its own entry inline. Not
 	// every node has one — a static-call receiver, for example, is a class
 	// name, not a value — hence the presence flag.
-	if t, ok := e.prog.ExprTypes[x]; ok {
+	if t, ok := e.prog.exprType(x); ok {
 		e.byte(1)
 		e.typ(t)
 	} else {

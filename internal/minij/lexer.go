@@ -109,6 +109,8 @@ func (lx *Lexer) skipSpaceAndComments() error {
 	return nil
 }
 
+var twoCharOps = [...]string{"==", "!=", "<=", ">=", "&&", "||"}
+
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
@@ -189,16 +191,17 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
 	}
-	// Operators and punctuation.
-	two := ""
+	// Operators and punctuation. A two-character operator's text is the
+	// constant, not a slice of the source: the parser stores it in the
+	// AST, and a slice would keep the whole source alive with the AST.
 	if lx.off+1 < len(lx.src) {
-		two = lx.src[lx.off : lx.off+2]
-	}
-	switch two {
-	case "==", "!=", "<=", ">=", "&&", "||":
-		lx.advance()
-		lx.advance()
-		return Token{Kind: TokOp, Text: two, Pos: start}, nil
+		for _, op := range twoCharOps {
+			if lx.src[lx.off:lx.off+2] == op {
+				lx.advance()
+				lx.advance()
+				return Token{Kind: TokOp, Text: op, Pos: start}, nil
+			}
+		}
 	}
 	switch c {
 	case '(', ')', '{', '}', '[', ']', ';', ',', '.':

@@ -3,6 +3,7 @@ package minij
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestLexBasicTokens(t *testing.T) {
@@ -123,5 +124,48 @@ func TestPosOrdering(t *testing.T) {
 	}
 	if (Pos{}).IsValid() {
 		t.Error("zero Pos should be invalid")
+	}
+}
+
+// TestOperatorTextOwnsItsBytes: no operator text the parser stores in the
+// AST aliases the source string. A slice of the source would keep the whole
+// text alive for as long as any node is reachable — a cached result holding
+// one expression would pin every version it was computed from.
+func TestOperatorTextOwnsItsBytes(t *testing.T) {
+	src := strings.Repeat(" ", 64) + `class C {
+	bool f(int x, bool b) {
+		return x == 1 || x != 2 && x <= 3 || x >= 4 && !b || x < 5 || x > -6;
+	}
+}`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	aliases := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return len(s) > 0 && p >= lo && p < hi
+	}
+	ops := map[string]bool{}
+	WalkExprs(prog.Method("C", "f").Body, func(e Expr) {
+		var op string
+		switch n := e.(type) {
+		case *Binary:
+			op = n.Op
+		case *Unary:
+			op = n.Op
+		default:
+			return
+		}
+		ops[op] = true
+		if aliases(op) {
+			t.Errorf("operator %q aliases the source text", op)
+		}
+	})
+	for _, want := range []string{"==", "!=", "<=", ">=", "&&", "||", "<", ">", "!", "-"} {
+		if !ops[want] {
+			t.Errorf("operator %q not parsed", want)
+		}
 	}
 }

@@ -22,8 +22,14 @@ func (e *ResolveError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Ms
 // found.
 func Resolve(prog *Program) []*ResolveError {
 	prog.ExprTypes = map[Expr]Type{}
+	return resolveMethods(prog, prog.Classes)
+}
+
+// resolveMethods resolves the methods of classes against prog's class
+// table, recording expression types in prog.ExprTypes.
+func resolveMethods(prog *Program, classes []*Class) []*ResolveError {
 	r := &resolver{prog: prog}
-	for _, c := range prog.Classes {
+	for _, c := range classes {
 		for _, m := range c.Methods {
 			r.method(m)
 		}
@@ -34,7 +40,11 @@ func Resolve(prog *Program) []*ResolveError {
 // Check resolves the program and returns a single error summarizing all
 // diagnostics, or nil if the program is statically valid.
 func Check(prog *Program) error {
-	errs := Resolve(prog)
+	return checkError(Resolve(prog))
+}
+
+// checkError summarizes resolution diagnostics the way Check reports them.
+func checkError(errs []*ResolveError) error {
 	if len(errs) == 0 {
 		return nil
 	}

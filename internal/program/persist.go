@@ -69,7 +69,7 @@ func (s *Snapshot) restore(raw []byte) bool {
 	}
 	s.prog = prog
 	s.canonHash = Hash(canon)
-	injectLoadFault(prog)
+	injectLoadFault(prog.Classes)
 	return true
 }
 

@@ -8,6 +8,10 @@
 //
 // Snapshots are keyed by the sha256 of their raw source and served from a
 // bounded, process-wide LRU (package-level Load) or from a private Cache.
+// A system snapshot's analysis program — the system with its test suite —
+// is a linked snapshot in the same LRU (Cache.Link): the suite, parsed
+// once, is linked onto the system's shared program instead of compiling
+// the concatenated sources.
 // Everything a Snapshot exposes is computed lazily at most once and is
 // read-only from then on; Verify detects a caller that mutated the shared
 // AST in spite of the contract. Callers that need a mutable AST (e.g. the
@@ -61,6 +65,13 @@ type Snapshot struct {
 
 	memoMu sync.Mutex
 	memo   map[string]any
+
+	// A linked snapshot (Cache.Link) has no source of its own: it extends
+	// sys's program with a private copy of suite's classes, testClasses.
+	sys         *Snapshot
+	suite       *Suite
+	testClasses []*minij.Class
+	linkFailed  bool
 }
 
 // Hash returns the content address of a source string (sha256, hex).
@@ -91,10 +102,12 @@ func HashParts(parts ...string) string {
 	return string(out[:])
 }
 
-// Source returns the raw source text the snapshot was loaded from.
+// Source returns the raw source text the snapshot was loaded from; a
+// linked snapshot (Cache.Link) has none and returns "".
 func (s *Snapshot) Source() string { return s.source }
 
-// Hash returns the snapshot's content address: sha256 of the raw source.
+// Hash returns the snapshot's content address: sha256 of the raw source,
+// or a linked snapshot's link key.
 func (s *Snapshot) Hash() string { return s.hash }
 
 // Program returns the parsed and resolved program. The AST is shared by
@@ -105,7 +118,7 @@ func (s *Snapshot) Program() *minij.Program { return s.prog }
 // CanonHash returns the content address of the program's canonical
 // pretty-printing (minij.FormatProgram). This is the identity fingerprint
 // callers hash into cache keys: it is stable across reformatting, unlike
-// Hash.
+// Hash. A linked snapshot's covers only its test classes.
 func (s *Snapshot) CanonHash() string { return s.canonHash }
 
 // Graph returns the call graph, built by callgraph.Build on first use and
@@ -128,18 +141,39 @@ func (s *Snapshot) Graph() *callgraph.Graph {
 // MethodCanon returns the canonical text of the named method
 // ("Class.method"), or "" when no such method exists. The per-method
 // renderings are built once and reused by every fingerprint and dirty-set
-// computation over this version.
+// computation over this version. A linked snapshot renders its test
+// methods and serves system methods from the system snapshot.
 func (s *Snapshot) MethodCanon(fullName string) string {
 	s.methodsOnce.Do(func() {
 		m := map[string]string{}
-		if s.prog != nil {
-			for _, method := range s.prog.Methods() {
+		for _, c := range s.ownClasses() {
+			for _, method := range c.Methods {
 				m[method.FullName()] = minij.FormatMethod(method)
 			}
 		}
 		s.methodCanon = m
 	})
-	return s.methodCanon[fullName]
+	if canon, ok := s.methodCanon[fullName]; ok || s.sys == nil {
+		return canon
+	}
+	return s.sys.MethodCanon(fullName)
+}
+
+// ownClasses lists the classes this snapshot's canon digest covers: the
+// whole program, or a linked snapshot's test classes.
+func (s *Snapshot) ownClasses() []*minij.Class {
+	if s.sys != nil {
+		return s.testClasses
+	}
+	if s.prog == nil {
+		return nil
+	}
+	return s.prog.Classes
+}
+
+// formatOwn renders ownClasses canonically.
+func (s *Snapshot) formatOwn() string {
+	return minij.FormatProgram(&minij.Program{Classes: s.ownClasses()})
 }
 
 // Shape returns the program's declaration skeleton: class names, fields,
@@ -192,12 +226,13 @@ var ErrMutated = errors.New("program: snapshot mutated")
 // Verify checks the immutability contract: it re-renders the shared AST
 // and compares the render's digest against the one taken at compile time.
 // A non-nil error wrapping ErrMutated means some holder mutated the
-// snapshot's program.
+// snapshot's program. A linked snapshot checks its test classes; the
+// system snapshot's own Verify covers the classes it shares.
 func (s *Snapshot) Verify() error {
 	if s.err != nil {
 		return s.err
 	}
-	if Hash(minij.FormatProgram(s.prog)) != s.canonHash {
+	if Hash(s.formatOwn()) != s.canonHash {
 		return fmt.Errorf("%w: %.12s canonical AST drifted from its content address", ErrMutated, s.hash)
 	}
 	return nil
@@ -219,26 +254,26 @@ func (s *Snapshot) build() {
 	}
 	s.prog = prog
 	s.canonHash = Hash(minij.FormatProgram(prog))
-	injectLoadFault(prog)
+	injectLoadFault(prog.Classes)
 }
 
 // injectLoadFault is the program.load fault-injection point, fired on
-// built and restored snapshots alike: a Corrupt rule damages the AST
-// *after* the canon digest was taken, modeling a bad cache entry.
-// Verify must catch it.
-func injectLoadFault(prog *minij.Program) {
+// built, restored and linked snapshots alike: a Corrupt rule damages one
+// of classes — the ones the snapshot's canon digest covers — *after* the
+// digest was taken, modeling a bad cache entry. Verify must catch it.
+func injectLoadFault(classes []*minij.Class) {
 	if faultinject.Armed() {
 		if k, ok := faultinject.At("program.load"); ok && k == faultinject.Corrupt {
-			corruptProgram(prog)
+			corruptClasses(classes)
 		}
 	}
 }
 
-// corruptProgram deterministically damages the AST: it drops the last
+// corruptClasses deterministically damages the AST: it drops the last
 // statement of the first method that has a body. The canonical rendering
 // then no longer matches the captured one.
-func corruptProgram(p *minij.Program) {
-	for _, c := range p.Classes {
+func corruptClasses(classes []*minij.Class) {
+	for _, c := range classes {
 		for _, m := range c.Methods {
 			if m.Body != nil && len(m.Body.Stmts) > 0 {
 				m.Body.Stmts = m.Body.Stmts[:len(m.Body.Stmts)-1]
@@ -279,7 +314,8 @@ func classShape(p *minij.Program) string {
 //
 // The embedded Tier is the optional disk tier (SetStore): a memory miss
 // restores the snapshot from its persisted record when one verifies, and
-// a fresh build writes its record through (persist.go).
+// a fresh build writes its record through (persist.go). Linked snapshots
+// are never persisted: a link costs less than restoring a record would.
 type Cache struct {
 	*store.Tier
 
@@ -288,8 +324,10 @@ type Cache struct {
 	hits   uint64
 	misses uint64
 
-	compiles    atomic.Uint64
-	graphBuilds atomic.Uint64
+	compiles      atomic.Uint64
+	graphBuilds   atomic.Uint64
+	links         atomic.Uint64
+	linkFallbacks atomic.Uint64
 
 	// Disk restores split by path: decoded (codec frame only) vs deep
 	// verified (re-parse + re-render comparison — the sampled slow path).
@@ -375,14 +413,19 @@ func (s *Snapshot) result() (*Snapshot, error) {
 // parse+resolve executions — on a warm replay it equals the number of
 // distinct versions, however many times each was loaded. GraphBuilds
 // likewise counts call-graph constructions (at most one per snapshot,
-// whether it was compiled or restored).
+// whether it was compiled, restored or linked). Links counts test suites
+// linked onto a system snapshot (Cache.Link), which are not compiles, and
+// LinkFallbacks the links that failed and loaded the concatenated source
+// instead.
 type CacheStats struct {
-	Entries     int
-	Hits        uint64
-	Misses      uint64
-	Evictions   uint64
-	Compiles    uint64
-	GraphBuilds uint64
+	Entries       int
+	Hits          uint64
+	Misses        uint64
+	Evictions     uint64
+	Compiles      uint64
+	GraphBuilds   uint64
+	Links         uint64
+	LinkFallbacks uint64
 	// Restores counts snapshots adopted from the disk tier instead of
 	// compiled; RestoresDecoded of those came through the parse-free
 	// binary-AST path (codec checksum only), while
@@ -406,6 +449,8 @@ func (s CacheStats) Sub(base CacheStats) CacheStats {
 		Evictions:            s.Evictions - base.Evictions,
 		Compiles:             s.Compiles - base.Compiles,
 		GraphBuilds:          s.GraphBuilds - base.GraphBuilds,
+		Links:                s.Links - base.Links,
+		LinkFallbacks:        s.LinkFallbacks - base.LinkFallbacks,
 		Restores:             s.Restores - base.Restores,
 		RestoresDecoded:      s.RestoresDecoded - base.RestoresDecoded,
 		RestoresDeepVerified: s.RestoresDeepVerified - base.RestoresDeepVerified,
@@ -424,6 +469,8 @@ func (c *Cache) Stats() CacheStats {
 		Evictions:            c.mem.Evictions(),
 		Compiles:             c.compiles.Load(),
 		GraphBuilds:          c.graphBuilds.Load(),
+		Links:                c.links.Load(),
+		LinkFallbacks:        c.linkFallbacks.Load(),
 		Restores:             decoded + verified,
 		RestoresDecoded:      decoded,
 		RestoresDeepVerified: verified,

@@ -2,10 +2,13 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
 	"regexp"
 	"testing"
 
 	"lisa/internal/core"
+	"lisa/internal/corpus"
+	"lisa/internal/minij"
 )
 
 // voidBody matches the opening of a void method body, where a dead local
@@ -92,4 +95,91 @@ func TestBoundedFingerprintCacheStaysWarm(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFingerprintCacheHoldsNoAST: a cached site or replay result holds no
+// pointer into a program's AST. The fingerprint cache outlives the
+// snapshot cache by far (16,384 entries against a few hundred snapshots),
+// so any node it held would keep a long-evicted version's program alive.
+// Every corpus version is asserted with its case's suite, then every
+// memory-tier site and replay value is walked by reflection.
+func TestFingerprintCacheHoldsNoAST(t *testing.T) {
+	s := New()
+	for _, cs := range corpus.Load().Cases {
+		e := engineForCase(t, cs)
+		versions := []string{cs.Head()}
+		for _, tk := range cs.Tickets {
+			versions = append(versions, tk.BuggySource, tk.FixedSource)
+		}
+		for _, src := range versions {
+			// A version that does not build with its suite has no entries.
+			_, _, _ = s.Assert(e, src, cs.Tests, Options{Workers: 1})
+		}
+	}
+	minijPkg := reflect.TypeOf(minij.Pos{}).PkgPath()
+	sites, replays := 0, 0
+	for _, key := range s.cache.mem.Keys() {
+		v, _ := s.cache.mem.Get(key)
+		switch v.(type) {
+		case *siteEntry:
+			sites++
+		case *dynOverlay:
+			replays++
+		default:
+			continue
+		}
+		if path := astPointer(reflect.ValueOf(v), minijPkg, "entry", map[uintptr]bool{}); path != "" {
+			t.Fatalf("cached %T holds an AST pointer at %s", v, path)
+		}
+	}
+	if sites == 0 || replays == 0 {
+		t.Fatalf("walked %d site and %d replay entries, want some of each", sites, replays)
+	}
+}
+
+// astPointer returns the path of the first pointer to a type declared in
+// package pkg reachable from v, or "" when there is none.
+func astPointer(v reflect.Value, pkg, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return ""
+		}
+		if v.Type().Elem().PkgPath() == pkg {
+			return path
+		}
+		if seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return astPointer(v.Elem(), pkg, path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return astPointer(v.Elem(), pkg, path, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := astPointer(v.Field(i), pkg, path+"."+v.Type().Field(i).Name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := astPointer(v.Index(i), pkg, fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		iter := v.MapRange()
+		for iter.Next() {
+			if p := astPointer(iter.Key(), pkg, path+"{key}", seen); p != "" {
+				return p
+			}
+			if p := astPointer(iter.Value(), pkg, fmt.Sprintf("%s[%v]", path, iter.Key()), seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

@@ -136,10 +136,9 @@ func encodeSite(siteRep *core.SiteReport) *siteRecord {
 	return rec
 }
 
-// decodeSite rebuilds path reports onto the current run's site object, so
-// dynamic replay and rendering see the current program exactly as a memory
-// hit would.
-func decodeSite(rec *siteRecord, site *contract.Site) ([]*core.PathReport, bool) {
+// decodeSite rebuilds path reports exactly as a memory hit serves them; the
+// job's site report holds the current run's site.
+func decodeSite(rec *siteRecord) ([]*core.PathReport, bool) {
 	paths := make([]*core.PathReport, len(rec.Paths))
 	for i, pr := range rec.Paths {
 		cond, ok := parseFormula(pr.Cond)
@@ -150,7 +149,7 @@ func decodeSite(rec *siteRecord, site *contract.Site) ([]*core.PathReport, bool)
 		if !ok {
 			return nil, false
 		}
-		sp := &concolic.StaticPath{Site: site, Cond: cond, FullCond: full, Bindings: pr.Bindings}
+		sp := &concolic.StaticPath{Cond: cond, FullCond: full, Bindings: pr.Bindings}
 		if len(pr.Guards) > 0 {
 			sp.Guards = make([]concolic.GuardStep, len(pr.Guards))
 			for j, g := range pr.Guards {
@@ -234,11 +233,10 @@ func (c *Cache) diskPut(ns, fp string, rec any) {
 	}
 }
 
-// diskGetSite serves a site job from the disk tier, re-anchored onto the
-// current run's site.
-func (c *Cache) diskGetSite(fp string, site *contract.Site) (paths []*core.PathReport, truncated, ok bool) {
+// diskGetSite serves a site job from the disk tier.
+func (c *Cache) diskGetSite(fp string) (paths []*core.PathReport, truncated, ok bool) {
 	ok = diskGet(c, siteNamespace, fp, func(rec *siteRecord) (anchored bool) {
-		paths, anchored = decodeSite(rec, site)
+		paths, anchored = decodeSite(rec)
 		truncated = rec.Truncated
 		return anchored
 	})

@@ -192,9 +192,10 @@ func snapshotStats(e *core.Engine) program.CacheStats {
 	return program.Stats()
 }
 
-// applySnapshotDelta records the run's snapshot-restore split (how the
-// system and system+tests snapshots were obtained: compiled, decoded from
-// the disk tier, or deep-verified against source).
+// applySnapshotDelta records the run's snapshot-restore split (how its
+// snapshots were obtained: compiled, decoded from the disk tier, or
+// deep-verified against source). A linked system+tests snapshot is never
+// restored, so a warm run restores the system snapshot alone.
 func applySnapshotDelta(stats *Stats, e *core.Engine, before program.CacheStats) {
 	if stats == nil {
 		return
@@ -481,7 +482,7 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 			j.cacheHit = true
 			return
 		}
-		if paths, truncated, ok := s.cache.diskGetSite(j.fp, j.siteRep.Site); ok {
+		if paths, truncated, ok := s.cache.diskGetSite(j.fp); ok {
 			j.siteRep.Paths = paths
 			j.siteRep.TreeTruncated = truncated
 			s.cache.putSite(j.fp, j.siteRep)

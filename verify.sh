@@ -27,13 +27,24 @@
 # by name (TestControlByteGuardRestoresFromStore: a site whose condition
 # quotes a control byte must restore from the store in a fresh
 # scheduler),
+# the linked-program tests by name (TestLinkedEqualsConcatenated: every
+# corpus version and guard mutant that builds with its suite links to a
+# program equal to the concatenated compile, and every other falls back to
+# its exact error; TestLinkFaultSparesSystem: a corrupt link damages its
+# own test classes, never the shared system program; ten race-detector
+# rounds of TestConcurrentLinks: eight suites linked onto one system
+# snapshot at once, each asserting like its own sequential run), the
+# cached-result memory tests by name (TestOperatorTextOwnsItsBytes: no
+# operator text in the AST aliases the source; TestFingerprintCacheHoldsNoAST:
+# no cached site or replay result points into a program),
 # the binary AST codec fuzz suite by name (round-trip byte-identity over
 # the corpus and seeded mutants; truncated/bit-flipped/version-skewed
 # frames must be rejected), the daemon smoke test by name (start a real
 # listener, one gate round trip, clean drain), the cold-process-on-warm-
 # store smoke (two CLI invocations sharing a store directory: the second
-# must serve its jobs from the disk tier AND restore its snapshots through
-# the parse-free decode path; a third, after garbage is appended to the
+# must serve its jobs from the disk tier AND restore its system snapshot
+# through the parse-free decode path — its system+tests program is linked,
+# never stored; a third, after garbage is appended to the
 # log, must truncate it back and print the same report), the store-open
 # allocation guard by name and one iteration of the store-open benchmark
 # (so it keeps building and running), the warm-gate allocation guard by
@@ -74,13 +85,18 @@ go test -race -count=10 -run TestCrossEngineGatesShareSnapshots ./internal/ci
 go test -race -count=10 -run TestStatsDuringFirstGates ./internal/server
 go test -run 'TestCorpusReportsGolden' -count=1 ./internal/core
 go test -run 'TestControlByteGuardRestoresFromStore' -count=1 ./internal/sched
+go test -run 'TestLinkedEqualsConcatenated' -count=1 ./internal/core
+go test -run 'TestLinkFaultSparesSystem' -count=1 ./internal/program
+go test -race -count=10 -run TestConcurrentLinks ./internal/core
+go test -run 'TestOperatorTextOwnsItsBytes' -count=1 ./internal/minij
+go test -run 'TestFingerprintCacheHoldsNoAST' -count=1 ./internal/sched
 go test -run 'TestCodec' -count=1 ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
 go run ./cmd/lisa assert -case zk-ephemeral -tests -store "$STORE_SMOKE/store" > /dev/null
 go run ./cmd/lisa assert -case zk-ephemeral -tests -store "$STORE_SMOKE/store" > "$STORE_SMOKE/warm.out"
 grep "served from the disk tier" "$STORE_SMOKE/warm.out"
-grep "restored from the store (2 decoded, 0 deep-verified)" "$STORE_SMOKE/warm.out"
+grep "restored from the store (1 decoded, 0 deep-verified)" "$STORE_SMOKE/warm.out"
 LOG_SIZE=$(wc -c < "$STORE_SMOKE/store/store.log")
 printf 'torn tail: no frame here' >> "$STORE_SMOKE/store/store.log"
 go run ./cmd/lisa assert -case zk-ephemeral -tests -store "$STORE_SMOKE/store" > "$STORE_SMOKE/torn.out"
