@@ -227,18 +227,27 @@ func (g *Graph) ExecutionTree(target *minij.Method, opts TreeOptions) *Tree {
 		}
 	}
 	walk(target, nil, 0)
-	sort.Slice(tree.Paths, func(i, j int) bool {
-		return pathLess(tree.Paths[i], tree.Paths[j], target)
+	// Order by rendered path, then by length; each path renders once.
+	keyed := make([]keyedPath, len(tree.Paths))
+	for i, p := range tree.Paths {
+		keyed[i] = keyedPath{key: p.String(), path: p}
+	}
+	sort.Slice(keyed, func(i, j int) bool {
+		if keyed[i].key != keyed[j].key {
+			return keyed[i].key < keyed[j].key
+		}
+		return len(keyed[i].path) < len(keyed[j].path)
 	})
+	for i, k := range keyed {
+		tree.Paths[i] = k.path
+	}
 	return tree
 }
 
-func pathLess(a, b Path, target *minij.Method) bool {
-	as, bs := a.String(), b.String()
-	if as != bs {
-		return as < bs
-	}
-	return len(a) < len(b)
+// keyedPath is a path with its rendering, the execution tree's sort key.
+type keyedPath struct {
+	key  string
+	path Path
 }
 
 // MethodsOnPath returns the ordered methods traversed by a path ending at

@@ -20,53 +20,109 @@ const maxChainStates = 64
 // conditions recorded in a caller that constrain values passed as call
 // arguments are renamed into the callee's parameter vocabulary and carried
 // down — the interprocedural half of the paper's execution-tree assertion.
-// An empty chain reduces to the intraprocedural StaticPaths.
+// An empty chain reduces to the intraprocedural StaticPaths. It is the
+// one-chain case of SiteStaticPaths.
 func ChainStaticPaths(prog *minij.Program, site *contract.Site, chain callgraph.Path, opts Options) ([]*StaticPath, bool) {
-	if len(chain) == 0 {
-		return StaticPaths(prog, site, opts)
+	paths, truncated := SiteStaticPaths(prog, site, []callgraph.Path{chain}, opts)
+	return paths[0], truncated[0]
+}
+
+// SiteStaticPaths enumerates the static paths to a site along each of its
+// chains: paths[i] and truncated[i] are what ChainStaticPaths gives for
+// chains[i]. The chains are walked as one prefix tree, so a caller frame
+// that several chains reach through the same edges is walked once: chains
+// are visited in order of their edge numbers, which puts chains sharing a
+// prefix next to each other, and a stack keeps the seed states after each
+// edge of the current chain. Only the states of the current chain's prefix
+// are live, at most maxChainStates per edge.
+func SiteStaticPaths(prog *minij.Program, site *contract.Site, chains []callgraph.Path, opts Options) (paths [][]*StaticPath, truncated []bool) {
+	// Number each distinct call edge in first-seen order.
+	ids := map[callgraph.CallSite]int{}
+	keys := make([][]int, len(chains))
+	order := make([]int, len(chains))
+	for i, chain := range chains {
+		keys[i] = make([]int, len(chain))
+		for j, edge := range chain {
+			id, ok := ids[edge]
+			if !ok {
+				id = len(ids)
+				ids[edge] = id
+			}
+			keys[i][j] = id
+		}
+		order[i] = i
 	}
-	seeds := []*sframe{newSFrame(prog)}
-	truncated := false
-	for _, edge := range chain {
-		stmt := stmtOfCall(prog, edge.Caller, edge.Call)
-		if stmt == nil {
-			// Should not happen for a well-formed chain; fall back to an
-			// unconstrained entry into the callee.
-			seeds = []*sframe{newSFrame(prog)}
+	sort.SliceStable(order, func(a, b int) bool { return slices.Compare(keys[order[a]], keys[order[b]]) < 0 })
+
+	paths = make([][]*StaticPath, len(chains))
+	truncated = make([]bool, len(chains))
+	// stack[d] is the state after the current chain's first d edges.
+	stack := []chainPrefix{{seeds: []*sframe{newSFrame(prog)}}}
+	var prev []int
+	for _, i := range order {
+		key := keys[i]
+		shared := 0
+		for shared < len(key) && shared < len(prev) && key[shared] == prev[shared] {
+			shared++
+		}
+		stack = stack[:min(len(stack), shared+1)]
+		for d := len(stack) - 1; d < len(key) && len(stack[d].seeds) > 0; d++ {
+			stack = append(stack, enterCallee(prog, chains[i][d], stack[d], opts))
+		}
+		top := stack[len(stack)-1]
+		truncated[i] = top.truncated
+		// An empty seed set means no caller path reaches a call site of
+		// the chain: nothing flows down, and the chain has no paths.
+		if len(top.seeds) > 0 {
+			var trunc bool
+			paths[i], trunc = staticPathsFrom(prog, site, opts, top.seeds)
+			truncated[i] = truncated[i] || trunc
+		}
+		prev = key
+	}
+	return paths, truncated
+}
+
+// chainPrefix is the state after a chain prefix: the callee's distinct
+// entry states, and whether a caller walk on the way was cut short.
+type chainPrefix struct {
+	seeds     []*sframe
+	truncated bool
+}
+
+// enterCallee walks edge's caller from each seed of from to the call, and
+// enters the callee from every state that reaches it.
+func enterCallee(prog *minij.Program, edge callgraph.CallSite, from chainPrefix, opts Options) chainPrefix {
+	stmt := stmtOfCall(prog, edge.Caller, edge.Call)
+	if stmt == nil {
+		// Should not happen for a well-formed chain; fall back to an
+		// unconstrained entry into the callee.
+		return chainPrefix{seeds: []*sframe{newSFrame(prog)}, truncated: from.truncated}
+	}
+	var states []*sframe
+	collect := func(st *sframe) {
+		if len(states) < maxChainStates {
+			states = append(states, st.clone())
+		}
+	}
+	// Fork-level pruning is deliberately off here: chain states carrying
+	// an unsatisfiable prefix die at the next frame's seed check (one
+	// query per seed), which costs far less than checking every fork of
+	// every intermediate state.
+	trunc := walkSeeds(prog, edge.Caller, stmt.ID(), maxChainStates, from.seeds, opts, false, collect,
+		func() bool { return len(states) >= maxChainStates })
+	next := make([]*sframe, 0, len(states))
+	dedup := map[string]bool{}
+	for _, st := range states {
+		child := inheritFrame(prog, st, edge.Callee, edge.Call)
+		key := frameKey(child)
+		if dedup[key] {
 			continue
 		}
-		var states []*sframe
-		collect := func(st *sframe) {
-			if len(states) < maxChainStates {
-				states = append(states, st.clone())
-			}
-		}
-		// Fork-level pruning is deliberately off here: chain states
-		// carrying an unsatisfiable prefix die at the next frame's seed
-		// check (one query per seed), which costs far less than checking
-		// every fork of every intermediate state.
-		trunc := walkSeeds(prog, edge.Caller, stmt.ID(), maxChainStates, seeds, opts, false, collect,
-			func() bool { return len(states) >= maxChainStates })
-		truncated = truncated || trunc
-		next := make([]*sframe, 0, len(states))
-		dedup := map[string]bool{}
-		for _, st := range states {
-			child := inheritFrame(prog, st, edge.Callee, edge.Call)
-			key := frameKey(child)
-			if dedup[key] {
-				continue
-			}
-			dedup[key] = true
-			next = append(next, child)
-		}
-		if len(next) == 0 {
-			// No caller path reaches the call site: nothing flows down.
-			return nil, truncated
-		}
-		seeds = next
+		dedup[key] = true
+		next = append(next, child)
 	}
-	paths, trunc := staticPathsFrom(prog, site, opts, seeds)
-	return paths, truncated || trunc
+	return chainPrefix{seeds: next, truncated: from.truncated || trunc}
 }
 
 // stmtOfCall locates the statement of m that directly performs the given
@@ -118,6 +174,7 @@ func inheritFrame(prog *minij.Program, caller *sframe, callee *minij.Method, cal
 			} else if t.isConst {
 				// A constant argument becomes a known constant of the
 				// parameter (normalization across the call boundary).
+				child.own()
 				child.consts[p.Name] = t.c
 				child.assigned[p.Name] = true
 			}
@@ -126,6 +183,7 @@ func inheritFrame(prog *minij.Program, caller *sframe, callee *minij.Method, cal
 	// Carry renamed constants (caller facts about argument state).
 	for path, c := range caller.consts {
 		if renamed, ok := renamePath(path, renames); ok {
+			child.own()
 			child.consts[renamed] = c
 		}
 	}

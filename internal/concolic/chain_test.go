@@ -6,6 +6,7 @@ import (
 
 	"lisa/internal/callgraph"
 	"lisa/internal/contract"
+	"lisa/internal/minij"
 	"lisa/internal/smt"
 )
 
@@ -282,5 +283,139 @@ class Router {
 	}
 	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
 		t.Errorf("verdict = %v", v)
+	}
+}
+
+// forkSrc declares and assigns under one branch of a fork and tests the
+// result after the join: if the then-branch's writes leaked into the
+// else-branch, the unguarded else path would inherit the session check.
+const forkSrc = `
+class Session {
+	bool closing;
+	int ttl;
+}
+
+class DataTree {
+	map nodes;
+
+	void createEphemeral(string path, Session owner) {
+		nodes.put(path, owner);
+	}
+}
+
+class Gate {
+	DataTree tree;
+
+	void run(string path, Session s, bool fast, int mode) {
+		mode = 0;
+		if (fast) {
+			int checked = 1;
+			mode = 1;
+			s.ttl = 5;
+		}
+		if (mode == 1) {
+			if (s == null || s.closing) {
+				throw "SessionExpired";
+			}
+		}
+		tree.createEphemeral(path, s);
+	}
+}
+`
+
+// TestForkedFramesKeepWritesPrivate: frames share their maps and
+// conditions copy-on-write, so a declaration or assignment under one
+// branch must not show up in the sibling branch, and a walk must never
+// write the seed it starts from, which several chains' walks share.
+func TestForkedFramesKeepWritesPrivate(t *testing.T) {
+	prog := compile(t, forkSrc)
+	sem := ephemeralSemantic()
+	site := contract.Match(sem, prog)[0]
+	m := prog.Method("Gate", "run")
+
+	// Frame level: writes through one clone stay out of its sibling and
+	// its source, whichever map they touch.
+	seed := newSFrame(prog)
+	seed.store("mode", &minij.IntLit{Value: 7})
+	seed.conds = make([]recordedCond, 1, 4)
+	seed.conds[0] = recordedCond{f: smt.NewAtom(smt.BoolAtom("fast")), guard: GuardStep{Guard: "fast", Taken: true}}
+	a, b := seed.clone(), seed.clone()
+	var body []minij.Stmt
+	minij.WalkStmts(m.Body, func(s minij.Stmt) {
+		switch s.(type) {
+		case *minij.VarDecl, *minij.Assign:
+			body = append(body, s)
+		}
+	})
+	for _, s := range body {
+		a.apply(s)
+	}
+	a.conds = append(a.conds, recordedCond{f: smt.NewAtom(smt.BoolAtom("a")), guard: GuardStep{Guard: "a", Taken: true}})
+	b.conds = append(b.conds, recordedCond{f: smt.NewAtom(smt.BoolAtom("b")), guard: GuardStep{Guard: "b", Taken: true}})
+	if c, ok := a.ConstOf("s.ttl"); !ok || c.Int != 5 {
+		t.Fatalf("the writing clone lost its own field write: s.ttl = %v, %v", c, ok)
+	}
+	for name, st := range map[string]*sframe{"sibling": b, "source": seed} {
+		if c, ok := st.ConstOf("mode"); !ok || c.Int != 7 {
+			t.Errorf("%s sees mode = %v, %v after the sibling assigned it", name, c, ok)
+		}
+		if _, ok := st.ConstOf("s.ttl"); ok {
+			t.Errorf("%s sees the sibling's field write", name)
+		}
+		if st.assigned["checked"] {
+			t.Errorf("%s sees the sibling's declaration", name)
+		}
+	}
+	if got := a.conds[1].guard.Guard; got != "a" {
+		t.Errorf("the writing clone's second condition is %q after its sibling appended, want a", got)
+	}
+	if len(seed.conds) != 1 {
+		t.Errorf("source has %d conditions after its clones appended, want 1", len(seed.conds))
+	}
+
+	// Walk level: the else-branch path must stay unguarded, so it
+	// violates, while the then-branch path carries the session check
+	// (NoPrune keeps the fast guard in each path's steps).
+	paths, _ := StaticPaths(prog, site, Options{NoPrune: true})
+	got := map[string]Verdict{}
+	for _, p := range paths {
+		got[p.String()] = CheckStaticPath(sem, p)
+	}
+	want := map[string]Verdict{
+		"fast ; !(s == null || s.closing)": VerdictVerified,
+		"!(fast)":                          VerdictViolation,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("paths = %v, want %v", got, want)
+	}
+	for path, v := range want {
+		if got[path] != v {
+			t.Errorf("path %q = %v, want %v (all: %v)", path, got[path], v, got)
+		}
+	}
+
+	// Shared seed: a walk that assigns mode must leave the seed's constant
+	// alone, so a second walk from the same seed sees what the first saw.
+	shared := newSFrame(prog)
+	shared.store("mode", &minij.IntLit{Value: 1})
+	var emitted []string
+	for i := 0; i < 2; i++ {
+		n := 0
+		walkSeeds(prog, m, site.Stmt.ID(), DefaultMaxPaths, []*sframe{shared}, Options{}, true, func(st *sframe) {
+			n++
+			emitted = append(emitted, frameKey(st))
+		}, nil)
+		if c, ok := shared.ConstOf("mode"); !ok || c.Int != 1 {
+			t.Fatalf("walk %d left the shared seed's mode = %v, %v, want 1", i, c, ok)
+		}
+		if len(shared.assigned) != 1 || len(shared.consts) != 1 {
+			t.Fatalf("walk %d wrote the shared seed: assigned %v, consts %v", i, shared.assigned, shared.consts)
+		}
+		if n == 0 {
+			t.Fatalf("walk %d emitted nothing", i)
+		}
+	}
+	if half := len(emitted) / 2; strings.Join(emitted[:half], "|") != strings.Join(emitted[half:], "|") {
+		t.Errorf("two walks from one seed emitted different states:\n%v", emitted)
 	}
 }

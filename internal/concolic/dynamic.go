@@ -173,7 +173,9 @@ func (r *Runner) install() {
 		// Replay keeps the latest recording per guard statement, where
 		// enumeration appends one per fork: a loop body runs many times,
 		// and its most recent decision reflects the state that reaches
-		// the target.
+		// the target. The in-place write is safe only because replay
+		// never clones a frame: a clone shares its source's conds backing
+		// array, and enumeration only ever appends to it.
 		if i, seen := top.recorded[id]; seen {
 			top.env.conds[i] = rc
 			return

@@ -125,7 +125,7 @@ func staticPathsFrom(prog *minij.Program, site *contract.Site, opts Options, see
 // query skips its whole walk. forkPrune also drops each branch direction
 // whose prefix is unsatisfiable. When enough is non-nil, the loop stops
 // after the first seed that leaves it true, and the walk counts as cut
-// short.
+// short. The seeds themselves are never written.
 func walkSeeds(prog *minij.Program, m *minij.Method, targetID, maxPaths int, seeds []*sframe, opts Options, forkPrune bool, emit func(*sframe), enough func() bool) (truncated bool) {
 	for _, seed := range seeds {
 		w := &staticWalker{
@@ -140,7 +140,9 @@ func walkSeeds(prog *minij.Program, m *minij.Method, targetID, maxPaths int, see
 		if !opts.NoPrefixPrune && len(seed.conds) > 0 && !w.prefixSat(seed) {
 			continue
 		}
-		w.walkSeq(m.Body.Stmts, 0, seed, walkCtx{}, func(*sframe) {})
+		// The walk applies declarations to its state in place, and a seed
+		// may be shared by the walks of several chains: walk a clone.
+		w.walkSeq(m.Body.Stmts, 0, seed.clone(), walkCtx{}, func(*sframe) {})
 		truncated = truncated || w.trunc
 		if enough != nil && enough() {
 			return true
@@ -247,14 +249,20 @@ func constFacts(st *sframe, roots map[string]bool) []smt.Formula {
 	return out
 }
 
-// sframe is the symbolic state of one enumeration branch.
+// sframe is the symbolic state of one enumeration branch. The four maps
+// are copy-on-write: a clone shares them with its source, and the first
+// write on either side (own) copies all four, so a fork that never assigns
+// costs one frame and no map. A fresh frame holds no map until its first
+// write.
 type sframe struct {
 	prog     *minij.Program
 	aliases  map[string]string
 	consts   map[string]ConstVal
 	versions map[string]int
 	assigned map[string]bool
-	conds    []recordedCond
+	// shared reports that another frame may hold these maps.
+	shared bool
+	conds  []recordedCond
 }
 
 type recordedCond struct {
@@ -292,38 +300,45 @@ func condRoots(f smt.Formula) []string {
 }
 
 func newSFrame(prog *minij.Program) *sframe {
+	return &sframe{prog: prog}
+}
+
+// clone forks the state. The clone's conds has no spare capacity, so an
+// append on either side never writes into the other's backing array.
+func (st *sframe) clone() *sframe {
+	st.shared = true
 	return &sframe{
-		prog:     prog,
-		aliases:  map[string]string{},
-		consts:   map[string]ConstVal{},
-		versions: map[string]int{},
-		assigned: map[string]bool{},
+		prog:     st.prog,
+		aliases:  st.aliases,
+		consts:   st.consts,
+		versions: st.versions,
+		assigned: st.assigned,
+		shared:   true,
+		conds:    st.conds[:len(st.conds):len(st.conds)],
 	}
 }
 
-func (st *sframe) clone() *sframe {
-	c := &sframe{
-		prog:     st.prog,
-		aliases:  make(map[string]string, len(st.aliases)),
-		consts:   make(map[string]ConstVal, len(st.consts)),
-		versions: make(map[string]int, len(st.versions)),
-		assigned: make(map[string]bool, len(st.assigned)),
-		conds:    make([]recordedCond, len(st.conds)),
+// own gives the frame maps of its own before a write: it copies maps
+// shared with another frame, and allocates a fresh frame's.
+func (st *sframe) own() {
+	if st.aliases != nil && !st.shared {
+		return
 	}
-	for k, v := range st.aliases {
-		c.aliases[k] = v
+	st.aliases = copyMap(st.aliases)
+	st.consts = copyMap(st.consts)
+	st.versions = copyMap(st.versions)
+	st.assigned = copyMap(st.assigned)
+	st.shared = false
+}
+
+// copyMap returns a new map with m's entries; unlike maps.Clone, a nil m
+// gives an empty map, ready for writes.
+func copyMap[K comparable, V any](m map[K]V) map[K]V {
+	out := make(map[K]V, len(m))
+	for k, v := range m {
+		out[k] = v
 	}
-	for k, v := range st.consts {
-		c.consts[k] = v
-	}
-	for k, v := range st.versions {
-		c.versions[k] = v
-	}
-	for k, v := range st.assigned {
-		c.assigned[k] = v
-	}
-	copy(c.conds, st.conds)
-	return c
+	return out
 }
 
 // PathOf implements Env: locals resolve through aliases and versioning;
@@ -349,6 +364,7 @@ func (st *sframe) Program() *minij.Program { return st.prog }
 
 // store records the effect of an assignment to name (a bare identifier).
 func (st *sframe) store(name string, value minij.Expr) {
+	st.own()
 	// Invalidate previous knowledge about the old path of this name.
 	delete(st.aliases, name)
 	cur, _ := st.PathOf(name)
@@ -396,13 +412,15 @@ func (st *sframe) apply(s minij.Stmt) {
 
 // storePath records the effect of an assignment to a field path.
 func (st *sframe) storePath(path string, value minij.Expr) {
+	st.own()
 	st.invalidate(path)
 	if c, ok := LiteralConst(value); ok {
 		st.consts[path] = c
 	}
 }
 
-// invalidate forgets constants for path and everything below it.
+// invalidate forgets constants for path and everything below it. The
+// caller has made the maps its own.
 func (st *sframe) invalidate(path string) {
 	delete(st.consts, path)
 	prefix := path + "."
@@ -655,6 +673,7 @@ func (w *staticWalker) walkSeq(stmts []minij.Stmt, i int, st *sframe, ctx walkCt
 		next(st.clone())
 		// ...or take one iteration with an opaque element binding.
 		st2 := st.clone()
+		st2.own()
 		if st2.assigned[n.Var] {
 			st2.versions[n.Var]++
 		}

@@ -190,7 +190,8 @@ type PathReport struct {
 	Verdict concolic.Verdict
 	// CoveredBy lists tests whose dynamic execution matched this path.
 	CoveredBy []string
-	// DynamicVerdicts maps test name to its hit verdict on this path.
+	// DynamicVerdicts maps test name to its hit verdict on this path; nil
+	// until a hit is attributed.
 	DynamicVerdicts map[string]concolic.Verdict
 	// PostViolatedBy lists tests whose replay reached this path but left
 	// the contract's postcondition Q false afterwards.
@@ -598,15 +599,15 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 		if e.IntraOnly || len(chains) == 0 {
 			chains = []callgraph.Path{nil}
 		}
-		// Enumerate first, then check each distinct path in order. An
-		// instantiated query repeated across the site's paths is a memory
-		// hit in the solver cache.
+		// Enumerate first, then check each distinct path in chain order.
+		// An instantiated query repeated across the site's paths is a
+		// memory hit in the solver cache.
+		paths, truncated := concolic.SiteStaticPaths(ctx.ProgAll, site, chains, opts)
 		seen := map[string]bool{}
 		var pending []*concolic.StaticPath
-		for _, chain := range chains {
-			paths, truncated := concolic.ChainStaticPaths(ctx.ProgAll, site, chain, opts)
-			siteRep.TreeTruncated = siteRep.TreeTruncated || truncated
-			for _, p := range paths {
+		for i := range chains {
+			siteRep.TreeTruncated = siteRep.TreeTruncated || truncated[i]
+			for _, p := range paths[i] {
 				if seen[p.Key()] {
 					continue
 				}
@@ -620,11 +621,7 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 				stageErr = err
 				return
 			}
-			siteRep.Paths = append(siteRep.Paths, &PathReport{
-				Static:          p,
-				Verdict:         verdict,
-				DynamicVerdicts: map[string]concolic.Verdict{},
-			})
+			siteRep.Paths = append(siteRep.Paths, &PathReport{Static: p, Verdict: verdict})
 		}
 		// Path enumeration swallows cancellation into truncation; surface
 		// it so a cancelled run fails the job instead of shipping a
@@ -842,6 +839,9 @@ func (e *Engine) runDynamic(rctx context.Context, prog *minij.Program, sr *Seman
 		}
 		if !containsString(best.CoveredBy, hit.TestName) {
 			best.CoveredBy = append(best.CoveredBy, hit.TestName)
+		}
+		if best.DynamicVerdicts == nil {
+			best.DynamicVerdicts = map[string]concolic.Verdict{}
 		}
 		best.DynamicVerdicts[hit.TestName] = hit.VerdictLim(lim)
 		if hit.PostHolds == concolic.TriFalse && !containsString(best.PostViolatedBy, hit.TestName) {

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"lisa/internal/concolic"
 	"lisa/internal/contract"
 	"lisa/internal/faultinject"
 	"lisa/internal/interp"
@@ -227,7 +226,7 @@ func (e *Engine) DynamicJob(rctx context.Context, ctx *AssertContext, name strin
 			siteRep.SelectedTests = nil
 			for _, p := range siteRep.Paths {
 				p.CoveredBy = nil
-				p.DynamicVerdicts = map[string]concolic.Verdict{}
+				p.DynamicVerdicts = nil
 				p.PostViolatedBy = nil
 			}
 		}

@@ -64,8 +64,8 @@ func CrossCheck(sem *contract.Semantic, tk *ticket.Ticket) CrossCheckResult {
 		if len(chains) == 0 {
 			chains = []callgraph.Path{nil}
 		}
-		for _, chain := range chains {
-			paths, _ := concolic.ChainStaticPaths(prog, site, chain, concolic.Options{})
+		perChain, _ := concolic.SiteStaticPaths(prog, site, chains, concolic.Options{})
+		for _, paths := range perChain {
 			for _, p := range paths {
 				if v := concolic.CheckStaticPath(sem, p); v == concolic.VerdictViolation {
 					res.Reason = fmt.Sprintf("patched code contradicts the rule: %s on path %s of %s",

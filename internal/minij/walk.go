@@ -44,44 +44,46 @@ func InspectStmts(s Stmt, fn func(Stmt) bool) {
 // its subexpressions in evaluation order.
 func WalkExprs(s Stmt, fn func(Expr)) {
 	WalkStmts(s, func(st Stmt) {
-		for _, e := range stmtExprs(st) {
+		es, n := stmtExprs(st)
+		for _, e := range es[:n] {
 			walkExpr(e, fn)
 		}
 	})
 }
 
 // stmtExprs returns the immediate expressions of a statement (not those of
-// nested statements).
-func stmtExprs(s Stmt) []Expr {
-	switch n := s.(type) {
+// nested statements): the first n entries of the array. Returning an
+// array keeps the statement walks free of allocation.
+func stmtExprs(s Stmt) (es [2]Expr, n int) {
+	switch st := s.(type) {
 	case *VarDecl:
-		if n.Init != nil {
-			return []Expr{n.Init}
+		if st.Init != nil {
+			return [2]Expr{st.Init}, 1
 		}
 	case *Assign:
-		return []Expr{n.Target, n.Value}
+		return [2]Expr{st.Target, st.Value}, 2
 	case *If:
-		return []Expr{n.Cond}
+		return [2]Expr{st.Cond}, 1
 	case *While:
-		return []Expr{n.Cond}
+		return [2]Expr{st.Cond}, 1
 	case *For:
-		if n.Cond != nil {
-			return []Expr{n.Cond}
+		if st.Cond != nil {
+			return [2]Expr{st.Cond}, 1
 		}
 	case *ForEach:
-		return []Expr{n.Iter}
+		return [2]Expr{st.Iter}, 1
 	case *Return:
-		if n.Value != nil {
-			return []Expr{n.Value}
+		if st.Value != nil {
+			return [2]Expr{st.Value}, 1
 		}
 	case *Throw:
-		return []Expr{n.Value}
+		return [2]Expr{st.Value}, 1
 	case *Sync:
-		return []Expr{n.Lock}
+		return [2]Expr{st.Lock}, 1
 	case *ExprStmt:
-		return []Expr{n.E}
+		return [2]Expr{st.E}, 1
 	}
-	return nil
+	return es, 0
 }
 
 // walkExpr visits e and its subexpressions.
@@ -121,7 +123,8 @@ func OwnCalls(s Stmt) []*Call {
 		return nil
 	}
 	var out []*Call
-	for _, e := range stmtExprs(s) {
+	es, n := stmtExprs(s)
+	for _, e := range es[:n] {
 		walkExpr(e, func(x Expr) {
 			if c, ok := x.(*Call); ok {
 				out = append(out, c)

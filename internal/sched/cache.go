@@ -7,6 +7,7 @@ import (
 	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/lru"
+	"lisa/internal/minij"
 	"lisa/internal/store"
 )
 
@@ -36,7 +37,7 @@ type Cache struct {
 	*store.Tier
 
 	mu     sync.Mutex
-	mem    *lru.Cache[string, any] // *siteEntry, *core.SemanticReport, or *dynOverlay
+	mem    *lru.Cache[string, any] // *siteEntry, *structuralRecord, or *dynOverlay
 	hits   int
 	misses int
 }
@@ -133,20 +134,22 @@ func (c *Cache) putSite(fp string, siteRep *core.SiteReport) {
 	c.put(fp, &siteEntry{paths: clonePaths(siteRep.Paths), truncated: siteRep.TreeTruncated})
 }
 
-// getStructural serves a cached structural semantic report.
-func (c *Cache) getStructural(fp string) (*core.SemanticReport, bool) {
+// getStructural serves a cached structural result, re-anchored onto prog
+// like a disk hit: the entry is the record the disk tier writes, so it
+// holds no AST, and a hit renders the current program's positions.
+func (c *Cache) getStructural(fp string, sem *contract.Semantic, prog *minij.Program) (*core.SemanticReport, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sr, ok := lookup[*core.SemanticReport](c, fp)
+	rec, ok := lookup[*structuralRecord](c, fp)
 	if !ok {
 		return nil, false
 	}
-	return cloneStructural(sr), true
+	return decodeStructural(rec, sem, prog)
 }
 
-// putStructural stores a structural result.
+// putStructural stores a structural result as its record.
 func (c *Cache) putStructural(fp string, sr *core.SemanticReport) {
-	c.put(fp, cloneStructural(sr))
+	c.put(fp, encodeStructural(sr))
 }
 
 // dynOverlay is the cached dynamic result of one per-semantic replay job:
@@ -219,21 +222,6 @@ func clonePaths(paths []*core.PathReport) []*core.PathReport {
 	return out
 }
 
-func cloneStructural(sr *core.SemanticReport) *core.SemanticReport {
-	clone := &core.SemanticReport{
-		Semantic:   sr.Semantic,
-		Structural: append([]*contract.StructuralViolation(nil), sr.Structural...),
-		SanityOK:   sr.SanityOK,
-	}
-	if sr.StructuralConfirmedBy != nil {
-		clone.StructuralConfirmedBy = map[int][]string{}
-		for i, tests := range sr.StructuralConfirmedBy {
-			clone.StructuralConfirmedBy[i] = cloneStrings(tests)
-		}
-	}
-	return clone
-}
-
 func (ov *dynOverlay) clone() *dynOverlay {
 	out := &dynOverlay{TestsRun: ov.TestsRun, Sites: make([]siteDyn, len(ov.Sites))}
 	for i, s := range ov.Sites {
@@ -295,7 +283,11 @@ func cloneStrings(xs []string) []string {
 	return append([]string(nil), xs...)
 }
 
+// cloneVerdicts copies a verdict map; an empty one copies to nil.
 func cloneVerdicts(m map[string]concolic.Verdict) map[string]concolic.Verdict {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make(map[string]concolic.Verdict, len(m))
 	for k, v := range m {
 		out[k] = v

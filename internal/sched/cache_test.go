@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"lisa/internal/core"
@@ -97,12 +98,12 @@ func TestBoundedFingerprintCacheStaysWarm(t *testing.T) {
 	}
 }
 
-// TestFingerprintCacheHoldsNoAST: a cached site or replay result holds no
-// pointer into a program's AST. The fingerprint cache outlives the
-// snapshot cache by far (16,384 entries against a few hundred snapshots),
-// so any node it held would keep a long-evicted version's program alive.
-// Every corpus version is asserted with its case's suite, then every
-// memory-tier site and replay value is walked by reflection.
+// TestFingerprintCacheHoldsNoAST: a cached site, structural or replay
+// result holds no pointer into a program's AST. The fingerprint cache
+// outlives the snapshot cache by far (16,384 entries against a few hundred
+// snapshots), so any node it held would keep a long-evicted version's
+// program alive. Every corpus version is asserted with its case's suite,
+// then every memory-tier value is walked by reflection.
 func TestFingerprintCacheHoldsNoAST(t *testing.T) {
 	s := New()
 	for _, cs := range corpus.Load().Cases {
@@ -117,23 +118,25 @@ func TestFingerprintCacheHoldsNoAST(t *testing.T) {
 		}
 	}
 	minijPkg := reflect.TypeOf(minij.Pos{}).PkgPath()
-	sites, replays := 0, 0
+	sites, structurals, replays := 0, 0, 0
 	for _, key := range s.cache.mem.Keys() {
 		v, _ := s.cache.mem.Get(key)
 		switch v.(type) {
 		case *siteEntry:
 			sites++
+		case *structuralRecord:
+			structurals++
 		case *dynOverlay:
 			replays++
 		default:
-			continue
+			t.Fatalf("cached %T is not a site, structural or replay result", v)
 		}
 		if path := astPointer(reflect.ValueOf(v), minijPkg, "entry", map[uintptr]bool{}); path != "" {
 			t.Fatalf("cached %T holds an AST pointer at %s", v, path)
 		}
 	}
-	if sites == 0 || replays == 0 {
-		t.Fatalf("walked %d site and %d replay entries, want some of each", sites, replays)
+	if sites == 0 || structurals == 0 || replays == 0 {
+		t.Fatalf("walked %d site, %d structural and %d replay entries, want some of each", sites, structurals, replays)
 	}
 }
 
@@ -182,4 +185,42 @@ func astPointer(v reflect.Value, pkg, path string, seen map[uintptr]bool) string
 		}
 	}
 	return ""
+}
+
+// TestStructuralHitRendersCurrentPositions: a structural result served
+// from the memory tier renders the positions of the program being
+// asserted. The structural fingerprint hashes the canonical program, so a
+// reformatted version (here three leading newlines) hits the entry its
+// original wrote; the hit must render like a fresh scheduler's run of the
+// reformatted version, as a disk hit does.
+func TestStructuralHitRendersCurrentPositions(t *testing.T) {
+	cs := corpus.Load().Get("zk-sync-serialize")
+	src, err := cs.Version("ZKS-3531:buggy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engineForCase(t, cs)
+	shifted := "\n\n\n" + src
+	fresh, _, err := New().Assert(e, shifted, cs.Tests, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Render()
+	if !strings.Contains(want, "ReferenceCountedACLCache.serialize @47:4") {
+		t.Fatalf("fresh run of the shifted version lacks the finding at @47:4:\n%s", want)
+	}
+	s := New()
+	if _, _, err := s.Assert(e, src, cs.Tests, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rep, stats, err := s.Assert(e, shifted, cs.Tests, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Executed != 0 {
+		t.Fatalf("shifted version executed %d jobs, want every structural job served from the memory tier", stats.Executed)
+	}
+	if got := rep.Render(); got != want {
+		t.Fatalf("memory hit renders\n%s\nwant the fresh run's\n%s", got, want)
+	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/json"
+	"strings"
 
 	"lisa/internal/concolic"
 	"lisa/internal/contract"
@@ -104,6 +105,9 @@ func encodeVerdicts(m map[string]concolic.Verdict) map[string]int {
 }
 
 func decodeVerdicts(m map[string]int) map[string]concolic.Verdict {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make(map[string]concolic.Verdict, len(m))
 	for k, v := range m {
 		out[k] = concolic.Verdict(v)
@@ -169,10 +173,12 @@ func decodeSite(rec *siteRecord) ([]*core.PathReport, bool) {
 
 // --- structural records ---------------------------------------------------
 
+// encodeStructural flattens a structural report into a record that shares
+// nothing with it, so the memory tier can keep the record.
 func encodeStructural(sr *core.SemanticReport) *structuralRecord {
-	rec := &structuralRecord{SanityOK: sr.SanityOK, ConfirmedBy: sr.StructuralConfirmedBy}
+	rec := &structuralRecord{SanityOK: sr.SanityOK, ConfirmedBy: cloneConfirmed(sr.StructuralConfirmedBy)}
 	for _, v := range sr.Structural {
-		vr := violationRecord{Rule: v.Rule, Builtin: v.Builtin, Chain: v.Chain, Stmt: -1}
+		vr := violationRecord{Rule: v.Rule, Builtin: v.Builtin, Chain: cloneStrings(v.Chain), Stmt: -1}
 		if v.Method != nil {
 			vr.Method = v.Method.FullName()
 		}
@@ -186,18 +192,16 @@ func encodeStructural(sr *core.SemanticReport) *structuralRecord {
 
 // decodeStructural re-anchors the violations onto the current system
 // program: methods by qualified name, statements by ID (stable for a given
-// canonical program, which the fingerprint pins).
+// canonical program, which the fingerprint pins). The report shares nothing
+// with the record, which a memory-tier entry keeps.
 func decodeStructural(rec *structuralRecord, sem *contract.Semantic, prog *minij.Program) (*core.SemanticReport, bool) {
-	methods := map[string]*minij.Method{}
-	for _, m := range prog.Methods() {
-		methods[m.FullName()] = m
-	}
-	sr := &core.SemanticReport{Semantic: sem, SanityOK: rec.SanityOK, StructuralConfirmedBy: rec.ConfirmedBy}
+	sr := &core.SemanticReport{Semantic: sem, SanityOK: rec.SanityOK, StructuralConfirmedBy: cloneConfirmed(rec.ConfirmedBy)}
 	for _, vr := range rec.Violations {
-		v := &contract.StructuralViolation{Rule: vr.Rule, Builtin: vr.Builtin, Chain: vr.Chain}
+		v := &contract.StructuralViolation{Rule: vr.Rule, Builtin: vr.Builtin, Chain: cloneStrings(vr.Chain)}
 		if vr.Method != "" {
-			m, ok := methods[vr.Method]
-			if !ok {
+			class, name, _ := strings.Cut(vr.Method, ".")
+			m := prog.Method(class, name)
+			if m == nil {
 				return nil, false
 			}
 			v.Method = m
@@ -212,6 +216,18 @@ func decodeStructural(rec *structuralRecord, sem *contract.Semantic, prog *minij
 		sr.Structural = append(sr.Structural, v)
 	}
 	return sr, true
+}
+
+// cloneConfirmed copies a finding-index → confirming-tests map.
+func cloneConfirmed(m map[int][]string) map[int][]string {
+	if m == nil {
+		return nil
+	}
+	out := make(map[int][]string, len(m))
+	for i, tests := range m {
+		out[i] = cloneStrings(tests)
+	}
+	return out
 }
 
 // --- disk tier ------------------------------------------------------------

@@ -458,7 +458,7 @@ func sitePlans(e *core.Engine, ctx *core.AssertContext, sem *contract.Semantic, 
 func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.AssertContext, j *job, tm core.StageTimings) {
 	switch j.kind {
 	case jobStructural:
-		if sr, ok := s.cache.getStructural(j.fp); ok {
+		if sr, ok := s.cache.getStructural(j.fp, j.sem, ctx.ProgSys); ok {
 			j.sr = sr
 			j.cacheHit = true
 			return

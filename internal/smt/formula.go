@@ -166,7 +166,7 @@ func (a Atom) Key() (string, bool) {
 		case OpGe:
 			op, neg = OpLt, true
 		}
-		return fmt.Sprintf("c:%s %s %d", a.Path, op, a.IntVal), neg
+		return "c:" + a.Path + " " + op.String() + " " + strconv.FormatInt(a.IntVal, 10), neg
 	case AtomCmpV:
 		p1, p2, op := a.Path, a.Path2, a.Op
 		if p2 < p1 {
@@ -182,10 +182,10 @@ func (a Atom) Key() (string, bool) {
 		case OpGe:
 			op, neg = OpLt, true
 		}
-		return fmt.Sprintf("v:%s %s %s", p1, op, p2), neg
+		return "v:" + p1 + " " + op.String() + " " + p2, neg
 	case AtomStrEq:
 		neg := a.Op == OpNe
-		return fmt.Sprintf("s:%s == %q", a.Path, a.StrVal), neg
+		return "s:" + a.Path + " == " + strconv.Quote(a.StrVal), neg
 	}
 	return "<?>", false
 }

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -127,5 +128,85 @@ func TestAtomKeyPolarity(t *testing.T) {
 	k5, neg5 := CmpVAtom("x", OpGe, "y").Key()
 	if k5 != k3 || neg5 == neg3 {
 		t.Errorf("negation keys: (%s,%v) vs (%s,%v)", k5, neg5, k3, neg3)
+	}
+}
+
+// TestAtomKeyTable pins Atom.Key to the fmt rendering it replaced, for
+// every atom kind and operator, negative and multi-digit constants, and
+// strings that need escapes: solver cache keys and DPLL variables are
+// built from these bytes.
+func TestAtomKeyTable(t *testing.T) {
+	// fmtKey is the fmt.Sprintf rendering Key used before it built its
+	// keys by concatenation.
+	fmtKey := func(a Atom) string {
+		op := a.Op
+		switch op {
+		case OpNe:
+			op = OpEq
+		case OpGt:
+			op = OpLe
+		case OpGe:
+			op = OpLt
+		}
+		switch a.Kind {
+		case AtomBool:
+			return "b:" + a.Path
+		case AtomNull:
+			return "n:" + a.Path
+		case AtomCmpC:
+			return fmt.Sprintf("c:%s %s %d", a.Path, op, a.IntVal)
+		case AtomCmpV:
+			p1, p2, op := a.Path, a.Path2, a.Op
+			if p2 < p1 {
+				p1, p2 = p2, p1
+				op = op.Flip()
+			}
+			switch op {
+			case OpNe:
+				op = OpEq
+			case OpGt:
+				op = OpLe
+			case OpGe:
+				op = OpLt
+			}
+			return fmt.Sprintf("v:%s %s %s", p1, op, p2)
+		case AtomStrEq:
+			return fmt.Sprintf("s:%s == %q", a.Path, a.StrVal)
+		}
+		return "<?>"
+	}
+	ops := []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	var atoms []Atom
+	for _, path := range []string{"x", "s.ttl", "a.b.c"} {
+		atoms = append(atoms, BoolAtom(path), NullAtom(path))
+		for _, op := range ops {
+			for _, c := range []int64{0, 7, -1, 42, -9000, 1234567890123, -9223372036854775808} {
+				atoms = append(atoms, CmpCAtom(path, op, c))
+			}
+			for _, other := range []string{"a", "y", "s.ttl", "z.q"} {
+				atoms = append(atoms, CmpVAtom(path, op, other))
+			}
+		}
+		for _, op := range []CmpOp{OpEq, OpNe} {
+			for _, str := range []string{"", "/live", `quote " and \\ slash`, "tab\tnewline\n", "\x00ctl\x1f", "\xff", "ünïcode ☃"} {
+				atoms = append(atoms, StrEqAtom(path, op, str))
+			}
+		}
+	}
+	for _, a := range atoms {
+		got, _ := a.Key()
+		if want := fmtKey(a); got != want {
+			t.Errorf("Key(%s) = %q, want %q", a, got, want)
+		}
+	}
+	for a, want := range map[Atom]string{
+		CmpCAtom("s.ttl", OpGt, -12):   "c:s.ttl <= -12",
+		CmpVAtom("y", OpGe, "x"):       "v:x <= y",
+		StrEqAtom("p", OpNe, "a\"b\n"): `s:p == "a\"b\n"`,
+		{Kind: AtomKind(99)}:           "<?>",
+	} {
+		if got, _ := a.Key(); got != want {
+			t.Errorf("Key(%+v) = %q, want %q", a, got, want)
+		}
 	}
 }

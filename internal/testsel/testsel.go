@@ -76,8 +76,11 @@ func (s *Selector) Select(feature string, k int) []ticket.TestCase {
 
 // SelectForSite unions the top-k tests across every (chain, static path)
 // pair of a site, preserving first-seen rank order — the per-path selection
-// of §3.2 rolled up to the site.
+// of §3.2 rolled up to the site. Select is a function of the feature text
+// alone, and chains that differ only in call positions give the same text,
+// so each distinct feature is ranked once.
 func (s *Selector) SelectForSite(site *contract.Site, chains []callgraph.Path, statics []*concolic.StaticPath, k int) []ticket.TestCase {
+	ranked := map[string]bool{}
 	seen := map[string]bool{}
 	var out []ticket.TestCase
 	add := func(tcs []ticket.TestCase) {
@@ -96,7 +99,12 @@ func (s *Selector) SelectForSite(site *contract.Site, chains []callgraph.Path, s
 	}
 	for _, ch := range chains {
 		for _, sp := range statics {
-			add(s.Select(PathFeature(site, ch, sp), k))
+			feature := PathFeature(site, ch, sp)
+			if ranked[feature] {
+				continue
+			}
+			ranked[feature] = true
+			add(s.Select(feature, k))
 		}
 	}
 	return out

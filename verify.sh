@@ -36,7 +36,18 @@
 # snapshot at once, each asserting like its own sequential run), the
 # cached-result memory tests by name (TestOperatorTextOwnsItsBytes: no
 # operator text in the AST aliases the source; TestFingerprintCacheHoldsNoAST:
-# no cached site or replay result points into a program),
+# no cached site, structural or replay result points into a program;
+# TestStructuralHitRendersCurrentPositions: a structural memory hit on a
+# reformatted version renders that version's positions, as a fresh run
+# does), the shared-walk tests by name (TestStressReportGolden: the stress
+# system's deep branching chains asserted on a default, a NoPrune and an
+# IntraOnly engine must render exactly the committed reports;
+# TestSiteWalkMatchesPerChainWalks: the per-site prefix walk gives every
+# chain of every corpus and stress site the paths and truncation flag it
+# gets walked alone; TestForkedFramesKeepWritesPrivate: a write under one
+# branch of a copy-on-write fork never reaches the sibling branch or a
+# shared seed), the atom-key table test by name (TestAtomKeyTable: solver
+# keys built by concatenation equal the fmt rendering they replaced),
 # the binary AST codec fuzz suite by name (round-trip byte-identity over
 # the corpus and seeded mutants; truncated/bit-flipped/version-skewed
 # frames must be rejected), the daemon smoke test by name (start a real
@@ -89,7 +100,10 @@ go test -run 'TestLinkedEqualsConcatenated' -count=1 ./internal/core
 go test -run 'TestLinkFaultSparesSystem' -count=1 ./internal/program
 go test -race -count=10 -run TestConcurrentLinks ./internal/core
 go test -run 'TestOperatorTextOwnsItsBytes' -count=1 ./internal/minij
-go test -run 'TestFingerprintCacheHoldsNoAST' -count=1 ./internal/sched
+go test -run 'TestFingerprintCacheHoldsNoAST|TestStructuralHitRendersCurrentPositions' -count=1 ./internal/sched
+go test -run 'TestStressReportGolden|TestSiteWalkMatchesPerChainWalks' -count=1 ./internal/experiments
+go test -run 'TestForkedFramesKeepWritesPrivate' -count=1 ./internal/concolic
+go test -run 'TestAtomKeyTable' -count=1 ./internal/smt
 go test -run 'TestCodec' -count=1 ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
