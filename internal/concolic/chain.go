@@ -193,15 +193,11 @@ func inheritFrame(prog *minij.Program, caller *sframe, callee *minij.Method, cal
 		if !ok {
 			continue
 		}
-		child.conds = append(child.conds, recordedCond{
-			f: f,
-			guard: GuardStep{
-				Guard: rc.guard.Guard + " (inherited)",
-				Taken: rc.guard.Taken,
-				Pos:   rc.guard.Pos,
-			},
-			roots: condRoots(f),
-		})
+		guard := rc.guard
+		if !rc.inherited {
+			guard.Guard += " (inherited)"
+		}
+		child.conds = append(child.conds, recordedCond{f: f, guard: guard, roots: condRoots(f), inherited: true})
 	}
 	return child
 }

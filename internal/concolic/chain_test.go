@@ -281,6 +281,16 @@ class Router {
 	if !strings.Contains(cond, "sess != null") || !strings.Contains(cond, "!(sess.closing)") {
 		t.Errorf("two-hop inherited condition = %q", cond)
 	}
+	// Router's guard crossed two call boundaries and Dispatcher's one; each
+	// carries the inherited mark once.
+	if len(paths[0].Guards) != 2 {
+		t.Fatalf("guards = %v, want Router's and Dispatcher's", paths[0].Guards)
+	}
+	for _, gd := range paths[0].Guards {
+		if n := strings.Count(gd.Guard, "(inherited)"); n != 1 {
+			t.Errorf("guard %q carries %d inherited marks, want 1", gd.Guard, n)
+		}
+	}
 	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
 		t.Errorf("verdict = %v", v)
 	}

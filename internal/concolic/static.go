@@ -273,6 +273,10 @@ type recordedCond struct {
 	// condition. A small sorted slice: guards mention a handful of roots,
 	// so linear scans beat map allocation on this hot path.
 	roots []string
+	// inherited is set once the condition has crossed a call boundary, so
+	// its guard text carries the " (inherited)" mark exactly once however
+	// many hops it travels.
+	inherited bool
 }
 
 // condRoots collects f's distinct variable roots as a sorted slice without

@@ -12,11 +12,14 @@ import (
 )
 
 // Disk-tier namespaces, one per job kind, versioned so an encoding change
-// reads as a clean miss instead of a decode failure.
+// reads as a clean miss instead of a decode failure. Site and replay
+// records moved to v2 when an inherited guard began to carry its mark
+// once: their guard text (and the selection feature built from it) would
+// otherwise render a doubled mark walked before that change.
 const (
-	siteNamespace       = "fp.site.v1"
+	siteNamespace       = "fp.site.v2"
 	structuralNamespace = "fp.str.v2"
-	dynamicNamespace    = "fp.dyn.v1"
+	dynamicNamespace    = "fp.dyn.v2"
 )
 
 // --- record shapes --------------------------------------------------------

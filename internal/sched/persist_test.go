@@ -176,7 +176,8 @@ func TestStoreDisabledUnchanged(t *testing.T) {
 }
 
 // dynRecordV1 is an fp.dyn.v1 record as the encoder that mirrored
-// dynOverlay field for field wrote it.
+// dynOverlay field for field wrote it; fp.dyn.v2 records have the same
+// bytes.
 const dynRecordV1 = `{"testsRun":3,"sites":[{"selected":["T.a","T.b"],"paths":[{"coveredBy":["T.a"],"dynVerdicts":{"T.a":0,"T.b":1},"postViolatedBy":["T.a"]},{}]},{"paths":[]}]}`
 
 // TestDynamicRecordBytesUnchanged: a replay overlay is its own fp.dyn.v1
@@ -270,6 +271,81 @@ func TestStructuralV1RecordIsMiss(t *testing.T) {
 		}
 		if rep.Render() != base.Render() {
 			t.Errorf("records under %s changed the report:\n%s", tt.ns, rep.Render())
+		}
+	}
+}
+
+// TestSiteAndReplayV1RecordsAreMisses: site and replay records moved to v2
+// when an inherited guard began to carry its mark once, so a record stored
+// only under fp.site.v1 or fp.dyn.v1, whose guard text may carry a doubled
+// mark, is recomputed, never served. The same bytes under the current
+// namespaces are served.
+func TestSiteAndReplayV1RecordsAreMisses(t *testing.T) {
+	cs := corpus.Load().Get("zk-ephemeral")
+	e := engineForCase(t, cs)
+	src := cs.Head()
+	ctx, err := e.Prepare(src, cs.Tests, core.StageTimings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct{ ns, fp string }
+	var recs []record
+	for _, sp := range New().plan(e, ctx, nil) {
+		for _, j := range sp.sites {
+			recs = append(recs, record{siteNamespace, j.fp})
+		}
+		if sp.dynamic != nil {
+			recs = append(recs, record{dynamicNamespace, sp.dynamic.fp})
+		}
+	}
+	if len(recs) < 2 {
+		t.Fatalf("planned %d site and replay jobs, want both kinds", len(recs))
+	}
+
+	warmStore := openStoreT(t)
+	warm := New()
+	warm.Cache().SetStore(warmStore)
+	base, _, err := warm.Assert(e, src, cs.Tests, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warmStore.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tt := range []struct {
+		v1   bool
+		hits uint64
+	}{
+		{true, 0},
+		{false, uint64(len(recs))},
+	} {
+		st := openStoreT(t)
+		for _, r := range recs {
+			raw, ok := warmStore.Get(r.ns, r.fp)
+			if !ok {
+				t.Fatalf("no %s record for %s", r.ns, r.fp)
+			}
+			ns := r.ns
+			if tt.v1 {
+				ns = strings.TrimSuffix(ns, ".v2") + ".v1"
+			}
+			st.Put(ns, r.fp, raw)
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		cold := New()
+		cold.Cache().SetStore(st)
+		rep, stats, err := cold.Assert(e, src, cs.Tests, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.DiskHits != tt.hits {
+			t.Errorf("records under v1=%v: %d disk hits, want %d", tt.v1, stats.DiskHits, tt.hits)
+		}
+		if rep.Render() != base.Render() {
+			t.Errorf("records under v1=%v changed the report:\n%s", tt.v1, rep.Render())
 		}
 	}
 }
