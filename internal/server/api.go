@@ -190,7 +190,8 @@ type RequestCounts struct {
 // what the rest of the process is doing (each engine owns its instance).
 // Store and Tiers appear when the daemon runs over an on-disk store: Store
 // is the store's own ledger, Tiers the unified two-tier counters of every
-// cache backed by it (snapshot, fingerprint per case, solver per case).
+// cache backed by it (snapshot, registry, fingerprint per case, solver per
+// case).
 type StatsResponse struct {
 	UptimeMS   float64             `json:"uptime_ms"`
 	Draining   bool                `json:"draining"`

@@ -3,14 +3,15 @@ package server
 import (
 	"testing"
 
+	"lisa/internal/program"
 	"lisa/internal/store"
 )
 
 // TestServerRestartWarmFromStore: a daemon restarted over the store a
 // previous daemon populated starts warm — the first gate on the new
-// instance compiles no snapshots, executes no jobs, and returns the same
-// report — and /stats exposes the store ledger and per-cache tier
-// counters.
+// instance restores the case's registry instead of inferring it, compiles
+// no snapshots, executes no jobs, and returns the same report — and
+// /stats exposes the store ledger and per-cache tier counters.
 func TestServerRestartWarmFromStore(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -43,9 +44,15 @@ func TestServerRestartWarmFromStore(t *testing.T) {
 	// empty.
 	_, clB, doneB := newTestServer(t, Config{Store: st})
 	defer doneB()
+	// Inference parses through the process-wide snapshot cache; a restored
+	// registry leaves it untouched.
+	inferBefore := program.Stats()
 	warm, err := clB.Gate(GateRequest{Case: cs.ID, Change: cs.Head()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after := program.Stats(); after != inferBefore {
+		t.Errorf("restarted daemon's first gate moved the process-wide snapshot cache (inference ran): %+v -> %+v", inferBefore, after)
 	}
 	if cold.Report != warm.Report || cold.Pass != warm.Pass {
 		t.Fatal("restarted daemon changed the report")
@@ -69,6 +76,18 @@ func TestServerRestartWarmFromStore(t *testing.T) {
 	}
 	if diskHits == 0 {
 		t.Errorf("restarted daemon reports no disk hits: %+v", statsB.Tiers)
+	}
+	var registry *store.TierStats
+	for i := range statsB.Tiers {
+		if statsB.Tiers[i].Cache == "registry" {
+			registry = &statsB.Tiers[i]
+		}
+	}
+	if registry == nil {
+		t.Fatalf("restarted daemon's /stats has no registry tier: %+v", statsB.Tiers)
+	}
+	if registry.DiskHits != 1 || registry.DiskMisses != 0 || registry.DiskWrites != 0 {
+		t.Errorf("restarted daemon's registry tier %+v, want 1 disk hit and no miss or write", *registry)
 	}
 }
 

@@ -41,7 +41,8 @@ type Tier struct {
 }
 
 // NewTier returns a detached tier for the cache called name, writing under
-// namespaces. mem fills the cache's memory-tier fields into its row.
+// namespaces. mem fills the cache's memory-tier fields into its row; it is
+// nil for a cache with no memory tier of its own.
 func NewTier(name string, mem func(*TierStats), namespaces ...string) *Tier {
 	return &Tier{name: name, namespaces: namespaces, mem: mem}
 }
@@ -93,6 +94,8 @@ func (t *Tier) TierStats() TierStats {
 	if st := t.st.Load(); st != nil {
 		ts.DiskWriteErrors = st.NamespaceWriteErrors(t.namespaces...)
 	}
-	t.mem(&ts)
+	if t.mem != nil {
+		t.mem(&ts)
+	}
 	return ts
 }
