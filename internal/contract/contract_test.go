@@ -467,13 +467,15 @@ func TestRuntimeNestedLockMonitor(t *testing.T) {
 	}
 }
 
-func TestNestedSyncSpecRoundTrip(t *testing.T) {
-	sems, err := ParseSpec(`
+const lockOrderingSpec = `
 rule lock-ordering
 description: Never take a second lock while one is held.
 structural: no-nested-sync
 only: Registry.directNested
-`)
+`
+
+func TestNestedSyncSpecRoundTrip(t *testing.T) {
+	sems, err := ParseSpec(lockOrderingSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

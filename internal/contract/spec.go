@@ -34,7 +34,9 @@ import (
 //	only: SyncRequestProcessor.serializeNode, ACLCache.serialize   (optional)
 //
 // Lines beginning with '#' are comments. Rules end at the next "rule" line
-// or end of input. Every parsed rule is validated before being returned.
+// or end of input. A structural rule takes no target, within, bind,
+// require or ensure line. Every parsed rule is validated before being
+// returned.
 func ParseSpec(src string) ([]*Semantic, error) {
 	var out []*Semantic
 	var cur *Semantic
@@ -48,6 +50,11 @@ func ParseSpec(src string) ([]*Semantic, error) {
 			cur.Kind = StateKind
 		} else {
 			cur.Kind = StructuralKind
+			// FormatSpec writes none of these for a structural rule, so
+			// accepting them would parse a rule its own spec cannot give.
+			if cur.Target.Callee != "" || cur.Target.Within != "" || cur.Target.Bind != nil || cur.Pre != nil || cur.Post != nil {
+				return fmt.Errorf("spec: rule ending at line %d: structural rule %s takes no target, within, bind, require or ensure line", curLine, cur.ID)
+			}
 		}
 		if err := cur.Validate(); err != nil {
 			return fmt.Errorf("spec: rule ending at line %d: %w", curLine, err)

@@ -90,6 +90,8 @@ func TestParseSpecErrors(t *testing.T) {
 		{"rule x\ntarget: A.b\nrequire: v != null", "not bound"},
 		{"rule x\nstructural: made-up-rule", "unknown structural rule"},
 		{"rule x\nonly: A.b", "requires a preceding"},
+		{"rule x\ntarget: A.b\nstructural: no-blocking-io-in-sync", "takes no target"},
+		{"rule x\nstructural: no-nested-sync\nbind: v = arg 0", "takes no target"},
 		{"rule x\ntarget: A.b\nbind: v = arg 0\nrequire: ((", "expected"},
 	}
 	for _, c := range cases {
@@ -126,16 +128,22 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// Authored rules must plug directly into matching, like mined ones.
-func TestAuthoredRuleMatches(t *testing.T) {
-	prog := compile(t, zkLikeSrc)
-	sems, err := ParseSpec(`
+const authoredSpec = `
 rule authored
 description: no ephemeral creation on closing sessions
 target: DataTree.createEphemeral
 bind: session = arg 1
 require: session != null && session.closing == false
-`)
+`
+
+// SpecSeeds are the specs this package's tests parse; FuzzSpecRoundTrip
+// (package contract_test) seeds with them.
+var SpecSeeds = []string{sampleSpec, lockOrderingSpec, authoredSpec}
+
+// Authored rules must plug directly into matching, like mined ones.
+func TestAuthoredRuleMatches(t *testing.T) {
+	prog := compile(t, zkLikeSrc)
+	sems, err := ParseSpec(authoredSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
