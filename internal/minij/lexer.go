@@ -30,11 +30,18 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
+// presizedTokens caps the token slice Lex allocates up front: 4,096
+// tokens (192 KiB) holds every corpus source, and a longer source grows
+// the slice as it lexes, so a large comment- or whitespace-only source
+// cannot make Lex allocate about twelve times its size in empty tokens.
+const presizedTokens = 4096
+
 // Lex tokenizes the entire source, returning the token stream terminated by
 // a TokEOF token, or the first lexical error encountered.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// Corpus sources lex to 0.24-0.27 tokens per byte.
+	toks := make([]Token, 0, min(len(src)/4+1, presizedTokens))
 	for {
 		t, err := lx.Next()
 		if err != nil {

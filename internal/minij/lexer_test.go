@@ -169,3 +169,24 @@ func TestOperatorTextOwnsItsBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestLexPresizeIsCapped: Lex sizes its token slice from the source length,
+// but never past presizedTokens, so a megabyte of comment or whitespace
+// lexes to one EOF token without a megabyte-scaled allocation.
+func TestLexPresizeIsCapped(t *testing.T) {
+	for _, src := range []string{
+		strings.Repeat(" \t\n", 1<<18),
+		"// " + strings.Repeat("x", 1<<20) + "\n",
+	} {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(toks) != 1 || toks[0].Kind != TokEOF {
+			t.Fatalf("lexed %d tokens, want only EOF", len(toks))
+		}
+		if cap(toks) > presizedTokens {
+			t.Errorf("%d-byte source: token slice capacity %d, want at most %d", len(src), cap(toks), presizedTokens)
+		}
+	}
+}
