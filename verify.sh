@@ -48,6 +48,18 @@
 # branch of a copy-on-write fork never reaches the sibling branch or a
 # shared seed), the atom-key table test by name (TestAtomKeyTable: solver
 # keys built by concatenation equal the fmt rendering they replaced),
+# the registry tests by name (TestRegistryGolden: every corpus case's
+# registry record equals the committed golden; TestRegistryVersionIsGoldenHash:
+# registryVersion, which every record key carries, is that golden's hash;
+# TestRegistryRestoreEqualsInferred: every case's record restores to a
+# registry deeply equal to the inferred one; TestRegistryRecordMisses: a
+# corrupt, unparsable, miscounted or other-version record infers again and
+# the next cold server restores; TestArmedPlanWritesNoRegistry: nothing is
+# written under an armed plan, store-scoped or not;
+# TestServerRestartWarmFromStore: a restarted daemon restores its registry
+# with one disk hit and no inference), the v1 fingerprint-record test by
+# name (TestSiteAndReplayV1RecordsAreMisses: a site or replay record
+# written before inherited guards were marked once is a miss),
 # the binary AST codec fuzz suite by name (round-trip byte-identity over
 # the corpus and seeded mutants; truncated/bit-flipped/version-skewed
 # frames must be rejected), the daemon smoke test by name (start a real
@@ -68,7 +80,10 @@
 # frame it accepts re-encodes to bytes that decode to a program with the
 # same canonical render), ten seconds of native fuzzing of the predicate
 # parse/render round trip (FuzzPredicateRoundTrip: any predicate the parser
-# accepts renders to text that parses back to the same render), one
+# accepts renders to text that parses back to the same render), ten
+# seconds of native fuzzing of the spec round trip, which a registry record
+# is (FuzzSpecRoundTrip: any spec ParseSpec accepts formats to a spec that
+# parses back to the same rules and formats to the same bytes), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
@@ -104,6 +119,8 @@ go test -run 'TestFingerprintCacheHoldsNoAST|TestStructuralHitRendersCurrentPosi
 go test -run 'TestStressReportGolden|TestSiteWalkMatchesPerChainWalks' -count=1 ./internal/experiments
 go test -run 'TestForkedFramesKeepWritesPrivate' -count=1 ./internal/concolic
 go test -run 'TestAtomKeyTable' -count=1 ./internal/smt
+go test -run 'TestRegistryGolden|TestRegistryVersionIsGoldenHash|TestRegistryRestoreEqualsInferred|TestRegistryRecordMisses|TestArmedPlanWritesNoRegistry|TestServerRestartWarmFromStore' -count=1 ./internal/server
+go test -run 'TestSiteAndReplayV1RecordsAreMisses' -count=1 ./internal/sched
 go test -run 'TestCodec' -count=1 ./internal/minij
 go test -run TestServerSmoke -count=1 ./internal/server
 STORE_SMOKE=$(mktemp -d)
@@ -123,6 +140,7 @@ go test -run '^$' -bench StoreOpen -benchtime 1x ./internal/store
 go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss' -count=1 ./internal/program
 go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s ./internal/minij
 go test -run '^$' -fuzz '^FuzzPredicateRoundTrip$' -fuzztime 10s ./internal/smt
+go test -run '^$' -fuzz '^FuzzSpecRoundTrip$' -fuzztime 10s ./internal/contract
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
