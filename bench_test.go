@@ -138,10 +138,11 @@ func BenchmarkSMTSolver(b *testing.B) {
 	checker := smt.MustParsePredicate(`s != null && s.isClosing() == false && s.ttl > 0`)
 	pc := smt.MustParsePredicate(`s != null && s.isClosing() == false`)
 	comp := smt.Complement(checker)
+	lim := smt.Limits{Cache: smt.NewQueryCache(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !smt.SAT(smt.NewAnd(pc, comp)) {
-			b.Fatal("expected SAT (violation)")
+		if sat, err := smt.SATLim(smt.NewAnd(pc, comp), lim); err != nil || !sat {
+			b.Fatalf("SATLim = %v, %v; want SAT (violation)", sat, err)
 		}
 	}
 }
@@ -165,7 +166,7 @@ func solverHotPathQueries() []smt.Formula {
 
 // BenchmarkSolverHotPath compares the pre-PR solver (per-node closure
 // recomputation, no result cache) against the optimized hot path
-// (incremental theory propagation + process-wide query cache) on the
+// (incremental theory propagation + a query cache) on the
 // repeated-query workload the assertion gate actually produces.
 func BenchmarkSolverHotPath(b *testing.B) {
 	queries := solverHotPathQueries()
@@ -178,28 +179,17 @@ func BenchmarkSolverHotPath(b *testing.B) {
 			}
 		}
 	})
-	b.Run("incremental-nocache", func(b *testing.B) {
-		defer smt.SetQueryCacheEnabled(smt.SetQueryCacheEnabled(false))
-		b.ResetTimer()
+	solve := func(b *testing.B, lim smt.Limits) {
 		for i := 0; i < b.N; i++ {
 			for _, f := range queries {
-				if _, err := smt.SATErr(f); err != nil {
+				if _, err := smt.SATLim(f, lim); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-	})
-	b.Run("optimized", func(b *testing.B) {
-		smt.ResetQueryCache()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, f := range queries {
-				if _, err := smt.SATErr(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+	}
+	b.Run("incremental-nocache", func(b *testing.B) { solve(b, smt.Limits{}) })
+	b.Run("optimized", func(b *testing.B) { solve(b, smt.Limits{Cache: smt.NewQueryCache(0)}) })
 }
 
 // BenchmarkStaticPaths measures per-site path enumeration + verdicts.
@@ -220,12 +210,13 @@ func BenchmarkStaticPaths(b *testing.B) {
 	if len(sites) == 0 {
 		b.Fatal("no sites")
 	}
+	lim := smt.Limits{Cache: smt.NewQueryCache(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, site := range sites {
-			paths, _ := concolic.StaticPaths(prog, site, concolic.Options{})
+			paths, _ := concolic.StaticPaths(prog, site, concolic.Options{Lim: lim})
 			for _, p := range paths {
-				_ = concolic.CheckStaticPath(site.Semantic, p)
+				_, _ = concolic.CheckStaticPathLim(site.Semantic, p, lim)
 			}
 		}
 	}

@@ -3,14 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"time"
 
-	"lisa/internal/experiments"
-	"lisa/internal/program"
-	"lisa/internal/report"
-	"lisa/internal/smt"
 	"lisa/internal/ticket"
 )
 
@@ -61,19 +57,7 @@ func runDiff(baselinePath string, c *ticket.Corpus) int {
 		return 1
 	}
 
-	tm := report.NewTimings()
-	for _, e := range experiments.Registry {
-		tm.Time(e.Name, func() { _ = e.Run(c) })
-	}
-	fresh := benchOutput{
-		ExperimentsMS: map[string]float64{},
-		Snapshot:      program.Stats(),
-		Solver:        smt.Stats(),
-	}
-	for _, name := range tm.Names() {
-		fresh.ExperimentsMS[name] = float64(tm.Get(name)) / float64(time.Millisecond)
-	}
-	return diffBench(baselinePath, base, fresh)
+	return diffBench(baselinePath, base, newBenchOutput(sweep(c, io.Discard)))
 }
 
 // diffBench prints the comparison and returns the regression count.

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -33,6 +34,7 @@ import (
 	"lisa/internal/report"
 	"lisa/internal/smt"
 	"lisa/internal/store"
+	"lisa/internal/ticket"
 )
 
 // benchOutput is the machine-readable summary -json writes: experiment
@@ -87,20 +89,12 @@ func main() {
 		return
 	}
 	if *exp == "all" {
-		// Drive the registry directly so each experiment's wall clock is
-		// recorded; the output matches experiments.Run("all", c).
-		tm := report.NewTimings()
-		for _, e := range experiments.Registry {
-			fmt.Print(report.Section("EXPERIMENT " + e.Name + ": " + e.Title))
-			var out string
-			tm.Time(e.Name, func() { out = e.Run(c) })
-			fmt.Print(out)
-		}
+		tm := sweep(c, os.Stdout)
 		if *timings {
 			fmt.Print(tm.Render("Wall clock by experiment"))
 			// Experiments replay the same corpus versions over and over;
 			// the snapshot cache shows how much front-end work was shared.
-			st := program.Stats()
+			st := program.DefaultCache().Stats()
 			fmt.Printf("snapshot cache: %d loads, %d hits, %d distinct versions compiled, %d call graphs built, %d evictions\n",
 				st.Hits+st.Misses, st.Hits, st.Compiles, st.GraphBuilds, st.Evictions)
 			// The solver sits under every verdict; its ledger shows how the
@@ -139,17 +133,38 @@ func solverLine(ss smt.SolverStats) string {
 		ss.Queries, ss.CacheHits, ss.CacheMisses, ss.CacheEvictions, ss.Solves, ss.Nodes)
 }
 
-// writeJSON dumps the run's summary numbers for the perf trajectory.
-func writeJSON(path string, tm *report.Timings) {
+// sweep runs every experiment in registry order, writing each one's
+// section and output to w (the output matches experiments.Run("all", c)),
+// and returns each experiment's wall clock.
+func sweep(c *ticket.Corpus, w io.Writer) *report.Timings {
+	tm := report.NewTimings()
+	for _, e := range experiments.Registry {
+		fmt.Fprint(w, report.Section("EXPERIMENT "+e.Name+": "+e.Title))
+		var out string
+		tm.Time(e.Name, func() { out = e.Run(c) })
+		fmt.Fprint(w, out)
+	}
+	return tm
+}
+
+// newBenchOutput fills the summary -json writes and -diff compares: the
+// wall clocks in tm and the process-wide snapshot cache and solver
+// counters, which every experiment's shared work goes through.
+func newBenchOutput(tm *report.Timings) benchOutput {
 	out := benchOutput{
 		ExperimentsMS: map[string]float64{},
-		Snapshot:      program.Stats(),
+		Snapshot:      program.DefaultCache().Stats(),
 		Solver:        smt.Stats(),
 	}
 	for _, name := range tm.Names() {
 		out.ExperimentsMS[name] = float64(tm.Get(name)) / float64(time.Millisecond)
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	return out
+}
+
+// writeJSON dumps the run's summary numbers for the perf trajectory.
+func writeJSON(path string, tm *report.Timings) {
+	data, err := json.MarshalIndent(newBenchOutput(tm), "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lisabench: encode json:", err)
 		os.Exit(2)

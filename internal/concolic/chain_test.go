@@ -54,7 +54,7 @@ func TestChainInheritsCallerGuard(t *testing.T) {
 
 	// Intraprocedural: the helper has no guard — flagged.
 	intra, _ := StaticPaths(prog, site, Options{})
-	if len(intra) != 1 || CheckStaticPath(sem, intra[0]) != VerdictViolation {
+	if len(intra) != 1 || checkStaticPath(t, sem, intra[0]) != VerdictViolation {
 		t.Fatalf("intraprocedural should flag the helper: %v", intra)
 	}
 
@@ -76,7 +76,7 @@ func TestChainInheritsCallerGuard(t *testing.T) {
 	if !strings.Contains(cond, "sess != null") || !strings.Contains(cond, "!(sess.closing)") {
 		t.Errorf("inherited condition = %q", cond)
 	}
-	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
+	if v := checkStaticPath(t, sem, paths[0]); v != VerdictVerified {
 		t.Errorf("chain verdict = %v, want VERIFIED", v)
 	}
 	// Inherited guards are labeled.
@@ -133,7 +133,7 @@ class AdminBackdoor {
 		paths, _ := ChainStaticPaths(prog, site, chain, Options{})
 		for _, p := range paths {
 			entry := chain.Entry(site.Method).FullName()
-			v := CheckStaticPath(sem, p)
+			v := checkStaticPath(t, sem, p)
 			if old, ok := verdictByEntry[entry]; !ok || v == VerdictViolation {
 				_ = old
 				verdictByEntry[entry] = v
@@ -291,7 +291,7 @@ class Router {
 			t.Errorf("guard %q carries %d inherited marks, want 1", gd.Guard, n)
 		}
 	}
-	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
+	if v := checkStaticPath(t, sem, paths[0]); v != VerdictVerified {
 		t.Errorf("verdict = %v", v)
 	}
 }
@@ -389,7 +389,7 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 	paths, _ := StaticPaths(prog, site, Options{NoPrune: true})
 	got := map[string]Verdict{}
 	for _, p := range paths {
-		got[p.String()] = CheckStaticPath(sem, p)
+		got[p.String()] = checkStaticPath(t, sem, p)
 	}
 	want := map[string]Verdict{
 		"fast ; !(s == null || s.closing)": VerdictVerified,

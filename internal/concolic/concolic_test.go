@@ -22,6 +22,17 @@ func compile(t *testing.T, src string) *minij.Program {
 	return prog
 }
 
+// checkStaticPath is CheckStaticPathLim with no result cache, failing the
+// test on a solver error.
+func checkStaticPath(t *testing.T, sem *contract.Semantic, p *StaticPath) Verdict {
+	t.Helper()
+	v, err := CheckStaticPathLim(sem, p, smt.Limits{})
+	if err != nil {
+		t.Fatalf("CheckStaticPathLim(%s): %v", p, err)
+	}
+	return v
+}
+
 // zkRegressedSrc models the Figure 3 regression: the patched processCreate
 // guards against closing sessions, while the newer touch-path reaches the
 // same ephemeral creation with only a null check.
@@ -90,7 +101,7 @@ func TestStaticPathsFindRegression(t *testing.T) {
 		if len(paths) != 1 {
 			t.Fatalf("site %s: paths = %d, want 1", site, len(paths))
 		}
-		verdicts[site.Method.FullName()] = CheckStaticPath(sem, paths[0])
+		verdicts[site.Method.FullName()] = checkStaticPath(t, sem, paths[0])
 	}
 	if verdicts["PrepProcessor.processCreate"] != VerdictVerified {
 		t.Errorf("patched path = %v, want VERIFIED", verdicts["PrepProcessor.processCreate"])
@@ -162,7 +173,7 @@ class User {
 		if len(paths) != 1 {
 			t.Fatalf("paths = %d for %s", len(paths), site)
 		}
-		verdicts = append(verdicts, CheckStaticPath(sem, paths[0]))
+		verdicts = append(verdicts, checkStaticPath(t, sem, paths[0]))
 	}
 	// mode==1 branch does not check r.open: violation. Third branch checks
 	// it: verified.
@@ -217,7 +228,7 @@ class User {
 	if len(paths) != 1 {
 		t.Fatalf("paths = %d, want 1 (constant fold should collapse forks)", len(paths))
 	}
-	if got := CheckStaticPath(sem, paths[0]); got != VerdictVerified {
+	if got := checkStaticPath(t, sem, paths[0]); got != VerdictVerified {
 		t.Errorf("verdict = %v, want VERIFIED; cond = %s", got, paths[0].Cond)
 	}
 }
@@ -268,7 +279,7 @@ class User {
 	// null) violates, the one-iteration path leaves r opaque.
 	var verdicts []Verdict
 	for _, p := range paths {
-		verdicts = append(verdicts, CheckStaticPath(sem, p))
+		verdicts = append(verdicts, checkStaticPath(t, sem, p))
 	}
 	hasViolation := false
 	for _, v := range verdicts {
@@ -319,7 +330,7 @@ class User {
 	if len(paths) != 1 {
 		t.Fatalf("paths = %d, want 1 (throw path lands in catch, never reaching touch)", len(paths))
 	}
-	if got := CheckStaticPath(sem, paths[0]); got != VerdictVerified {
+	if got := checkStaticPath(t, sem, paths[0]); got != VerdictVerified {
 		t.Errorf("verdict = %v, cond = %s", got, paths[0].Cond)
 	}
 }
@@ -408,10 +419,10 @@ class Test {
 	for _, h := range r.Hits {
 		byTest[h.TestName] = h
 	}
-	if v := byTest["t1"].Verdict(); v != VerdictVerified {
+	if v := byTest["t1"].VerdictLim(smt.Limits{}); v != VerdictVerified {
 		t.Errorf("t1 verdict = %v (cond=%s), want VERIFIED", v, byTest["t1"].Cond)
 	}
-	if v := byTest["t2"].Verdict(); v != VerdictViolation {
+	if v := byTest["t2"].VerdictLim(smt.Limits{}); v != VerdictViolation {
 		t.Errorf("t2 verdict = %v (cond=%s), want VIOLATION", v, byTest["t2"].Cond)
 	}
 	chain := byTest["t2"].CallChain

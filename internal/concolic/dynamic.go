@@ -36,13 +36,8 @@ type SiteHit struct {
 	PostHolds Tri
 }
 
-// Verdict applies the complement check to this hit.
-func (h *SiteHit) Verdict() Verdict {
-	return h.VerdictLim(smt.Limits{})
-}
-
-// VerdictLim is Verdict under explicit solver limits; a degraded query
-// yields VerdictInconclusive.
+// VerdictLim applies the complement check to this hit under lim; a
+// degraded query yields VerdictInconclusive.
 func (h *SiteHit) VerdictLim(lim smt.Limits) Verdict {
 	checker, ok := CheckerFor(h.Site.Semantic, h.Bindings)
 	if !ok {

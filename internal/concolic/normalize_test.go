@@ -108,7 +108,7 @@ func TestGetterNormalizationUnifiesVocabulary(t *testing.T) {
 		if got := paths[0].Cond.String(); got != want {
 			t.Errorf("site %s: cond = %q, want %q", site, got, want)
 		}
-		if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
+		if v := checkStaticPath(t, sem, paths[0]); v != VerdictVerified {
 			t.Errorf("site %s: verdict = %v, want VERIFIED", site, v)
 		}
 	}
@@ -155,7 +155,7 @@ class E {
 	if got := paths[0].Cond.String(); got != "l != null && l.ttl > 0" {
 		t.Errorf("cond = %q", got)
 	}
-	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
+	if v := checkStaticPath(t, sem, paths[0]); v != VerdictVerified {
 		t.Errorf("verdict = %v", v)
 	}
 }
@@ -207,7 +207,7 @@ class User {
 	}
 	// The recursive getter falls back to an opaque chained path; the rule
 	// over n != null still verifies.
-	if v := CheckStaticPath(sem, paths[0]); v != VerdictVerified {
+	if v := checkStaticPath(t, sem, paths[0]); v != VerdictVerified {
 		t.Errorf("verdict = %v (cond=%s)", v, paths[0].Cond)
 	}
 }

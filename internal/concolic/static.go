@@ -1,7 +1,6 @@
 package concolic
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -30,7 +29,7 @@ func (g GuardStep) String() string {
 // StaticPath is one intraprocedural branch path from the entry of the
 // site's enclosing method to the target statement. It holds no AST node
 // and no site, so a cached path keeps no program alive; checking it takes
-// the site's semantic from the caller (CheckStaticPath).
+// the site's semantic from the caller (CheckStaticPathLim).
 type StaticPath struct {
 	// Cond is the relevance-filtered path condition: the conjunction of
 	// recorded guard formulas whose roots intersect the slot operand roots
@@ -63,13 +62,12 @@ type Options struct {
 	// NoPrune disables relevance filtering, so Cond equals FullCond
 	// (the pruning ablation).
 	NoPrune bool
-	// Ctx, when non-nil, is polled during enumeration; cancellation stops
-	// the walk early and reports the result as truncated (callers check
-	// the context themselves to distinguish cancellation from a full
-	// budget).
-	Ctx context.Context
 	// Lim bounds the prefix-pruning satisfiability queries issued during
-	// enumeration (zero value: solver defaults, no cancellation).
+	// enumeration and names their result cache (zero value: solver
+	// defaults, no cancellation, no cache). Lim.Ctx, when non-nil, is also
+	// polled by the walk itself; cancellation stops the walk early and
+	// reports the result as truncated (callers check the context
+	// themselves to distinguish cancellation from a full budget).
 	Lim smt.Limits
 	// NoPrefixPrune disables unsat-prefix subtree pruning (the ablation):
 	// statically infeasible branch suffixes are then enumerated and
@@ -132,7 +130,6 @@ func walkSeeds(prog *minij.Program, m *minij.Method, targetID, maxPaths int, see
 			prog:     prog,
 			targetID: targetID,
 			maxPaths: maxPaths,
-			ctx:      opts.Ctx,
 			lim:      opts.Lim,
 			prune:    forkPrune && !opts.NoPrefixPrune,
 			emit:     emit,
@@ -452,7 +449,6 @@ type staticWalker struct {
 	prog      *minij.Program
 	targetID  int
 	maxPaths  int
-	ctx       context.Context
 	lim       smt.Limits
 	prune     bool
 	emit      func(*sframe)
@@ -625,9 +621,9 @@ func (w *staticWalker) full() bool {
 // walkSeq walks stmts[i:], calling k when the sequence completes normally.
 func (w *staticWalker) walkSeq(stmts []minij.Stmt, i int, st *sframe, ctx walkCtx, k func(*sframe)) {
 	w.states++
-	if w.ctx != nil && w.states&ctxPollMask == 0 {
+	if w.lim.Ctx != nil && w.states&ctxPollMask == 0 {
 		select {
-		case <-w.ctx.Done():
+		case <-w.lim.Ctx.Done():
 			w.cancelled = true
 		default:
 		}

@@ -56,20 +56,13 @@ func CheckerFor(sem *contract.Semantic, bindings map[string]string) (smt.Formula
 	return f, true
 }
 
-// CheckPath applies the paper's complement check: the path violates the
-// semantic iff pathCond ∧ ¬checker is satisfiable. Conditions missing from
-// pathCond are unconstrained, so an omitted guard (e.g. a forgotten
-// s.ttl > 0 test) surfaces as a violation rather than passing silently.
-// A solver failure (budget, cancellation) yields VerdictInconclusive.
-func CheckPath(pathCond, checker smt.Formula) Verdict {
-	v, _ := CheckPathLim(pathCond, checker, smt.Limits{})
-	return v
-}
-
-// CheckPathLim is CheckPath under explicit solver limits. Budget
-// exhaustion is an expected degradation and yields (VerdictInconclusive,
-// nil); a context error yields (VerdictInconclusive, err) so the caller
-// can abandon the whole run.
+// CheckPathLim applies the paper's complement check under lim: the path
+// violates the semantic iff pathCond ∧ ¬checker is satisfiable. Conditions
+// missing from pathCond are unconstrained, so an omitted guard (e.g. a
+// forgotten s.ttl > 0 test) surfaces as a violation rather than passing
+// silently. Budget exhaustion is an expected degradation and yields
+// (VerdictInconclusive, nil); a context error yields
+// (VerdictInconclusive, err) so the caller can abandon the whole run.
 func CheckPathLim(pathCond, checker smt.Formula, lim smt.Limits) (Verdict, error) {
 	sat, err := smt.SATLim(smt.NewAnd(pathCond, smt.Complement(checker)), lim)
 	if err != nil {
@@ -84,14 +77,8 @@ func CheckPathLim(pathCond, checker smt.Formula, lim smt.Limits) (Verdict, error
 	return VerdictVerified, nil
 }
 
-// CheckStaticPath computes the verdict of one static path enumerated for a
-// site of sem.
-func CheckStaticPath(sem *contract.Semantic, p *StaticPath) Verdict {
-	v, _ := CheckStaticPathLim(sem, p, smt.Limits{})
-	return v
-}
-
-// CheckStaticPathLim is CheckStaticPath under explicit solver limits.
+// CheckStaticPathLim computes the verdict of one static path enumerated
+// for a site of sem under lim.
 func CheckStaticPathLim(sem *contract.Semantic, p *StaticPath, lim smt.Limits) (Verdict, error) {
 	checker, ok := CheckerFor(sem, p.Bindings)
 	if !ok {

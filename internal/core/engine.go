@@ -50,18 +50,20 @@ type Engine struct {
 	// Budget bounds assertion runs (deadlines, solver nodes, interpreter
 	// steps). The zero value means "no deadlines, package defaults".
 	Budget Budget
-	// Snapshots, when set, is a private snapshot cache for this engine;
-	// when nil the process-wide cache is used. Fault-injection experiments
-	// use a private cache so corrupted snapshots never poison other runs.
+	// Snapshots is the engine's snapshot cache; New sets it to the
+	// process-wide program.DefaultCache. Fault-injection experiments and
+	// the daemon set a private cache, so corrupted snapshots never poison
+	// other runs and the owner's counters are exact. It must not be nil.
 	Snapshots *program.Cache
 	// VerifySnapshots re-checks each snapshot against its content address
 	// before asserting over it, turning silent cache corruption into an
 	// explicit program.ErrMutated failure.
 	VerifySnapshots bool
-	// Solver, when set, is a private solver result cache for this engine;
-	// when nil the process-wide cache is used. A private instance gives
-	// exact per-engine query/hit accounting (the daemon's /stats deltas)
-	// and can carry its own disk tier.
+	// Solver is the engine's solver result cache; New sets it to the
+	// process-wide smt.DefaultQueryCache, and nil solves every query
+	// uncached. A private instance gives exact per-engine query/hit
+	// accounting (the daemon's /stats deltas) and can carry its own disk
+	// tier.
 	Solver *smt.QueryCache
 
 	// testSets holds what this engine derived from each test corpus it
@@ -77,12 +79,15 @@ type Engine struct {
 const testSetCapacity = 4
 
 // New returns an engine with the deterministic patch analyzer (with
-// generalization enabled) and an empty registry.
+// generalization enabled), an empty registry, and the process-wide
+// snapshot and solver caches.
 func New() *Engine {
 	return &Engine{
 		Inferencer: &infer.PatchAnalyzer{Generalize: true},
 		Registry:   contract.NewRegistry(),
 		TestTopK:   3,
+		Snapshots:  program.DefaultCache(),
+		Solver:     smt.DefaultQueryCache(),
 	}
 }
 
@@ -143,10 +148,16 @@ func (e *Engine) findEquivalent(sem *contract.Semantic) *contract.Semantic {
 			if !bindingsIntEqual(ex.Target.Bind, sem.Target.Bind) {
 				continue
 			}
-			eq, err := smt.EquivErr(canonicalPre(ex), canonicalPre(sem))
-			if err == nil && eq {
-				// A solver failure means equivalence could not be shown;
-				// registering the rule separately is the safe direction.
+			// Equivalence is asked of the process-wide solver cache, like
+			// inference's own queries. A solver failure means equivalence
+			// could not be shown; registering the rule separately is the
+			// safe direction.
+			lim := smt.Limits{Cache: smt.DefaultQueryCache()}
+			p, q := canonicalPre(ex), canonicalPre(sem)
+			if pq, err := smt.ImpliesLim(p, q, lim); err != nil || !pq {
+				continue
+			}
+			if qp, err := smt.ImpliesLim(q, p, lim); err == nil && qp {
 				return ex
 			}
 		}
@@ -431,19 +442,9 @@ func (e *Engine) Prepare(source string, tests []ticket.TestCase, tm StageTimings
 	return e.PrepareSnapshot(snap, tests, tm)
 }
 
-// LoadSnapshot loads source through the engine's snapshot cache — the
-// private one when Snapshots is set, the process-wide cache otherwise.
+// LoadSnapshot loads source through the engine's snapshot cache.
 func (e *Engine) LoadSnapshot(source string) (*program.Snapshot, error) {
-	return e.snapshotCache().Load(source)
-}
-
-// snapshotCache is the engine's snapshot cache: Snapshots, or the
-// process-wide one.
-func (e *Engine) snapshotCache() *program.Cache {
-	if e.Snapshots != nil {
-		return e.Snapshots
-	}
-	return program.DefaultCache()
+	return e.Snapshots.Load(source)
 }
 
 // PrepareSnapshot is Prepare for an already-loaded system snapshot (the CI
@@ -471,7 +472,7 @@ func (e *Engine) PrepareSnapshot(snap *program.Snapshot, tests []ticket.TestCase
 			ctx.SnapshotAll = snap
 			return
 		}
-		ctx.SnapshotAll, err = e.snapshotCache().Link(snap, suite)
+		ctx.SnapshotAll, err = e.Snapshots.Link(snap, suite)
 		if err != nil {
 			err = fmt.Errorf("system+tests: %w", err)
 		}
@@ -589,11 +590,7 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 	var stageErr error
 	tm.Time("static-paths", func() {
 		lim := e.solverLimits(rctx)
-		opts := concolic.Options{
-			NoPrune: e.NoPrune,
-			Ctx:     rctx,
-			Lim:     lim,
-		}
+		opts := concolic.Options{NoPrune: e.NoPrune, Lim: lim}
 		// The nil chain enumerates the site's method alone (StaticPaths).
 		chains := siteRep.Chains
 		if e.IntraOnly || len(chains) == 0 {

@@ -7,6 +7,8 @@ import (
 	"lisa/internal/concolic"
 	"lisa/internal/corpus"
 	"lisa/internal/infer"
+	"lisa/internal/program"
+	"lisa/internal/smt"
 	"lisa/internal/ticket"
 )
 
@@ -154,6 +156,37 @@ func TestProcessTicketRegistersRule(t *testing.T) {
 	}
 	if rep.Registered[0].Target.Callee != "DataTree.createEphemeral" {
 		t.Errorf("callee = %q", rep.Registered[0].Target.Callee)
+	}
+}
+
+// TestNewNamesProcessWideCaches: New's engine loads and solves through the
+// process-wide snapshot and solver caches, and an engine whose Solver is
+// nil asserts with no solver cache at all.
+func TestNewNamesProcessWideCaches(t *testing.T) {
+	e := New()
+	if e.Snapshots != program.DefaultCache() {
+		t.Error("New's Snapshots is not program.DefaultCache()")
+	}
+	if e.Solver != smt.DefaultQueryCache() {
+		t.Error("New's Solver is not smt.DefaultQueryCache()")
+	}
+	if _, err := e.ProcessTicket(zkTicket()); err != nil {
+		t.Fatal(err)
+	}
+	e.Snapshots, e.Solver = program.NewCache(0), nil
+	shared, before := smt.DefaultQueryCache().Stats(), smt.Stats()
+	rep, err := e.Assert(zkFixed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Counts.Verified == 0 {
+		t.Fatalf("no verified path: %+v", rep.Counts)
+	}
+	if after := smt.DefaultQueryCache().Stats(); after != shared {
+		t.Errorf("a nil Solver moved the process-wide cache: %+v -> %+v", shared, after)
+	}
+	if smt.Stats().Solves == before.Solves {
+		t.Error("a nil Solver ran no solve")
 	}
 }
 

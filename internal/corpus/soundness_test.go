@@ -8,6 +8,7 @@ import (
 	"lisa/internal/infer"
 	"lisa/internal/interp"
 	"lisa/internal/minij"
+	"lisa/internal/smt"
 	"lisa/internal/ticket"
 )
 
@@ -20,6 +21,7 @@ import (
 // violating state.
 func TestSymbolicVerdictsSoundAgainstRuntime(t *testing.T) {
 	var hits, concreteViolations int
+	lim := smt.Limits{Cache: smt.NewQueryCache(0)}
 	for _, cs := range Load().Cases {
 		// Collect every state semantic mentioned anywhere in the case.
 		pa := &infer.PatchAnalyzer{}
@@ -63,7 +65,7 @@ func TestSymbolicVerdictsSoundAgainstRuntime(t *testing.T) {
 				_ = runner.RunStatic(tc.Name, tc.Class, tc.Method)
 				for _, h := range runner.Hits {
 					hits++
-					v := h.Verdict()
+					v := h.VerdictLim(lim)
 					if h.ConcreteChecker == concolic.TriFalse {
 						concreteViolations++
 						if v != concolic.VerdictViolation {

@@ -287,12 +287,12 @@ func runLatestScan(c *ticket.Corpus, caseID, ruleDesc string) string {
 	return t.Render()
 }
 
-// compileQuiet loads a version through the shared snapshot cache,
+// compileQuiet loads a version through the process-wide snapshot cache,
 // returning an error instead of test helpers' fatals. Experiment replays
-// therefore share front-end work with the engine (which loads the same
-// versions through the same cache) instead of holding private ASTs.
+// therefore share front-end work with core.New's engines (which load the
+// same versions through the same cache) instead of holding private ASTs.
 func compileQuiet(src string) (*minij.Program, error) {
-	snap, err := program.Load(src)
+	snap, err := program.DefaultCache().Load(src)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +304,7 @@ func compileQuiet(src string) (*minij.Program, error) {
 // checker outright, treating missing checks as satisfied. The §3.2 worked
 // example shows why this is wrong: an omitted s.ttl check passes silently.
 func naiveVerdict(pathCond, checker smt.Formula) concolic.Verdict {
-	sat, err := smt.SATErr(smt.NewAnd(pathCond, checker))
+	sat, err := smt.SATLim(smt.NewAnd(pathCond, checker), smt.Limits{Cache: smt.DefaultQueryCache()})
 	if err != nil {
 		return concolic.VerdictInconclusive
 	}

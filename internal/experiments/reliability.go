@@ -158,7 +158,8 @@ func ComposeStudy(c *ticket.Corpus) []ComposeResult {
 		composed := smt.NewAnd(canon...)
 		// Solver failures (budget) count against the property: a
 		// composition we cannot prove consistent is not a building block.
-		consistent, cerr := smt.SATErr(composed)
+		lim := smt.Limits{Cache: smt.DefaultQueryCache()}
+		consistent, cerr := smt.SATLim(composed, lim)
 		res := ComposeResult{
 			CaseID:     cs.ID,
 			Rules:      len(canon),
@@ -166,7 +167,7 @@ func ComposeStudy(c *ticket.Corpus) []ComposeResult {
 			Entails:    true,
 		}
 		for _, f := range canon {
-			entails, eerr := smt.ImpliesErr(composed, f)
+			entails, eerr := smt.ImpliesLim(composed, f, lim)
 			if eerr != nil || !entails {
 				res.Entails = false
 			}
@@ -254,9 +255,8 @@ func RunAblations(c *ticket.Corpus) string {
 			cc.AddRow(tr.cond, tr.desc, fmt.Sprintf("parse failed: %v", perr), "-")
 			continue
 		}
-		cc.AddRow(tr.cond, tr.desc,
-			concolic.CheckPath(pc, checker).String(),
-			naiveVerdict(pc, checker).String())
+		verdict, _ := concolic.CheckPathLim(pc, checker, smt.Limits{Cache: smt.DefaultQueryCache()})
+		cc.AddRow(tr.cond, tr.desc, verdict.String(), naiveVerdict(pc, checker).String())
 	}
 	cc.AddNote("the naive check treats a missing s.ttl condition as satisfied and passes the unguarded trace; the complement check flags it.")
 	sb += cc.Render()

@@ -7,6 +7,7 @@ import (
 	"lisa/internal/concolic"
 	"lisa/internal/contract"
 	"lisa/internal/interp"
+	"lisa/internal/smt"
 	"lisa/internal/ticket"
 )
 
@@ -58,16 +59,19 @@ func CrossCheck(sem *contract.Semantic, tk *ticket.Ticket) CrossCheckResult {
 		return res
 	}
 	graph := callgraph.Build(prog)
+	// Every solver query of the check goes through the process-wide cache,
+	// as compile's loads go through the process-wide snapshot cache.
+	lim := smt.Limits{Cache: smt.DefaultQueryCache()}
 	for _, site := range sites {
 		tree := graph.ExecutionTree(site.Method, callgraph.TreeOptions{})
 		chains := tree.Paths
 		if len(chains) == 0 {
 			chains = []callgraph.Path{nil}
 		}
-		perChain, _ := concolic.SiteStaticPaths(prog, site, chains, concolic.Options{})
+		perChain, _ := concolic.SiteStaticPaths(prog, site, chains, concolic.Options{Lim: lim})
 		for _, paths := range perChain {
 			for _, p := range paths {
-				if v := concolic.CheckStaticPath(sem, p); v == concolic.VerdictViolation {
+				if v, _ := concolic.CheckStaticPathLim(sem, p, lim); v == concolic.VerdictViolation {
 					res.Reason = fmt.Sprintf("patched code contradicts the rule: %s on path %s of %s",
 						v, p, site)
 					return res
@@ -97,7 +101,7 @@ func CrossCheck(sem *contract.Semantic, tk *ticket.Ticket) CrossCheckResult {
 			_ = runner.RunStatic(tc.Name, tc.Class, tc.Method)
 		}
 		for _, h := range runner.Hits {
-			if h.Verdict() == concolic.VerdictVerified {
+			if h.VerdictLim(lim) == concolic.VerdictVerified {
 				res.Confirmed = true
 				res.Reason += "; dynamically confirmed by " + h.TestName
 				break

@@ -122,11 +122,11 @@ func (pa *PatchAnalyzer) Infer(tk *ticket.Ticket) (*Result, error) {
 	return res, nil
 }
 
-// compile loads a ticket version through the shared snapshot cache:
+// compile loads a ticket version through the process-wide snapshot cache:
 // replaying the corpus re-infers from the same buggy/fixed pairs many
 // times, and every pass after the first is a front-end cache hit.
 func compile(src string) (*minij.Program, error) {
-	snap, err := program.Load(src)
+	snap, err := program.DefaultCache().Load(src)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,8 @@
 // re-doing the front-end work per call site.
 //
 // Snapshots are keyed by the sha256 of their raw source and served from a
-// bounded, process-wide LRU (package-level Load) or from a private Cache.
+// bounded LRU Cache: a private one, or the process-wide DefaultCache that
+// callers name.
 // A system snapshot's analysis program — the system with its test suite —
 // is a linked snapshot in the same LRU (Cache.Link): the suite, parsed
 // once, is linked onto the system's shared program instead of compiling
@@ -437,10 +438,9 @@ type CacheStats struct {
 }
 
 // Sub returns the field-wise counter delta s − base. Entries is a
-// point-in-time gauge, not a counter, so the current value is kept.
-// Holders of a private cache get exact per-instance deltas; deltas over
-// the process-wide Stats are approximate when other runs share the
-// process concurrently.
+// point-in-time gauge, not a counter, so the current value is kept. A
+// delta counts every load through the cache instance: exact for the runs
+// that own it, and the sum over every run that shares it.
 func (s CacheStats) Sub(base CacheStats) CacheStats {
 	return CacheStats{
 		Entries:              s.Entries,
@@ -485,19 +485,12 @@ func (c *Cache) Hashes() []string {
 	return c.mem.Keys()
 }
 
-// defaultCache is the process-wide snapshot store shared by the engine,
-// scheduler, gate, and experiment harnesses.
+// defaultCache is the process-wide snapshot store: core.New's engines,
+// ticket inference and the experiment harnesses name it.
 var defaultCache = NewCache(DefaultCapacity)
 
-// DefaultCache returns the process-wide snapshot cache instance (e.g. for
-// attaching a disk tier behind it).
+// DefaultCache returns the process-wide snapshot cache instance.
 func DefaultCache() *Cache { return defaultCache }
-
-// Load serves source from the process-wide cache.
-func Load(source string) (*Snapshot, error) { return defaultCache.Load(source) }
-
-// Stats reports the process-wide cache counters.
-func Stats() CacheStats { return defaultCache.Stats() }
 
 // Compile parses and resolves source into a fresh, caller-owned program,
 // bypassing the cache. Use it when the AST will be mutated (snapshots are

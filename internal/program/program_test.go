@@ -258,21 +258,22 @@ func TestGraphMemoized(t *testing.T) {
 	}
 }
 
-// TestDefaultCacheLoad covers the package-level entry points.
+// TestDefaultCacheLoad covers the process-wide instance.
 func TestDefaultCacheLoad(t *testing.T) {
-	before := Stats()
-	a, err := Load(testSource)
+	c := DefaultCache()
+	before := c.Stats()
+	a, err := c.Load(testSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Load(testSource)
+	b, err := c.Load(testSource)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("default cache returned distinct snapshots")
 	}
-	after := Stats()
+	after := c.Stats()
 	if after.Hits <= before.Hits {
 		t.Errorf("default cache hits did not advance: %+v → %+v", before, after)
 	}

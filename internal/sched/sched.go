@@ -63,9 +63,10 @@ type Stats struct {
 	// SnapshotRestores counts program snapshots this run adopted from the
 	// snapshot cache's disk tier instead of compiling, split by restore
 	// path: decoded (the binary AST frame alone, the parse-free fast path)
-	// vs deep-verified (sampled full re-parse comparison). Exact when the
-	// engine carries a private snapshot cache (core.Engine.Snapshots);
-	// otherwise process-wide deltas, approximate under concurrent runs.
+	// vs deep-verified (sampled full re-parse comparison). They are deltas
+	// of the engine's snapshot cache (core.Engine.Snapshots): exact when
+	// the run owns that cache, and counting any concurrent run that shares
+	// it.
 	SnapshotRestores             uint64
 	SnapshotRestoresDecoded      uint64
 	SnapshotRestoresDeepVerified uint64
@@ -166,7 +167,7 @@ func (s *Scheduler) AssertSnapshot(e *core.Engine, snap *program.Snapshot, tests
 // inside the run's compile timing and snapshot-restore accounting.
 func (s *Scheduler) assert(e *core.Engine, source string, snap *program.Snapshot, tests []ticket.TestCase, opts Options) (*core.AssertReport, *Stats, error) {
 	tm := core.StageTimings{}
-	before := snapshotStats(e)
+	before := e.Snapshots.Stats()
 	var err error
 	if snap == nil {
 		tm.Time("compile", func() { snap, err = e.LoadSnapshot(source) })
@@ -183,15 +184,6 @@ func (s *Scheduler) assert(e *core.Engine, source string, snap *program.Snapshot
 	return rep, stats, err
 }
 
-// snapshotStats reads the counters of whichever snapshot cache the engine
-// loads through (its private one, else the process-wide cache).
-func snapshotStats(e *core.Engine) program.CacheStats {
-	if e.Snapshots != nil {
-		return e.Snapshots.Stats()
-	}
-	return program.Stats()
-}
-
 // applySnapshotDelta records the run's snapshot-restore split (how its
 // snapshots were obtained: compiled, decoded from the disk tier, or
 // deep-verified against source). A linked system+tests snapshot is never
@@ -200,7 +192,7 @@ func applySnapshotDelta(stats *Stats, e *core.Engine, before program.CacheStats)
 	if stats == nil {
 		return
 	}
-	d := snapshotStats(e).Sub(before)
+	d := e.Snapshots.Stats().Sub(before)
 	stats.SnapshotRestores = d.Restores
 	stats.SnapshotRestoresDecoded = d.RestoresDecoded
 	stats.SnapshotRestoresDeepVerified = d.RestoresDeepVerified

@@ -7,10 +7,10 @@ import (
 	"lisa/internal/smt"
 )
 
-// TestSolverCacheDoesNotChangeReports: the process-wide solver result
-// cache must be invisible in rendered output — for every corpus case the
+// TestSolverCacheDoesNotChangeReports: the engine's solver result cache
+// must be invisible in rendered output — for every corpus case the
 // sequential engine renders byte-identical reports with the cache cold,
-// warm, and disabled entirely.
+// warm, and absent (a nil Engine.Solver solves every query uncached).
 func TestSolverCacheDoesNotChangeReports(t *testing.T) {
 	for _, cs := range corpus.Load().Cases {
 		cs := cs
@@ -19,7 +19,7 @@ func TestSolverCacheDoesNotChangeReports(t *testing.T) {
 			if e.Registry.Len() == 0 {
 				t.Skipf("no rules registered for %s", cs.ID)
 			}
-			smt.ResetQueryCache()
+			e.Solver = smt.NewQueryCache(0)
 			cold, err := e.Assert(cs.Head(), cs.Tests)
 			if err != nil {
 				t.Fatal(err)
@@ -28,9 +28,8 @@ func TestSolverCacheDoesNotChangeReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev := smt.SetQueryCacheEnabled(false)
+			e.Solver = nil
 			off, err := e.Assert(cs.Head(), cs.Tests)
-			smt.SetQueryCacheEnabled(prev)
 			if err != nil {
 				t.Fatal(err)
 			}

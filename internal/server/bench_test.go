@@ -27,7 +27,7 @@ func BenchmarkLocalGateCold(b *testing.B) {
 		for _, id := range benchCases {
 			cs := c.Get(id)
 			b.StopTimer()
-			smt.ResetQueryCache()
+			smt.DefaultQueryCache().Reset()
 			b.StartTimer()
 			e := core.New()
 			e.Snapshots = program.NewCache(0)

@@ -3,8 +3,8 @@
 // end — ticket inference, parse/resolve/call-graph, site fingerprints,
 // solver queries — on every invocation and throws the warm caches away at
 // exit. The daemon instead owns process-lifetime instances of the hot
-// state (a private program snapshot cache, one scheduler fingerprint cache
-// per corpus case, and the process-wide solver query cache) and serves
+// state (a private program snapshot cache, and per corpus case one
+// scheduler fingerprint cache and one solver query cache) and serves
 // concurrent /gate and /assert requests against them, so a fleet of CI
 // runners pays the front end once and every subsequent request runs at
 // warm-cache speed.

@@ -46,12 +46,12 @@ func TestServerRestartWarmFromStore(t *testing.T) {
 	defer doneB()
 	// Inference parses through the process-wide snapshot cache; a restored
 	// registry leaves it untouched.
-	inferBefore := program.Stats()
+	inferBefore := program.DefaultCache().Stats()
 	warm, err := clB.Gate(GateRequest{Case: cs.ID, Change: cs.Head()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := program.Stats(); after != inferBefore {
+	if after := program.DefaultCache().Stats(); after != inferBefore {
 		t.Errorf("restarted daemon's first gate moved the process-wide snapshot cache (inference ran): %+v -> %+v", inferBefore, after)
 	}
 	if cold.Report != warm.Report || cold.Pass != warm.Pass {

@@ -9,19 +9,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lisa/internal/faultinject"
 	"lisa/internal/lru"
 	"lisa/internal/store"
 )
 
 // SolverStats is a snapshot of the process-wide solver counters.
 type SolverStats struct {
-	// Queries counts public satisfiability queries (SAT*/Solve*; Implies
-	// and Equiv count each underlying SAT call).
+	// Queries counts public satisfiability queries (SATLim and SolveLim;
+	// ImpliesLim counts its underlying SATLim call).
 	Queries uint64 `json:"queries"`
 	// CacheHits / CacheMisses / CacheEvictions describe the boolean result
-	// cache. Queries that bypass the cache (model queries, cache disabled,
-	// fault injection armed) count in neither bucket.
+	// caches. Queries that bypass a cache (model queries, queries that name
+	// none, fault injection armed) count in neither bucket.
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheEvictions uint64 `json:"cache_evictions"`
@@ -40,10 +39,11 @@ var stats struct {
 	solveNS, theoryNS                               atomic.Int64
 }
 
-// Stats returns a snapshot of the process-wide solver counters. These keep
-// counting across every cache instance (the per-instance QueryCacheStats
-// carve the same events up by engine), so existing baselines — notably the
-// committed lisabench counter snapshots — stay comparable.
+// Stats returns a snapshot of the process-wide solver counters. These count
+// every query and solve, cached or not, across every cache instance (the
+// per-instance QueryCacheStats carve the cached events up by engine), so
+// existing baselines — notably the committed lisabench counter snapshots —
+// stay comparable.
 func Stats() SolverStats {
 	return SolverStats{
 		Queries:        stats.queries.Load(),
@@ -73,9 +73,9 @@ const queryNamespace = "smt.v1"
 // singleflight semantics: concurrent misses on one key run a single solve,
 // and followers wait on the leader instead of duplicating work.
 //
-// The process-wide default instance serves every query whose Limits carry
-// no explicit cache; engines that need exact per-run accounting own an
-// instance and pass it via Limits.Cache.
+// A query uses a cache only when its Limits.Cache names one. Engines that
+// need exact per-run accounting own an instance; DefaultQueryCache is the
+// one instance shared across a process, by name.
 type QueryCache struct {
 	*store.Tier
 
@@ -202,57 +202,12 @@ func (c *QueryCache) Reset() {
 	c.mem.Clear()
 }
 
-var (
-	cacheEnabled atomic.Bool
-	queryResults = NewQueryCache(DefaultQueryCacheCap)
-)
+// queryResults is the process-wide instance: core.New's engines, ticket
+// inference and the experiment harnesses name it.
+var queryResults = NewQueryCache(DefaultQueryCacheCap)
 
-func init() { cacheEnabled.Store(true) }
-
-// DefaultQueryCache returns the process-wide cache instance used by
-// queries whose Limits name no explicit cache.
+// DefaultQueryCache returns the process-wide cache instance.
 func DefaultQueryCache() *QueryCache { return queryResults }
-
-// SetQueryCacheEnabled toggles solver result caching process-wide
-// (ablation runs and tests) and returns the previous setting. The toggle
-// governs every instance, not just the default one.
-func SetQueryCacheEnabled(on bool) bool { return cacheEnabled.Swap(on) }
-
-// ResetQueryCache drops every cached query result from the default
-// instance's memory tier.
-func ResetQueryCache() { queryResults.Reset() }
-
-// satCached answers a boolean satisfiability query through the result
-// cache named by lim (default: the process-wide instance). Errors (budget,
-// cancellation) are never cached. While fault injection is armed both
-// tiers are bypassed entirely — no reads and no writes — so injected
-// faults fire with the cadence a cold process would see and results
-// computed under injection never poison later runs.
-func satCached(f Formula, lim Limits) (bool, error) {
-	stats.queries.Add(1)
-	qc := lim.Cache
-	if qc == nil {
-		qc = queryResults
-	}
-	qc.queries.Add(1)
-	if c, ok := f.(*Const); ok {
-		return c.Value, nil
-	}
-	if !cacheEnabled.Load() || (faultinject.Armed() && !faultinject.StoreScoped()) {
-		sat, _, nodes, err := solveCore(f, lim)
-		qc.solves.Add(1)
-		qc.nodes.Add(uint64(nodes))
-		return sat, err
-	}
-	max := lim.MaxNodes
-	if max <= 0 {
-		max = DefaultMaxNodes
-	}
-	return qc.load(f.String(), max, func() (bool, int, error) {
-		sat, _, nodes, err := solveCore(f, lim)
-		return sat, nodes, err
-	})
-}
 
 // load returns the cached verdict for key, joining or becoming the leader
 // of an in-flight solve on miss. A cached or in-flight result is only

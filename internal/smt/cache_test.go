@@ -90,7 +90,7 @@ func TestQueryCacheBudgetAwareHits(t *testing.T) {
 	}
 }
 
-// TestSolverCacheConcurrent hammers the process-wide solver cache from 8
+// TestSolverCacheConcurrent hammers one shared solver cache from 8
 // goroutines over a shared formula pool; every answer must match the
 // reference solver's. Runs under -race in verify.sh.
 func TestSolverCacheConcurrent(t *testing.T) {
@@ -111,6 +111,7 @@ func TestSolverCacheConcurrent(t *testing.T) {
 		}
 		want[i] = sat
 	}
+	c := NewQueryCache(0)
 	errs := make(chan error, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -120,13 +121,13 @@ func TestSolverCacheConcurrent(t *testing.T) {
 			rng := newTestRng(int64(1000 + g))
 			for iter := 0; iter < 500; iter++ {
 				i := rng.intn(len(formulas))
-				sat, err := SATErr(formulas[i])
+				sat, err := SATLim(formulas[i], Limits{Cache: c})
 				if err != nil {
-					errs <- fmt.Errorf("goroutine %d: SATErr(%s): %v", g, formulas[i], err)
+					errs <- fmt.Errorf("goroutine %d: SATLim(%s): %v", g, formulas[i], err)
 					return
 				}
 				if sat != want[i] {
-					errs <- fmt.Errorf("goroutine %d: SATErr(%s) = %v, want %v", g, formulas[i], sat, want[i])
+					errs <- fmt.Errorf("goroutine %d: SATLim(%s) = %v, want %v", g, formulas[i], sat, want[i])
 					return
 				}
 			}
@@ -139,14 +140,13 @@ func TestSolverCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestQueryCacheDisabledStillCorrect: the ablation toggle routes queries
-// straight to the solver with identical answers.
+// TestQueryCacheDisabledStillCorrect: a query that names no cache goes
+// straight to the solver with the reference solver's answers.
 func TestQueryCacheDisabledStillCorrect(t *testing.T) {
-	defer SetQueryCacheEnabled(SetQueryCacheEnabled(false))
 	r := newTestRng(5)
 	for i := 0; i < 200; i++ {
 		f := genDiffFormula(r, 3)
-		got, err := SATErr(f)
+		got, err := SATLim(f, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,51 @@ func TestQueryCacheDisabledStillCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != wantSat {
-			t.Fatalf("#%d %s: cache-off SATErr = %v, reference = %v", i, f, got, wantSat)
+			t.Fatalf("#%d %s: uncached SATLim = %v, reference = %v", i, f, got, wantSat)
+		}
+	}
+}
+
+// TestNilCacheSolvesUncached: a query whose Limits name no cache runs a
+// solve every time and touches no cache instance, while the package
+// counters behind Stats still count it. The process-wide instance is only
+// used by callers that name it.
+func TestNilCacheSolvesUncached(t *testing.T) {
+	f := MustParsePredicate(`s != null && !(s.closing) && s.ttl <= 0`)
+	defaultBefore, before := DefaultQueryCache().Stats(), Stats()
+	for i := 0; i < 2; i++ {
+		sat, err := SATLim(f, Limits{})
+		if err != nil || !sat {
+			t.Fatalf("ask %d: SATLim = %v, %v; want true, nil", i+1, sat, err)
+		}
+	}
+	if after := DefaultQueryCache().Stats(); after != defaultBefore {
+		t.Errorf("uncached queries moved the process-wide cache: %+v -> %+v", defaultBefore, after)
+	}
+	after := Stats()
+	if got := after.Solves - before.Solves; got != 2 {
+		t.Errorf("Stats().Solves grew by %d, want 2 (one solve per uncached ask)", got)
+	}
+	if got := after.Queries - before.Queries; got != 2 {
+		t.Errorf("Stats().Queries grew by %d, want 2", got)
+	}
+	if hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses; hits != 0 || misses != 0 {
+		t.Errorf("uncached queries counted %d cache hits and %d misses, want none", hits, misses)
+	}
+	// On decided queries the uncached answer is the cached one.
+	c := NewQueryCache(0)
+	for _, src := range []string{"a > 0", "a > 0 && a <= 0", "s != null && s.isClosing() == false"} {
+		g := MustParsePredicate(src)
+		direct, err := SATLim(g, Limits{})
+		if err != nil {
+			t.Fatalf("SATLim(%s): %v", src, err)
+		}
+		cached, err := SATLim(g, Limits{Cache: c})
+		if err != nil {
+			t.Fatalf("SATLim(%s) through a cache: %v", src, err)
+		}
+		if direct != cached {
+			t.Errorf("SATLim(%s) = %v uncached, %v cached", src, direct, cached)
 		}
 	}
 }

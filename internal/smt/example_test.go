@@ -15,18 +15,33 @@ func ExampleComplement() {
 
 	omitsTTL := smt.MustParsePredicate(`s != null && s.isClosing() == false`)
 	fullGuard := smt.MustParsePredicate(`s != null && s.isClosing() == false && s.ttl > 0`)
-	fmt.Println("omits ttl violates:", smt.SAT(smt.NewAnd(omitsTTL, comp)))
-	fmt.Println("full guard violates:", smt.SAT(smt.NewAnd(fullGuard, comp)))
+	violates := func(trace smt.Formula) bool {
+		sat, err := smt.SATLim(smt.NewAnd(trace, comp), smt.Limits{})
+		if err != nil {
+			panic(err)
+		}
+		return sat
+	}
+	fmt.Println("omits ttl violates:", violates(omitsTTL))
+	fmt.Println("full guard violates:", violates(fullGuard))
 	// Output:
 	// complement: s == null || s.isClosing || s.ttl <= 0
 	// omits ttl violates: true
 	// full guard violates: false
 }
 
-func ExampleImplies() {
+func ExampleImpliesLim() {
 	p := smt.MustParsePredicate(`x == 3`)
 	q := smt.MustParsePredicate(`x > 2`)
-	fmt.Println(smt.Implies(p, q), smt.Implies(q, p))
+	pq, err := smt.ImpliesLim(p, q, smt.Limits{})
+	if err != nil {
+		panic(err)
+	}
+	qp, err := smt.ImpliesLim(q, p, smt.Limits{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(pq, qp)
 	// Output: true false
 }
 

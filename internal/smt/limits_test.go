@@ -40,44 +40,24 @@ func TestSolveLimNodeBudget(t *testing.T) {
 		t.Fatalf("SolveLim with MaxNodes=100: err = %v, want ErrBudget", err)
 	}
 	// The same query under default limits decides cleanly (UNSAT).
-	sat, err := SATErr(f)
+	sat, err := SATLim(f, Limits{})
 	if err != nil {
-		t.Fatalf("SATErr under default limits: %v", err)
+		t.Fatalf("SATLim under default limits: %v", err)
 	}
 	if sat {
-		t.Fatal("hard formula is UNSAT but SATErr said SAT")
+		t.Fatal("hard formula is UNSAT but SATLim said SAT")
 	}
 }
 
 // TestSolveLimContextCancelled: a cancelled context aborts the search via
 // the cooperative poll and surfaces the context's error.
 func TestSolveLimContextCancelled(t *testing.T) {
-	// Bypass the result cache: this exercises the search's cooperative
-	// poll, and a warm cache would answer before the search ever runs.
-	defer SetQueryCacheEnabled(SetQueryCacheEnabled(false))
+	// No result cache: this exercises the search's cooperative poll, and
+	// a warm cache would answer before the search ever runs.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := SATLim(hardFormula(t, 6), Limits{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SATLim under cancelled ctx: err = %v, want context.Canceled", err)
-	}
-}
-
-// TestSATErrMatchesSATOnDecidedQueries: the legacy SAT and the
-// error-propagating SATErr agree whenever the query decides within budget.
-func TestSATErrMatchesSATOnDecidedQueries(t *testing.T) {
-	for _, src := range []string{
-		"a > 0",
-		"a > 0 && a <= 0",
-		"s != null && s.isClosing() == false",
-	} {
-		f := MustParsePredicate(src)
-		got, err := SATErr(f)
-		if err != nil {
-			t.Fatalf("SATErr(%s): %v", src, err)
-		}
-		if want := SAT(f); got != want {
-			t.Errorf("SATErr(%s) = %v, SAT = %v", src, got, want)
-		}
 	}
 }

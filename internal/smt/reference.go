@@ -6,7 +6,7 @@ import "context"
 // pre-optimization DPLL search that rebuilds a difference-bound matrix and
 // runs full Floyd–Warshall at every node. It is kept as the differential
 // oracle for the optimized pipeline and as the pre-PR baseline for
-// BenchmarkSolverHotPath; production callers use Solve/SAT and friends.
+// BenchmarkSolverHotPath; production callers use SATLim and SolveLim.
 // Limits semantics match SolveLim — ErrBudget on node exhaustion, the
 // context's error on cancellation — but there is no fault injection, no
 // caching, and no stats accounting.

@@ -15,6 +15,33 @@ func mustParse(t *testing.T, src string) Formula {
 	return f
 }
 
+// mustSAT decides f uncached, failing the test on a solver error instead
+// of folding it into the answer.
+func mustSAT(t *testing.T, f Formula) bool {
+	t.Helper()
+	sat, err := SATLim(f, Limits{})
+	if err != nil {
+		t.Fatalf("SATLim(%s): %v", f, err)
+	}
+	return sat
+}
+
+// mustImplies reports p ⇒ q uncached, failing the test on a solver error.
+func mustImplies(t *testing.T, p, q Formula) bool {
+	t.Helper()
+	ok, err := ImpliesLim(p, q, Limits{})
+	if err != nil {
+		t.Fatalf("ImpliesLim(%s, %s): %v", p, q, err)
+	}
+	return ok
+}
+
+// mustEquiv reports whether p and q entail each other.
+func mustEquiv(t *testing.T, p, q Formula) bool {
+	t.Helper()
+	return mustImplies(t, p, q) && mustImplies(t, q, p)
+}
+
 func TestParsePredicate(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -85,7 +112,7 @@ func TestSATBasics(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := mustParse(t, c.src)
-		if got := SAT(f); got != c.sat {
+		if got := mustSAT(t, f); got != c.sat {
 			t.Errorf("SAT(%q) = %v, want %v", c.src, got, c.sat)
 		}
 	}
@@ -108,7 +135,7 @@ func TestImplies(t *testing.T) {
 	}
 	for _, c := range cases {
 		p, q := mustParse(t, c.p), mustParse(t, c.q)
-		if got := Implies(p, q); got != c.want {
+		if got := mustImplies(t, p, q); got != c.want {
 			t.Errorf("Implies(%q, %q) = %v, want %v", c.p, c.q, got, c.want)
 		}
 	}
@@ -145,7 +172,7 @@ func TestPaperWorkedExample(t *testing.T) {
 	}
 	for _, c := range cases {
 		pc := mustParse(t, c.trace)
-		if got := SAT(NewAnd(pc, comp)); got != c.violates {
+		if got := mustSAT(t, NewAnd(pc, comp)); got != c.violates {
 			t.Errorf("trace %q: violation = %v, want %v", c.trace, got, c.violates)
 		}
 	}
@@ -156,7 +183,7 @@ func TestComplementProperties(t *testing.T) {
 		g := genFormula(newTestRng(seed), 4)
 		comp := Complement(g)
 		// f ∧ ¬f is UNSAT and f ∨ ¬f is valid.
-		return !SAT(NewAnd(g, comp)) && Valid(NewOr(g, comp))
+		return !mustSAT(t, NewAnd(g, comp)) && !mustSAT(t, NewNot(NewOr(g, comp)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -166,7 +193,7 @@ func TestComplementProperties(t *testing.T) {
 func TestNNFPreservesSemantics(t *testing.T) {
 	f := func(seed int64) bool {
 		g := genFormula(newTestRng(seed), 4)
-		return Equiv(g, NNF(g))
+		return mustEquiv(t, g, NNF(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -230,9 +257,9 @@ func TestAtomsAndRoots(t *testing.T) {
 
 func TestSolveModel(t *testing.T) {
 	f := mustParse(t, `a && x > 3`)
-	sat, model, err := Solve(f)
+	sat, model, err := SolveLim(f, Limits{})
 	if err != nil || !sat {
-		t.Fatalf("Solve: sat=%v err=%v", sat, err)
+		t.Fatalf("SolveLim: sat=%v err=%v", sat, err)
 	}
 	if len(model) == 0 {
 		t.Error("expected non-empty model")
@@ -246,7 +273,7 @@ func TestEquivOperatorFolding(t *testing.T) {
 	// !(x < 3) must be equivalent to x >= 3, sharing one DPLL variable.
 	f := NewNot(mustParse(t, `x < 3`))
 	g := mustParse(t, `x >= 3`)
-	if !Equiv(f, g) {
+	if !mustEquiv(t, f, g) {
 		t.Error("!(x < 3) not equivalent to x >= 3")
 	}
 	if len(Atoms(NewAnd(f, g))) != 1 {
@@ -332,7 +359,7 @@ func TestRenderParseRoundTrip(t *testing.T) {
 			t.Logf("parse %q: %v", text, err)
 			return false
 		}
-		return Equiv(g, parsed)
+		return mustEquiv(t, g, parsed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -44,41 +44,33 @@ const DefaultMaxNodes = 1 << 20
 const ctxPollMask = 1<<8 - 1
 
 // Limits bounds one satisfiability query. The zero value applies the
-// package defaults: DefaultMaxNodes and no cancellation.
+// package defaults: DefaultMaxNodes, no cancellation and no result cache.
 type Limits struct {
 	// Ctx, when non-nil, is polled cooperatively during the DPLL search;
 	// cancellation or deadline expiry surfaces as the context's error.
 	Ctx context.Context
 	// MaxNodes caps search-tree nodes (<= 0 means DefaultMaxNodes).
 	MaxNodes int
-	// Cache routes this query through a caller-owned result cache instead
-	// of the process-wide default, giving the owner exact per-instance
-	// stats (and its own disk tier). Nil means the default cache.
+	// Cache, when non-nil, routes this query through that result cache,
+	// giving its owner exact per-instance stats (and its own disk tier).
+	// Nil means no cache: every query runs a solve.
 	Cache *QueryCache
 }
 
-// Solve decides satisfiability of f with default limits, returning a
-// witness model when SAT.
-func Solve(f Formula) (sat bool, model Model, err error) {
-	return SolveLim(f, Limits{})
-}
-
-// SolveLim decides satisfiability of f under explicit limits. A non-nil
-// error is ErrBudget (node ceiling hit) or the context's error; the bool
-// is meaningless then, and callers must surface the query as inconclusive
-// rather than guessing a direction. Model-returning queries bypass the
-// boolean result cache.
+// SolveLim decides satisfiability of f under lim, returning a witness
+// model when SAT. A non-nil error is ErrBudget (node ceiling hit) or the
+// context's error; the bool is meaningless then, and callers must surface
+// the query as inconclusive rather than guessing a direction. Model
+// queries always solve: lim.Cache, when set, only counts them.
 func SolveLim(f Formula, lim Limits) (sat bool, model Model, err error) {
 	stats.queries.Add(1)
-	qc := lim.Cache
-	if qc == nil {
-		qc = queryResults
-	}
-	qc.queries.Add(1)
 	var nodes int
 	sat, model, nodes, err = solveCore(f, lim)
-	qc.solves.Add(1)
-	qc.nodes.Add(uint64(nodes))
+	if qc := lim.Cache; qc != nil {
+		qc.queries.Add(1)
+		qc.solves.Add(1)
+		qc.nodes.Add(uint64(nodes))
+	}
 	return sat, model, err
 }
 
@@ -107,68 +99,47 @@ func solveCore(f Formula, lim Limits) (sat bool, model Model, nodes int, err err
 	return sat, model, nodes, nil
 }
 
-// SAT reports whether f is satisfiable, treating any solver error — budget
-// exhaustion, cancellation — as satisfiable. That biases ambiguity toward
-// reporting a violation, which is acceptable for tests and offline
-// experiments but hides the degradation from the report; production
-// callers use SATErr/SATLim and surface errors as INCONCLUSIVE verdicts.
-func SAT(f Formula) bool {
-	sat, err := satCached(f, Limits{})
-	if err != nil {
-		return true
-	}
-	return sat
-}
-
-// SATErr reports whether f is satisfiable under default limits,
-// propagating budget exhaustion instead of folding it into the answer.
-func SATErr(f Formula) (bool, error) {
-	return satCached(f, Limits{})
-}
-
-// SATLim is SATErr under explicit limits.
+// SATLim reports whether f is satisfiable under lim, through lim.Cache
+// when it names one. A non-nil error (budget exhaustion, cancellation) is
+// never folded into the answer, and never cached: callers surface it as an
+// INCONCLUSIVE verdict. While fault injection is armed the cache is
+// bypassed entirely — no reads and no writes — so injected faults fire
+// with the cadence a cold process would see and results computed under
+// injection never poison later runs.
 func SATLim(f Formula, lim Limits) (bool, error) {
-	return satCached(f, lim)
+	stats.queries.Add(1)
+	qc := lim.Cache
+	if qc != nil {
+		qc.queries.Add(1)
+	}
+	if c, ok := f.(*Const); ok {
+		return c.Value, nil
+	}
+	solve := func() (bool, int, error) {
+		sat, _, nodes, err := solveCore(f, lim)
+		return sat, nodes, err
+	}
+	if qc == nil {
+		sat, _, err := solve()
+		return sat, err
+	}
+	if faultinject.Armed() && !faultinject.StoreScoped() {
+		sat, _, err := qc.runSolve(solve)
+		return sat, err
+	}
+	max := lim.MaxNodes
+	if max <= 0 {
+		max = DefaultMaxNodes
+	}
+	return qc.load(f.String(), max, solve)
 }
 
-// Implies reports whether p logically entails q (p ⇒ q), i.e. whether
-// p ∧ ¬q is unsatisfiable. Like SAT it swallows solver errors (erring
-// toward "does not entail"); production callers use ImpliesErr/ImpliesLim.
-func Implies(p, q Formula) bool {
-	return !SAT(NewAnd(p, NewNot(q)))
-}
-
-// ImpliesErr is Implies with error propagation under default limits.
-func ImpliesErr(p, q Formula) (bool, error) {
-	sat, err := SATErr(NewAnd(p, NewNot(q)))
-	return !sat, err
-}
-
-// ImpliesLim is ImpliesErr under explicit limits.
+// ImpliesLim reports whether p logically entails q (p ⇒ q), i.e. whether
+// p ∧ ¬q is unsatisfiable, under lim.
 func ImpliesLim(p, q Formula, lim Limits) (bool, error) {
 	sat, err := SATLim(NewAnd(p, NewNot(q)), lim)
 	return !sat, err
 }
-
-// Equiv reports whether p and q are logically equivalent.
-func Equiv(p, q Formula) bool {
-	return Implies(p, q) && Implies(q, p)
-}
-
-// EquivErr is Equiv with error propagation under default limits.
-func EquivErr(p, q Formula) (bool, error) {
-	pq, err := ImpliesErr(p, q)
-	if err != nil {
-		return false, err
-	}
-	if !pq {
-		return false, nil
-	}
-	return ImpliesErr(q, p)
-}
-
-// Valid reports whether f is a tautology.
-func Valid(f Formula) bool { return !SAT(NewNot(f)) }
 
 // solver is the optimized DPLL(T) search: unit-propagated literals are
 // pre-assigned, remaining atoms are decided most-constrained-first, and the

@@ -6,12 +6,12 @@ import (
 	"testing/quick"
 )
 
-// TestWitnessSatisfiesFormula: any model returned by Solve must make the
-// formula true under three-valued evaluation.
+// TestWitnessSatisfiesFormula: any model returned by SolveLim must make
+// the formula true under three-valued evaluation.
 func TestWitnessSatisfiesFormula(t *testing.T) {
 	f := func(seed int64) bool {
 		g := genFormula(newTestRng(seed), 4)
-		sat, model, err := Solve(g)
+		sat, model, err := SolveLim(g, Limits{})
 		if err != nil {
 			return true // budget exhaustion is allowed, not a soundness bug
 		}
@@ -25,11 +25,13 @@ func TestWitnessSatisfiesFormula(t *testing.T) {
 	}
 }
 
-// TestSolverDuality: f is valid iff ¬f is unsatisfiable.
+// TestSolverDuality: true entails f iff ¬f is unsatisfiable, and a valid
+// f is satisfiable.
 func TestSolverDuality(t *testing.T) {
 	f := func(seed int64) bool {
 		g := genFormula(newTestRng(seed), 3)
-		return Valid(g) == !SAT(NewNot(g))
+		valid := !mustSAT(t, NewNot(g))
+		return mustImplies(t, True(), g) == valid && (!valid || mustSAT(t, g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -43,8 +45,8 @@ func TestImpliesTransitive(t *testing.T) {
 		a := genFormula(r, 2)
 		b := genFormula(r, 2)
 		c := genFormula(r, 2)
-		if Implies(a, b) && Implies(b, c) {
-			return Implies(a, c)
+		if mustImplies(t, a, b) && mustImplies(t, b, c) {
+			return mustImplies(t, a, c)
 		}
 		return true
 	}
@@ -81,7 +83,7 @@ func TestDBMEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		f := mustParse(t, c.src)
-		if got := SAT(f); got != c.sat {
+		if got := mustSAT(t, f); got != c.sat {
 			t.Errorf("SAT(%q) = %v, want %v", c.src, got, c.sat)
 		}
 	}
@@ -92,7 +94,7 @@ func TestMixedSortsIndependent(t *testing.T) {
 	// in separate theories by design (corpus programs never mix sorts on
 	// one path).
 	f := mustParse(t, `flag && x > 3 && s == null && m == "a"`)
-	sat, model, err := Solve(f)
+	sat, model, err := SolveLim(f, Limits{})
 	if err != nil || !sat {
 		t.Fatalf("sat=%v err=%v", sat, err)
 	}
@@ -104,7 +106,7 @@ func TestMixedSortsIndependent(t *testing.T) {
 func TestComplementOfComplement(t *testing.T) {
 	f := func(seed int64) bool {
 		g := genFormula(newTestRng(seed), 3)
-		return Equiv(g, Complement(Complement(g)))
+		return mustEquiv(t, g, Complement(Complement(g)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
