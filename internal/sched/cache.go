@@ -174,21 +174,20 @@ type pathDyn struct {
 	PostViolatedBy []string                    `json:"postViolatedBy,omitempty"`
 }
 
-// getDynamic serves a cached replay overlay.
+// getDynamic serves a cached replay overlay. The overlay is shared with
+// the cache and must not be written: applyOverlay copies every slice and
+// map out of it into the report.
 func (c *Cache) getDynamic(fp string) (*dynOverlay, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ov, ok := lookup[*dynOverlay](c, fp)
-	if !ok {
-		return nil, false
-	}
-	return ov.clone(), true
+	return lookup[*dynOverlay](c, fp)
 }
 
-// putDynamic stores a replay overlay extracted from a finished semantic
-// report.
+// putDynamic stores a replay overlay that nothing else holds: one
+// extractOverlay built from a finished semantic report, or a record just
+// decoded from the disk tier.
 func (c *Cache) putDynamic(fp string, ov *dynOverlay) {
-	c.put(fp, ov.clone())
+	c.put(fp, ov)
 }
 
 // starved reports whether a solver budget left any replayed hit's dynamic
@@ -218,22 +217,6 @@ func clonePaths(paths []*core.PathReport) []*core.PathReport {
 			DynamicVerdicts: cloneVerdicts(p.DynamicVerdicts),
 			PostViolatedBy:  cloneStrings(p.PostViolatedBy),
 		}
-	}
-	return out
-}
-
-func (ov *dynOverlay) clone() *dynOverlay {
-	out := &dynOverlay{TestsRun: ov.TestsRun, Sites: make([]siteDyn, len(ov.Sites))}
-	for i, s := range ov.Sites {
-		cs := siteDyn{Selected: cloneStrings(s.Selected), Paths: make([]pathDyn, len(s.Paths))}
-		for j, p := range s.Paths {
-			cs.Paths[j] = pathDyn{
-				CoveredBy:      cloneStrings(p.CoveredBy),
-				DynVerdicts:    cloneVerdicts(p.DynVerdicts),
-				PostViolatedBy: cloneStrings(p.PostViolatedBy),
-			}
-		}
-		out.Sites[i] = cs
 	}
 	return out
 }
