@@ -83,7 +83,11 @@
 # accepts renders to text that parses back to the same render), ten
 # seconds of native fuzzing of the spec round trip, which a registry record
 # is (FuzzSpecRoundTrip: any spec ParseSpec accepts formats to a spec that
-# parses back to the same rules and formats to the same bytes), one
+# parses back to the same rules and formats to the same bytes), ten
+# seconds of native fuzzing of the solver against its reference
+# (FuzzSolverMatchesReference: for any parsed predicate of at most 12
+# atoms, SATLim with no cache, SATLim through a fresh cache asked twice,
+# the second a memory hit, and ReferenceSolve agree), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
@@ -141,6 +145,7 @@ go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss
 go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s ./internal/minij
 go test -run '^$' -fuzz '^FuzzPredicateRoundTrip$' -fuzztime 10s ./internal/smt
 go test -run '^$' -fuzz '^FuzzSpecRoundTrip$' -fuzztime 10s ./internal/contract
+go test -run '^$' -fuzz '^FuzzSolverMatchesReference$' -fuzztime 10s ./internal/smt
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
