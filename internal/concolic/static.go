@@ -57,8 +57,6 @@ func (p *StaticPath) String() string {
 
 // Options configure static path enumeration.
 type Options struct {
-	// MaxPaths bounds emitted paths per site (0 = DefaultMaxPaths).
-	MaxPaths int
 	// NoPrune disables relevance filtering, so Cond equals FullCond
 	// (the pruning ablation).
 	NoPrune bool
@@ -105,12 +103,8 @@ func staticPathsFrom(prog *minij.Program, site *contract.Site, opts Options, see
 			panic("faultinject: concolic.paths " + site.Method.FullName())
 		}
 	}
-	maxPaths := opts.MaxPaths
-	if maxPaths <= 0 {
-		maxPaths = DefaultMaxPaths
-	}
 	collector := &siteCollector{site: site, opts: opts, seen: map[string]bool{}}
-	trunc := walkSeeds(prog, site.Method, site.Stmt.ID(), maxPaths, seeds, opts, true, collector.emit, nil)
+	trunc := walkSeeds(prog, site.Method, site.Stmt.ID(), DefaultMaxPaths, seeds, opts, true, collector.emit, nil)
 	sort.Slice(collector.out, func(i, j int) bool {
 		return collector.out[i].Cond.String() < collector.out[j].Cond.String()
 	})

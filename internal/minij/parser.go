@@ -306,11 +306,6 @@ func (p *parser) parseStmt() (Stmt, error) {
 		return &Sync{stmtBase: stmtBase{pos: t.Pos}, Lock: lock, Body: body}, nil
 	case t.Kind == TokPunct && t.Text == "{":
 		return p.parseBlock()
-	case p.isTypeKeyword():
-		return p.parseVarDecl()
-	case t.Kind == TokIdent && p.tokenAt(p.i+1).Kind == TokIdent:
-		// "ClassName name ..." — a declaration with a class type.
-		return p.parseVarDecl()
 	}
 	return p.parseExprOrAssign()
 }
@@ -320,30 +315,6 @@ func (p *parser) tokenAt(i int) Token {
 		return p.toks[len(p.toks)-1]
 	}
 	return p.toks[i]
-}
-
-func (p *parser) parseVarDecl() (Stmt, error) {
-	start := p.cur().Pos
-	ty, err := p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	d := &VarDecl{stmtBase: stmtBase{pos: start}, Type: ty, Name: name.Text}
-	if p.accept(TokOp, "=") {
-		init, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		d.Init = init
-	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 func (p *parser) parseIf() (Stmt, error) {
@@ -461,10 +432,12 @@ func (p *parser) parseFor() (Stmt, error) {
 	return node, nil
 }
 
-// parseSimpleStmt parses a for-clause statement: a declaration, assignment,
-// or call, without the trailing semicolon.
+// parseSimpleStmt parses a declaration, assignment, or call without the
+// trailing semicolon: a for clause, or the body of a statement that
+// parseExprOrAssign ends.
 func (p *parser) parseSimpleStmt() (Stmt, error) {
 	start := p.cur().Pos
+	// A builtin type, or "ClassName name ...", begins a declaration.
 	if p.isTypeKeyword() || (p.cur().Kind == TokIdent && p.tokenAt(p.i+1).Kind == TokIdent) {
 		ty, err := p.parseType()
 		if err != nil {
@@ -527,6 +500,7 @@ func (p *parser) parseTry() (Stmt, error) {
 	return &Try{stmtBase: stmtBase{pos: kw.Pos}, Body: body, CatchVar: name.Text, Catch: catch}, nil
 }
 
+// parseExprOrAssign parses a simple statement and its semicolon.
 func (p *parser) parseExprOrAssign() (Stmt, error) {
 	s, err := p.parseSimpleStmt()
 	if err != nil {

@@ -1,13 +1,12 @@
 package sched
 
 import (
+	"encoding/json"
 	"sync"
 
 	"lisa/internal/concolic"
-	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/lru"
-	"lisa/internal/minij"
 	"lisa/internal/store"
 )
 
@@ -21,10 +20,10 @@ const maxEntries = 1 << 14
 
 // Cache is the fingerprint-keyed result store. It survives across Assert
 // runs of one Scheduler, so a warm run serves unchanged jobs without
-// re-executing them. Entries are immutable once stored: results are deep-
-// copied on put and on get, so report mutation (the dynamic overlay) never
-// corrupts cached state. All methods are safe for concurrent use by the
-// worker pool.
+// re-executing them. Entries are immutable once stored: a result is copied
+// into its entry when kept and out of it when served, so report mutation
+// (the dynamic overlay) never corrupts cached state. All methods are safe
+// for concurrent use by the worker pool.
 //
 // The memory tier is one LRU over every job kind: fingerprints hash their
 // kind in, so site, structural, and replay results share the key space
@@ -32,7 +31,8 @@ const maxEntries = 1 << 14
 // (SetStore) that extends the cache across processes: memory misses
 // consult the store, decoded records are re-anchored onto the current
 // run's program and promoted into memory, and successful executions write
-// through (persist.go).
+// through. serve and keep are that flow for every job kind; persist.go
+// holds the records.
 type Cache struct {
 	*store.Tier
 
@@ -88,24 +88,60 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// lookup serves fp from the memory tier as a T, counting the hit or miss.
-// Caller holds c.mu.
-func lookup[T any](c *Cache, fp string) (T, bool) {
+// serve answers one job from the cache: the memory tier, then the disk
+// tier. A resident entry of type M is a memory hit; use adopts it into the
+// job after the lock is released, and entries are never written, so use
+// copies what the job will change. With a store attached, a memory miss
+// unmarshals the disk record as an R, fromDisk turns it into a memory
+// entry and use adopts that; a failure at any step is a disk miss (the CRC
+// layer below already rejected torn or corrupt frames, so a record that
+// does not unmarshal is a version skew). An adopted disk entry is promoted
+// into the memory tier.
+func serve[M, R any](c *Cache, ns, fp string, fromDisk func(*R) (M, bool), use func(M) bool) bool {
+	c.mu.Lock()
 	v, _ := c.mem.Get(fp)
-	t, ok := v.(T)
+	ent, ok := v.(M)
 	if ok {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	return t, ok
+	c.mu.Unlock()
+	if ok && use(ent) {
+		return true
+	}
+	if !c.Tier.Get(ns, fp, func(raw []byte) bool {
+		var rec R
+		if json.Unmarshal(raw, &rec) != nil {
+			return false
+		}
+		ent, ok = fromDisk(&rec)
+		return ok && use(ent)
+	}) {
+		return false
+	}
+	c.mu.Lock()
+	c.mem.Put(fp, ent)
+	c.mu.Unlock()
+	return true
 }
 
-// put stores an already-copied result under fp.
-func (c *Cache) put(fp string, v any) {
+// asIs is fromDisk for a job kind whose memory entry is its disk record.
+func asIs[R any](rec *R) (*R, bool) { return rec, true }
+
+// keep stores a just-computed result that nothing else holds: mem in the
+// memory tier and, only when a store is attached, rec's record in the disk
+// tier, so a record is encoded only when there is a store to write it to.
+func (c *Cache) keep(ns, fp string, mem any, rec func() any) {
 	c.mu.Lock()
-	c.mem.Put(fp, v)
+	c.mem.Put(fp, mem)
 	c.mu.Unlock()
+	if !c.Attached() {
+		return
+	}
+	if raw, err := json.Marshal(rec()); err == nil {
+		c.Tier.Put(ns, fp, raw)
+	}
 }
 
 // siteEntry is the cached static result of one (semantic × site) job. The
@@ -115,41 +151,6 @@ func (c *Cache) put(fp string, v any) {
 type siteEntry struct {
 	paths     []*core.PathReport
 	truncated bool
-}
-
-// getSite serves a cached static site result as a deep copy: fresh
-// PathReports, ready for dynamic attribution.
-func (c *Cache) getSite(fp string) (*siteEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent, ok := lookup[*siteEntry](c, fp)
-	if !ok {
-		return nil, false
-	}
-	return &siteEntry{paths: clonePaths(ent.paths), truncated: ent.truncated}, true
-}
-
-// putSite stores a just-computed static site result.
-func (c *Cache) putSite(fp string, siteRep *core.SiteReport) {
-	c.put(fp, &siteEntry{paths: clonePaths(siteRep.Paths), truncated: siteRep.TreeTruncated})
-}
-
-// getStructural serves a cached structural result, re-anchored onto prog
-// like a disk hit: the entry is the record the disk tier writes, so it
-// holds no AST, and a hit renders the current program's positions.
-func (c *Cache) getStructural(fp string, sem *contract.Semantic, prog *minij.Program) (*core.SemanticReport, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rec, ok := lookup[*structuralRecord](c, fp)
-	if !ok {
-		return nil, false
-	}
-	return decodeStructural(rec, sem, prog)
-}
-
-// putStructural stores a structural result as its record.
-func (c *Cache) putStructural(fp string, sr *core.SemanticReport) {
-	c.put(fp, encodeStructural(sr))
 }
 
 // dynOverlay is the cached dynamic result of one per-semantic replay job:
@@ -172,22 +173,6 @@ type pathDyn struct {
 	CoveredBy      []string                    `json:"coveredBy,omitempty"`
 	DynVerdicts    map[string]concolic.Verdict `json:"dynVerdicts,omitempty"`
 	PostViolatedBy []string                    `json:"postViolatedBy,omitempty"`
-}
-
-// getDynamic serves a cached replay overlay. The overlay is shared with
-// the cache and must not be written: applyOverlay copies every slice and
-// map out of it into the report.
-func (c *Cache) getDynamic(fp string) (*dynOverlay, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return lookup[*dynOverlay](c, fp)
-}
-
-// putDynamic stores a replay overlay that nothing else holds: one
-// extractOverlay built from a finished semantic report, or a record just
-// decoded from the disk tier.
-func (c *Cache) putDynamic(fp string, ov *dynOverlay) {
-	c.put(fp, ov)
 }
 
 // starved reports whether a solver budget left any replayed hit's dynamic

@@ -47,10 +47,18 @@ func semFingerprint(sem *contract.Semantic) string {
 }
 
 // staticEngineFP captures the engine options that change static-stage
-// results (the ablation switches). "max=0" is the path bound the engine
-// no longer has; it stays so persisted site fingerprints keep their keys.
+// results: the ablation switches and the solver node ceiling. Prefix
+// pruning keeps a subtree whose query the ceiling cuts short, so a ceiling
+// can lengthen a site's path list while still deciding every path it
+// keeps. "max=0" is the path bound the engine no longer has; it stays, and
+// an unset ceiling adds nothing, so persisted site fingerprints keep their
+// keys.
 func staticEngineFP(e *core.Engine) string {
-	return fmt.Sprintf("max=0 noprune=%v intra=%v", e.NoPrune, e.IntraOnly)
+	fp := fmt.Sprintf("max=0 noprune=%v intra=%v", e.NoPrune, e.IntraOnly)
+	if e.Budget.SolverNodes > 0 {
+		fp += fmt.Sprintf(" nodes=%d", e.Budget.SolverNodes)
+	}
+	return fp
 }
 
 // dynamicEngineFP captures the engine options that change test selection

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"encoding/json"
 	"strings"
 
 	"lisa/internal/concolic"
@@ -143,9 +142,10 @@ func encodeSite(siteRep *core.SiteReport) *siteRecord {
 	return rec
 }
 
-// decodeSite rebuilds path reports exactly as a memory hit serves them; the
-// job's site report holds the current run's site.
-func decodeSite(rec *siteRecord) ([]*core.PathReport, bool) {
+// decodeSite rebuilds a site record's memory entry; a hit on it is served
+// like any memory hit, onto the job's site report, which holds the current
+// run's site.
+func decodeSite(rec *siteRecord) (*siteEntry, bool) {
 	paths := make([]*core.PathReport, len(rec.Paths))
 	for i, pr := range rec.Paths {
 		cond, ok := parseFormula(pr.Cond)
@@ -171,7 +171,7 @@ func decodeSite(rec *siteRecord) ([]*core.PathReport, bool) {
 			PostViolatedBy:  pr.PostViolatedBy,
 		}
 	}
-	return paths, true
+	return &siteEntry{paths: paths, truncated: rec.Truncated}, true
 }
 
 // --- structural records ---------------------------------------------------
@@ -231,70 +231,4 @@ func cloneConfirmed(m map[int][]string) map[int][]string {
 		out[i] = cloneStrings(tests)
 	}
 	return out
-}
-
-// --- disk tier ------------------------------------------------------------
-
-// diskGet restores one JSON record through the disk tier: it must
-// unmarshal (the CRC layer below already rejected torn or corrupted
-// frames, so a failure here means a version skew) and adopt must
-// re-anchor it onto the current run, or the lookup is a disk miss.
-func diskGet[R any](c *Cache, ns, fp string, adopt func(*R) bool) bool {
-	return c.Tier.Get(ns, fp, func(raw []byte) bool {
-		var rec R
-		return json.Unmarshal(raw, &rec) == nil && adopt(&rec)
-	})
-}
-
-func (c *Cache) diskPut(ns, fp string, rec any) {
-	if raw, err := json.Marshal(rec); err == nil {
-		c.Tier.Put(ns, fp, raw)
-	}
-}
-
-// diskGetSite serves a site job from the disk tier.
-func (c *Cache) diskGetSite(fp string) (paths []*core.PathReport, truncated, ok bool) {
-	ok = diskGet(c, siteNamespace, fp, func(rec *siteRecord) (anchored bool) {
-		paths, anchored = decodeSite(rec)
-		truncated = rec.Truncated
-		return anchored
-	})
-	return paths, truncated, ok
-}
-
-func (c *Cache) diskPutSite(fp string, siteRep *core.SiteReport) {
-	if c.Attached() {
-		c.diskPut(siteNamespace, fp, encodeSite(siteRep))
-	}
-}
-
-// diskGetStructural serves a structural job from the disk tier, re-anchored
-// onto the current system program.
-func (c *Cache) diskGetStructural(fp string, sem *contract.Semantic, prog *minij.Program) (sr *core.SemanticReport, ok bool) {
-	ok = diskGet(c, structuralNamespace, fp, func(rec *structuralRecord) (anchored bool) {
-		sr, anchored = decodeStructural(rec, sem, prog)
-		return anchored
-	})
-	return sr, ok
-}
-
-func (c *Cache) diskPutStructural(fp string, sr *core.SemanticReport) {
-	if c.Attached() {
-		c.diskPut(structuralNamespace, fp, encodeStructural(sr))
-	}
-}
-
-// diskGetDynamic serves a replay overlay from the disk tier.
-func (c *Cache) diskGetDynamic(fp string) (ov *dynOverlay, ok bool) {
-	ok = diskGet(c, dynamicNamespace, fp, func(rec *dynOverlay) bool {
-		ov = rec
-		return true
-	})
-	return ov, ok
-}
-
-func (c *Cache) diskPutDynamic(fp string, ov *dynOverlay) {
-	if c.Attached() {
-		c.diskPut(dynamicNamespace, fp, ov)
-	}
 }

@@ -212,7 +212,9 @@ func TestDynamicRecordBytesUnchanged(t *testing.T) {
 // TestStructuralV1RecordIsMiss: structural records moved to fp.str.v2
 // when each finding began to be confirmed by its own rule's monitor, so a
 // record stored only under fp.str.v1 is recomputed, never served. The same
-// bytes under the current namespace are served.
+// bytes under the current namespace are served. A well-formed current
+// record whose violation names a method the program lacks does not anchor:
+// it is refused, recomputed, and the recomputed record is written back.
 func TestStructuralV1RecordIsMiss(t *testing.T) {
 	cs := corpus.Load().Get("zk-sync-serialize")
 	e := engineForCase(t, cs)
@@ -242,18 +244,37 @@ func TestStructuralV1RecordIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// unanchored adds a violation in a method the program lacks.
+	unanchored := func(raw []byte) []byte {
+		var rec structuralRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec.Violations = append(rec.Violations, violationRecord{Rule: "ghost", Method: "Ghost.vanish", Stmt: -1})
+		out, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	for _, tt := range []struct {
-		ns   string
+		ns string
+		// edit rewrites each record before it is stored (nil: as is).
+		edit func([]byte) []byte
 		hits uint64
 	}{
-		{"fp.str.v1", 0},
-		{structuralNamespace, uint64(len(fps))},
+		{"fp.str.v1", nil, 0},
+		{structuralNamespace, nil, uint64(len(fps))},
+		{structuralNamespace, unanchored, 0},
 	} {
 		st := openStoreT(t)
 		for _, fp := range fps {
 			raw, ok := warmStore.Get(structuralNamespace, fp)
 			if !ok {
 				t.Fatalf("no %s record for %s", structuralNamespace, fp)
+			}
+			if tt.edit != nil {
+				raw = tt.edit(raw)
 			}
 			st.Put(tt.ns, fp, raw)
 		}
@@ -271,6 +292,15 @@ func TestStructuralV1RecordIsMiss(t *testing.T) {
 		}
 		if rep.Render() != base.Render() {
 			t.Errorf("records under %s changed the report:\n%s", tt.ns, rep.Render())
+		}
+		if err := st.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, fp := range fps {
+			want, _ := warmStore.Get(structuralNamespace, fp)
+			if got, _ := st.Get(structuralNamespace, fp); string(got) != string(want) {
+				t.Errorf("records under %s: %s holds %s, want the recomputed %s", tt.ns, structuralNamespace, got, want)
+			}
 		}
 	}
 }

@@ -438,89 +438,70 @@ func sitePlans(e *core.Engine, ctx *core.AssertContext, sem *contract.Semantic, 
 }
 
 // runJob executes or cache-serves one job, recording stage timings into
-// tm, which belongs to the goroutine running it. Each job looks up the
-// memory tier, then the disk tier. Cache hits are re-anchored onto the
-// current run's report objects so downstream stages and rendering always
-// see current sites. Execution goes through the engine's contained job
-// wrappers — the same decomposition the sequential loop uses — so a
-// panicking or over-budget job degrades instead of killing the worker.
-// Only an authoritative result is cached, so the next run retries the
-// rest: a failed job's, and one a solver budget left INCONCLUSIVE, whose
-// fingerprint does not name the budget.
+// tm, which belongs to the goroutine running it. Each kind names its
+// disk namespace, how a disk record becomes a memory entry, and how an
+// entry is adopted into the job; serve looks up the memory tier, then the
+// disk tier. Cache hits are re-anchored onto the current run's report
+// objects so downstream stages and rendering always see current sites.
+// Execution goes through the engine's contained job wrappers — the same
+// decomposition the sequential loop uses — so a panicking or over-budget
+// job degrades instead of killing the worker. Only an authoritative
+// result is kept, so the next run retries the rest: a failed job's, and
+// one a solver budget left INCONCLUSIVE.
 func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.AssertContext, j *job, tm core.StageTimings) {
+	c := s.cache
 	switch j.kind {
 	case jobStructural:
-		if sr, ok := s.cache.getStructural(j.fp, j.sem, ctx.ProgSys); ok {
-			j.sr = sr
-			j.cacheHit = true
-			return
-		}
-		if sr, ok := s.cache.diskGetStructural(j.fp, j.sem, ctx.ProgSys); ok {
-			j.sr = sr
-			s.cache.putStructural(j.fp, sr)
+		if serve(c, structuralNamespace, j.fp, asIs[structuralRecord], func(rec *structuralRecord) (ok bool) {
+			j.sr, ok = decodeStructural(rec, j.sem, ctx.ProgSys)
+			return ok
+		}) {
 			j.cacheHit = true
 			return
 		}
 		j.sr = e.StructuralJob(rctx, ctx, j.name, j.sem, tm)
 		if len(j.sr.Failures) == 0 {
-			s.cache.putStructural(j.fp, j.sr)
-			s.cache.diskPutStructural(j.fp, j.sr)
+			rec := encodeStructural(j.sr)
+			c.keep(structuralNamespace, j.fp, rec, func() any { return rec })
 		}
-		j.executed = true
 	case jobSite:
-		if ent, ok := s.cache.getSite(j.fp); ok {
-			j.siteRep.Paths = ent.paths
-			j.siteRep.TreeTruncated = ent.truncated
-			j.cacheHit = true
-			return
-		}
-		if paths, truncated, ok := s.cache.diskGetSite(j.fp); ok {
-			j.siteRep.Paths = paths
-			j.siteRep.TreeTruncated = truncated
-			s.cache.putSite(j.fp, j.siteRep)
+		if serve(c, siteNamespace, j.fp, decodeSite, func(ent *siteEntry) bool {
+			j.siteRep.Paths, j.siteRep.TreeTruncated = clonePaths(ent.paths), ent.truncated
+			return true
+		}) {
 			j.cacheHit = true
 			return
 		}
 		j.failure = e.SiteJob(rctx, ctx, j.name, j.siteRep, tm)
 		if j.failure == nil && !starved(j.siteRep.Paths) {
-			s.cache.putSite(j.fp, j.siteRep)
-			s.cache.diskPutSite(j.fp, j.siteRep)
+			ent := &siteEntry{paths: clonePaths(j.siteRep.Paths), truncated: j.siteRep.TreeTruncated}
+			c.keep(siteNamespace, j.fp, ent, func() any { return encodeSite(j.siteRep) })
 		}
-		j.executed = true
 	case jobDynamic:
 		// A site job that failed in this run left its site without paths,
-		// and one a solver budget starved may have kept paths an
-		// unbudgeted walk prunes, so the replay is not the one the
-		// fingerprint names: it runs uncached, neither served from nor
-		// stored in the cache.
+		// and one a solver budget starved was not kept, so the replay
+		// attributes to paths no cached site result backs: it runs
+		// uncached, neither served from nor stored in the cache.
 		cacheable := true
 		for _, sj := range j.sites {
 			cacheable = cacheable && sj.failure == nil && !starved(sj.siteRep.Paths)
 		}
-		if cacheable {
-			if ov, ok := s.cache.getDynamic(j.fp); ok {
-				applyOverlay(j.sr, ov)
-				j.testsRun = ov.TestsRun
-				j.cacheHit = true
-				return
-			}
-			if ov, ok := s.cache.diskGetDynamic(j.fp); ok {
-				applyOverlay(j.sr, ov)
-				j.testsRun = ov.TestsRun
-				s.cache.putDynamic(j.fp, ov)
-				j.cacheHit = true
-				return
-			}
+		if cacheable && serve(c, dynamicNamespace, j.fp, asIs[dynOverlay], func(ov *dynOverlay) bool {
+			applyOverlay(j.sr, ov)
+			j.testsRun = ov.TestsRun
+			return true
+		}) {
+			j.cacheHit = true
+			return
 		}
 		j.testsRun, j.failure = e.DynamicJob(rctx, ctx, j.name, j.sr, tm)
 		if j.failure == nil && cacheable {
 			if ov := extractOverlay(j.sr, j.testsRun); !ov.starved() {
-				s.cache.putDynamic(j.fp, ov)
-				s.cache.diskPutDynamic(j.fp, ov)
+				c.keep(dynamicNamespace, j.fp, ov, func() any { return ov })
 			}
 		}
-		j.executed = true
 	}
+	j.executed = true
 }
 
 // starved reports whether a solver budget left any of a site's paths

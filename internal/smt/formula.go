@@ -434,28 +434,14 @@ func Complement(f Formula) Formula { return NNF(NewNot(f)) }
 func Atoms(f Formula) []Atom {
 	seen := map[string]Atom{}
 	var keys []string
-	var walk func(Formula)
-	walk = func(g Formula) {
-		switch n := g.(type) {
-		case *AtomF:
-			k, _ := n.Atom.Key()
-			if _, ok := seen[k]; !ok {
-				seen[k] = n.Atom.normalized()
-				keys = append(keys, k)
-			}
-		case *Not:
-			walk(n.X)
-		case *And:
-			for _, x := range n.Xs {
-				walk(x)
-			}
-		case *Or:
-			for _, x := range n.Xs {
-				walk(x)
-			}
+	VisitAtoms(f, func(a Atom) bool {
+		k, _ := a.Key()
+		if _, ok := seen[k]; !ok {
+			seen[k] = a.normalized()
+			keys = append(keys, k)
 		}
-	}
-	walk(f)
+		return true
+	})
 	sort.Strings(keys)
 	out := make([]Atom, len(keys))
 	for i, k := range keys {

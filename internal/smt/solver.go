@@ -193,7 +193,11 @@ func runSolver(f Formula, lim Limits) (bool, Model, int, time.Duration, error) {
 	// decided first so conflicts surface high in the tree; ties break on the
 	// canonical key for determinism.
 	counts := map[string]int{}
-	countAtoms(f, counts)
+	VisitAtoms(f, func(a Atom) bool {
+		k, _ := a.Key()
+		counts[k]++
+		return true
+	})
 	order := make([]string, 0, len(atoms))
 	for _, a := range atoms {
 		k, _ := a.Key()
@@ -314,25 +318,6 @@ func unitLiterals(f Formula) (Model, bool) {
 	}
 	walk(f)
 	return units, conflict
-}
-
-// countAtoms tallies occurrences per atom key for the decision ordering.
-func countAtoms(f Formula, counts map[string]int) {
-	switch n := f.(type) {
-	case *AtomF:
-		k, _ := n.Atom.Key()
-		counts[k]++
-	case *Not:
-		countAtoms(n.X, counts)
-	case *And:
-		for _, x := range n.Xs {
-			countAtoms(x, counts)
-		}
-	case *Or:
-		for _, x := range n.Xs {
-			countAtoms(x, counts)
-		}
-	}
 }
 
 // simplify rebuilds f through the smart constructors, folding constants and

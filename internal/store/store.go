@@ -299,9 +299,9 @@ func (s *Store) scanTailLocked() error {
 	return nil
 }
 
-// repairTailLocked truncates a torn tail (scanned < size) under the
-// exclusive lock. Safe at open and before appends: only a crashed writer
-// leaves one, and live writers are excluded by the lock. Caller holds s.mu.
+// repairTailLocked truncates a torn tail (scanned < size) at open, taking
+// the exclusive lock only when the log runs past the scanned frames.
+// Caller holds s.mu.
 func (s *Store) repairTailLocked() error {
 	fi, err := s.f.Stat()
 	if err != nil {
@@ -315,13 +315,22 @@ func (s *Store) repairTailLocked() error {
 	}
 	defer s.funlock()
 	// Another process may have repaired (or compacted) while we waited.
+	return s.catchUpLocked()
+}
+
+// catchUpLocked brings the index level with the log under the exclusive
+// file lock: it reopens the log if a compaction swapped it, scans what
+// other writers appended, and truncates a torn tail, counting a recovery.
+// Only a crashed writer leaves a torn tail, and live writers are excluded
+// by the lock. Caller holds s.mu and the exclusive lock.
+func (s *Store) catchUpLocked() error {
 	if err := s.reopenIfSwappedLocked(); err != nil {
 		return err
 	}
 	if err := s.scanTailLocked(); err != nil {
 		return err
 	}
-	fi, err = s.f.Stat()
+	fi, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -619,22 +628,9 @@ func (s *Store) appendBatch(batch []pendingPut) error {
 		return fail(0, err)
 	}
 	defer s.funlock()
-	if err := s.reopenIfSwappedLocked(); err != nil {
-		return fail(0, err)
-	}
-	if err := s.scanTailLocked(); err != nil {
-		return fail(0, err)
-	}
 	// A torn tail (crashed writer) must go before we append after it.
-	fi, err := s.f.Stat()
-	if err != nil {
-		return fail(0, fmt.Errorf("store: %w", err))
-	}
-	if s.scanned < fi.Size() {
-		if err := s.f.Truncate(s.scanned); err != nil {
-			return fail(0, fmt.Errorf("store: truncate torn tail: %w", err))
-		}
-		s.recoveries.Add(1)
+	if err := s.catchUpLocked(); err != nil {
+		return fail(0, err)
 	}
 	var firstErr error
 	for i, p := range batch {
