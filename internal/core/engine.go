@@ -542,17 +542,20 @@ func (e *Engine) testSet(digest string, tests []ticket.TestCase) (*program.Suite
 
 // StructuralReport runs the structural check for sem over the system
 // program and, when violations surface and tests exist, confirms them under
-// the rule's runtime monitor. rctx bounds the confirmation replays.
-func (e *Engine) StructuralReport(rctx context.Context, ctx *AssertContext, sem *contract.Semantic, tm StageTimings) *SemanticReport {
+// the rule's runtime monitor. rctx bounds the confirmation replays; a test
+// the step or stack budget cut short is an error naming it, as in the
+// replay stage, since the hazard may have run after the cut.
+func (e *Engine) StructuralReport(rctx context.Context, ctx *AssertContext, sem *contract.Semantic, tm StageTimings) (*SemanticReport, error) {
 	sr := &SemanticReport{Semantic: sem}
 	tm.Time("structural", func() { sr.Structural = sem.Structural.Check(ctx.ProgSys) })
+	var err error
 	if len(sr.Structural) > 0 && len(ctx.Tests) > 0 {
 		tm.Time("structural-replay", func() {
-			sr.StructuralConfirmedBy = e.confirmStructural(rctx, ctx.ProgAll, sem.Structural, sr.Structural, ctx.Tests)
+			sr.StructuralConfirmedBy, err = e.confirmStructural(rctx, ctx.ProgAll, sem.Structural, sr.Structural, ctx.Tests)
 		})
 	}
 	sr.SanityOK = true
-	return sr
+	return sr, err
 }
 
 // MatchSites finds sem's target sites in system code (calls from test code
@@ -763,8 +766,9 @@ func (e *Engine) assertOver(rctx context.Context, ctx *AssertContext, tm StageTi
 // confirmStructural replays the test suite under the rule's own runtime
 // monitor: a test confirms a finding when the rule's hazard ran while the
 // finding's method held a lock.
-func (e *Engine) confirmStructural(rctx context.Context, prog *minij.Program, rule *contract.LockRule, violations []*contract.StructuralViolation, tests []ticket.TestCase) map[int][]string {
+func (e *Engine) confirmStructural(rctx context.Context, prog *minij.Program, rule *contract.LockRule, violations []*contract.StructuralViolation, tests []ticket.TestCase) (map[int][]string, error) {
 	confirmed := map[int][]string{}
+	var degraded []string
 	for _, tc := range tests {
 		if rctx.Err() != nil {
 			// StructuralJob turns the truncation into a job failure.
@@ -773,14 +777,19 @@ func (e *Engine) confirmStructural(rctx context.Context, prog *minij.Program, ru
 		in := interp.NewWithOptions(prog, interp.Options{Ctx: rctx, StepBudget: e.Budget.StepBudget})
 		mon := rule.Monitor(in)
 		// Expected exceptions do not invalidate observed events.
-		_, _ = in.CallStatic(tc.Class, tc.Method)
+		if _, err := in.CallStatic(tc.Class, tc.Method); errors.Is(err, interp.ErrStepBudget) || errors.Is(err, interp.ErrStackDepth) {
+			degraded = append(degraded, tc.Name)
+		}
 		for i, v := range violations {
 			if mon.Holders[v.Method.FullName()] {
 				confirmed[i] = append(confirmed[i], tc.Name)
 			}
 		}
 	}
-	return confirmed
+	if len(degraded) > 0 {
+		return confirmed, fmt.Errorf("replay degraded for %s: %w", strings.Join(degraded, ", "), interp.ErrStepBudget)
+	}
+	return confirmed, nil
 }
 
 func (e *Engine) topK() int {

@@ -180,7 +180,10 @@ func classifyJobError(err error) (reason, detail string) {
 func (e *Engine) StructuralJob(rctx context.Context, ctx *AssertContext, name string, sem *contract.Semantic, tm StageTimings) *SemanticReport {
 	var sr *SemanticReport
 	fail := e.ExecJob(rctx, name, sem.ID, func(jctx context.Context) error {
-		sr = e.StructuralReport(jctx, ctx, sem, tm)
+		var err error
+		if sr, err = e.StructuralReport(jctx, ctx, sem, tm); err != nil {
+			return err
+		}
 		// A scan cut short by cancellation is a failed job, not a clean
 		// report with silently fewer confirmations.
 		return jctx.Err()
