@@ -197,7 +197,7 @@ func inheritFrame(prog *minij.Program, caller *sframe, callee *minij.Method, cal
 		if !rc.inherited {
 			guard.Guard += " (inherited)"
 		}
-		child.conds = append(child.conds, recordedCond{f: f, guard: guard, roots: condRoots(f), inherited: true})
+		child.conds = append(child.conds, &recordedCond{f: f, guard: guard, roots: condRoots(f), inherited: true})
 	}
 	return child
 }

@@ -347,8 +347,8 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 	// its source, whichever map they touch.
 	seed := newSFrame(prog)
 	seed.store("mode", &minij.IntLit{Value: 7})
-	seed.conds = make([]recordedCond, 1, 4)
-	seed.conds[0] = recordedCond{f: smt.NewAtom(smt.BoolAtom("fast")), guard: GuardStep{Guard: "fast", Taken: true}}
+	seed.conds = make([]*recordedCond, 1, 4)
+	seed.conds[0] = &recordedCond{f: smt.NewAtom(smt.BoolAtom("fast")), guard: GuardStep{Guard: "fast", Taken: true}}
 	a, b := seed.clone(), seed.clone()
 	var body []minij.Stmt
 	minij.WalkStmts(m.Body, func(s minij.Stmt) {
@@ -360,8 +360,8 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 	for _, s := range body {
 		a.apply(s)
 	}
-	a.conds = append(a.conds, recordedCond{f: smt.NewAtom(smt.BoolAtom("a")), guard: GuardStep{Guard: "a", Taken: true}})
-	b.conds = append(b.conds, recordedCond{f: smt.NewAtom(smt.BoolAtom("b")), guard: GuardStep{Guard: "b", Taken: true}})
+	a.conds = append(a.conds, &recordedCond{f: smt.NewAtom(smt.BoolAtom("a")), guard: GuardStep{Guard: "a", Taken: true}})
+	b.conds = append(b.conds, &recordedCond{f: smt.NewAtom(smt.BoolAtom("b")), guard: GuardStep{Guard: "b", Taken: true}})
 	if c, ok := a.ConstOf("s.ttl"); !ok || c.Int != 5 {
 		t.Fatalf("the writing clone lost its own field write: s.ttl = %v, %v", c, ok)
 	}
@@ -379,8 +379,11 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 	if got := a.conds[1].guard.Guard; got != "a" {
 		t.Errorf("the writing clone's second condition is %q after its sibling appended, want a", got)
 	}
-	if len(seed.conds) != 1 {
-		t.Errorf("source has %d conditions after its clones appended, want 1", len(seed.conds))
+	if got := b.conds[1].guard.Guard; got != "b" {
+		t.Errorf("the sibling's second condition is %q after the writing clone appended, want b", got)
+	}
+	if len(seed.conds) != 1 || seed.conds[:2][1] != nil {
+		t.Errorf("source has %d conditions after its clones appended, want 1, and an empty spare slot", len(seed.conds))
 	}
 
 	// Walk level: the else-branch path must stay unguarded, so it
@@ -427,5 +430,43 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 	}
 	if half := len(emitted) / 2; strings.Join(emitted[:half], "|") != strings.Join(emitted[half:], "|") {
 		t.Errorf("two walks from one seed emitted different states:\n%v", emitted)
+	}
+}
+
+// TestSharedSeedPrefixCheckedOnce: both chains to Site.at enter Mid.work
+// through the same edge, so they share its entry state, whose inherited
+// prefix a > 5 && a < 3 is unsatisfiable. The seed keeps the decided
+// verdict: the second chain's walk of Mid.work does not ask the solver
+// again, so the one prefix query is the only query of the site.
+func TestSharedSeedPrefixCheckedOnce(t *testing.T) {
+	prog := compile(t, `
+class Tgt { int n; void put(int v) { n = v; } }
+class Site { Tgt t; void at(int v) { t.put(v); } }
+class Hop { Site s; void via(int v) { s.at(v); } }
+class Mid { Site s; Hop h; void work(int a) { s.at(a); h.via(a); } }
+class Entry { Mid m; void run(int a) { if (a > 5) { if (a < 3) { m.work(a); } } } }
+`)
+	sem := &contract.Semantic{
+		ID:     "tgt-put",
+		Kind:   contract.StateKind,
+		Target: contract.TargetPattern{Callee: "Tgt.put", Bind: map[string]int{"v": 0}},
+		Pre:    smt.MustParsePredicate(`v > 0`),
+	}
+	site := contract.Match(sem, prog)[0]
+	tree := callgraph.Build(prog).ExecutionTree(site.Method, callgraph.TreeOptions{
+		IsEntry: func(m *minij.Method) bool { return m.Class.Name == "Entry" },
+	})
+	if len(tree.Paths) != 2 {
+		t.Fatalf("chains = %v, want Entry.run -> Mid.work -> Site.at and the one via Hop.via", tree.Paths)
+	}
+	qc := smt.NewQueryCache(0)
+	paths, _ := SiteStaticPaths(prog, site, tree.Paths, Options{Lim: smt.Limits{Cache: qc}})
+	for i, p := range paths {
+		if len(p) != 0 {
+			t.Errorf("chain %d: %d paths through an unsatisfiable prefix, want none", i, len(p))
+		}
+	}
+	if q := qc.Stats().Queries; q != 1 {
+		t.Errorf("the site asked %d queries, want 1: the shared seed's prefix, once", q)
 	}
 }

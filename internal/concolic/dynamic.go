@@ -161,16 +161,16 @@ func (r *Runner) install() {
 		if top == nil {
 			return
 		}
-		rc, ok, _ := branchCond(cond, top.env, taken)
-		if !ok {
+		rc, _ := branchCond(cond, top.env, taken)
+		if rc == nil {
 			return
 		}
 		// Replay keeps the latest recording per guard statement, where
 		// enumeration appends one per fork: a loop body runs many times,
 		// and its most recent decision reflects the state that reaches
-		// the target. The in-place write is safe only because replay
-		// never clones a frame: a clone shares its source's conds backing
-		// array, and enumeration only ever appends to it.
+		// the target. The new cell replaces the old one in the frame's own
+		// slice, never writing through a cell: replay never clones a
+		// frame, so no other frame holds this slice.
 		if i, seen := top.recorded[id]; seen {
 			top.env.conds[i] = rc
 			return

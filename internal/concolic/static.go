@@ -188,9 +188,9 @@ func siteCondition(site *contract.Site, st *sframe, noPrune bool) (bindings map[
 		if !ok {
 			continue
 		}
-		if t, tok := translateTerm(operand, st); tok && t.isPath {
-			bindings[slot] = t.path
-			roots[smt.Root(t.path)] = true
+		if path, ok := operandPath(operand, st); ok {
+			bindings[slot] = path
+			roots[smt.Root(path)] = true
 		}
 	}
 	for _, rc := range st.conds {
@@ -200,6 +200,26 @@ func siteCondition(site *contract.Site, st *sframe, noPrune bool) (bindings map[
 		}
 	}
 	return bindings, conds, guards, roots
+}
+
+// operandPath is the path a slot operand names in st. An identifier or a
+// field chain whose value st knows is still bound to its path, so the
+// constant reaches the site's condition through constFacts and a replayed
+// hit binds the slot as the static path does; any other operand binds only
+// when it translates to a path.
+func operandPath(operand minij.Expr, st *sframe) (string, bool) {
+	if t, ok := translateTerm(operand, st); ok && t.isPath {
+		return t.path, true
+	}
+	switch n := operand.(type) {
+	case *minij.Ident:
+		return st.PathOf(n.Name)
+	case *minij.FieldAccess:
+		if base, ok := translateTerm(n.Recv, st); ok && base.isPath {
+			return base.path + "." + n.Name, true
+		}
+	}
+	return "", false
 }
 
 // mentionsRoot reports whether f mentions a path under one of roots.
@@ -244,7 +264,8 @@ func constFacts(st *sframe, roots map[string]bool) []smt.Formula {
 // are copy-on-write: a clone shares them with its source, and the first
 // write on either side (own) copies all four, so a fork that never assigns
 // costs one frame and no map. A fresh frame holds no map until its first
-// write.
+// write. Recorded conditions are immutable cells that frames share: a
+// fork's conds is a new slice of the same cells plus its own.
 type sframe struct {
 	prog     *minij.Program
 	aliases  map[string]string
@@ -253,7 +274,11 @@ type sframe struct {
 	assigned map[string]bool
 	// shared reports that another frame may hold these maps.
 	shared bool
-	conds  []recordedCond
+	conds  []*recordedCond
+	// sat is a seed's decided prefix verdict (prefixSat): 0 until decided,
+	// then 1 when satisfiable and -1 when not. A seed belongs to one site
+	// job and is never written, so it needs no lock and never goes stale.
+	sat int8
 }
 
 type recordedCond struct {
@@ -299,7 +324,8 @@ func newSFrame(prog *minij.Program) *sframe {
 }
 
 // clone forks the state. The clone's conds has no spare capacity, so an
-// append on either side never writes into the other's backing array.
+// append on either side never writes into the other's backing array. The
+// clone's seed verdict is undecided: its conds may grow.
 func (st *sframe) clone() *sframe {
 	st.shared = true
 	return &sframe{
@@ -469,7 +495,7 @@ func prefixCond(st *sframe) smt.Formula {
 // re-solving the whole prefix.
 // prefixOverlaps reports whether any recorded condition mentions one of
 // roots. Both sides are small sorted slices; linear scans allocate nothing.
-func prefixOverlaps(roots []string, conds []recordedCond) bool {
+func prefixOverlaps(roots []string, conds []*recordedCond) bool {
 	for _, rc := range conds {
 		if intersects(rc.roots, roots) {
 			return true
@@ -592,20 +618,26 @@ func intersects(xs, ys []string) bool {
 	return false
 }
 
-// prefixSat reports whether the state's path-condition prefix is
-// satisfiable. Every path in the subtree below this state carries the
-// prefix, so one UNSAT query kills the whole subtree instead of letting
-// each descendant path be enumerated and discharged separately; shared
-// prefixes across sibling subtrees resolve out of the solver's result
-// cache. Solver errors — budget, cancellation, injected faults — keep the
-// subtree: pruning is an optimization and must not change which paths
-// exist under degraded semantics.
-func (w *staticWalker) prefixSat(st *sframe) bool {
-	sat, err := smt.SATLim(prefixCond(st), w.lim)
-	if err != nil {
-		return true
+// prefixSat reports whether a seed's path-condition prefix is satisfiable.
+// Every path in the walk from the seed carries the prefix, so one UNSAT
+// query skips the whole walk. The seed keeps a decided verdict, so a seed
+// that several chains of a site share is asked once. Solver errors —
+// budget, cancellation, injected faults — keep the walk and decide
+// nothing, so the next walk from the seed asks again: pruning is an
+// optimization and must not change which paths exist under degraded
+// semantics.
+func (w *staticWalker) prefixSat(seed *sframe) bool {
+	if seed.sat == 0 {
+		sat, err := smt.SATLim(prefixCond(seed), w.lim)
+		if err != nil {
+			return true
+		}
+		seed.sat = -1
+		if sat {
+			seed.sat = 1
+		}
 	}
-	return sat
+	return seed.sat > 0
 }
 
 func (w *staticWalker) full() bool {
@@ -718,16 +750,19 @@ func (w *staticWalker) walkLoop(cond minij.Expr, body *minij.Block, st *sframe, 
 // most once, so each fork appends its own recording.
 func (w *staticWalker) fork(cond minij.Expr, st *sframe, taken bool, k func(*sframe)) {
 	st2 := st.clone()
-	rc, ok, dead := branchCond(cond, st2, taken)
+	rc, dead := branchCond(cond, st2, taken)
 	if dead {
 		// Constant-folded guards prune impossible directions outright.
 		return
 	}
-	if ok {
+	if rc != nil {
 		if w.prune {
 			rc.roots = condRoots(rc.f)
 		}
-		st2.conds = append(st2.conds, rc)
+		conds := make([]*recordedCond, len(st.conds)+1)
+		copy(conds, st.conds)
+		conds[len(st.conds)] = rc
+		st2.conds = conds
 		if w.prune {
 			// Solver errors keep the subtree, exactly as in prefixSat.
 			check := rc.f
@@ -744,24 +779,24 @@ func (w *staticWalker) fork(cond minij.Expr, st *sframe, taken bool, k func(*sfr
 	k(st2)
 }
 
-// branchCond records one direction of a branch in st's vocabulary: the
-// translated condition, negated (NNF) when the branch is not taken, and
-// its guard step. ok is false when the branch records nothing, because the
-// guard is outside the predicate fragment or folds to a constant; dead
-// reports a direction that folds to false. Enumeration and replay both
-// record branches with it.
-func branchCond(cond minij.Expr, st *sframe, taken bool) (rc recordedCond, ok, dead bool) {
+// branchCond records one direction of a branch in st's vocabulary: a new
+// cell holding the translated condition, negated (NNF) when the branch is
+// not taken, and its guard step. rc is nil when the branch records
+// nothing, because the guard is outside the predicate fragment or folds to
+// a constant; dead reports a direction that folds to false. Enumeration
+// and replay both record branches with it.
+func branchCond(cond minij.Expr, st *sframe, taken bool) (rc *recordedCond, dead bool) {
 	f, ok := Translate(cond, st)
 	if !ok {
-		return recordedCond{}, false, false
+		return nil, false
 	}
 	if !taken {
 		f = smt.NNF(smt.NewNot(f))
 	}
 	if c, isConst := f.(*smt.Const); isConst {
-		return recordedCond{}, false, !c.Value
+		return nil, !c.Value
 	}
-	return recordedCond{f: f, guard: GuardStep{Guard: minij.CanonExpr(cond), Taken: taken, Pos: cond.Pos()}}, true, false
+	return &recordedCond{f: f, guard: GuardStep{Guard: minij.CanonExpr(cond), Taken: taken, Pos: cond.Pos()}}, false
 }
 
 // unwind transfers control to the innermost catch handler, or drops the

@@ -178,46 +178,80 @@ func ExprPath(e minij.Expr) (string, bool) {
 // must be resolved. Matching keys on the callee's qualified name (receiver
 // static type for instance calls, class name for static calls), so renamed
 // locals and new call paths still match — this is what lets a rule inferred
-// from one fix catch the same mistake on a different path.
+// from one fix catch the same mistake on a different path. Match indexes
+// the program's calls for one lookup; a caller matching several rules over
+// one program builds the CallIndex once.
 func Match(sem *Semantic, prog *minij.Program) []*Site {
-	if sem.Kind != StateKind {
-		return nil
-	}
-	var sites []*Site
+	return IndexCalls(prog, nil).Sites(sem)
+}
+
+// CallIndex holds a program's call occurrences by the qualified name of
+// their callee, each callee's in program order. It is read-only once
+// built, so concurrent lookups need no lock.
+type CallIndex struct {
+	byCallee map[string][]callOcc
+}
+
+// callOcc is one call in one statement of one method.
+type callOcc struct {
+	method *minij.Method
+	stmt   minij.Stmt
+	call   *minij.Call
+}
+
+// IndexCalls indexes the calls of every method of the resolved prog that
+// keep accepts (every method when keep is nil).
+func IndexCalls(prog *minij.Program, keep func(*minij.Method) bool) *CallIndex {
+	ix := &CallIndex{byCallee: map[string][]callOcc{}}
 	for _, m := range prog.Methods() {
-		if sem.Target.Within != "" && m.FullName() != sem.Target.Within {
+		if keep != nil && !keep(m) {
 			continue
 		}
 		minij.WalkStmts(m.Body, func(s minij.Stmt) {
 			for _, call := range minij.OwnCalls(s) {
-				if CalleeName(prog, m, call) != sem.Target.Callee {
-					continue
-				}
-				site := &Site{
-					Semantic: sem,
-					Stmt:     s,
-					Call:     call,
-					Method:   m,
-					Bindings: map[string]minij.Expr{},
-				}
-				for slot, idx := range sem.Target.Bind {
-					var operand minij.Expr
-					switch {
-					case idx == ReceiverSlot:
-						operand = call.Recv
-					case idx >= 0 && idx < len(call.Args):
-						operand = call.Args[idx]
-					}
-					if operand == nil {
-						site.BindErr = fmt.Errorf("contract %s: slot %q binds operand %d of %s, which does not exist",
-							sem.ID, slot, idx, minij.CanonExpr(call))
-						continue
-					}
-					site.Bindings[slot] = operand
-				}
-				sites = append(sites, site)
+				name := CalleeName(prog, m, call)
+				ix.byCallee[name] = append(ix.byCallee[name], callOcc{method: m, stmt: s, call: call})
 			}
 		})
+	}
+	return ix
+}
+
+// Sites returns sem's target-statement occurrences among the indexed
+// calls, ordered by enclosing method name and then by position.
+func (ix *CallIndex) Sites(sem *Semantic) []*Site {
+	if sem.Kind != StateKind {
+		return nil
+	}
+	var sites []*Site
+	for _, oc := range ix.byCallee[sem.Target.Callee] {
+		if sem.Target.Within != "" && oc.method.FullName() != sem.Target.Within {
+			continue
+		}
+		call := oc.call
+		site := &Site{
+			Semantic: sem,
+			Stmt:     oc.stmt,
+			Call:     call,
+			Method:   oc.method,
+			Bindings: map[string]minij.Expr{},
+		}
+		for slot, idx := range sem.Target.Bind {
+			var operand minij.Expr
+			switch {
+			case idx == ReceiverSlot:
+				operand = call.Recv
+			case idx >= 0 && idx < len(call.Args):
+				operand = call.Args[idx]
+			}
+			if operand == nil {
+				site.BindErr = fmt.Errorf("contract %s: slot %q binds operand %d of %s, which does not exist",
+					sem.ID, slot, idx, minij.CanonExpr(call))
+				continue
+			}
+			site.Bindings[slot] = operand
+		}
+		sites = append(sites, site)
 	}
 	sort.Slice(sites, func(i, j int) bool {
 		if sites[i].Method.FullName() != sites[j].Method.FullName() {

@@ -400,6 +400,10 @@ type AssertContext struct {
 	Selector *testsel.Selector
 
 	systemClasses map[string]bool
+	// calls indexes the system methods' calls by callee for MatchSites,
+	// built by the first match of the context.
+	callsOnce sync.Once
+	calls     *contract.CallIndex
 }
 
 // MethodCanon returns the canonical text of a method of the analysis
@@ -559,15 +563,18 @@ func (e *Engine) StructuralReport(rctx context.Context, ctx *AssertContext, sem 
 }
 
 // MatchSites finds sem's target sites in system code (calls from test code
-// are not production paths), in deterministic match order.
+// are not production paths), in deterministic match order. The context's
+// first match indexes its system calls by callee, and every match is a
+// lookup in that index.
 func (e *Engine) MatchSites(ctx *AssertContext, sem *contract.Semantic, tm StageTimings) []*contract.Site {
 	var sites []*contract.Site
 	tm.Time("match", func() {
-		for _, site := range contract.Match(sem, ctx.ProgAll) {
-			if ctx.systemClasses[site.Method.Class.Name] {
-				sites = append(sites, site)
-			}
-		}
+		// Over the analysis program: when the suite reopens a system class,
+		// its methods are not the system snapshot's.
+		ctx.callsOnce.Do(func() {
+			ctx.calls = contract.IndexCalls(ctx.ProgAll, func(m *minij.Method) bool { return ctx.systemClasses[m.Class.Name] })
+		})
+		sites = ctx.calls.Sites(sem)
 	})
 	return sites
 }

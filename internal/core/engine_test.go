@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lisa/internal/concolic"
+	"lisa/internal/contract"
 	"lisa/internal/corpus"
 	"lisa/internal/infer"
 	"lisa/internal/program"
@@ -400,5 +401,79 @@ func TestEquivalentRuleMergesOrigins(t *testing.T) {
 	origins := second.AlreadyKnown[0].Origin
 	if len(origins) < 2 {
 		t.Errorf("origins = %v, want both tickets", origins)
+	}
+}
+
+// TestKnownConstantOperandBindsItsPath: a slot operand whose value the
+// frame knows is still bound to its path, so the constant reaches the
+// site's condition as a fact. In replay, a test that passes a constant
+// (literally, through a local or through a field) binds the slot as the
+// static path does, so the hit is attributed and the path is covered. In
+// enumeration, a local the method sets decides the path.
+func TestKnownConstantOperandBindsItsPath(t *testing.T) {
+	engine := func(t *testing.T, spec string) *Engine {
+		t.Helper()
+		sems, err := contract.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New()
+		e.Snapshots = program.NewCache(0)
+		for _, sem := range sems {
+			if err := e.Registry.Add(sem); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	const acct = `class Acct { int a; void sink(int v, int w) { a = v; } void work(int x, int y, Acct t) { if (x > 0 || y > 0) { if (x > 5 || y > 5) { t.sink(x, y); } } } }`
+	const pairSpec = `
+rule acct-sink
+description: a sink takes a large positive pair
+target: Acct.sink
+bind: v = arg 0
+bind: w = arg 1
+require: (v > 0 || w > 0) && (v > 5 || w > 5)
+`
+	for name, body := range map[string]string{
+		"literal": `t.work(7, 1, t);`,
+		"local":   `int p = 7; t.work(p, 1, t);`,
+		"field":   `t.a = 7; t.work(t.a, 1, t);`,
+	} {
+		t.Run("replay/"+name, func(t *testing.T) {
+			tests := []ticket.TestCase{{
+				Name: "AcctTest.run", Class: "AcctTest", Method: "run",
+				Source: `class AcctTest { static void run() { Acct t = new Acct(); ` + body + ` } }`,
+			}}
+			rep, err := engine(t, pairSpec).Assert(acct, tests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rep.Render()
+			if !strings.Contains(got, "covered-by AcctTest.run") || rep.Counts.Uncovered != 0 {
+				t.Errorf("the replayed hit is not attributed to its path:\n%s", got)
+			}
+		})
+	}
+	for value, want := range map[string]string{
+		"2": "path VIOLATION cond={x == 2}",
+		"7": "path VERIFIED  cond={x == 7}",
+	} {
+		t.Run("static/x="+value, func(t *testing.T) {
+			src := `class Acct { void sink(int v) { } void run(Acct t) { int x = ` + value + `; t.sink(x); } }`
+			rep, err := engine(t, `
+rule acct-large
+description: a sink takes a large value
+target: Acct.sink
+bind: v = arg 0
+require: v > 5
+`).Assert(src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Render(); !strings.Contains(got, want) {
+				t.Errorf("want %q:\n%s", want, got)
+			}
+		})
 	}
 }

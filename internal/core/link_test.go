@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lisa/internal/callgraph"
+	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/corpus"
 	"lisa/internal/experiments"
@@ -258,5 +259,48 @@ func TestConcurrentLinks(t *testing.T) {
 	}
 	if stats := e.Snapshots.Stats(); stats.Links != n {
 		t.Errorf("%d links, want %d", stats.Links, n)
+	}
+}
+
+// TestReopeningSuiteMatchesAnalysisMethods: a suite that reopens a system
+// class falls back to the concatenated compile, whose methods are not the
+// system snapshot's. Sites are matched over the analysis program, so
+// their methods are the call graph's and each site renders the chain
+// that reaches it, not "(direct)".
+func TestReopeningSuiteMatchesAnalysisMethods(t *testing.T) {
+	src := `class Conn { int n; void send(int v) { n = v; } }
+class Acct { Conn c; void work(int a) { c.send(a); } }
+class Entry { Acct t; void run(int a) { if (a > 0) { t.work(a); } } }`
+	sems, err := contract.ParseSpec(`
+rule conn-send
+description: a send carries a positive value
+target: Conn.send
+bind: v = arg 0
+require: v > 0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []ticket.TestCase{{
+		Name: "AcctTest.run", Class: "AcctTest", Method: "run",
+		Source: "class AcctTest { static void run() { Entry e = new Entry(); e.t = new Acct(); e.t.c = new Conn(); e.run(3); } }\nclass Acct { static void reopened() { } }",
+	}}
+	e := core.New()
+	e.Snapshots = program.NewCache(0)
+	for _, sem := range sems {
+		if err := e.Registry.Add(sem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := e.Assert(src, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Snapshots.Stats(); st.LinkFallbacks != 1 {
+		t.Fatalf("%d link fallbacks, want the reopening suite's one", st.LinkFallbacks)
+	}
+	got := rep.Render()
+	if !strings.Contains(got, "chain Entry.run -> Acct.work\n") || strings.Contains(got, "(direct)") {
+		t.Errorf("the site does not render its chain:\n%s", got)
 	}
 }

@@ -23,6 +23,10 @@ type Lexer struct {
 	off  int
 	line int
 	col  int
+	// names interns identifier and integer-literal texts: each distinct
+	// text is copied out of the source once, and every later occurrence
+	// shares that copy.
+	names map[string]string
 }
 
 // NewLexer returns a lexer over src.
@@ -30,10 +34,12 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// presizedTokens caps the token slice Lex allocates up front: 4,096
-// tokens (192 KiB) holds every corpus source, and a longer source grows
-// the slice as it lexes, so a large comment- or whitespace-only source
-// cannot make Lex allocate about twelve times its size in empty tokens.
+// presizedTokens caps the token slice Lex allocates up front: a longer
+// source grows the slice as it lexes, so a large comment- or
+// whitespace-only source cannot make Lex allocate about twelve times its
+// size in empty tokens. Parse materializes no token slice (it pulls tokens
+// from a Lexer), so the cap bounds only Lex's own callers: predicates and
+// tests.
 const presizedTokens = 4096
 
 // Lex tokenizes the entire source, returning the token stream terminated by
@@ -82,6 +88,22 @@ func (lx *Lexer) advance() byte {
 
 func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
 
+// intern returns text, a slice of the source, as a string of its own. A
+// token text the parser stores in the AST must not alias the source, or it
+// would keep the whole source alive with the AST; interning makes that
+// copy once per distinct text instead of once per occurrence.
+func (lx *Lexer) intern(text string) string {
+	if s, ok := lx.names[text]; ok {
+		return s
+	}
+	if lx.names == nil {
+		lx.names = map[string]string{}
+	}
+	s := strings.Clone(text)
+	lx.names[s] = s
+	return s
+}
+
 func (lx *Lexer) skipSpaceAndComments() error {
 	for lx.off < len(lx.src) {
 		c := lx.peek()
@@ -118,6 +140,16 @@ func (lx *Lexer) skipSpaceAndComments() error {
 
 var twoCharOps = [...]string{"==", "!=", "<=", ">=", "&&", "||"}
 
+// oneCharTexts holds every one-character punctuation and operator.
+const oneCharTexts = "(){}[];,.+-*/%!=<>"
+
+// oneCharText returns c's token text as a slice of oneCharTexts, which
+// costs no allocation (string(c) allocates one per token).
+func oneCharText(c byte) string {
+	i := strings.IndexByte(oneCharTexts, c)
+	return oneCharTexts[i : i+1]
+}
+
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
@@ -138,27 +170,27 @@ func (lx *Lexer) Next() (Token, error) {
 	c := lx.peek()
 	switch {
 	case isIdentStart(c):
-		var sb strings.Builder
+		from := lx.off
 		for lx.off < len(lx.src) && isIdentCont(lx.peek()) {
-			sb.WriteByte(lx.advance())
+			lx.advance()
 		}
-		text := sb.String()
+		text := lx.intern(lx.src[from:lx.off])
 		kind := TokIdent
 		if IsKeyword(text) {
 			kind = TokKeyword
 		}
 		return Token{Kind: kind, Text: text, Pos: start}, nil
 	case isDigit(c):
-		var sb strings.Builder
+		from := lx.off
 		for lx.off < len(lx.src) && isDigit(lx.peek()) {
-			sb.WriteByte(lx.advance())
+			lx.advance()
 		}
-		text := sb.String()
+		text := lx.src[from:lx.off]
 		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
 			return Token{}, &LexError{Pos: start, Msg: "integer literal out of range: " + text}
 		}
-		return Token{Kind: TokInt, Text: text, Int: v, Pos: start}, nil
+		return Token{Kind: TokInt, Text: lx.intern(text), Int: v, Pos: start}, nil
 	case c == '"':
 		lx.advance()
 		var sb strings.Builder
@@ -198,9 +230,9 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
 	}
-	// Operators and punctuation. A two-character operator's text is the
-	// constant, not a slice of the source: the parser stores it in the
-	// AST, and a slice would keep the whole source alive with the AST.
+	// Operators and punctuation. An operator's text is a constant, not a
+	// slice of the source: the parser stores it in the AST, and a slice
+	// would keep the whole source alive with the AST.
 	if lx.off+1 < len(lx.src) {
 		for _, op := range twoCharOps {
 			if lx.src[lx.off:lx.off+2] == op {
@@ -213,10 +245,10 @@ func (lx *Lexer) Next() (Token, error) {
 	switch c {
 	case '(', ')', '{', '}', '[', ']', ';', ',', '.':
 		lx.advance()
-		return Token{Kind: TokPunct, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokPunct, Text: oneCharText(c), Pos: start}, nil
 	case '+', '-', '*', '/', '%', '!', '=', '<', '>':
 		lx.advance()
-		return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokOp, Text: oneCharText(c), Pos: start}, nil
 	}
 	return Token{}, &LexError{Pos: start, Msg: fmt.Sprintf("unexpected character %q", c)}
 }

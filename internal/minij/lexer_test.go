@@ -127,47 +127,92 @@ func TestPosOrdering(t *testing.T) {
 	}
 }
 
-// TestOperatorTextOwnsItsBytes: no operator text the parser stores in the
-// AST aliases the source string. A slice of the source would keep the whole
-// text alive for as long as any node is reachable — a cached result holding
-// one expression would pin every version it was computed from.
+// TestOperatorTextOwnsItsBytes: no operator, identifier or integer-literal
+// text the lexer hands out aliases the source string. A slice of the
+// source would keep the whole text alive for as long as any node is
+// reachable — a cached result holding one expression would pin every
+// version it was computed from. Identifier and integer texts are interned,
+// so every occurrence of one text shares a single copy.
 func TestOperatorTextOwnsItsBytes(t *testing.T) {
 	src := strings.Repeat(" ", 64) + `class C {
 	bool f(int x, bool b) {
 		return x == 1 || x != 2 && x <= 3 || x >= 4 && !b || x < 5 || x > -6;
 	}
-}`
-	prog, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
+	int g(int x) {
+		return x + 12345 + 12345;
 	}
+}`
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
 	hi := lo + uintptr(len(src))
 	aliases := func(s string) bool {
 		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
 		return len(s) > 0 && p >= lo && p < hi
 	}
-	ops := map[string]bool{}
-	WalkExprs(prog.Method("C", "f").Body, func(e Expr) {
-		var op string
-		switch n := e.(type) {
-		case *Binary:
-			op = n.Op
-		case *Unary:
-			op = n.Op
-		default:
-			return
+	t.Run("operators", func(t *testing.T) {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ops[op] = true
-		if aliases(op) {
-			t.Errorf("operator %q aliases the source text", op)
+		ops := map[string]bool{}
+		WalkExprs(prog.Method("C", "f").Body, func(e Expr) {
+			var op string
+			switch n := e.(type) {
+			case *Binary:
+				op = n.Op
+			case *Unary:
+				op = n.Op
+			default:
+				return
+			}
+			ops[op] = true
+			if aliases(op) {
+				t.Errorf("operator %q aliases the source text", op)
+			}
+		})
+		for _, want := range []string{"==", "!=", "<=", ">=", "&&", "||", "<", ">", "!", "-"} {
+			if !ops[want] {
+				t.Errorf("operator %q not parsed", want)
+			}
 		}
 	})
-	for _, want := range []string{"==", "!=", "<=", ">=", "&&", "||", "<", ">", "!", "-"} {
-		if !ops[want] {
-			t.Errorf("operator %q not parsed", want)
+	t.Run("identifiers and integers", func(t *testing.T) {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		first := map[string]*byte{}
+		for _, tok := range toks {
+			if tok.Kind != TokIdent && tok.Kind != TokInt {
+				continue
+			}
+			if aliases(tok.Text) {
+				t.Errorf("%s %q at %s aliases the source text", tok.Kind, tok.Text, tok.Pos)
+			}
+			p := unsafe.StringData(tok.Text)
+			if q, seen := first[tok.Text]; seen && q != p {
+				t.Errorf("%s %q at %s is a second copy of its text", tok.Kind, tok.Text, tok.Pos)
+			}
+			first[tok.Text] = p
+		}
+		if len(first) != 12 { // C, f, x, b, g and 1 to 6, 12345
+			t.Errorf("lexed %d distinct texts, want 12", len(first))
+		}
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var xs []string
+		WalkExprs(prog.Method("C", "f").Body, func(e Expr) {
+			if id, ok := e.(*Ident); ok && id.Name == "x" {
+				xs = append(xs, id.Name)
+			}
+		})
+		for _, x := range xs {
+			if aliases(x) || unsafe.StringData(x) != unsafe.StringData(xs[0]) {
+				t.Fatal("the parsed identifiers x do not share one copy of their own")
+			}
+		}
+	})
 }
 
 // TestLexPresizeIsCapped: Lex sizes its token slice from the source length,

@@ -14,15 +14,24 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 // Parse parses a MiniJ compilation unit. On success the returned program has
 // class/method/field lookup tables built and every statement assigned a dense
 // program-unique ID in source order.
+//
+// The parser pulls its tokens from a Lexer as it goes, but a lexical error
+// anywhere in src still wins over a syntax error, exactly as if src had been
+// lexed in full first.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lx: NewLexer(src)}
+	p.tok = p.lex()
+	p.ahead = p.lex()
 	prog, err := p.parseProgram()
 	if err != nil {
+		if lexErr := p.drain(); lexErr != nil {
+			return nil, lexErr
+		}
 		return nil, err
+	}
+	// A lexical error that follows the last token.
+	if p.lexErr != nil {
+		return nil, p.lexErr
 	}
 	if err := indexProgram(prog); err != nil {
 		return nil, err
@@ -30,13 +39,43 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
+// parser is a recursive-descent parser over a two-token window: it never
+// looks past the token after the current one, and never backtracks.
 type parser struct {
-	toks []Token
-	i    int
+	lx         *Lexer
+	tok, ahead Token
+	// lexErr is the lexer's first error; every token after it is EOF.
+	lexErr error
 }
 
-func (p *parser) cur() Token  { return p.toks[p.i] }
-func (p *parser) next() Token { t := p.toks[p.i]; p.i++; return t }
+// lex returns the lexer's next token, or EOF once the lexer has failed.
+func (p *parser) lex() Token {
+	if p.lexErr == nil {
+		t, err := p.lx.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: TokEOF}
+}
+
+// drain lexes the rest of the source and returns its first lexical error,
+// if it has one.
+func (p *parser) drain() error {
+	for p.lexErr == nil && p.lex().Kind != TokEOF {
+	}
+	return p.lexErr
+}
+
+// advance moves the window one token on.
+func (p *parser) advance() {
+	p.tok = p.ahead
+	p.ahead = p.lex()
+}
+
+func (p *parser) cur() Token  { return p.tok }
+func (p *parser) next() Token { t := p.tok; p.advance(); return t }
 
 func (p *parser) peekIs(kind TokenKind, text string) bool {
 	t := p.cur()
@@ -44,16 +83,12 @@ func (p *parser) peekIs(kind TokenKind, text string) bool {
 }
 
 func (p *parser) peek2Is(kind TokenKind, text string) bool {
-	if p.i+1 >= len(p.toks) {
-		return false
-	}
-	t := p.toks[p.i+1]
-	return t.Kind == kind && t.Text == text
+	return p.ahead.Kind == kind && p.ahead.Text == text
 }
 
 func (p *parser) accept(kind TokenKind, text string) bool {
 	if p.peekIs(kind, text) {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false
@@ -62,7 +97,7 @@ func (p *parser) accept(kind TokenKind, text string) bool {
 func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 	t := p.cur()
 	if t.Kind == kind && t.Text == text {
-		p.i++
+		p.advance()
 		return t, nil
 	}
 	return Token{}, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected %q, found %s", text, t)}
@@ -73,7 +108,7 @@ func (p *parser) expectIdent() (Token, error) {
 	if t.Kind != TokIdent {
 		return Token{}, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected identifier, found %s", t)}
 	}
-	p.i++
+	p.advance()
 	return t, nil
 }
 
@@ -187,22 +222,22 @@ func (p *parser) parseType() (Type, error) {
 	t := p.cur()
 	switch {
 	case t.Kind == TokKeyword && t.Text == "int":
-		p.i++
+		p.advance()
 		return Type{Kind: TypeInt}, nil
 	case t.Kind == TokKeyword && t.Text == "bool":
-		p.i++
+		p.advance()
 		return Type{Kind: TypeBool}, nil
 	case t.Kind == TokKeyword && t.Text == "string":
-		p.i++
+		p.advance()
 		return Type{Kind: TypeString}, nil
 	case t.Kind == TokKeyword && t.Text == "list":
-		p.i++
+		p.advance()
 		return Type{Kind: TypeList}, nil
 	case t.Kind == TokKeyword && t.Text == "map":
-		p.i++
+		p.advance()
 		return Type{Kind: TypeMap}, nil
 	case t.Kind == TokIdent:
-		p.i++
+		p.advance()
 		return Type{Kind: TypeObject, Class: t.Text}, nil
 	}
 	return Type{}, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected type, found %s", t)}
@@ -250,7 +285,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case t.Kind == TokKeyword && t.Text == "for":
 		return p.parseFor()
 	case t.Kind == TokKeyword && t.Text == "return":
-		p.i++
+		p.advance()
 		r := &Return{stmtBase: stmtBase{pos: t.Pos}}
 		if !p.peekIs(TokPunct, ";") {
 			v, err := p.parseExpr()
@@ -264,19 +299,19 @@ func (p *parser) parseStmt() (Stmt, error) {
 		}
 		return r, nil
 	case t.Kind == TokKeyword && t.Text == "break":
-		p.i++
+		p.advance()
 		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
 		return &Break{stmtBase{pos: t.Pos}}, nil
 	case t.Kind == TokKeyword && t.Text == "continue":
-		p.i++
+		p.advance()
 		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
 		return &Continue{stmtBase{pos: t.Pos}}, nil
 	case t.Kind == TokKeyword && t.Text == "throw":
-		p.i++
+		p.advance()
 		v, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -288,7 +323,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case t.Kind == TokKeyword && t.Text == "try":
 		return p.parseTry()
 	case t.Kind == TokKeyword && t.Text == "synchronized":
-		p.i++
+		p.advance()
 		if _, err := p.expect(TokPunct, "("); err != nil {
 			return nil, err
 		}
@@ -308,13 +343,6 @@ func (p *parser) parseStmt() (Stmt, error) {
 		return p.parseBlock()
 	}
 	return p.parseExprOrAssign()
-}
-
-func (p *parser) tokenAt(i int) Token {
-	if i >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[i]
 }
 
 func (p *parser) parseIf() (Stmt, error) {
@@ -438,7 +466,7 @@ func (p *parser) parseFor() (Stmt, error) {
 func (p *parser) parseSimpleStmt() (Stmt, error) {
 	start := p.cur().Pos
 	// A builtin type, or "ClassName name ...", begins a declaration.
-	if p.isTypeKeyword() || (p.cur().Kind == TokIdent && p.tokenAt(p.i+1).Kind == TokIdent) {
+	if p.isTypeKeyword() || (p.cur().Kind == TokIdent && p.ahead.Kind == TokIdent) {
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
@@ -684,22 +712,22 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch {
 	case t.Kind == TokInt:
-		p.i++
+		p.advance()
 		return &IntLit{exprBase: exprBase{pos: t.Pos}, Value: t.Int}, nil
 	case t.Kind == TokString:
-		p.i++
+		p.advance()
 		return &StrLit{exprBase: exprBase{pos: t.Pos}, Value: t.Text}, nil
 	case t.Kind == TokKeyword && t.Text == "true":
-		p.i++
+		p.advance()
 		return &BoolLit{exprBase: exprBase{pos: t.Pos}, Value: true}, nil
 	case t.Kind == TokKeyword && t.Text == "false":
-		p.i++
+		p.advance()
 		return &BoolLit{exprBase: exprBase{pos: t.Pos}, Value: false}, nil
 	case t.Kind == TokKeyword && t.Text == "null":
-		p.i++
+		p.advance()
 		return &NullLit{exprBase: exprBase{pos: t.Pos}}, nil
 	case t.Kind == TokKeyword && t.Text == "new":
-		p.i++
+		p.advance()
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
@@ -710,7 +738,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return &New{exprBase: exprBase{pos: t.Pos}, Class: name.Text, Args: args}, nil
 	case t.Kind == TokIdent:
-		p.i++
+		p.advance()
 		if p.peekIs(TokPunct, "(") {
 			args, err := p.parseArgs()
 			if err != nil {
@@ -720,7 +748,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return &Ident{exprBase: exprBase{pos: t.Pos}, Name: t.Text}, nil
 	case t.Kind == TokPunct && t.Text == "(":
-		p.i++
+		p.advance()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err

@@ -1,9 +1,12 @@
 package minij
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"lisa/internal/corpus"
 )
 
 // TestParserNeverPanics: arbitrary token soup must produce a parse error or
@@ -131,4 +134,39 @@ class M {
 			_, _ = Parse(src[:i])
 		}()
 	}
+}
+
+// FuzzParseRoundTrip: Parse never panics; a source Lex rejects fails to
+// parse with that same lexical error, wherever a syntax error comes
+// first; and an accepted program's render parses back to the same render.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, cs := range corpus.Load().Cases {
+		f.Add(cs.Head())
+		for _, tc := range cs.Tests {
+			f.Add(tc.Source)
+		}
+	}
+	// A syntax error (the missing operand) before a lexical error.
+	f.Add("class A { void m() { int x = ; } }\n@")
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if _, lexErr := Lex(src); lexErr != nil {
+			var got *LexError
+			if !errors.As(err, &got) || got.Error() != lexErr.Error() {
+				t.Fatalf("Lex fails with %v, Parse with %v", lexErr, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		out := FormatProgram(prog)
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("render does not parse: %v\n%s", err, out)
+		}
+		if got := FormatProgram(again); got != out {
+			t.Fatalf("render changed on a second round:\n--- first\n%s\n--- second\n%s", out, got)
+		}
+	})
 }

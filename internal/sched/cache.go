@@ -157,7 +157,7 @@ type siteEntry struct {
 // selected tests and per-path coverage/verdict attributions, addressed by
 // (site index, path index). The addressing is sound because the dynamic
 // fingerprint covers every site fingerprint — a hit implies the static
-// structure is identical. It is also the disk tier's fp.dyn.v2 record, as
+// structure is identical. It is also the disk tier's fp.dyn.v3 record, as
 // JSON.
 type dynOverlay struct {
 	TestsRun int       `json:"testsRun"`

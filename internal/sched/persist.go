@@ -14,11 +14,14 @@ import (
 // reads as a clean miss instead of a decode failure. Site and replay
 // records moved to v2 when an inherited guard began to carry its mark
 // once: their guard text (and the selection feature built from it) would
-// otherwise render a doubled mark walked before that change.
+// otherwise render a doubled mark walked before that change. They moved to
+// v3 when a slot operand whose value the frame knows began to bind to its
+// path: a record walked before that change lacks the binding and the
+// constant's fact, and its replay attributes no hit to such a path.
 const (
-	siteNamespace       = "fp.site.v2"
+	siteNamespace       = "fp.site.v3"
 	structuralNamespace = "fp.str.v2"
-	dynamicNamespace    = "fp.dyn.v2"
+	dynamicNamespace    = "fp.dyn.v3"
 )
 
 // --- record shapes --------------------------------------------------------

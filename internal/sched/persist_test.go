@@ -176,7 +176,7 @@ func TestStoreDisabledUnchanged(t *testing.T) {
 }
 
 // dynRecordV1 is an fp.dyn.v1 record as the encoder that mirrored
-// dynOverlay field for field wrote it; fp.dyn.v2 records have the same
+// dynOverlay field for field wrote it; fp.dyn.v2 and v3 records have the same
 // bytes.
 const dynRecordV1 = `{"testsRun":3,"sites":[{"selected":["T.a","T.b"],"paths":[{"coveredBy":["T.a"],"dynVerdicts":{"T.a":0,"T.b":1},"postViolatedBy":["T.a"]},{}]},{"paths":[]}]}`
 
@@ -308,8 +308,10 @@ func TestStructuralV1RecordIsMiss(t *testing.T) {
 // TestSiteAndReplayV1RecordsAreMisses: site and replay records moved to v2
 // when an inherited guard began to carry its mark once, so a record stored
 // only under fp.site.v1 or fp.dyn.v1, whose guard text may carry a doubled
-// mark, is recomputed, never served. The same bytes under the current
-// namespaces are served.
+// mark, is recomputed, never served. They moved to v3 when a slot operand
+// whose value the frame knows began to bind to its path, so a v2 record,
+// which may lack that binding, is recomputed too. The same bytes under the
+// current namespaces are served.
 func TestSiteAndReplayV1RecordsAreMisses(t *testing.T) {
 	cs := corpus.Load().Get("zk-ephemeral")
 	e := engineForCase(t, cs)
@@ -344,11 +346,12 @@ func TestSiteAndReplayV1RecordsAreMisses(t *testing.T) {
 	}
 
 	for _, tt := range []struct {
-		v1   bool
-		hits uint64
+		version string
+		hits    uint64
 	}{
-		{true, 0},
-		{false, uint64(len(recs))},
+		{"v1", 0},
+		{"v2", 0},
+		{"v3", uint64(len(recs))},
 	} {
 		st := openStoreT(t)
 		for _, r := range recs {
@@ -356,11 +359,7 @@ func TestSiteAndReplayV1RecordsAreMisses(t *testing.T) {
 			if !ok {
 				t.Fatalf("no %s record for %s", r.ns, r.fp)
 			}
-			ns := r.ns
-			if tt.v1 {
-				ns = strings.TrimSuffix(ns, ".v2") + ".v1"
-			}
-			st.Put(ns, r.fp, raw)
+			st.Put(strings.TrimSuffix(r.ns, ".v3")+"."+tt.version, r.fp, raw)
 		}
 		if err := st.Flush(); err != nil {
 			t.Fatal(err)
@@ -372,10 +371,10 @@ func TestSiteAndReplayV1RecordsAreMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.DiskHits != tt.hits {
-			t.Errorf("records under v1=%v: %d disk hits, want %d", tt.v1, stats.DiskHits, tt.hits)
+			t.Errorf("records under %s: %d disk hits, want %d", tt.version, stats.DiskHits, tt.hits)
 		}
 		if rep.Render() != base.Render() {
-			t.Errorf("records under v1=%v changed the report:\n%s", tt.v1, rep.Render())
+			t.Errorf("records under %s changed the report:\n%s", tt.version, rep.Render())
 		}
 	}
 }

@@ -3,23 +3,35 @@ package smt
 import (
 	"errors"
 	"testing"
+
+	"lisa/internal/minij"
 )
 
 // FuzzPredicateRoundTrip: any predicate ParsePredicate accepts renders to
-// text that parses back to the same render. The solver cache, the store
-// and the fingerprint records key and persist formulas by that render, so
-// a render that does not parse back cannot be restored from disk. The
-// first seed is a raw non-UTF-8 byte in a string constant, which the
-// render quotes as \xdb.
+// text that parses back to the same render, and every predicate it rejects
+// gets a positioned error: a *ParseError, or a wrapped *minij.LexError. The
+// solver cache, the store and the fingerprint records key and persist
+// formulas by that render, so a render that does not parse back cannot be
+// restored from disk. The first seed is a raw non-UTF-8 byte in a string
+// constant, which the render quotes as \xdb.
 func FuzzPredicateRoundTrip(f *testing.F) {
 	f.Add("A!=\"\xdb\"")
 	f.Add(`s.mode != "a` + "\x01" + `b"`)
 	f.Add(`mode == "tab\there" || mode == "quote\"and\\slash"`)
 	f.Add(`s != null && s.isClosing() == false && s.ttl > 0`)
 	f.Add(`!(a || b) && x >= -2 && x < y`)
+	f.Add(`s.ttl > -x`)
+	f.Add(`(a && b`)
+	f.Add(`a == "open`)
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ParsePredicate(src)
 		if err != nil {
+			// Every rejection carries its position.
+			var perr *ParseError
+			var lerr *minij.LexError
+			if !errors.As(err, &perr) && !errors.As(err, &lerr) {
+				t.Fatalf("%q: error %q carries no position", src, err)
+			}
 			return
 		}
 		render := p.String()

@@ -29,7 +29,7 @@ func ParsePredicate(src string) (Formula, error) {
 		return nil, err
 	}
 	if p.cur().Kind != minij.TokEOF {
-		return nil, fmt.Errorf("smt: %s: trailing input %s", p.cur().Pos, p.cur())
+		return nil, errorAt(p.cur().Pos, "trailing input %s", p.cur())
 	}
 	return f, nil
 }
@@ -44,6 +44,21 @@ func MustParsePredicate(src string) Formula {
 		panic(err)
 	}
 	return f
+}
+
+// ParseError is a predicate syntax error at a source position. A lexical
+// error in a predicate is returned as a *minij.LexError, wrapped.
+type ParseError struct {
+	Pos minij.Pos
+	Msg string
+}
+
+// Error renders the error as "smt: line:col: message".
+func (e *ParseError) Error() string { return "smt: " + e.Pos.String() + ": " + e.Msg }
+
+// errorAt returns a *ParseError at pos with a formatted message.
+func errorAt(pos minij.Pos, format string, args ...any) error {
+	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 type predParser struct {
@@ -113,7 +128,7 @@ func (p *predParser) parseUnary() (Formula, error) {
 			return nil, err
 		}
 		if !p.accept(minij.TokPunct, ")") {
-			return nil, fmt.Errorf("smt: %s: expected \")\"", p.cur().Pos)
+			return nil, errorAt(p.cur().Pos, "expected \")\"")
 		}
 		return x, nil
 	}
@@ -151,7 +166,7 @@ func (p *predParser) parseAtom() (Formula, error) {
 		p.i++
 		lit := p.cur()
 		if lit.Kind != minij.TokInt {
-			return nil, fmt.Errorf("smt: %s: expected integer after \"-\"", lit.Pos)
+			return nil, errorAt(lit.Pos, "expected integer after \"-\"")
 		}
 		p.i++
 		return NewAtom(CmpCAtom(path, op, -lit.Int)), nil
@@ -163,12 +178,12 @@ func (p *predParser) parseAtom() (Formula, error) {
 		case OpNe:
 			return NewNot(NewAtom(NullAtom(path))), nil
 		}
-		return nil, fmt.Errorf("smt: %s: null supports only == and !=", opPos)
+		return nil, errorAt(opPos, "null supports only == and !=")
 	case t.Kind == minij.TokKeyword && (t.Text == "true" || t.Text == "false"):
 		p.i++
 		positive := (t.Text == "true") == (op == OpEq)
 		if op != OpEq && op != OpNe {
-			return nil, fmt.Errorf("smt: %s: booleans support only == and !=", opPos)
+			return nil, errorAt(opPos, "booleans support only == and !=")
 		}
 		if positive {
 			return NewAtom(BoolAtom(path)), nil
@@ -177,7 +192,7 @@ func (p *predParser) parseAtom() (Formula, error) {
 	case t.Kind == minij.TokString:
 		p.i++
 		if op != OpEq && op != OpNe {
-			return nil, fmt.Errorf("smt: %s: strings support only == and !=", opPos)
+			return nil, errorAt(opPos, "strings support only == and !=")
 		}
 		return NewAtom(StrEqAtom(path, op, t.Text)), nil
 	case t.Kind == minij.TokIdent:
@@ -187,13 +202,13 @@ func (p *predParser) parseAtom() (Formula, error) {
 		}
 		return NewAtom(CmpVAtom(path, op, path2)), nil
 	}
-	return nil, fmt.Errorf("smt: %s: expected operand, found %s", t.Pos, t)
+	return nil, errorAt(t.Pos, "expected operand, found %s", t)
 }
 
 func (p *predParser) parsePath() (string, error) {
 	t := p.cur()
 	if t.Kind != minij.TokIdent {
-		return "", fmt.Errorf("smt: %s: expected path, found %s", t.Pos, t)
+		return "", errorAt(t.Pos, "expected path, found %s", t)
 	}
 	p.i++
 	path := t.Text
@@ -201,7 +216,7 @@ func (p *predParser) parsePath() (string, error) {
 	for p.accept(minij.TokPunct, ".") {
 		seg := p.cur()
 		if seg.Kind != minij.TokIdent {
-			return "", fmt.Errorf("smt: %s: expected identifier after \".\"", seg.Pos)
+			return "", errorAt(seg.Pos, "expected identifier after \".\"")
 		}
 		p.i++
 		path += "." + seg.Text

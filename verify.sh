@@ -39,7 +39,8 @@
 # rounds of TestConcurrentLinks: eight suites linked onto one system
 # snapshot at once, each asserting like its own sequential run), the
 # cached-result memory tests by name (TestOperatorTextOwnsItsBytes: no
-# operator text in the AST aliases the source; TestFingerprintCacheHoldsNoAST:
+# operator, identifier or integer text aliases the source, and each
+# identifier or integer text is one interned copy; TestFingerprintCacheHoldsNoAST:
 # no cached site, structural or replay result points into a program;
 # TestStructuralHitRendersCurrentPositions: a structural memory hit on a
 # reformatted version renders that version's positions, as a fresh run
@@ -50,7 +51,18 @@
 # chain of every corpus and stress site the paths and truncation flag it
 # gets walked alone; TestForkedFramesKeepWritesPrivate: a write under one
 # branch of a copy-on-write fork never reaches the sibling branch or a
-# shared seed), the atom-key table test by name (TestAtomKeyTable: solver
+# shared seed), the cold-assert tests by name (TestParseAllocs: a 50 KB
+# source parses in under 28 bytes per source byte, with no token slice;
+# TestSharedSeedPrefixCheckedOnce: a seed two chains share is asked its
+# prefix query once; TestReopeningSuiteMatchesAnalysisMethods: with a
+# suite that reopens a system class, sites are matched over the analysis
+# program and render their chains), the known-constant binding test by name
+# (TestKnownConstantOperandBindsItsPath: a slot operand whose value the
+# frame knows binds to its path, so a replayed hit that passes a constant
+# is attributed and a local constant decides a static path), the
+# positioned predicate-error test by name (TestParseErrorsArePositioned:
+# each predicate syntax error is an smt.ParseError at its token, with the
+# text the formatted errors had), the atom-key table test by name (TestAtomKeyTable: solver
 # keys built by concatenation equal the fmt rendering they replaced),
 # the registry tests by name (TestRegistryGolden: every corpus case's
 # registry record equals the committed golden; TestRegistryVersionIsGoldenHash:
@@ -63,7 +75,8 @@
 # TestServerRestartWarmFromStore: a restarted daemon restores its registry
 # with one disk hit and no inference), the v1 fingerprint-record test by
 # name (TestSiteAndReplayV1RecordsAreMisses: a site or replay record
-# written before inherited guards were marked once is a miss),
+# written before inherited guards were marked once is a miss, and so is
+# one written before known-constant operands bound their paths),
 # the binary AST codec fuzz suite by name (round-trip byte-identity over
 # the corpus and seeded mutants; truncated/bit-flipped/version-skewed
 # frames must be rejected), the daemon smoke test by name (start a real
@@ -84,14 +97,21 @@
 # frame it accepts re-encodes to bytes that decode to a program with the
 # same canonical render), ten seconds of native fuzzing of the predicate
 # parse/render round trip (FuzzPredicateRoundTrip: any predicate the parser
-# accepts renders to text that parses back to the same render), ten
+# accepts renders to text that parses back to the same render, and every
+# rejection carries a position), ten
 # seconds of native fuzzing of the spec round trip, which a registry record
 # is (FuzzSpecRoundTrip: any spec ParseSpec accepts formats to a spec that
 # parses back to the same rules and formats to the same bytes), ten
 # seconds of native fuzzing of the solver against its reference
 # (FuzzSolverMatchesReference: for any parsed predicate of at most 12
 # atoms, SATLim with no cache, SATLim through a fresh cache asked twice,
-# the second a memory hit, and ReferenceSolve agree), one
+# the second a memory hit, and ReferenceSolve agree), ten seconds of
+# native fuzzing of the MiniJ parse/render round trip (FuzzParseRoundTrip:
+# Parse never panics, fails with Lex's own error on any source Lex
+# rejects, and an accepted program's render parses back to the same
+# render), ten seconds of native fuzzing of the store's frame parser
+# (FuzzParseFrame: parseFrame never panics, and an accepted frame's key
+# and value lie inside it and re-encode to the same bytes), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
@@ -126,6 +146,10 @@ go test -run 'TestOperatorTextOwnsItsBytes' -count=1 ./internal/minij
 go test -run 'TestFingerprintCacheHoldsNoAST|TestStructuralHitRendersCurrentPositions' -count=1 ./internal/sched
 go test -run 'TestStressReportGolden|TestSiteWalkMatchesPerChainWalks' -count=1 ./internal/experiments
 go test -run 'TestForkedFramesKeepWritesPrivate' -count=1 ./internal/concolic
+go test -run 'TestParseAllocs' -count=1 ./internal/minij
+go test -run 'TestSharedSeedPrefixCheckedOnce' -count=1 ./internal/concolic
+go test -run 'TestReopeningSuiteMatchesAnalysisMethods|TestKnownConstantOperandBindsItsPath' -count=1 ./internal/core
+go test -run 'TestParseErrorsArePositioned' -count=1 ./internal/smt
 go test -run 'TestAtomKeyTable' -count=1 ./internal/smt
 go test -run 'TestRegistryGolden|TestRegistryVersionIsGoldenHash|TestRegistryRestoreEqualsInferred|TestRegistryRecordMisses|TestArmedPlanWritesNoRegistry|TestServerRestartWarmFromStore' -count=1 ./internal/server
 go test -run 'TestSiteAndReplayV1RecordsAreMisses' -count=1 ./internal/sched
@@ -150,6 +174,8 @@ go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s ./internal/minij
 go test -run '^$' -fuzz '^FuzzPredicateRoundTrip$' -fuzztime 10s ./internal/smt
 go test -run '^$' -fuzz '^FuzzSpecRoundTrip$' -fuzztime 10s ./internal/contract
 go test -run '^$' -fuzz '^FuzzSolverMatchesReference$' -fuzztime 10s ./internal/smt
+go test -run '^$' -fuzz '^FuzzParseRoundTrip$' -fuzztime 10s ./internal/minij
+go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 10s ./internal/store
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
