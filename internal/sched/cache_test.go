@@ -19,7 +19,7 @@ var voidBody = regexp.MustCompile(`\bvoid\s+\w+\([^)]*\)\s*\{`)
 // TestBoundedFingerprintCacheStaysWarm gates a stream of distinct
 // one-method edits of a 33-replica system incrementally against its primed
 // head, through a fingerprint cache capped far below what the stream
-// writes. Each gate's site wave holds 66 jobs, so a wide pool spreads it
+// writes. Each gate's wave holds 66 site jobs, so a wide pool spreads it
 // over several goroutines and the cache really runs concurrently. The
 // bound must hold after every gate and evict, reports must stay
 // byte-identical to the sequential engine, and every gate must execute

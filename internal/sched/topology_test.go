@@ -101,10 +101,11 @@ class TopoTest {
 }
 
 // TestWaveWidthDoesNotChangeReport: how many goroutines share a wave is
-// pure dispatch mechanics. A wave of 80 site jobs runs inline at width 1
-// and spreads over two and three goroutines at widths 2 and 8; each run,
-// and one without tests (an empty replay wave), renders byte-identically
-// to the sequential engine.
+// pure dispatch mechanics. A wave of 80 site jobs, each rule's two sites
+// followed by its replay, runs inline at width 1 and spreads over two and
+// four goroutines at widths 2 and 8, where a replay can be claimed while
+// its sites still run; each run, and one without tests (80 site jobs and
+// no replay), renders byte-identically to the sequential engine.
 func TestWaveWidthDoesNotChangeReport(t *testing.T) {
 	mk, src, tests := topoWorkload(t, 40)
 	runs := []struct {
