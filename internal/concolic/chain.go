@@ -23,8 +23,27 @@ const maxChainStates = 64
 // An empty chain reduces to the intraprocedural StaticPaths. It is the
 // one-chain case of SiteStaticPaths.
 func ChainStaticPaths(prog *minij.Program, site *contract.Site, chain callgraph.Path, opts Options) ([]*StaticPath, bool) {
-	paths, truncated := SiteStaticPaths(prog, site, []callgraph.Path{chain}, opts)
+	paths, truncated := SiteStaticPaths(prog, site, []callgraph.Path{chain}, opts, nil)
 	return paths[0], truncated[0]
+}
+
+// ChainTops holds the chain tops of one site method's caller-chain walk:
+// each chain's seed states after its last edge, with that chain's
+// truncation flag, in walk order. The sites of one method share every
+// chain, so a later site of the method walks only its own method from the
+// kept seeds. The zero value is empty.
+//
+// A holder serves one unit: sites of one method, walked over the same
+// chains under the same Options, one after another on one goroutine. The
+// caller keeps that contract; the holder does not check it. The seeds keep
+// their decided prefix verdicts, so no two walks may use a holder at once,
+// and its owner empties it (assigns the zero value) when the walk that
+// filled it was cut short by a deadline or a panic.
+type ChainTops struct {
+	// order is the walk's chain order, non-nil once a walk filled the
+	// holder; tops[k] is the top of chain order[k].
+	order []int
+	tops  []chainPrefix
 }
 
 // SiteStaticPaths enumerates the static paths to a site along each of its
@@ -35,7 +54,31 @@ func ChainStaticPaths(prog *minij.Program, site *contract.Site, chain callgraph.
 // prefix next to each other, and a stack keeps the seed states after each
 // edge of the current chain. Only the states of the current chain's prefix
 // are live, at most maxChainStates per edge.
-func SiteStaticPaths(prog *minij.Program, site *contract.Site, chains []callgraph.Path, opts Options) (paths [][]*StaticPath, truncated []bool) {
+//
+// A non-nil tops keeps every chain's top as well: when an earlier site of
+// the unit filled it, the caller walk is skipped and only the site's method
+// is walked from each kept top, in the same chain order; an empty holder is
+// filled by the walk. A nil tops keeps nothing.
+func SiteStaticPaths(prog *minij.Program, site *contract.Site, chains []callgraph.Path, opts Options, tops *ChainTops) (paths [][]*StaticPath, truncated []bool) {
+	paths = make([][]*StaticPath, len(chains))
+	truncated = make([]bool, len(chains))
+	fromTop := func(i int, top chainPrefix) {
+		truncated[i] = top.truncated
+		// An empty seed set means no caller path reaches a call site of
+		// the chain: nothing flows down, and the chain has no paths.
+		if len(top.seeds) > 0 {
+			var trunc bool
+			paths[i], trunc = staticPathsFrom(prog, site, opts, top.seeds)
+			truncated[i] = truncated[i] || trunc
+		}
+	}
+	if tops != nil && tops.order != nil {
+		for k, i := range tops.order {
+			fromTop(i, tops.tops[k])
+		}
+		return paths, truncated
+	}
+
 	// Number each distinct call edge in first-seen order.
 	ids := map[callgraph.CallSite]int{}
 	keys := make([][]int, len(chains))
@@ -54,8 +97,12 @@ func SiteStaticPaths(prog *minij.Program, site *contract.Site, chains []callgrap
 	}
 	sort.SliceStable(order, func(a, b int) bool { return slices.Compare(keys[order[a]], keys[order[b]]) < 0 })
 
-	paths = make([][]*StaticPath, len(chains))
-	truncated = make([]bool, len(chains))
+	// The holder is filled only once the walk completes, so a walk a panic
+	// ends leaves it empty.
+	var kept []chainPrefix
+	if tops != nil {
+		kept = make([]chainPrefix, 0, len(chains))
+	}
 	// stack[d] is the state after the current chain's first d edges.
 	stack := []chainPrefix{{seeds: []*sframe{newSFrame(prog)}}}
 	var prev []int
@@ -70,15 +117,14 @@ func SiteStaticPaths(prog *minij.Program, site *contract.Site, chains []callgrap
 			stack = append(stack, enterCallee(prog, chains[i][d], stack[d], opts))
 		}
 		top := stack[len(stack)-1]
-		truncated[i] = top.truncated
-		// An empty seed set means no caller path reaches a call site of
-		// the chain: nothing flows down, and the chain has no paths.
-		if len(top.seeds) > 0 {
-			var trunc bool
-			paths[i], trunc = staticPathsFrom(prog, site, opts, top.seeds)
-			truncated[i] = truncated[i] || trunc
+		if tops != nil {
+			kept = append(kept, top)
 		}
+		fromTop(i, top)
 		prev = key
+	}
+	if tops != nil {
+		*tops = ChainTops{order: order, tops: kept}
 	}
 	return paths, truncated
 }

@@ -1,6 +1,7 @@
 package concolic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -460,7 +461,7 @@ class Entry { Mid m; void run(int a) { if (a > 5) { if (a < 3) { m.work(a); } } 
 		t.Fatalf("chains = %v, want Entry.run -> Mid.work -> Site.at and the one via Hop.via", tree.Paths)
 	}
 	qc := smt.NewQueryCache(0)
-	paths, _ := SiteStaticPaths(prog, site, tree.Paths, Options{Lim: smt.Limits{Cache: qc}})
+	paths, _ := SiteStaticPaths(prog, site, tree.Paths, Options{Lim: smt.Limits{Cache: qc}}, nil)
 	for i, p := range paths {
 		if len(p) != 0 {
 			t.Errorf("chain %d: %d paths through an unsatisfiable prefix, want none", i, len(p))
@@ -468,5 +469,132 @@ class Entry { Mid m; void run(int a) { if (a > 5) { if (a < 3) { m.work(a); } } 
 	}
 	if q := qc.Stats().Queries; q != 1 {
 		t.Errorf("the site asked %d queries, want 1: the shared seed's prefix, once", q)
+	}
+}
+
+// twoSites returns Tgt.put's two sites in prog, which must both lie in one
+// method, and that method's chains from Entry methods.
+func twoSites(t *testing.T, prog *minij.Program) ([]*contract.Site, []callgraph.Path) {
+	t.Helper()
+	sem := &contract.Semantic{
+		ID:     "tgt-put",
+		Kind:   contract.StateKind,
+		Target: contract.TargetPattern{Callee: "Tgt.put", Bind: map[string]int{"v": 0}},
+		Pre:    smt.MustParsePredicate(`v > 0`),
+	}
+	sites := contract.Match(sem, prog)
+	if len(sites) != 2 || sites[0].Method != sites[1].Method {
+		t.Fatalf("sites = %v, want two in one method", sites)
+	}
+	tree := callgraph.Build(prog).ExecutionTree(sites[0].Method, callgraph.TreeOptions{
+		IsEntry: func(m *minij.Method) bool { return m.Class.Name == "Entry" },
+	})
+	return sites, tree.Paths
+}
+
+// renderChainPaths renders a site walk's paths and truncation flags.
+func renderChainPaths(paths [][]*StaticPath, truncated []bool) string {
+	var sb strings.Builder
+	for i, ps := range paths {
+		fmt.Fprintf(&sb, "chain %d truncated=%v\n", i, truncated[i])
+		for _, p := range ps {
+			fmt.Fprintf(&sb, "  %s | %s | %s\n", p, p.Key(), p.FullCond)
+		}
+	}
+	return sb.String()
+}
+
+// TestSharedTopPrefixCheckedOnce: Mid.work holds two sites, and its only
+// chain enters it with the unsatisfiable prefix a > 5 && a < 3. Walked
+// through one ChainTops, the second site starts from the first site's
+// chain top, whose verdict is decided, so the one prefix query is the only
+// query of both sites; walked alone, each site asks its own.
+func TestSharedTopPrefixCheckedOnce(t *testing.T) {
+	prog := compile(t, `
+class Tgt { int n; void put(int v) { n = v; } }
+class Mid { Tgt t; void work(int a) { t.put(a); t.put(a); } }
+class Entry { Mid m; void run(int a) { if (a > 5) { if (a < 3) { m.work(a); } } } }
+`)
+	sites, chains := twoSites(t, prog)
+	for _, shared := range []bool{true, false} {
+		var tops *ChainTops
+		want := uint64(2)
+		if shared {
+			tops, want = &ChainTops{}, 1
+		}
+		qc := smt.NewQueryCache(0)
+		for _, site := range sites {
+			paths, _ := SiteStaticPaths(prog, site, chains, Options{Lim: smt.Limits{Cache: qc}}, tops)
+			if len(paths[0]) != 0 {
+				t.Errorf("shared=%v: %d paths through an unsatisfiable prefix, want none", shared, len(paths[0]))
+			}
+		}
+		if q := qc.Stats().Queries; q != want {
+			t.Errorf("shared=%v: the two sites asked %d queries, want %d", shared, q, want)
+		}
+	}
+}
+
+// TestUndecidedTopAskedAgain: a one-node solver ceiling cannot decide the
+// prefix Mid.work inherits, four clauses over p and q that no unit
+// propagation settles. The chain top's verdict stays undecided, so the
+// second site, walking from the first site's top, asks the query again,
+// and each site gets exactly the paths it gets walked alone.
+func TestUndecidedTopAskedAgain(t *testing.T) {
+	prog := compile(t, `
+class Tgt { bool n; void put(bool v) { n = v; } }
+class Mid { Tgt t; void work(bool p, bool q) { t.put(p); t.put(q); } }
+class Entry { Mid m; void run(bool p, bool q) { if (p || q) { if (!p || q) { if (p || !q) { if (!p || !q) { m.work(p, q); } } } } } }
+`)
+	sites, chains := twoSites(t, prog)
+	qc := smt.NewQueryCache(0)
+	opts := Options{Lim: smt.Limits{MaxNodes: 1, Cache: qc}}
+	tops := &ChainTops{}
+	for i, site := range sites {
+		before := qc.Stats().Queries
+		paths, truncated := SiteStaticPaths(prog, site, chains, opts, tops)
+		if asked := qc.Stats().Queries - before; i == 1 && asked != 1 {
+			t.Errorf("the second site asked %d queries, want 1: the undecided prefix, again", asked)
+		}
+		got := renderChainPaths(paths, truncated)
+		if want := renderChainPaths(SiteStaticPaths(prog, site, chains, opts, nil)); got != want {
+			t.Errorf("site %d through shared tops:\n%s\nwalked alone:\n%s", i, got, want)
+		}
+		if len(paths[0]) == 0 {
+			t.Errorf("site %d: no paths, want the ones an undecided prefix keeps", i)
+		}
+	}
+}
+
+// TestSharedTopsKeepChainTruncation: Entry.run reaches its call to
+// Mid.work in 2^7 states, past maxChainStates, so the chain is cut short.
+// Both sites of Mid.work, walked through one ChainTops, carry the cut and
+// get exactly the paths each gets walked alone.
+func TestSharedTopsKeepChainTruncation(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString(`
+class Tgt { int n; void put(int v) { n = v; } }
+class Mid { Tgt t; void work(int a) { if (a > 0) { t.put(a); } t.put(a); } }
+class Entry { Mid m; void run(int a, int b) {
+`)
+	for i := 0; i < 7; i++ {
+		fmt.Fprintf(&sb, "if (a > %d) { b = %d; }\n", i, i)
+	}
+	sb.WriteString("m.work(a); } }\n")
+	prog := compile(t, sb.String())
+	if maxChainStates >= 1<<7 {
+		t.Fatalf("maxChainStates = %d no longer cuts 128 states", maxChainStates)
+	}
+	sites, chains := twoSites(t, prog)
+	tops := &ChainTops{}
+	for i, site := range sites {
+		paths, truncated := SiteStaticPaths(prog, site, chains, Options{}, tops)
+		if !truncated[0] {
+			t.Errorf("site %d: chain not truncated, want the cut at maxChainStates", i)
+		}
+		got := renderChainPaths(paths, truncated)
+		if want := renderChainPaths(SiteStaticPaths(prog, site, chains, Options{}, nil)); got != want {
+			t.Errorf("site %d through shared tops:\n%s\nwalked alone:\n%s", i, got, want)
+		}
 	}
 }

@@ -276,8 +276,10 @@ type sframe struct {
 	shared bool
 	conds  []*recordedCond
 	// sat is a seed's decided prefix verdict (prefixSat): 0 until decided,
-	// then 1 when satisfiable and -1 when not. A seed belongs to one site
-	// job and is never written, so it needs no lock and never goes stale.
+	// then 1 when satisfiable and -1 when not. A seed's conds are never
+	// written, so a decided verdict never goes stale. A chain top outlives
+	// its walk only in a ChainTops, whose site jobs run one after another
+	// on one goroutine, so the verdict needs no lock.
 	sat int8
 }
 
@@ -621,7 +623,8 @@ func intersects(xs, ys []string) bool {
 // prefixSat reports whether a seed's path-condition prefix is satisfiable.
 // Every path in the walk from the seed carries the prefix, so one UNSAT
 // query skips the whole walk. The seed keeps a decided verdict, so a seed
-// that several chains of a site share is asked once. Solver errors —
+// that several chains of a site, or several sites of a method through their
+// ChainTops, share is asked once. Solver errors —
 // budget, cancellation, injected faults — keep the walk and decide
 // nothing, so the next walk from the seed asks again: pruning is an
 // optimization and must not change which paths exist under degraded

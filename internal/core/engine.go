@@ -592,10 +592,11 @@ func (e *Engine) SiteChains(ctx *AssertContext, site *contract.Site, tm StageTim
 }
 
 // SitePaths enumerates the static paths reaching siteRep's site along its
-// chains and records per-path complement-check verdicts. rctx cancellation
-// and budget errors abort the stage; the caller (SiteJob) then discards
-// the partial site.
-func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *SiteReport, tm StageTimings) error {
+// chains and records per-path complement-check verdicts. tops, when
+// non-nil, holds the chain tops of the site's unit (UnitSiteJob). rctx
+// cancellation and budget errors abort the stage; the caller (SiteJob)
+// then discards the partial site.
+func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *SiteReport, tops *concolic.ChainTops, tm StageTimings) error {
 	site := siteRep.Site
 	var stageErr error
 	tm.Time("static-paths", func() {
@@ -609,7 +610,7 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 		// Enumerate first, then check each distinct path in chain order.
 		// An instantiated query repeated across the site's paths is a
 		// memory hit in the solver cache.
-		paths, truncated := concolic.SiteStaticPaths(ctx.ProgAll, site, chains, opts)
+		paths, truncated := concolic.SiteStaticPaths(ctx.ProgAll, site, chains, opts, tops)
 		seen := map[string]bool{}
 		var pending []*concolic.StaticPath
 		for i := range chains {
@@ -739,8 +740,8 @@ func (e *Engine) AssertSnapshot(snap *program.Snapshot, tests []ticket.TestCase)
 }
 
 // assertOver runs the sequential stage loop over a prepared context. Every
-// stage executes as a contained job — the same decomposition, names, and
-// failure handling as the scheduler's worker pool — so a fault degrades
+// stage executes as a contained job — the same decomposition, names, units
+// and failure handling as the scheduler's worker pool — so a fault degrades
 // both execution strategies to byte-identical reports.
 func (e *Engine) assertOver(rctx context.Context, ctx *AssertContext, tm StageTimings) *AssertReport {
 	report := &AssertReport{StageTimings: tm, StaticOnly: len(ctx.Tests) == 0}
@@ -750,11 +751,17 @@ func (e *Engine) assertOver(rctx context.Context, ctx *AssertContext, tm StageTi
 			sr = e.StructuralJob(rctx, ctx, JobNameStructural(sem.ID), sem, tm)
 		} else {
 			sr = &SemanticReport{Semantic: sem}
-			for i, site := range e.MatchSites(ctx, sem, tm) {
-				siteRep := e.SiteChains(ctx, site, tm)
-				sr.Sites = append(sr.Sites, siteRep)
-				if fail := e.SiteJob(rctx, ctx, JobNameSite(sem.ID, i), siteRep, tm); fail != nil {
-					sr.Failures = append(sr.Failures, fail)
+			for _, site := range e.MatchSites(ctx, sem, tm) {
+				sr.Sites = append(sr.Sites, e.SiteChains(ctx, site, tm))
+			}
+			i := 0
+			for _, unit := range SiteUnits(sr.Sites, func(r *SiteReport) *contract.Site { return r.Site }) {
+				tops := UnitTops(len(unit))
+				for _, siteRep := range unit {
+					if fail := e.UnitSiteJob(rctx, ctx, JobNameSite(sem.ID, i), siteRep, tops, tm); fail != nil {
+						sr.Failures = append(sr.Failures, fail)
+					}
+					i++
 				}
 			}
 			if len(ctx.Tests) > 0 {

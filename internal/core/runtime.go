@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"lisa/internal/concolic"
 	"lisa/internal/contract"
 	"lisa/internal/faultinject"
 	"lisa/internal/interp"
@@ -201,14 +202,58 @@ func (e *Engine) StructuralJob(rctx context.Context, ctx *AssertContext, name st
 // job. On failure the site's partial paths are cleared and the tree marked
 // truncated, so both execution strategies render the same degraded site.
 func (e *Engine) SiteJob(rctx context.Context, ctx *AssertContext, name string, siteRep *SiteReport, tm StageTimings) *JobFailure {
+	return e.UnitSiteJob(rctx, ctx, name, siteRep, nil, tm)
+}
+
+// UnitSiteJob is SiteJob for one site of a unit (SiteUnits): tops holds the
+// chain tops the unit's earlier site jobs left, and nil keeps none. Every
+// job given one holder must be a site of that unit, run by this engine over
+// ctx: the holder does not check the method, chains or options it was
+// filled under. A failed job empties tops, so a prefix that a deadline or a
+// panic cut short never serves the unit's next site.
+func (e *Engine) UnitSiteJob(rctx context.Context, ctx *AssertContext, name string, siteRep *SiteReport, tops *concolic.ChainTops, tm StageTimings) *JobFailure {
 	fail := e.ExecJob(rctx, name, siteRep.Site.Semantic.ID, func(jctx context.Context) error {
-		return e.SitePaths(jctx, ctx, siteRep, tm)
+		return e.SitePaths(jctx, ctx, siteRep, tops, tm)
 	})
 	if fail != nil {
 		siteRep.Paths = nil
 		siteRep.TreeTruncated = true
+		if tops != nil {
+			*tops = concolic.ChainTops{}
+		}
 	}
 	return fail
+}
+
+// SiteUnits splits a semantic's sites, in match order, into units: the runs
+// of consecutive sites of one method (MatchSites sorts sites by method),
+// which share every chain. site returns an element's site. A unit's site
+// jobs run in order on one goroutine and share the holder UnitTops gives
+// them, so only the first executed job walks the caller chains. The
+// sequential loop and the scheduler's wave both run sites in these units.
+func SiteUnits[T any](sites []T, site func(T) *contract.Site) [][]T {
+	var units [][]T
+	for i := 0; i < len(sites); {
+		j := i + 1
+		for j < len(sites) && site(sites[j]).Method == site(sites[i]).Method {
+			j++
+		}
+		units = append(units, sites[i:j:j])
+		i = j
+	}
+	return units
+}
+
+// UnitTops returns the chain-top holder of a unit of n site jobs. It
+// belongs to the unit's run alone and must never reach a report, a plan or
+// a cache entry. A unit of one site gets none: no later site could use the
+// tops, so its walk streams as SiteJob's does and keeps only the current
+// chain's prefix live.
+func UnitTops(n int) *concolic.ChainTops {
+	if n < 2 {
+		return nil
+	}
+	return &concolic.ChainTops{}
 }
 
 // DynamicJob runs the per-semantic replay stage as a contained job,

@@ -106,14 +106,18 @@ func NewIndex(docs []Doc) *Index {
 	return ix
 }
 
-// vectorize builds a unit-norm sparse TF-IDF vector.
+// vectorize builds a unit-norm sparse TF-IDF vector. The norm is summed in
+// term order, not map order, so one text always gets the same weights to
+// the last bit and equal texts tie exactly.
 func (ix *Index) vectorize(tf map[int]int) []sparseEntry {
-	var vec []sparseEntry
-	var norm float64
+	vec := make([]sparseEntry, 0, len(tf))
 	for t, c := range tf {
-		w := (1 + math.Log(float64(c))) * ix.idf[t]
-		vec = append(vec, sparseEntry{term: t, w: w})
-		norm += w * w
+		vec = append(vec, sparseEntry{term: t, w: (1 + math.Log(float64(c))) * ix.idf[t]})
+	}
+	sort.Slice(vec, func(i, j int) bool { return vec[i].term < vec[j].term })
+	var norm float64
+	for _, e := range vec {
+		norm += e.w * e.w
 	}
 	if norm > 0 {
 		norm = math.Sqrt(norm)
@@ -121,7 +125,6 @@ func (ix *Index) vectorize(tf map[int]int) []sparseEntry {
 			vec[i].w /= norm
 		}
 	}
-	sort.Slice(vec, func(i, j int) bool { return vec[i].term < vec[j].term })
 	return vec
 }
 
@@ -160,20 +163,35 @@ func cosine(a, b []sparseEntry) float64 {
 }
 
 // Query returns the top-k documents by cosine similarity to text, ties
-// broken by document order. Documents with zero similarity are omitted.
+// broken by document order; k <= 0 returns every match. Documents with zero
+// similarity are omitted.
 func (ix *Index) Query(text string, k int) []Match {
+	if k <= 0 || k > len(ix.docs) {
+		k = len(ix.docs)
+	}
 	qv := ix.Embed(text)
-	matches := make([]Match, 0, len(ix.docs))
+	// A k-slot buffer ordered by score, the earlier document first on
+	// ties, holds exactly what a stable sort of every match would put
+	// first.
+	top := make([]Match, 0, k)
 	for i, d := range ix.docs {
-		if s := cosine(qv, ix.vecs[i]); s > 0 {
-			matches = append(matches, Match{ID: d.ID, Score: s})
+		s := cosine(qv, ix.vecs[i])
+		if s <= 0 || (len(top) == k && s <= top[k-1].Score) {
+			continue
 		}
+		if len(top) < k {
+			top = append(top, Match{})
+		}
+		// Entries scoring below s move down a slot; a full buffer drops
+		// its last.
+		j := len(top) - 1
+		for j > 0 && top[j-1].Score < s {
+			top[j] = top[j-1]
+			j--
+		}
+		top[j] = Match{ID: d.ID, Score: s}
 	}
-	sort.SliceStable(matches, func(i, j int) bool { return matches[i].Score > matches[j].Score })
-	if k > 0 && len(matches) > k {
-		matches = matches[:k]
-	}
-	return matches
+	return top
 }
 
 // Similarity returns the cosine similarity between two texts in this

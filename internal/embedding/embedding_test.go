@@ -1,7 +1,12 @@
 package embedding
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,5 +133,52 @@ func TestQueryLimitAndOrder(t *testing.T) {
 	limited := ix.Query("session node snapshot observer", 2)
 	if len(limited) > 2 {
 		t.Errorf("limit ignored: %v", limited)
+	}
+}
+
+// TestQueryTopKMatchesStableSort: Query's k-slot buffer returns exactly the
+// first k of a stable sort of every match by score, on random corpora
+// whose many repeated documents force exact ties, for k = 0 (every match),
+// 1, 3, the corpus size and past it.
+func TestQueryTopKMatchesStableSort(t *testing.T) {
+	words := []string{"session", "node", "snapshot", "observer", "lease", "ephemeral", "closing", "tree"}
+	rng := rand.New(rand.NewSource(1))
+	text := func(n int) string {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = words[rng.Intn(len(words))]
+		}
+		return strings.Join(parts, " ")
+	}
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(30)
+		// A few distinct texts repeated: equal texts tie exactly.
+		distinct := make([]string, 1+rng.Intn(4))
+		for i := range distinct {
+			distinct[i] = text(1 + rng.Intn(4))
+		}
+		docs := make([]Doc, n)
+		for i := range docs {
+			docs[i] = Doc{ID: fmt.Sprintf("d%d", i), Text: distinct[rng.Intn(len(distinct))]}
+		}
+		ix := NewIndex(docs)
+		query := text(1 + rng.Intn(5))
+		qv := ix.Embed(query)
+		var want []Match
+		for i, d := range docs {
+			if s := cosine(qv, ix.vecs[i]); s > 0 {
+				want = append(want, Match{ID: d.ID, Score: s})
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Score > want[j].Score })
+		for _, k := range []int{0, 1, 3, n, n + 2} {
+			w := want
+			if k > 0 && len(w) > k {
+				w = w[:k]
+			}
+			if got := ix.Query(query, k); !slices.Equal(got, w) {
+				t.Fatalf("round %d, k=%d, query %q over %v:\ngot  %v\nwant %v", round, k, query, docs, got, w)
+			}
+		}
 	}
 }

@@ -16,17 +16,19 @@ import (
 // TestSiteWalkMatchesPerChainWalks: the per-site walk shares each chain
 // prefix's caller frames between the chains that reach it, so every chain
 // must still get exactly the paths and truncation flag ChainStaticPaths
-// gives it when walked alone from fresh seeds. It checks every site of
-// every corpus version and of the stress system, whose sites each have
-// eight chains over shared prefixes, under default, NoPrune and
-// NoPrefixPrune options.
+// gives it when walked alone from fresh seeds. The sites of one method
+// share their chain tops as well (core.SiteUnits), so every site of a unit
+// walked through one ChainTops must get exactly what its own walk gives
+// it. It checks every site of every corpus version and of the stress
+// system, whose sites each have eight chains over shared prefixes and two
+// to a method, under default, NoPrune and NoPrefixPrune options.
 func TestSiteWalkMatchesPerChainWalks(t *testing.T) {
 	optionSets := map[string]concolic.Options{
 		"default":       {},
 		"noprune":       {NoPrune: true},
 		"noprefixprune": {NoPrefixPrune: true},
 	}
-	sites, shared := 0, 0
+	sites, shared, unitSites := 0, 0, 0
 	check := func(label string, e *core.Engine, src string, tests []ticket.TestCase) {
 		ctx, err := e.Prepare(src, tests, core.StageTimings{})
 		if err != nil {
@@ -36,24 +38,40 @@ func TestSiteWalkMatchesPerChainWalks(t *testing.T) {
 			if sem.Kind == contract.StructuralKind {
 				continue
 			}
-			for _, site := range e.MatchSites(ctx, sem, core.StageTimings{}) {
-				chains := e.SiteChains(ctx, site, core.StageTimings{}).Chains
+			matched := e.MatchSites(ctx, sem, core.StageTimings{})
+			for _, unit := range core.SiteUnits(matched, func(s *contract.Site) *contract.Site { return s }) {
+				chains := e.SiteChains(ctx, unit[0], core.StageTimings{}).Chains
 				if len(chains) == 0 {
 					chains = []callgraph.Path{nil}
 				}
-				sites++
-				if len(chains) > 1 {
-					shared++
+				if len(unit) > 1 {
+					unitSites += len(unit)
 				}
 				for name, opts := range optionSets {
-					paths, truncated := concolic.SiteStaticPaths(ctx.ProgAll, site, chains, opts)
-					for i, chain := range chains {
-						want, wantTrunc := concolic.ChainStaticPaths(ctx.ProgAll, site, chain, opts)
-						if got, w := renderPaths(paths[i]), renderPaths(want); got != w || truncated[i] != wantTrunc {
-							t.Fatalf("%s %s %s chain %s (%s):\nsite walk truncated=%v\n%s\nalone truncated=%v\n%s",
-								label, sem.ID, site, chain, name, truncated[i], got, wantTrunc, w)
+					tops := &concolic.ChainTops{}
+					for _, site := range unit {
+						paths, truncated := concolic.SiteStaticPaths(ctx.ProgAll, site, chains, opts, nil)
+						if len(unit) > 1 {
+							got, gotTrunc := concolic.SiteStaticPaths(ctx.ProgAll, site, chains, opts, tops)
+							for i, chain := range chains {
+								if g, w := renderPaths(got[i]), renderPaths(paths[i]); g != w || gotTrunc[i] != truncated[i] {
+									t.Fatalf("%s %s %s chain %s (%s):\nshared tops truncated=%v\n%s\nown walk truncated=%v\n%s",
+										label, sem.ID, site, chain, name, gotTrunc[i], g, truncated[i], w)
+								}
+							}
+						}
+						for i, chain := range chains {
+							want, wantTrunc := concolic.ChainStaticPaths(ctx.ProgAll, site, chain, opts)
+							if got, w := renderPaths(paths[i]), renderPaths(want); got != w || truncated[i] != wantTrunc {
+								t.Fatalf("%s %s %s chain %s (%s):\nsite walk truncated=%v\n%s\nalone truncated=%v\n%s",
+									label, sem.ID, site, chain, name, truncated[i], got, wantTrunc, w)
+							}
 						}
 					}
+				}
+				sites += len(unit)
+				if len(chains) > 1 {
+					shared += len(unit)
 				}
 			}
 		}
@@ -87,6 +105,9 @@ func TestSiteWalkMatchesPerChainWalks(t *testing.T) {
 	check("shared writes", e, writesSrc, nil)
 	if shared < 49 {
 		t.Fatalf("%d of %d sites have more than one chain, want the stress system's 48 and the shared-writes site among them", shared, sites)
+	}
+	if unitSites < 48 {
+		t.Fatalf("%d of %d sites share their method with another site, want the stress system's 48 among them", unitSites, sites)
 	}
 }
 

@@ -68,7 +68,7 @@ func CrossCheck(sem *contract.Semantic, tk *ticket.Ticket) CrossCheckResult {
 		if len(chains) == 0 {
 			chains = []callgraph.Path{nil}
 		}
-		perChain, _ := concolic.SiteStaticPaths(prog, site, chains, concolic.Options{Lim: lim})
+		perChain, _ := concolic.SiteStaticPaths(prog, site, chains, concolic.Options{Lim: lim}, nil)
 		for _, paths := range perChain {
 			for _, p := range paths {
 				if v, _ := concolic.CheckStaticPathLim(sem, p, lim); v == concolic.VerdictViolation {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lisa/internal/concolic"
 	"lisa/internal/core"
 	"lisa/internal/corpus"
 	"lisa/internal/minij"
@@ -118,6 +119,7 @@ func TestFingerprintCacheHoldsNoAST(t *testing.T) {
 		}
 	}
 	minijPkg := reflect.TypeOf(minij.Pos{}).PkgPath()
+	inMinij := func(t reflect.Type) bool { return t.PkgPath() == minijPkg }
 	sites, structurals, replays := 0, 0, 0
 	for _, key := range s.cache.mem.Keys() {
 		v, _ := s.cache.mem.Get(key)
@@ -131,7 +133,7 @@ func TestFingerprintCacheHoldsNoAST(t *testing.T) {
 		default:
 			t.Fatalf("cached %T is not a site, structural or replay result", v)
 		}
-		if path := astPointer(reflect.ValueOf(v), minijPkg, "entry", map[uintptr]bool{}); path != "" {
+		if path := pointerTo(reflect.ValueOf(v), inMinij, "entry", map[uintptr]bool{}); path != "" {
 			t.Fatalf("cached %T holds an AST pointer at %s", v, path)
 		}
 	}
@@ -140,46 +142,46 @@ func TestFingerprintCacheHoldsNoAST(t *testing.T) {
 	}
 }
 
-// astPointer returns the path of the first pointer to a type declared in
-// package pkg reachable from v, or "" when there is none.
-func astPointer(v reflect.Value, pkg, path string, seen map[uintptr]bool) string {
+// pointerTo returns the path of the first pointer to a type that match
+// accepts reachable from v, or "" when there is none.
+func pointerTo(v reflect.Value, match func(reflect.Type) bool, path string, seen map[uintptr]bool) string {
 	switch v.Kind() {
 	case reflect.Pointer:
 		if v.IsNil() {
 			return ""
 		}
-		if v.Type().Elem().PkgPath() == pkg {
+		if match(v.Type().Elem()) {
 			return path
 		}
 		if seen[v.Pointer()] {
 			return ""
 		}
 		seen[v.Pointer()] = true
-		return astPointer(v.Elem(), pkg, path, seen)
+		return pointerTo(v.Elem(), match, path, seen)
 	case reflect.Interface:
 		if v.IsNil() {
 			return ""
 		}
-		return astPointer(v.Elem(), pkg, path, seen)
+		return pointerTo(v.Elem(), match, path, seen)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if p := astPointer(v.Field(i), pkg, path+"."+v.Type().Field(i).Name, seen); p != "" {
+			if p := pointerTo(v.Field(i), match, path+"."+v.Type().Field(i).Name, seen); p != "" {
 				return p
 			}
 		}
 	case reflect.Slice, reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			if p := astPointer(v.Index(i), pkg, fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+			if p := pointerTo(v.Index(i), match, fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
 				return p
 			}
 		}
 	case reflect.Map:
 		iter := v.MapRange()
 		for iter.Next() {
-			if p := astPointer(iter.Key(), pkg, path+"{key}", seen); p != "" {
+			if p := pointerTo(iter.Key(), match, path+"{key}", seen); p != "" {
 				return p
 			}
-			if p := astPointer(iter.Value(), pkg, fmt.Sprintf("%s[%v]", path, iter.Key()), seen); p != "" {
+			if p := pointerTo(iter.Value(), match, fmt.Sprintf("%s[%v]", path, iter.Key()), seen); p != "" {
 				return p
 			}
 		}
@@ -222,5 +224,47 @@ func TestStructuralHitRendersCurrentPositions(t *testing.T) {
 	}
 	if got := rep.Render(); got != want {
 		t.Fatalf("memory hit renders\n%s\nwant the fresh run's\n%s", got, want)
+	}
+}
+
+// TestNoChainTopOutlivesItsUnit: a unit's chain tops belong to its run
+// alone. After a scheduled assert of a wave of two-site units, spread over
+// two goroutines, nothing reachable from the report, the fingerprint
+// cache's entries or the site-plan memo holds a ChainTops or a walker
+// state.
+func TestNoChainTopOutlivesItsUnit(t *testing.T) {
+	mk, src, tests := topoWorkload(t, 40)
+	e, s := mk(), New()
+	rep, _, err := s.Assert(e, src, tests, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	concolicPkg := reflect.TypeOf(concolic.ChainTops{}).PkgPath()
+	isTop := func(t reflect.Type) bool {
+		return t.PkgPath() == concolicPkg && (t.Name() == "ChainTops" || t.Name() == "sframe")
+	}
+	roots := map[string]any{"report": rep}
+	for _, key := range s.cache.mem.Keys() {
+		roots["cache "+key], _ = s.cache.mem.Get(key)
+	}
+	actx, err := e.Prepare(src, tests, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staticFP := staticEngineFP(e)
+	for _, sem := range e.Registry.All() {
+		roots["plan "+sem.ID] = sitePlans(e, actx, sem, semFingerprint(sem), staticFP, func(*minij.Method) string {
+			t.Fatalf("site plans of %s rebuilt: the memo of the run is gone", sem.ID)
+			return ""
+		})
+	}
+	if len(roots) != 1+80+40+40 {
+		t.Fatalf("walked %d roots, want the report, 120 cache entries and 40 plans", len(roots))
+	}
+	seen := map[uintptr]bool{}
+	for name, v := range roots {
+		if path := pointerTo(reflect.ValueOf(v), isTop, name, seen); path != "" {
+			t.Fatalf("%s holds a chain top at %s", name, path)
+		}
 	}
 }

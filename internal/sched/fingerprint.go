@@ -87,13 +87,13 @@ func siteClosure(g *callgraph.Graph, siteRep *core.SiteReport) []*minij.Method {
 
 // siteFingerprint hashes one (semantic × site) static job: the checker
 // formula, the static engine options (staticFP), the target statement
-// and slot operands, the caller-chain slice of the call graph, and the
-// canonical AST of every method the stage can read — via methodFP, a memo
-// of method canon digests, so a method shared by many closures is
+// and slot operands, the caller-chain slice of the call graph (each chain
+// rendered by callgraph.Path.String, and whether the tree was truncated),
+// and the canonical AST of every method the stage can read — via methodFP,
+// a memo of method canon digests, so a method shared by many closures is
 // digested once instead of re-hashed in full per site. occ disambiguates
 // canonically identical target statements within the same method.
-func siteFingerprint(semFP, staticFP string, siteRep *core.SiteReport, closure []*minij.Method, occ int, methodFP func(*minij.Method) string) string {
-	site := siteRep.Site
+func siteFingerprint(semFP, staticFP string, site *contract.Site, truncated bool, chains []string, closure []*minij.Method, occ int, methodFP func(*minij.Method) string) string {
 	binds := make([]string, 0, len(site.Bindings))
 	for slot, expr := range site.Bindings {
 		binds = append(binds, slot+"="+minij.CanonExpr(expr))
@@ -104,11 +104,9 @@ func siteFingerprint(semFP, staticFP string, siteRep *core.SiteReport, closure [
 		fmt.Sprintf("occ=%d binderr=%v", occ, site.BindErr != nil),
 		minij.CanonStmt(site.Stmt),
 		strings.Join(binds, ","),
-		fmt.Sprintf("truncated=%v", siteRep.TreeTruncated),
+		fmt.Sprintf("truncated=%v", truncated),
 	}
-	for _, ch := range siteRep.Chains {
-		parts = append(parts, ch.String())
-	}
+	parts = append(parts, chains...)
 	for _, m := range closure {
 		parts = append(parts, methodFP(m))
 	}

@@ -107,7 +107,8 @@ const (
 	jobDynamic
 )
 
-// job is one schedulable unit of assertion work.
+// job is one contained piece of assertion work; the wave claims jobs in
+// units (semPlan.units).
 type job struct {
 	kind jobKind
 	// name is the stable job name shared with the sequential engine loop
@@ -228,12 +229,12 @@ func (s *Scheduler) assertContext(e *core.Engine, ctx *core.AssertContext, tm co
 	var plans []*semPlan
 	tm.Time("plan", func() { plans = s.plan(e, ctx, dirty) })
 
-	// One wave in plan order: each semantic's structural or site jobs,
-	// then its replay, which reads every site result of its semantic and
-	// so waits for the site jobs still running.
-	var wave []*job
+	// One wave in plan order: each semantic's structural job or site
+	// units, then its replay, which reads every site result of its
+	// semantic and so waits for the site jobs still running.
+	var wave [][]*job
 	for _, sp := range plans {
-		wave = append(wave, sp.jobs()...)
+		wave = append(wave, sp.units()...)
 	}
 	s.runWave(rctx, e, ctx, wave, workers, tm)
 
@@ -288,6 +289,21 @@ func (s *Scheduler) assertContext(e *core.Engine, ctx *core.AssertContext, tm co
 		report.Absorb(sr)
 	}
 	return report, stats, nil
+}
+
+// units splits the plan's jobs, in jobs() order, into the wave's claim
+// units: a structural or replay job alone, and each site unit
+// (core.SiteUnits).
+func (sp *semPlan) units() [][]*job {
+	var out [][]*job
+	if sp.structural != nil {
+		out = append(out, []*job{sp.structural})
+	}
+	out = append(out, core.SiteUnits(sp.sites, func(j *job) *contract.Site { return j.siteRep.Site })...)
+	if sp.dynamic != nil {
+		out = append(out, []*job{sp.dynamic})
+	}
+	return out
 }
 
 func (sp *semPlan) jobs() []*job {
@@ -412,23 +428,29 @@ type sitePlan struct {
 // semantic's checker content and ID, and the static engine options.
 // Occurrence numbering (occ) is per semantic, so it is part of the memo.
 // A site's chains and closure depend only on its method, so the sites of
-// one method share one execution tree and one closure.
+// one method share one execution tree, one closure and one rendering of
+// the chains; the renderings are hashed into the fingerprints, not kept.
 func sitePlans(e *core.Engine, ctx *core.AssertContext, sem *contract.Semantic, semFP, staticFP string, methodFP func(*minij.Method) string) []sitePlan {
 	key := "sched.sites\x00" + ctx.Snapshot.Hash() + "\x00" + semFP + "\x00" + staticFP
 	return program.Memo(ctx.SnapshotAll, key, func() []sitePlan {
 		var plans []sitePlan
 		occ := map[string]int{}
 		trees := map[*minij.Method]*sitePlan{}
+		rendered := map[*minij.Method][]string{}
 		for i, site := range e.MatchSites(ctx, sem, nil) {
 			tree := trees[site.Method]
 			if tree == nil {
 				siteRep := e.SiteChains(ctx, site, nil)
 				tree = &sitePlan{chains: siteRep.Chains, truncated: siteRep.TreeTruncated, closure: siteClosure(ctx.Graph, siteRep)}
 				trees[site.Method] = tree
+				texts := make([]string, len(tree.chains))
+				for k, ch := range tree.chains {
+					texts[k] = ch.String()
+				}
+				rendered[site.Method] = texts
 			}
-			siteRep := &core.SiteReport{Site: site, Chains: tree.chains, TreeTruncated: tree.truncated}
 			stmtKey := site.Method.FullName() + "\x00" + minij.CanonStmt(site.Stmt)
-			fp := siteFingerprint(semFP, staticFP, siteRep, tree.closure, occ[stmtKey], methodFP)
+			fp := siteFingerprint(semFP, staticFP, site, tree.truncated, rendered[site.Method], tree.closure, occ[stmtKey], methodFP)
 			occ[stmtKey]++
 			bare := *site
 			bare.Semantic = nil
@@ -446,17 +468,18 @@ func sitePlans(e *core.Engine, ctx *core.AssertContext, sem *contract.Semantic, 
 }
 
 // runJob executes or cache-serves one job, recording stage timings into
-// tm, which belongs to the goroutine running it. Each kind names its
-// disk namespace, how a disk record becomes a memory entry, and how an
-// entry is adopted into the job; serve looks up the memory tier, then the
-// disk tier. Cache hits are re-anchored onto the current run's report
+// tm, which belongs to the goroutine running it. tops is the chain-top
+// holder of the job's unit (nil for a job alone); a cache hit leaves it as
+// it is. Each kind names its disk namespace, how a disk record becomes a
+// memory entry, and how an entry is adopted into the job; serve looks up
+// the memory tier, then the disk tier. Cache hits are re-anchored onto the current run's report
 // objects so downstream stages and rendering always see current sites.
 // Execution goes through the engine's contained job wrappers — the same
 // decomposition the sequential loop uses — so a panicking or over-budget
 // job degrades instead of killing the worker. Only an authoritative
 // result is kept, so the next run retries the rest: a failed job's, and
 // one a solver budget left INCONCLUSIVE.
-func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.AssertContext, j *job, tm core.StageTimings) {
+func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.AssertContext, j *job, tops *concolic.ChainTops, tm core.StageTimings) {
 	c := s.cache
 	switch j.kind {
 	case jobStructural:
@@ -481,7 +504,7 @@ func (s *Scheduler) runJob(rctx context.Context, e *core.Engine, ctx *core.Asser
 			j.cacheHit = true
 			return
 		}
-		j.failure = e.SiteJob(rctx, ctx, j.name, j.siteRep, tm)
+		j.failure = e.UnitSiteJob(rctx, ctx, j.name, j.siteRep, tops, tm)
 		if j.failure == nil && !starved(j.siteRep.Paths) {
 			ent := &siteEntry{paths: clonePaths(j.siteRep.Paths), truncated: j.siteRep.TreeTruncated}
 			c.keep(siteNamespace, j.fp, ent, func() any { return encodeSite(j.siteRep) })
@@ -534,26 +557,37 @@ func starved(paths []*core.PathReport) bool {
 // of site jobs still spreads over the whole pool.
 const jobsPerWorker = 32
 
-// runWave runs a wave's jobs on min(workers, ⌈len(jobs)/jobsPerWorker⌉)
-// goroutines, the calling goroutine among them, so a wave of at most
+// runWave runs a wave's claim units (semPlan.units) on min(workers,
+// ⌈jobs/jobsPerWorker⌉) goroutines, where jobs counts the jobs of every
+// unit, the calling goroutine among them, so a wave of at most
 // jobsPerWorker jobs, or width 1, runs inline in plan order. Each
-// goroutine claims the next unclaimed job until none is left, timing its
-// stages into a map of its own (the calling goroutine's is tm); the
-// others' maps are merged into tm after the wave. Jobs are claimed in
-// index order, so a replay job, which waits for its semantic's earlier
-// site jobs, waits only for jobs already claimed, and the wait ends.
-func (s *Scheduler) runWave(rctx context.Context, e *core.Engine, ctx *core.AssertContext, jobs []*job, workers int, tm core.StageTimings) {
+// goroutine claims the next unclaimed unit until none is left and runs its
+// jobs in order, timing its stages into a map of its own (the calling
+// goroutine's is tm); the others' maps are merged into tm after the wave.
+// A site unit's jobs share the chain-top holder core.UnitTops gives the
+// unit's run; they never run at once, so no goroutine shares it with
+// another. Units are claimed in index order, so a replay job, which waits
+// for its semantic's earlier site jobs, waits only for jobs already
+// claimed, and the wait ends.
+func (s *Scheduler) runWave(rctx context.Context, e *core.Engine, ctx *core.AssertContext, units [][]*job, workers int, tm core.StageTimings) {
 	var next atomic.Int64
 	work := func(own core.StageTimings) {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(jobs) {
+			if i >= len(units) {
 				return
 			}
-			s.runJob(rctx, e, ctx, jobs[i], own)
+			tops := core.UnitTops(len(units[i]))
+			for _, j := range units[i] {
+				s.runJob(rctx, e, ctx, j, tops, own)
+			}
 		}
 	}
-	width := min(workers, (len(jobs)+jobsPerWorker-1)/jobsPerWorker)
+	jobs := 0
+	for _, u := range units {
+		jobs += len(u)
+	}
+	width := min(workers, (jobs+jobsPerWorker-1)/jobsPerWorker)
 	helpers := make([]core.StageTimings, max(width-1, 0))
 	var wg sync.WaitGroup
 	for i := range helpers {

@@ -78,7 +78,9 @@ func (s *Selector) Select(feature string, k int) []ticket.TestCase {
 // pair of a site, preserving first-seen rank order — the per-path selection
 // of §3.2 rolled up to the site. Select is a function of the feature text
 // alone, and chains that differ only in call positions give the same text,
-// so each distinct feature is ranked once.
+// so each distinct feature is ranked once. The execution tree puts chains
+// through the same methods next to each other, so a chain whose methods
+// equal the previous chain's renders nothing.
 func (s *Selector) SelectForSite(site *contract.Site, chains []callgraph.Path, statics []*concolic.StaticPath, k int) []ticket.TestCase {
 	ranked := map[string]bool{}
 	seen := map[string]bool{}
@@ -97,7 +99,10 @@ func (s *Selector) SelectForSite(site *contract.Site, chains []callgraph.Path, s
 	if len(statics) == 0 {
 		statics = []*concolic.StaticPath{nil}
 	}
-	for _, ch := range chains {
+	for i, ch := range chains {
+		if i > 0 && sameMethods(ch, chains[i-1]) {
+			continue
+		}
 		for _, sp := range statics {
 			feature := PathFeature(site, ch, sp)
 			if ranked[feature] {
@@ -108,6 +113,20 @@ func (s *Selector) SelectForSite(site *contract.Site, chains []callgraph.Path, s
 		}
 	}
 	return out
+}
+
+// sameMethods reports whether two chains pass through the same methods, so
+// that PathFeature renders them alike.
+func sameMethods(a, b callgraph.Path) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Caller != b[i].Caller || a[i].Callee != b[i].Callee {
+			return false
+		}
+	}
+	return true
 }
 
 // All returns every test in corpus order (the no-selection baseline for the

@@ -49,14 +49,35 @@
 # IntraOnly engine must render exactly the committed reports;
 # TestSiteWalkMatchesPerChainWalks: the per-site prefix walk gives every
 # chain of every corpus and stress site the paths and truncation flag it
-# gets walked alone; TestForkedFramesKeepWritesPrivate: a write under one
+# gets walked alone, and every site of a method walked through shared
+# chain tops what its own walk gives it; TestForkedFramesKeepWritesPrivate: a write under one
 # branch of a copy-on-write fork never reaches the sibling branch or a
 # shared seed), the cold-assert tests by name (TestParseAllocs: a 50 KB
 # source parses in under 28 bytes per source byte, with no token slice;
 # TestSharedSeedPrefixCheckedOnce: a seed two chains share is asked its
 # prefix query once; TestReopeningSuiteMatchesAnalysisMethods: with a
 # suite that reopens a system class, sites are matched over the analysis
-# program and render their chains), the known-constant binding test by name
+# program and render their chains), the site-unit tests by name
+# (TestSharedTopPrefixCheckedOnce: a chain top two sites of one method
+# share is asked its prefix query once; TestUndecidedTopAskedAgain: a top
+# a solver-node ceiling left undecided is asked again by the next site;
+# TestSharedTopsKeepChainTruncation: a chain cut at the walker's state
+# bound stays cut for every site of the method;
+# TestFailedSiteJobDropsChainTops: a site job whose deadline cut its
+# caller walk short empties its unit's chain tops, so the next site walks
+# afresh; TestSiteUnitFaultsRenderLikeParent: sequential and scheduled
+# runs (widths 1, 2 and 8) of a system of two-site units render the bytes
+# the engine rendered before units under a panic at a unit's first site
+# job or in the walk of its method, and the job panic, which fires before
+# any walk, leaves the second site its clean paths (it checks render
+# identity; no armed fault there leaves a filled holder behind a failed
+# job, so the emptying is pinned by TestFailedSiteJobDropsChainTops);
+# TestNoChainTopOutlivesItsUnit: no chain top is reachable from the report,
+# the fingerprint cache or the site-plan memo after a scheduled assert; ten
+# race-detector rounds of the last two, whose waves of two-site units
+# spread over two goroutines; TestQueryTopKMatchesStableSort: the top-k
+# buffer of a test-selection query returns exactly a stable sort's first
+# k, ties included), the known-constant binding test by name
 # (TestKnownConstantOperandBindsItsPath: a slot operand whose value the
 # frame knows binds to its path, so a replayed hit that passes a constant
 # is attributed and a local constant decides a static path), the
@@ -148,6 +169,10 @@ go test -run 'TestStressReportGolden|TestSiteWalkMatchesPerChainWalks' -count=1 
 go test -run 'TestForkedFramesKeepWritesPrivate' -count=1 ./internal/concolic
 go test -run 'TestParseAllocs' -count=1 ./internal/minij
 go test -run 'TestSharedSeedPrefixCheckedOnce' -count=1 ./internal/concolic
+go test -run 'TestSharedTopPrefixCheckedOnce|TestUndecidedTopAskedAgain|TestSharedTopsKeepChainTruncation' -count=1 ./internal/concolic
+go test -run 'TestFailedSiteJobDropsChainTops' -count=1 ./internal/core
+go test -race -count=10 -run 'TestSiteUnitFaultsRenderLikeParent|TestNoChainTopOutlivesItsUnit' ./internal/sched
+go test -run 'TestQueryTopKMatchesStableSort' -count=1 ./internal/embedding
 go test -run 'TestReopeningSuiteMatchesAnalysisMethods|TestKnownConstantOperandBindsItsPath' -count=1 ./internal/core
 go test -run 'TestParseErrorsArePositioned' -count=1 ./internal/smt
 go test -run 'TestAtomKeyTable' -count=1 ./internal/smt
