@@ -168,7 +168,7 @@ func (c *siteCollector) emit(st *sframe) {
 		Bindings: bindings,
 		Guards:   guards,
 	}
-	key := p.dedupKey()
+	key := p.Key()
 	if c.seen[key] {
 		return
 	}
@@ -489,14 +489,12 @@ func prefixCond(st *sframe) smt.Formula {
 	return smt.NewAnd(fs...)
 }
 
-// prefixDisjoint reports whether f shares no variable roots with the
-// state's recorded conditions. Models over disjoint roots merge, so
-// conjoining a root-disjoint condition onto a satisfiable prefix is
-// satisfiable iff the condition alone is — fork can then discharge the
-// much cheaper (and far more cacheable) single-condition query instead of
-// re-solving the whole prefix.
 // prefixOverlaps reports whether any recorded condition mentions one of
 // roots. Both sides are small sorted slices; linear scans allocate nothing.
+// Models over disjoint roots merge, so conjoining a condition that overlaps
+// nothing onto a satisfiable prefix is satisfiable iff the condition alone
+// is: fork then checks the much cheaper (and far more cacheable)
+// single-condition query instead of re-solving the whole prefix.
 func prefixOverlaps(roots []string, conds []*recordedCond) bool {
 	for _, rc := range conds {
 		if intersects(rc.roots, roots) {
@@ -815,9 +813,7 @@ func (w *staticWalker) unwind(st *sframe, ctx walkCtx) {
 // Key fingerprints the path's logical contribution (bindings plus filtered
 // condition); paths from different chains with the same key are one
 // finding.
-func (p *StaticPath) Key() string { return p.dedupKey() }
-
-func (p *StaticPath) dedupKey() string {
+func (p *StaticPath) Key() string {
 	var sb strings.Builder
 	slots := make([]string, 0, len(p.Bindings))
 	for s := range p.Bindings {

@@ -1,6 +1,7 @@
 package contract_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -45,7 +46,8 @@ func viewOf(sems []*contract.Semantic) []specView {
 // FuzzSpecRoundTrip: for any spec ParseSpec accepts, FormatSpec of the
 // rules parses again, formatting those gives the same bytes, and both
 // parses agree on every rule's ID, kind, target, bindings, conditions,
-// scope and descriptions. A case's registry record is its rules'
+// scope and descriptions; every spec it rejects gets a
+// *contract.ParseError, which carries the line. A case's registry record is its rules'
 // FormatSpec, restored with ParseSpec, so a spec that fails this could
 // not be restored. Seeds: every corpus case's inferred registry and the
 // specs of this package's tests.
@@ -65,6 +67,11 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		first, err := contract.ParseSpec(src)
 		if err != nil {
+			// Every rejection carries its line.
+			var perr *contract.ParseError
+			if !errors.As(err, &perr) {
+				t.Fatalf("%q: error %q is not a contract.ParseError", src, err)
+			}
 			return
 		}
 		text := contract.FormatSpec(first)

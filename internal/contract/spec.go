@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -53,11 +54,11 @@ func ParseSpec(src string) ([]*Semantic, error) {
 			// FormatSpec writes none of these for a structural rule, so
 			// accepting them would parse a rule its own spec cannot give.
 			if cur.Target.Callee != "" || cur.Target.Within != "" || cur.Target.Bind != nil || cur.Pre != nil || cur.Post != nil {
-				return fmt.Errorf("spec: rule ending at line %d: structural rule %s takes no target, within, bind, require or ensure line", curLine, cur.ID)
+				return ruleError(curLine, "structural rule %s takes no target, within, bind, require or ensure line", cur.ID)
 			}
 		}
 		if err := cur.Validate(); err != nil {
-			return fmt.Errorf("spec: rule ending at line %d: %w", curLine, err)
+			return ruleError(curLine, "%w", err)
 		}
 		out = append(out, cur)
 		cur = nil
@@ -79,11 +80,11 @@ func ParseSpec(src string) ([]*Semantic, error) {
 			continue
 		}
 		if cur == nil {
-			return nil, fmt.Errorf("spec: line %d: %q appears before any \"rule\" line", lineNo, line)
+			return nil, lineError(lineNo, "%q appears before any \"rule\" line", line)
 		}
 		key, value, ok := strings.Cut(line, ":")
 		if !ok {
-			return nil, fmt.Errorf("spec: line %d: expected \"key: value\", got %q", lineNo, line)
+			return nil, lineError(lineNo, "expected \"key: value\", got %q", line)
 		}
 		key = strings.TrimSpace(key)
 		value = strings.TrimSpace(value)
@@ -99,7 +100,7 @@ func ParseSpec(src string) ([]*Semantic, error) {
 		case "bind":
 			slot, operand, err := parseBind(value)
 			if err != nil {
-				return nil, fmt.Errorf("spec: line %d: %w", lineNo, err)
+				return nil, lineError(lineNo, "%w", err)
 			}
 			if cur.Target.Bind == nil {
 				cur.Target.Bind = map[string]int{}
@@ -108,40 +109,67 @@ func ParseSpec(src string) ([]*Semantic, error) {
 		case "require":
 			f, err := smt.ParsePredicate(value)
 			if err != nil {
-				return nil, fmt.Errorf("spec: line %d: %w", lineNo, err)
+				return nil, lineError(lineNo, "%w", err)
 			}
 			cur.Pre = f
 		case "ensure":
 			f, err := smt.ParsePredicate(value)
 			if err != nil {
-				return nil, fmt.Errorf("spec: line %d: %w", lineNo, err)
+				return nil, lineError(lineNo, "%w", err)
 			}
 			cur.Post = f
 		case "structural":
 			rule, ok := LockRuleNamed(value)
 			if !ok {
-				return nil, fmt.Errorf("spec: line %d: unknown structural rule %q", lineNo, value)
+				return nil, lineError(lineNo, "unknown structural rule %q", value)
 			}
 			cur.Structural = rule
 		case "only":
 			if cur.Structural == nil {
-				return nil, fmt.Errorf("spec: line %d: \"only\" requires a preceding \"structural\" line", lineNo)
+				return nil, lineError(lineNo, "\"only\" requires a preceding \"structural\" line")
 			}
 			cur.Structural.Only = map[string]bool{}
 			for _, m := range strings.Split(value, ",") {
 				cur.Structural.Only[strings.TrimSpace(m)] = true
 			}
 		default:
-			return nil, fmt.Errorf("spec: line %d: unknown key %q", lineNo, key)
+			return nil, lineError(lineNo, "unknown key %q", key)
 		}
 	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("spec: no rules found")
+		return nil, &ParseError{err: errors.New("spec: no rules found")}
 	}
 	return out, nil
+}
+
+// ParseError is a spec error at a line: the line of the offending entry,
+// the "rule" line of a rule that fails as a whole, or 0 when the spec holds
+// no rule. It unwraps to the predicate's *smt.ParseError (or its wrapped
+// *minij.LexError), the bind error or the validation error behind it.
+type ParseError struct {
+	Line int
+	err  error
+}
+
+// Error renders the error as "spec: line N: message", "spec: rule ending at
+// line N: message" or "spec: no rules found".
+func (e *ParseError) Error() string { return e.err.Error() }
+
+// Unwrap returns the error behind e, or nil.
+func (e *ParseError) Unwrap() error { return errors.Unwrap(e.err) }
+
+// lineError returns a *ParseError at an entry's line; a %w verb in format
+// names the error behind it.
+func lineError(line int, format string, args ...any) error {
+	return &ParseError{Line: line, err: fmt.Errorf("spec: line %d: "+format, append([]any{line}, args...)...)}
+}
+
+// ruleError returns a *ParseError for the rule whose "rule" line is line.
+func ruleError(line int, format string, args ...any) error {
+	return &ParseError{Line: line, err: fmt.Errorf("spec: rule ending at line %d: "+format, append([]any{line}, args...)...)}
 }
 
 // parseBind parses "slot = arg N" or "slot = receiver".

@@ -1,8 +1,12 @@
 package contract
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"lisa/internal/minij"
+	"lisa/internal/smt"
 )
 
 const sampleSpec = `
@@ -80,25 +84,37 @@ func TestParseSpecErrors(t *testing.T) {
 	cases := []struct {
 		src  string
 		want string
+		line int // of the offending entry, or the rule's "rule" line
 	}{
-		{"", "no rules found"},
-		{"description: dangling", "before any \"rule\""},
-		{"rule x\ntarget DataTree.create", "expected \"key: value\""},
-		{"rule x\nbogus: y\ntarget: A.b\nrequire: p\nbind: p = arg 0", "unknown key"},
-		{"rule x\ntarget: A.b\nbind: v = argone\nrequire: v != null", "bad argument index"},
-		{"rule x\ntarget: A.b\nbind: v: arg 0", "bind must be"},
-		{"rule x\ntarget: A.b\nrequire: v != null", "not bound"},
-		{"rule x\nstructural: made-up-rule", "unknown structural rule"},
-		{"rule x\nonly: A.b", "requires a preceding"},
-		{"rule x\ntarget: A.b\nstructural: no-blocking-io-in-sync", "takes no target"},
-		{"rule x\nstructural: no-nested-sync\nbind: v = arg 0", "takes no target"},
-		{"rule x\ntarget: A.b\nbind: v = arg 0\nrequire: ((", "expected"},
+		{"", "no rules found", 0},
+		{"description: dangling", "before any \"rule\"", 1},
+		{"rule x\ntarget DataTree.create", "expected \"key: value\"", 2},
+		{"rule x\nbogus: y\ntarget: A.b\nrequire: p\nbind: p = arg 0", "unknown key", 2},
+		{"rule x\ntarget: A.b\nbind: v = argone\nrequire: v != null", "bad argument index", 3},
+		{"rule x\ntarget: A.b\nbind: v: arg 0", "bind must be", 3},
+		{"rule x\ntarget: A.b\nrequire: v != null", "not bound", 1},
+		{"rule x\nstructural: made-up-rule", "unknown structural rule", 2},
+		{"rule x\nonly: A.b", "requires a preceding", 2},
+		{"rule x\ntarget: A.b\nstructural: no-blocking-io-in-sync", "takes no target", 1},
+		{"rule x\nstructural: no-nested-sync\nbind: v = arg 0", "takes no target", 1},
+		{"rule x\ntarget: A.b\nbind: v = arg 0\nrequire: ((", "expected", 4},
+		{"rule x\ntarget: A.b\nbind: v = arg 0\n\nensure: v == \"open", "unterminated string", 5},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.src)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("ParseSpec(%q) err = %v, want containing %q", c.src, err, c.want)
+		var perr *ParseError
+		if !errors.As(err, &perr) || !strings.Contains(err.Error(), c.want) || perr.Line != c.line {
+			t.Errorf("ParseSpec(%q) err = %v, want a ParseError at line %d containing %q", c.src, err, c.line, c.want)
 		}
+	}
+	// A predicate's own error stays reachable behind the spec's.
+	var serr *smt.ParseError
+	if _, err := ParseSpec("rule x\ntarget: A.b\nbind: v = arg 0\nrequire: (("); !errors.As(err, &serr) {
+		t.Errorf("require syntax error %v does not unwrap to an smt.ParseError", err)
+	}
+	var lerr *minij.LexError
+	if _, err := ParseSpec("rule x\ntarget: A.b\nbind: v = arg 0\nrequire: v == \"open"); !errors.As(err, &lerr) {
+		t.Errorf("require lexical error %v does not unwrap to a minij.LexError", err)
 	}
 }
 

@@ -34,30 +34,75 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// presizedTokens caps the token slice Lex allocates up front: a longer
-// source grows the slice as it lexes, so a large comment- or
-// whitespace-only source cannot make Lex allocate about twelve times its
-// size in empty tokens. Parse materializes no token slice (it pulls tokens
-// from a Lexer), so the cap bounds only Lex's own callers: predicates and
-// tests.
-const presizedTokens = 4096
+// Tokens is a two-token window over a MiniJ source: the current token and
+// the one after it. Programs (Parse) and contract predicates
+// (smt.ParsePredicate) are both parsed through it, so neither builds a
+// token slice. Once the lexer fails, every later token is EOF, and Err
+// returns the lexical error. Construct one with NewTokens.
+type Tokens struct {
+	lx         Lexer
+	tok, ahead Token
+	// err is the lexer's first error.
+	err error
+}
 
-// Lex tokenizes the entire source, returning the token stream terminated by
-// a TokEOF token, or the first lexical error encountered.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	// Corpus sources lex to 0.24-0.27 tokens per byte.
-	toks := make([]Token, 0, min(len(src)/4+1, presizedTokens))
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
+// NewTokens returns a window over src whose current token is its first.
+func NewTokens(src string) Tokens {
+	t := Tokens{lx: *NewLexer(src)}
+	t.tok = t.lex()
+	t.ahead = t.lex()
+	return t
+}
+
+// lex returns the lexer's next token, or EOF once the lexer has failed.
+func (t *Tokens) lex() Token {
+	if t.err == nil {
+		tok, err := t.lx.Next()
+		if err == nil {
+			return tok
 		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
+		t.err = err
 	}
+	return Token{Kind: TokEOF}
+}
+
+// Cur returns the current token.
+func (t *Tokens) Cur() Token { return t.tok }
+
+// Ahead returns the token after the current one.
+func (t *Tokens) Ahead() Token { return t.ahead }
+
+// Next returns the current token and moves the window one token on.
+func (t *Tokens) Next() Token {
+	tok := t.tok
+	t.tok = t.ahead
+	t.ahead = t.lex()
+	return tok
+}
+
+// Is reports whether the current token has kind and text.
+func (t *Tokens) Is(kind TokenKind, text string) bool {
+	return t.tok.Kind == kind && t.tok.Text == text
+}
+
+// Accept moves past the current token if it has kind and text, and
+// reports whether it did.
+func (t *Tokens) Accept(kind TokenKind, text string) bool {
+	if t.Is(kind, text) {
+		t.Next()
+		return true
+	}
+	return false
+}
+
+// Err lexes the rest of the source and returns its first lexical error, or
+// nil if it has none. A parser calls it once it has finished, and returns
+// its error ahead of any syntax error: a lexical error anywhere in the
+// source wins, exactly as if the source had been lexed in full first.
+func (t *Tokens) Err() error {
+	for t.err == nil && t.lex().Kind != TokEOF {
+	}
+	return t.err
 }
 
 func (lx *Lexer) peek() byte {

@@ -6,6 +6,26 @@ import (
 	"unsafe"
 )
 
+// Lex tokenizes the entire source, returning the token stream terminated
+// by a TokEOF token, or the first lexical error. Parse and
+// smt.ParsePredicate pull their tokens through a Tokens window; the lexer
+// tests read whole streams through Lex, and FuzzParseRoundTrip takes its
+// error as the one Parse must report.
+func Lex(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasicTokens(t *testing.T) {
 	toks, err := Lex(`class Foo { int x; }`)
 	if err != nil {
@@ -213,25 +233,4 @@ func TestOperatorTextOwnsItsBytes(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestLexPresizeIsCapped: Lex sizes its token slice from the source length,
-// but never past presizedTokens, so a megabyte of comment or whitespace
-// lexes to one EOF token without a megabyte-scaled allocation.
-func TestLexPresizeIsCapped(t *testing.T) {
-	for _, src := range []string{
-		strings.Repeat(" \t\n", 1<<18),
-		"// " + strings.Repeat("x", 1<<20) + "\n",
-	} {
-		toks, err := Lex(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(toks) != 1 || toks[0].Kind != TokEOF {
-			t.Fatalf("lexed %d tokens, want only EOF", len(toks))
-		}
-		if cap(toks) > presizedTokens {
-			t.Errorf("%d-byte source: token slice capacity %d, want at most %d", len(src), cap(toks), presizedTokens)
-		}
-	}
 }

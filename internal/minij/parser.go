@@ -15,23 +15,17 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 // class/method/field lookup tables built and every statement assigned a dense
 // program-unique ID in source order.
 //
-// The parser pulls its tokens from a Lexer as it goes, but a lexical error
-// anywhere in src still wins over a syntax error, exactly as if src had been
-// lexed in full first.
+// The parser pulls its tokens through a Tokens window as it goes, but a
+// lexical error anywhere in src still wins over a syntax error, exactly as
+// if src had been lexed in full first.
 func Parse(src string) (*Program, error) {
-	p := &parser{lx: NewLexer(src)}
-	p.tok = p.lex()
-	p.ahead = p.lex()
+	p := &parser{NewTokens(src)}
 	prog, err := p.parseProgram()
-	if err != nil {
-		if lexErr := p.drain(); lexErr != nil {
-			return nil, lexErr
-		}
-		return nil, err
+	if lexErr := p.Err(); lexErr != nil {
+		return nil, lexErr
 	}
-	// A lexical error that follows the last token.
-	if p.lexErr != nil {
-		return nil, p.lexErr
+	if err != nil {
+		return nil, err
 	}
 	if err := indexProgram(prog); err != nil {
 		return nil, err
@@ -39,82 +33,31 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// parser is a recursive-descent parser over a two-token window: it never
+// parser is a recursive-descent parser over a Tokens window: it never
 // looks past the token after the current one, and never backtracks.
 type parser struct {
-	lx         *Lexer
-	tok, ahead Token
-	// lexErr is the lexer's first error; every token after it is EOF.
-	lexErr error
-}
-
-// lex returns the lexer's next token, or EOF once the lexer has failed.
-func (p *parser) lex() Token {
-	if p.lexErr == nil {
-		t, err := p.lx.Next()
-		if err == nil {
-			return t
-		}
-		p.lexErr = err
-	}
-	return Token{Kind: TokEOF}
-}
-
-// drain lexes the rest of the source and returns its first lexical error,
-// if it has one.
-func (p *parser) drain() error {
-	for p.lexErr == nil && p.lex().Kind != TokEOF {
-	}
-	return p.lexErr
-}
-
-// advance moves the window one token on.
-func (p *parser) advance() {
-	p.tok = p.ahead
-	p.ahead = p.lex()
-}
-
-func (p *parser) cur() Token  { return p.tok }
-func (p *parser) next() Token { t := p.tok; p.advance(); return t }
-
-func (p *parser) peekIs(kind TokenKind, text string) bool {
-	t := p.cur()
-	return t.Kind == kind && t.Text == text
-}
-
-func (p *parser) peek2Is(kind TokenKind, text string) bool {
-	return p.ahead.Kind == kind && p.ahead.Text == text
-}
-
-func (p *parser) accept(kind TokenKind, text string) bool {
-	if p.peekIs(kind, text) {
-		p.advance()
-		return true
-	}
-	return false
+	Tokens
 }
 
 func (p *parser) expect(kind TokenKind, text string) (Token, error) {
-	t := p.cur()
-	if t.Kind == kind && t.Text == text {
-		p.advance()
-		return t, nil
+	if p.Is(kind, text) {
+		return p.Next(), nil
 	}
+	t := p.Cur()
 	return Token{}, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected %q, found %s", text, t)}
 }
 
 func (p *parser) expectIdent() (Token, error) {
-	t := p.cur()
+	t := p.Cur()
 	if t.Kind != TokIdent {
 		return Token{}, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected identifier, found %s", t)}
 	}
-	p.advance()
-	return t, nil
+	return p.Next(), nil
 }
 
 func (p *parser) parseProgram() (*Program, error) {
 	prog := &Program{}
-	for p.cur().Kind != TokEOF {
+	for p.Cur().Kind != TokEOF {
 		c, err := p.parseClass()
 		if err != nil {
 			return nil, err
@@ -137,7 +80,7 @@ func (p *parser) parseClass() (*Class, error) {
 		return nil, err
 	}
 	c := &Class{Name: name.Text, DeclPos: kw.Pos}
-	for !p.peekIs(TokPunct, "}") {
+	for !p.Is(TokPunct, "}") {
 		if err := p.parseMember(c); err != nil {
 			return nil, err
 		}
@@ -150,8 +93,8 @@ func (p *parser) parseClass() (*Class, error) {
 
 // parseMember parses a field or a method and appends it to c.
 func (p *parser) parseMember(c *Class) error {
-	start := p.cur().Pos
-	static := p.accept(TokKeyword, "static")
+	start := p.Cur().Pos
+	static := p.Accept(TokKeyword, "static")
 	ret, err := p.parseTypeOrVoid()
 	if err != nil {
 		return err
@@ -160,7 +103,7 @@ func (p *parser) parseMember(c *Class) error {
 	if err != nil {
 		return err
 	}
-	if p.peekIs(TokPunct, "(") {
+	if p.Is(TokPunct, "(") {
 		m := &Method{Class: c, Name: name.Text, Static: static, Ret: ret, DeclPos: start}
 		if err := p.parseParams(m); err != nil {
 			return err
@@ -190,7 +133,7 @@ func (p *parser) parseParams(m *Method) error {
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return err
 	}
-	if p.accept(TokPunct, ")") {
+	if p.Accept(TokPunct, ")") {
 		return nil
 	}
 	for {
@@ -203,7 +146,7 @@ func (p *parser) parseParams(m *Method) error {
 			return err
 		}
 		m.Params = append(m.Params, &Param{Name: name.Text, Type: ty})
-		if p.accept(TokPunct, ",") {
+		if p.Accept(TokPunct, ",") {
 			continue
 		}
 		_, err = p.expect(TokPunct, ")")
@@ -212,32 +155,34 @@ func (p *parser) parseParams(m *Method) error {
 }
 
 func (p *parser) parseTypeOrVoid() (Type, error) {
-	if p.accept(TokKeyword, "void") {
+	if p.Accept(TokKeyword, "void") {
 		return Type{Kind: TypeVoid}, nil
 	}
 	return p.parseType()
 }
 
+// builtinTypes maps each builtin type keyword to its kind.
+var builtinTypes = map[string]TypeKind{
+	"int": TypeInt, "bool": TypeBool, "string": TypeString, "list": TypeList, "map": TypeMap,
+}
+
+// builtinType returns the kind of the builtin type t names, if it names one.
+func builtinType(t Token) (TypeKind, bool) {
+	if t.Kind != TokKeyword {
+		return 0, false
+	}
+	kind, ok := builtinTypes[t.Text]
+	return kind, ok
+}
+
 func (p *parser) parseType() (Type, error) {
-	t := p.cur()
-	switch {
-	case t.Kind == TokKeyword && t.Text == "int":
-		p.advance()
-		return Type{Kind: TypeInt}, nil
-	case t.Kind == TokKeyword && t.Text == "bool":
-		p.advance()
-		return Type{Kind: TypeBool}, nil
-	case t.Kind == TokKeyword && t.Text == "string":
-		p.advance()
-		return Type{Kind: TypeString}, nil
-	case t.Kind == TokKeyword && t.Text == "list":
-		p.advance()
-		return Type{Kind: TypeList}, nil
-	case t.Kind == TokKeyword && t.Text == "map":
-		p.advance()
-		return Type{Kind: TypeMap}, nil
-	case t.Kind == TokIdent:
-		p.advance()
+	t := p.Cur()
+	if kind, ok := builtinType(t); ok {
+		p.Next()
+		return Type{Kind: kind}, nil
+	}
+	if t.Kind == TokIdent {
+		p.Next()
 		return Type{Kind: TypeObject, Class: t.Text}, nil
 	}
 	return Type{}, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected type, found %s", t)}
@@ -249,7 +194,7 @@ func (p *parser) parseBlock() (*Block, error) {
 		return nil, err
 	}
 	b := &Block{stmtBase: stmtBase{pos: open.Pos}}
-	for !p.peekIs(TokPunct, "}") {
+	for !p.Is(TokPunct, "}") {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
@@ -262,21 +207,8 @@ func (p *parser) parseBlock() (*Block, error) {
 	return b, nil
 }
 
-// isTypeKeyword reports whether the current token begins a builtin type.
-func (p *parser) isTypeKeyword() bool {
-	t := p.cur()
-	if t.Kind != TokKeyword {
-		return false
-	}
-	switch t.Text {
-	case "int", "bool", "string", "list", "map":
-		return true
-	}
-	return false
-}
-
 func (p *parser) parseStmt() (Stmt, error) {
-	t := p.cur()
+	t := p.Cur()
 	switch {
 	case t.Kind == TokKeyword && t.Text == "if":
 		return p.parseIf()
@@ -285,9 +217,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case t.Kind == TokKeyword && t.Text == "for":
 		return p.parseFor()
 	case t.Kind == TokKeyword && t.Text == "return":
-		p.advance()
+		p.Next()
 		r := &Return{stmtBase: stmtBase{pos: t.Pos}}
-		if !p.peekIs(TokPunct, ";") {
+		if !p.Is(TokPunct, ";") {
 			v, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -299,19 +231,19 @@ func (p *parser) parseStmt() (Stmt, error) {
 		}
 		return r, nil
 	case t.Kind == TokKeyword && t.Text == "break":
-		p.advance()
+		p.Next()
 		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
 		return &Break{stmtBase{pos: t.Pos}}, nil
 	case t.Kind == TokKeyword && t.Text == "continue":
-		p.advance()
+		p.Next()
 		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
 		return &Continue{stmtBase{pos: t.Pos}}, nil
 	case t.Kind == TokKeyword && t.Text == "throw":
-		p.advance()
+		p.Next()
 		v, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -323,15 +255,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 	case t.Kind == TokKeyword && t.Text == "try":
 		return p.parseTry()
 	case t.Kind == TokKeyword && t.Text == "synchronized":
-		p.advance()
-		if _, err := p.expect(TokPunct, "("); err != nil {
-			return nil, err
-		}
-		lock, err := p.parseExpr()
+		p.Next()
+		lock, err := p.parseParenExpr()
 		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
 			return nil, err
 		}
 		body, err := p.parseBlock()
@@ -345,16 +271,26 @@ func (p *parser) parseStmt() (Stmt, error) {
 	return p.parseExprOrAssign()
 }
 
-func (p *parser) parseIf() (Stmt, error) {
-	kw := p.next() // "if"
+// parseParenExpr parses an expression in parentheses: the condition of an
+// if or a while, the lock of a synchronized block, or a primary.
+func (p *parser) parseParenExpr() (Expr, error) {
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(TokPunct, ")"); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+func (p *parser) parseIf() (Stmt, error) {
+	kw := p.Next() // "if"
+	cond, err := p.parseParenExpr()
+	if err != nil {
 		return nil, err
 	}
 	then, err := p.parseBlock()
@@ -362,8 +298,8 @@ func (p *parser) parseIf() (Stmt, error) {
 		return nil, err
 	}
 	node := &If{stmtBase: stmtBase{pos: kw.Pos}, Cond: cond, Then: then}
-	if p.accept(TokKeyword, "else") {
-		if p.peekIs(TokKeyword, "if") {
+	if p.Accept(TokKeyword, "else") {
+		if p.Is(TokKeyword, "if") {
 			elseIf, err := p.parseIf()
 			if err != nil {
 				return nil, err
@@ -381,15 +317,9 @@ func (p *parser) parseIf() (Stmt, error) {
 }
 
 func (p *parser) parseWhile() (Stmt, error) {
-	kw := p.next() // "while"
-	if _, err := p.expect(TokPunct, "("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
+	kw := p.Next() // "while"
+	cond, err := p.parseParenExpr()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
 		return nil, err
 	}
 	body, err := p.parseBlock()
@@ -400,14 +330,14 @@ func (p *parser) parseWhile() (Stmt, error) {
 }
 
 func (p *parser) parseFor() (Stmt, error) {
-	kw := p.next() // "for"
+	kw := p.Next() // "for"
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return nil, err
 	}
 	// Foreach form: for (x in e) { ... }
-	if p.cur().Kind == TokIdent && p.peek2Is(TokKeyword, "in") {
-		name := p.next()
-		p.next() // "in"
+	if in := p.Ahead(); p.Cur().Kind == TokIdent && in.Kind == TokKeyword && in.Text == "in" {
+		name := p.Next()
+		p.Next() // "in"
 		iter, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -422,7 +352,7 @@ func (p *parser) parseFor() (Stmt, error) {
 		return &ForEach{stmtBase: stmtBase{pos: kw.Pos}, Var: name.Text, Iter: iter, Body: body}, nil
 	}
 	node := &For{stmtBase: stmtBase{pos: kw.Pos}}
-	if !p.peekIs(TokPunct, ";") {
+	if !p.Is(TokPunct, ";") {
 		init, err := p.parseSimpleStmt()
 		if err != nil {
 			return nil, err
@@ -432,7 +362,7 @@ func (p *parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(TokPunct, ";"); err != nil {
 		return nil, err
 	}
-	if !p.peekIs(TokPunct, ";") {
+	if !p.Is(TokPunct, ";") {
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -442,7 +372,7 @@ func (p *parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(TokPunct, ";"); err != nil {
 		return nil, err
 	}
-	if !p.peekIs(TokPunct, ")") {
+	if !p.Is(TokPunct, ")") {
 		post, err := p.parseSimpleStmt()
 		if err != nil {
 			return nil, err
@@ -464,9 +394,9 @@ func (p *parser) parseFor() (Stmt, error) {
 // trailing semicolon: a for clause, or the body of a statement that
 // parseExprOrAssign ends.
 func (p *parser) parseSimpleStmt() (Stmt, error) {
-	start := p.cur().Pos
+	start := p.Cur().Pos
 	// A builtin type, or "ClassName name ...", begins a declaration.
-	if p.isTypeKeyword() || (p.cur().Kind == TokIdent && p.ahead.Kind == TokIdent) {
+	if _, builtin := builtinType(p.Cur()); builtin || (p.Cur().Kind == TokIdent && p.Ahead().Kind == TokIdent) {
 		ty, err := p.parseType()
 		if err != nil {
 			return nil, err
@@ -476,7 +406,7 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 			return nil, err
 		}
 		d := &VarDecl{stmtBase: stmtBase{pos: start}, Type: ty, Name: name.Text}
-		if p.accept(TokOp, "=") {
+		if p.Accept(TokOp, "=") {
 			init, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -489,7 +419,7 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.accept(TokOp, "=") {
+	if p.Accept(TokOp, "=") {
 		val, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -503,7 +433,7 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 }
 
 func (p *parser) parseTry() (Stmt, error) {
-	kw := p.next() // "try"
+	kw := p.Next() // "try"
 	body, err := p.parseBlock()
 	if err != nil {
 		return nil, err
@@ -548,109 +478,42 @@ func isAssignable(e Expr) bool {
 	return false
 }
 
-// Expression parsing: precedence climbing.
+// Expression parsing: precedence climbing over opPrec, the table the
+// printer reads too.
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(1) }
 
-func (p *parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.peekIs(TokOp, "||") {
-		op := p.next()
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{exprBase: exprBase{pos: op.Pos}, Op: "||", X: x, Y: y}
-	}
-	return x, nil
-}
+// unaryPrec is the level opPrec gives a unary operator, and every text
+// that is not a binary operator: tighter than any binary operator.
+var unaryPrec = opPrec("!")
 
-func (p *parser) parseAnd() (Expr, error) {
-	x, err := p.parseEq()
-	if err != nil {
-		return nil, err
-	}
-	for p.peekIs(TokOp, "&&") {
-		op := p.next()
-		y, err := p.parseEq()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{exprBase: exprBase{pos: op.Pos}, Op: "&&", X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseEq() (Expr, error) {
-	x, err := p.parseRel()
-	if err != nil {
-		return nil, err
-	}
-	for p.peekIs(TokOp, "==") || p.peekIs(TokOp, "!=") {
-		op := p.next()
-		y, err := p.parseRel()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{exprBase: exprBase{pos: op.Pos}, Op: op.Text, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseRel() (Expr, error) {
-	x, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for p.peekIs(TokOp, "<") || p.peekIs(TokOp, "<=") || p.peekIs(TokOp, ">") || p.peekIs(TokOp, ">=") {
-		op := p.next()
-		y, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{exprBase: exprBase{pos: op.Pos}, Op: op.Text, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.peekIs(TokOp, "+") || p.peekIs(TokOp, "-") {
-		op := p.next()
-		y, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{exprBase: exprBase{pos: op.Pos}, Op: op.Text, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseMul() (Expr, error) {
+// parseBinary parses an operand and every binary operator after it whose
+// level is at least minPrec. It parses each right operand one level above
+// its operator, so a chain of one level nests to the left, as the printer
+// reads it.
+func (p *parser) parseBinary(minPrec int) (Expr, error) {
 	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	for p.peekIs(TokOp, "*") || p.peekIs(TokOp, "/") || p.peekIs(TokOp, "%") {
-		op := p.next()
-		y, err := p.parseUnary()
+	for {
+		op := p.Cur()
+		prec := opPrec(op.Text)
+		if op.Kind != TokOp || prec < minPrec || prec >= unaryPrec {
+			return x, nil
+		}
+		p.Next()
+		y, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
 		x = &Binary{exprBase: exprBase{pos: op.Pos}, Op: op.Text, X: x, Y: y}
 	}
-	return x, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.peekIs(TokOp, "!") || p.peekIs(TokOp, "-") {
-		op := p.next()
+	if p.Is(TokOp, "!") || p.Is(TokOp, "-") {
+		op := p.Next()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -665,13 +528,13 @@ func (p *parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.peekIs(TokPunct, ".") {
-		dot := p.next()
+	for p.Is(TokPunct, ".") {
+		dot := p.Next()
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if p.peekIs(TokPunct, "(") {
+		if p.Is(TokPunct, "(") {
 			args, err := p.parseArgs()
 			if err != nil {
 				return nil, err
@@ -689,7 +552,7 @@ func (p *parser) parseArgs() ([]Expr, error) {
 		return nil, err
 	}
 	var args []Expr
-	if p.accept(TokPunct, ")") {
+	if p.Accept(TokPunct, ")") {
 		return args, nil
 	}
 	for {
@@ -698,7 +561,7 @@ func (p *parser) parseArgs() ([]Expr, error) {
 			return nil, err
 		}
 		args = append(args, a)
-		if p.accept(TokPunct, ",") {
+		if p.Accept(TokPunct, ",") {
 			continue
 		}
 		if _, err := p.expect(TokPunct, ")"); err != nil {
@@ -709,25 +572,25 @@ func (p *parser) parseArgs() ([]Expr, error) {
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t := p.Cur()
 	switch {
 	case t.Kind == TokInt:
-		p.advance()
+		p.Next()
 		return &IntLit{exprBase: exprBase{pos: t.Pos}, Value: t.Int}, nil
 	case t.Kind == TokString:
-		p.advance()
+		p.Next()
 		return &StrLit{exprBase: exprBase{pos: t.Pos}, Value: t.Text}, nil
 	case t.Kind == TokKeyword && t.Text == "true":
-		p.advance()
+		p.Next()
 		return &BoolLit{exprBase: exprBase{pos: t.Pos}, Value: true}, nil
 	case t.Kind == TokKeyword && t.Text == "false":
-		p.advance()
+		p.Next()
 		return &BoolLit{exprBase: exprBase{pos: t.Pos}, Value: false}, nil
 	case t.Kind == TokKeyword && t.Text == "null":
-		p.advance()
+		p.Next()
 		return &NullLit{exprBase: exprBase{pos: t.Pos}}, nil
 	case t.Kind == TokKeyword && t.Text == "new":
-		p.advance()
+		p.Next()
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
@@ -738,8 +601,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return &New{exprBase: exprBase{pos: t.Pos}, Class: name.Text, Args: args}, nil
 	case t.Kind == TokIdent:
-		p.advance()
-		if p.peekIs(TokPunct, "(") {
+		p.Next()
+		if p.Is(TokPunct, "(") {
 			args, err := p.parseArgs()
 			if err != nil {
 				return nil, err
@@ -748,15 +611,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return &Ident{exprBase: exprBase{pos: t.Pos}, Name: t.Text}, nil
 	case t.Kind == TokPunct && t.Text == "(":
-		p.advance()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.parseParenExpr()
 	}
 	return nil, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("expected expression, found %s", t)}
 }

@@ -237,6 +237,49 @@ class C {
 	if got := CanonExpr(cmp.X); got != "a + b * 2" {
 		t.Errorf("left of < = %q, want %q", got, "a + b * 2")
 	}
+
+	// One row per ordered pair of binary operators: a OP1 b OP2 c groups
+	// to the left unless OP2 sits on a tighter grammar level than OP1. The
+	// six levels are written out here, loosest first, rather than read from
+	// opPrec, which the parser and the printer share; and the canonical
+	// render of each tree must parse back to the same tree.
+	levels := [][]string{{"||"}, {"&&"}, {"==", "!="}, {"<", "<=", ">", ">="}, {"+", "-"}, {"*", "/", "%"}}
+	parseReturn := func(expr string) Expr {
+		t.Helper()
+		prog, err := Parse("class C { void f() { return " + expr + "; } }")
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", expr, err)
+		}
+		return prog.Method("C", "f").Body.Stmts[0].(*Return).Value
+	}
+	for l1, ops1 := range levels {
+		for _, op1 := range ops1 {
+			for l2, ops2 := range levels {
+				for _, op2 := range ops2 {
+					src := "a " + op1 + " b " + op2 + " c"
+					want := "((a " + op1 + " b) " + op2 + " c)"
+					if l2 > l1 {
+						want = "(a " + op1 + " (b " + op2 + " c))"
+					}
+					tree := parseReturn(src)
+					if got := grouped(tree); got != want {
+						t.Errorf("%s parses to %s, want %s", src, got, want)
+					}
+					if got := grouped(parseReturn(CanonExpr(tree))); got != want {
+						t.Errorf("%s renders to %q, which parses to %s, want %s", src, CanonExpr(tree), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// grouped renders e with every binary operation in parentheses.
+func grouped(e Expr) string {
+	if b, ok := e.(*Binary); ok {
+		return "(" + grouped(b.X) + " " + b.Op + " " + grouped(b.Y) + ")"
+	}
+	return CanonExpr(e)
 }
 
 func TestParseErrors(t *testing.T) {

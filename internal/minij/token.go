@@ -74,14 +74,10 @@ type Token struct {
 
 // String renders the token for diagnostics.
 func (t Token) String() string {
-	switch t.Kind {
-	case TokEOF:
+	if t.Kind == TokEOF {
 		return "end of input"
-	case TokString:
-		return fmt.Sprintf("%q", t.Text)
-	default:
-		return fmt.Sprintf("%q", t.Text)
 	}
+	return fmt.Sprintf("%q", t.Text)
 }
 
 // keywords is the set of reserved words.

@@ -253,40 +253,45 @@ func (c *QueryCache) followInflight(key string, fl *inflightQuery, maxNodes int,
 	// nodes than we may spend; solve under our own limits.
 	sat, nodes, err := c.runSolve(solve)
 	if err == nil {
+		c.mu.Lock()
 		c.storeEntry(key, sat, nodes)
+		c.mu.Unlock()
 	}
 	return sat, err
 }
 
 // lead resolves a key whose in-flight entry fl this caller owns: the disk
-// tier first, then a real solve, releasing the followers either way. A
-// verdict is stored in the memory tier, and a solved one written through
-// to the disk tier.
+// tier first, then a real solve, publishing the outcome to the followers
+// either way. A solved verdict is also written through to the disk tier.
 func (c *QueryCache) lead(key string, fl *inflightQuery, solve func() (bool, int, error)) (bool, error) {
 	if sat, nodes, ok := c.diskGet(key, fl.maxNodes); ok {
 		fl.sat, fl.nodes = sat, nodes
-		c.release(key, fl)
+		c.publish(key, fl)
 		c.countHit()
-		c.storeEntry(key, sat, nodes)
 		return sat, nil
 	}
 	c.countMiss()
 	fl.sat, fl.nodes, fl.err = c.runSolve(solve)
-	c.release(key, fl)
+	c.publish(key, fl)
 	if fl.err == nil {
-		c.storeEntry(key, fl.sat, fl.nodes)
 		c.diskPut(key, fl.sat, fl.nodes)
 	}
 	return fl.sat, fl.err
 }
 
-// release publishes a finished in-flight solve to its followers and
-// retires its entry.
-func (c *QueryCache) release(key string, fl *inflightQuery) {
-	close(fl.done)
+// publish retires a finished in-flight solve and, if it decided its query,
+// stores the verdict in the memory tier in the same critical section; only
+// then are the followers released. A query that arrives at any moment finds
+// the in-flight entry or the verdict, never neither, so a decided query is
+// solved once however its askers interleave.
+func (c *QueryCache) publish(key string, fl *inflightQuery) {
 	c.mu.Lock()
 	delete(c.inflight, key)
+	if fl.err == nil {
+		c.storeEntry(key, fl.sat, fl.nodes)
+	}
 	c.mu.Unlock()
+	close(fl.done)
 }
 
 // countHit and countMiss charge one answered or unanswered query to this
@@ -311,11 +316,9 @@ func (c *QueryCache) runSolve(solve func() (bool, int, error)) (bool, int, error
 }
 
 // storeEntry inserts a decided query into the memory tier, evicting from
-// the LRU tail past capacity. A resident key keeps its verdict and is only
-// promoted.
+// the LRU tail past capacity; c.mu must be held. A resident key keeps its
+// verdict and is only promoted.
 func (c *QueryCache) storeEntry(key string, sat bool, nodes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.mem.Get(key); ok {
 		return
 	}

@@ -334,3 +334,52 @@ func TestSingleflightOtherErrorsResolvePerWaiter(t *testing.T) {
 		t.Fatalf("re-solved verdict not cached: sat=%v err=%v solves %d -> %d", sat, err, before, calls.Load())
 	}
 }
+
+// TestSingleflightSolvesEachQueryOnce: four goroutines, started one after
+// another, ask the same fresh queries in the same order, so an asker often
+// arrives just as another finishes solving. A query that arrives then must
+// find the verdict if it no longer finds the in-flight entry: each query is
+// solved exactly once, and the node count equals a one-goroutine run's.
+func TestSingleflightSolvesEachQueryOnce(t *testing.T) {
+	const queries, askers = 20_000, 4
+	formulas := make([]Formula, queries)
+	for i := range formulas {
+		formulas[i] = MustParsePredicate(fmt.Sprintf("a%d > %d && (b < a%d || b == %d)", i, i, i, i))
+	}
+	askAll := func(c *QueryCache) error {
+		for _, f := range formulas {
+			if _, err := SATLim(f, Limits{Cache: c}); err != nil {
+				return fmt.Errorf("SATLim(%s): %v", f, err)
+			}
+		}
+		return nil
+	}
+	alone := NewQueryCache(queries)
+	if err := askAll(alone); err != nil {
+		t.Fatal(err)
+	}
+	want := alone.Stats()
+	if want.Solves != queries {
+		t.Fatalf("one asker solved %d queries, want %d", want.Solves, queries)
+	}
+
+	c := NewQueryCache(queries)
+	errs := make([]error, askers)
+	var wg sync.WaitGroup
+	for g := range askers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = askAll(c)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Stats(); got.Solves != want.Solves || got.Nodes != want.Nodes {
+		t.Fatalf("%d askers: %d solves and %d nodes, want %d and %d as one asker", askers, got.Solves, got.Nodes, want.Solves, want.Nodes)
+	}
+}

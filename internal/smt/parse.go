@@ -19,17 +19,16 @@ import (
 // A nullary getter suffix "()" canonicalizes away: `s.isClosing()` parses to
 // the path "s.isClosing". A bare path is a boolean state predicate.
 func ParsePredicate(src string) (Formula, error) {
-	toks, err := minij.Lex(src)
-	if err != nil {
-		return nil, fmt.Errorf("smt: %w", err)
-	}
-	p := &predParser{toks: toks}
+	p := &predParser{minij.NewTokens(src)}
 	f, err := p.parseOr()
+	if err == nil && p.Cur().Kind != minij.TokEOF {
+		err = errorAt(p.Cur().Pos, "trailing input %s", p.Cur())
+	}
+	if lexErr := p.Err(); lexErr != nil {
+		return nil, fmt.Errorf("smt: %w", lexErr)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.cur().Kind != minij.TokEOF {
-		return nil, errorAt(p.cur().Pos, "trailing input %s", p.cur())
 	}
 	return f, nil
 }
@@ -61,25 +60,10 @@ func errorAt(pos minij.Pos, format string, args ...any) error {
 	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// predParser parses a predicate over a minij.Tokens window, the one
+// minij.Parse reads a program through.
 type predParser struct {
-	toks []minij.Token
-	i    int
-}
-
-func (p *predParser) cur() minij.Token  { return p.toks[p.i] }
-func (p *predParser) next() minij.Token { t := p.toks[p.i]; p.i++; return t }
-
-func (p *predParser) is(kind minij.TokenKind, text string) bool {
-	t := p.cur()
-	return t.Kind == kind && t.Text == text
-}
-
-func (p *predParser) accept(kind minij.TokenKind, text string) bool {
-	if p.is(kind, text) {
-		p.i++
-		return true
-	}
-	return false
+	minij.Tokens
 }
 
 func (p *predParser) parseOr() (Formula, error) {
@@ -88,7 +72,7 @@ func (p *predParser) parseOr() (Formula, error) {
 		return nil, err
 	}
 	xs := []Formula{x}
-	for p.accept(minij.TokOp, "||") {
+	for p.Accept(minij.TokOp, "||") {
 		y, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -104,7 +88,7 @@ func (p *predParser) parseAnd() (Formula, error) {
 		return nil, err
 	}
 	xs := []Formula{x}
-	for p.accept(minij.TokOp, "&&") {
+	for p.Accept(minij.TokOp, "&&") {
 		y, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -115,27 +99,27 @@ func (p *predParser) parseAnd() (Formula, error) {
 }
 
 func (p *predParser) parseUnary() (Formula, error) {
-	if p.accept(minij.TokOp, "!") {
+	if p.Accept(minij.TokOp, "!") {
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return NewNot(x), nil
 	}
-	if p.accept(minij.TokPunct, "(") {
+	if p.Accept(minij.TokPunct, "(") {
 		x, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if !p.accept(minij.TokPunct, ")") {
-			return nil, errorAt(p.cur().Pos, "expected \")\"")
+		if !p.Accept(minij.TokPunct, ")") {
+			return nil, errorAt(p.Cur().Pos, "expected \")\"")
 		}
 		return x, nil
 	}
-	if p.accept(minij.TokKeyword, "true") {
+	if p.Accept(minij.TokKeyword, "true") {
 		return True(), nil
 	}
-	if p.accept(minij.TokKeyword, "false") {
+	if p.Accept(minij.TokKeyword, "false") {
 		return False(), nil
 	}
 	return p.parseAtom()
@@ -151,27 +135,26 @@ func (p *predParser) parseAtom() (Formula, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, isCmp := cmpOps[p.cur().Text]
-	if !isCmp || p.cur().Kind != minij.TokOp {
+	op, isCmp := cmpOps[p.Cur().Text]
+	if !isCmp || p.Cur().Kind != minij.TokOp {
 		return NewAtom(BoolAtom(path)), nil
 	}
-	opPos := p.cur().Pos
-	p.i++
-	t := p.cur()
+	opPos := p.Next().Pos
+	t := p.Cur()
 	switch {
 	case t.Kind == minij.TokInt:
-		p.i++
+		p.Next()
 		return NewAtom(CmpCAtom(path, op, t.Int)), nil
 	case t.Kind == minij.TokOp && t.Text == "-":
-		p.i++
-		lit := p.cur()
+		p.Next()
+		lit := p.Cur()
 		if lit.Kind != minij.TokInt {
 			return nil, errorAt(lit.Pos, "expected integer after \"-\"")
 		}
-		p.i++
+		p.Next()
 		return NewAtom(CmpCAtom(path, op, -lit.Int)), nil
 	case t.Kind == minij.TokKeyword && t.Text == "null":
-		p.i++
+		p.Next()
 		switch op {
 		case OpEq:
 			return NewAtom(NullAtom(path)), nil
@@ -180,7 +163,7 @@ func (p *predParser) parseAtom() (Formula, error) {
 		}
 		return nil, errorAt(opPos, "null supports only == and !=")
 	case t.Kind == minij.TokKeyword && (t.Text == "true" || t.Text == "false"):
-		p.i++
+		p.Next()
 		positive := (t.Text == "true") == (op == OpEq)
 		if op != OpEq && op != OpNe {
 			return nil, errorAt(opPos, "booleans support only == and !=")
@@ -190,7 +173,7 @@ func (p *predParser) parseAtom() (Formula, error) {
 		}
 		return NewNot(NewAtom(BoolAtom(path))), nil
 	case t.Kind == minij.TokString:
-		p.i++
+		p.Next()
 		if op != OpEq && op != OpNe {
 			return nil, errorAt(opPos, "strings support only == and !=")
 		}
@@ -206,19 +189,19 @@ func (p *predParser) parseAtom() (Formula, error) {
 }
 
 func (p *predParser) parsePath() (string, error) {
-	t := p.cur()
+	t := p.Cur()
 	if t.Kind != minij.TokIdent {
 		return "", errorAt(t.Pos, "expected path, found %s", t)
 	}
-	p.i++
+	p.Next()
 	path := t.Text
 	p.acceptCallSuffix()
-	for p.accept(minij.TokPunct, ".") {
-		seg := p.cur()
+	for p.Accept(minij.TokPunct, ".") {
+		seg := p.Cur()
 		if seg.Kind != minij.TokIdent {
 			return "", errorAt(seg.Pos, "expected identifier after \".\"")
 		}
-		p.i++
+		p.Next()
 		path += "." + seg.Text
 		p.acceptCallSuffix()
 	}
@@ -228,8 +211,8 @@ func (p *predParser) parsePath() (string, error) {
 // acceptCallSuffix consumes a nullary call suffix "()" if present, which
 // canonicalizes getter calls to field-style paths.
 func (p *predParser) acceptCallSuffix() {
-	if p.is(minij.TokPunct, "(") && p.i+1 < len(p.toks) &&
-		p.toks[p.i+1].Kind == minij.TokPunct && p.toks[p.i+1].Text == ")" {
-		p.i += 2
+	if ahead := p.Ahead(); p.Is(minij.TokPunct, "(") && ahead.Kind == minij.TokPunct && ahead.Text == ")" {
+		p.Next()
+		p.Next()
 	}
 }

@@ -83,7 +83,10 @@
 # is attributed and a local constant decides a static path), the
 # positioned predicate-error test by name (TestParseErrorsArePositioned:
 # each predicate syntax error is an smt.ParseError at its token, with the
-# text the formatted errors had), the atom-key table test by name (TestAtomKeyTable: solver
+# text the formatted errors had), the single-flight test by name (ten
+# race-detector rounds of TestSingleflightSolvesEachQueryOnce: four askers
+# started one after another ask the same 20,000 fresh queries, and each query
+# is solved once, with a one-asker run's node count), the atom-key table test by name (TestAtomKeyTable: solver
 # keys built by concatenation equal the fmt rendering they replaced),
 # the registry tests by name (TestRegistryGolden: every corpus case's
 # registry record equals the committed golden; TestRegistryVersionIsGoldenHash:
@@ -122,14 +125,15 @@
 # rejection carries a position), ten
 # seconds of native fuzzing of the spec round trip, which a registry record
 # is (FuzzSpecRoundTrip: any spec ParseSpec accepts formats to a spec that
-# parses back to the same rules and formats to the same bytes), ten
+# parses back to the same rules and formats to the same bytes, and every
+# rejection is a contract.ParseError carrying its line), ten
 # seconds of native fuzzing of the solver against its reference
 # (FuzzSolverMatchesReference: for any parsed predicate of at most 12
 # atoms, SATLim with no cache, SATLim through a fresh cache asked twice,
 # the second a memory hit, and ReferenceSolve agree), ten seconds of
 # native fuzzing of the MiniJ parse/render round trip (FuzzParseRoundTrip:
-# Parse never panics, fails with Lex's own error on any source Lex
-# rejects, and an accepted program's render parses back to the same
+# Parse never panics, fails with the lexer's own error on any source the
+# lexer rejects, and an accepted program's render parses back to the same
 # render), ten seconds of native fuzzing of the store's frame parser
 # (FuzzParseFrame: parseFrame never panics, and an accepted frame's key
 # and value lie inside it and re-encode to the same bytes), one
@@ -175,6 +179,7 @@ go test -race -count=10 -run 'TestSiteUnitFaultsRenderLikeParent|TestNoChainTopO
 go test -run 'TestQueryTopKMatchesStableSort' -count=1 ./internal/embedding
 go test -run 'TestReopeningSuiteMatchesAnalysisMethods|TestKnownConstantOperandBindsItsPath' -count=1 ./internal/core
 go test -run 'TestParseErrorsArePositioned' -count=1 ./internal/smt
+go test -race -count=10 -run TestSingleflightSolvesEachQueryOnce ./internal/smt
 go test -run 'TestAtomKeyTable' -count=1 ./internal/smt
 go test -run 'TestRegistryGolden|TestRegistryVersionIsGoldenHash|TestRegistryRestoreEqualsInferred|TestRegistryRecordMisses|TestArmedPlanWritesNoRegistry|TestServerRestartWarmFromStore' -count=1 ./internal/server
 go test -run 'TestSiteAndReplayV1RecordsAreMisses' -count=1 ./internal/sched
