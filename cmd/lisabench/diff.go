@@ -102,12 +102,42 @@ func diffBench(baselinePath string, base, fresh benchOutput) int {
 		}
 	}
 
+	// Allocations inform but do not gate until their run-to-run spread is
+	// measured; a baseline that predates them leaves its column blank.
+	var allocNames []string
+	for name := range fresh.ExperimentsAllocs {
+		allocNames = append(allocNames, name)
+	}
+	sort.Strings(allocNames)
+	if len(allocNames) > 0 {
+		fmt.Printf("  %-24s %12s %12s %8s\n", "alloc objects (info)", "baseline", "fresh", "ratio")
+		for _, name := range allocNames {
+			b, ok := base.ExperimentsAllocs[name]
+			infoRow(name, float64(b.Objects), float64(fresh.ExperimentsAllocs[name].Objects), ok, 0)
+		}
+		fmt.Printf("  %-24s %12s %12s %8s\n", "alloc MB (info)", "baseline", "fresh", "ratio")
+		for _, name := range allocNames {
+			b, ok := base.ExperimentsAllocs[name]
+			infoRow(name, float64(b.Bytes)/(1<<20), float64(fresh.ExperimentsAllocs[name].Bytes)/(1<<20), ok, 1)
+		}
+	}
+
 	if regressions > 0 {
 		fmt.Printf("perf diff: %d regression(s) past the ×%.2f threshold\n", regressions, diffGrowthFactor)
 	} else {
 		fmt.Println("perf diff: ok")
 	}
 	return regressions
+}
+
+// infoRow prints one ungated row with prec decimals, its baseline column
+// blank when the baseline lacks it.
+func infoRow(name string, base, fresh float64, hasBase bool, prec int) {
+	if !hasBase {
+		fmt.Printf("  %-24s %12s %12.*f\n", name, "", prec, fresh)
+		return
+	}
+	fmt.Printf("  %-24s %12.*f %12.*f %8s\n", name, prec, base, prec, fresh, ratio(base, fresh))
 }
 
 // regressedCounter applies the gate threshold: relative growth past

@@ -15,9 +15,11 @@
 //	    Perf-regression gate: run the full sweep quietly and compare the
 //	    deterministic cost counters of the tracked hot paths (solver
 //	    queries/searches/nodes, snapshot compiles/graph builds) against
-//	    the committed baseline; exits 1 on >25% growth. Wall clocks and
-//	    hit rates are printed for context but never gate (they depend on
-//	    machine load; the counters are exactly reproducible).
+//	    the committed baseline; exits 1 on >25% growth. Wall clocks, hit
+//	    rates and each experiment's heap allocations are printed for
+//	    context but never gate (wall clocks depend on machine load; the
+//	    allocations' run-to-run spread is not yet measured; the counters
+//	    are exactly reproducible).
 package main
 
 import (
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/metrics"
 	"time"
 
 	"lisa/internal/corpus"
@@ -38,13 +41,50 @@ import (
 )
 
 // benchOutput is the machine-readable summary -json writes: experiment
-// wall clocks plus the process-wide cache and solver counters. Older
-// BENCH_N.json files also carry a "benchmarks" key of hand-merged go-test
-// results; parsing ignores it.
+// wall clocks and heap allocations plus the process-wide cache and solver
+// counters. Older BENCH_N.json files also carry a "benchmarks" key of
+// hand-merged go-test results, which parsing ignores, and none carries
+// allocations.
 type benchOutput struct {
-	ExperimentsMS map[string]float64 `json:"experiments_ms"`
-	Snapshot      program.CacheStats `json:"snapshot_cache"`
-	Solver        smt.SolverStats    `json:"solver"`
+	ExperimentsMS     map[string]float64    `json:"experiments_ms"`
+	ExperimentsAllocs map[string]heapAllocs `json:"experiments_allocs,omitempty"`
+	Snapshot          program.CacheStats    `json:"snapshot_cache"`
+	Solver            smt.SolverStats       `json:"solver"`
+}
+
+// heapAllocs is what an experiment allocated on the heap: the deltas of
+// runtime/metrics' cumulative heap allocation counters across its run
+// (objects count the tiny allocator's blocks, not its objects).
+type heapAllocs struct {
+	Objects uint64 `json:"objects"`
+	Bytes   uint64 `json:"bytes"`
+}
+
+// readAllocs reads the cumulative heap allocation counters.
+func readAllocs() heapAllocs {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return heapAllocs{Objects: s[0].Value.Uint64(), Bytes: s[1].Value.Uint64()}
+}
+
+// ledger records each experiment's wall clock, in run order, and its heap
+// allocations.
+type ledger struct {
+	tm     *report.Timings
+	allocs map[string]heapAllocs
+}
+
+func newLedger() *ledger {
+	return &ledger{tm: report.NewTimings(), allocs: map[string]heapAllocs{}}
+}
+
+// run runs f as the named experiment, recording its wall clock and what
+// the process allocated meanwhile.
+func (l *ledger) run(name string, f func()) {
+	before := readAllocs()
+	l.tm.Time(name, f)
+	after := readAllocs()
+	l.allocs[name] = heapAllocs{Objects: after.Objects - before.Objects, Bytes: after.Bytes - before.Bytes}
 }
 
 func main() {
@@ -89,9 +129,9 @@ func main() {
 		return
 	}
 	if *exp == "all" {
-		tm := sweep(c, os.Stdout)
+		l := sweep(c, os.Stdout)
 		if *timings {
-			fmt.Print(tm.Render("Wall clock by experiment"))
+			fmt.Print(l.tm.Render("Wall clock by experiment"))
 			// Experiments replay the same corpus versions over and over;
 			// the snapshot cache shows how much front-end work was shared.
 			st := program.DefaultCache().Stats()
@@ -108,21 +148,21 @@ func main() {
 			fmt.Print(solverLine(ss))
 		}
 		if *jsonPath != "" {
-			writeJSON(*jsonPath, tm)
+			writeJSON(*jsonPath, l)
 		}
 		return
 	}
-	tm := report.NewTimings()
+	l := newLedger()
 	var out string
 	var err error
-	tm.Time(*exp, func() { out, err = experiments.Run(*exp, c) })
+	l.run(*exp, func() { out, err = experiments.Run(*exp, c) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lisabench:", err)
 		os.Exit(2)
 	}
 	fmt.Print(out)
 	if *jsonPath != "" {
-		writeJSON(*jsonPath, tm)
+		writeJSON(*jsonPath, l)
 	}
 }
 
@@ -135,36 +175,37 @@ func solverLine(ss smt.SolverStats) string {
 
 // sweep runs every experiment in registry order, writing each one's
 // section and output to w (the output matches experiments.Run("all", c)),
-// and returns each experiment's wall clock.
-func sweep(c *ticket.Corpus, w io.Writer) *report.Timings {
-	tm := report.NewTimings()
+// and returns each experiment's wall clock and allocations.
+func sweep(c *ticket.Corpus, w io.Writer) *ledger {
+	l := newLedger()
 	for _, e := range experiments.Registry {
 		fmt.Fprint(w, report.Section("EXPERIMENT "+e.Name+": "+e.Title))
 		var out string
-		tm.Time(e.Name, func() { out = e.Run(c) })
+		l.run(e.Name, func() { out = e.Run(c) })
 		fmt.Fprint(w, out)
 	}
-	return tm
+	return l
 }
 
 // newBenchOutput fills the summary -json writes and -diff compares: the
-// wall clocks in tm and the process-wide snapshot cache and solver
-// counters, which every experiment's shared work goes through.
-func newBenchOutput(tm *report.Timings) benchOutput {
+// wall clocks and allocations in l and the process-wide snapshot cache and
+// solver counters, which every experiment's shared work goes through.
+func newBenchOutput(l *ledger) benchOutput {
 	out := benchOutput{
-		ExperimentsMS: map[string]float64{},
-		Snapshot:      program.DefaultCache().Stats(),
-		Solver:        smt.Stats(),
+		ExperimentsMS:     map[string]float64{},
+		ExperimentsAllocs: l.allocs,
+		Snapshot:          program.DefaultCache().Stats(),
+		Solver:            smt.Stats(),
 	}
-	for _, name := range tm.Names() {
-		out.ExperimentsMS[name] = float64(tm.Get(name)) / float64(time.Millisecond)
+	for _, name := range l.tm.Names() {
+		out.ExperimentsMS[name] = float64(l.tm.Get(name)) / float64(time.Millisecond)
 	}
 	return out
 }
 
 // writeJSON dumps the run's summary numbers for the perf trajectory.
-func writeJSON(path string, tm *report.Timings) {
-	data, err := json.MarshalIndent(newBenchOutput(tm), "", "  ")
+func writeJSON(path string, l *ledger) {
+	data, err := json.MarshalIndent(newBenchOutput(l), "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lisabench: encode json:", err)
 		os.Exit(2)

@@ -62,13 +62,14 @@ type ChainTops struct {
 func SiteStaticPaths(prog *minij.Program, site *contract.Site, chains []callgraph.Path, opts Options, tops *ChainTops) (paths [][]*StaticPath, truncated []bool) {
 	paths = make([][]*StaticPath, len(chains))
 	truncated = make([]bool, len(chains))
+	memo := condMemo{}
 	fromTop := func(i int, top chainPrefix) {
 		truncated[i] = top.truncated
 		// An empty seed set means no caller path reaches a call site of
 		// the chain: nothing flows down, and the chain has no paths.
 		if len(top.seeds) > 0 {
 			var trunc bool
-			paths[i], trunc = staticPathsFrom(prog, site, opts, top.seeds)
+			paths[i], trunc = staticPathsFrom(prog, site, opts, top.seeds, memo)
 			truncated[i] = truncated[i] || trunc
 		}
 	}
@@ -114,7 +115,7 @@ func SiteStaticPaths(prog *minij.Program, site *contract.Site, chains []callgrap
 		}
 		stack = stack[:min(len(stack), shared+1)]
 		for d := len(stack) - 1; d < len(key) && len(stack[d].seeds) > 0; d++ {
-			stack = append(stack, enterCallee(prog, chains[i][d], stack[d], opts))
+			stack = append(stack, enterCallee(prog, chains[i][d], stack[d], opts, memo))
 		}
 		top := stack[len(stack)-1]
 		if tops != nil {
@@ -136,9 +137,10 @@ type chainPrefix struct {
 	truncated bool
 }
 
-// enterCallee walks edge's caller from each seed of from to the call, and
-// enters the callee from every state that reaches it.
-func enterCallee(prog *minij.Program, edge callgraph.CallSite, from chainPrefix, opts Options) chainPrefix {
+// enterCallee walks edge's caller from each seed of from to the call,
+// taking branch cells from memo, and enters the callee from every state
+// that reaches it.
+func enterCallee(prog *minij.Program, edge callgraph.CallSite, from chainPrefix, opts Options, memo condMemo) chainPrefix {
 	stmt := stmtOfCall(prog, edge.Caller, edge.Call)
 	if stmt == nil {
 		// Should not happen for a well-formed chain; fall back to an
@@ -156,7 +158,7 @@ func enterCallee(prog *minij.Program, edge callgraph.CallSite, from chainPrefix,
 	// query per seed), which costs far less than checking every fork of
 	// every intermediate state.
 	trunc := walkSeeds(prog, edge.Caller, stmt.ID(), maxChainStates, from.seeds, opts, false, collect,
-		func() bool { return len(states) >= maxChainStates })
+		func() bool { return len(states) >= maxChainStates }, memo)
 	next := make([]*sframe, 0, len(states))
 	dedup := map[string]bool{}
 	for _, st := range states {
@@ -239,11 +241,7 @@ func inheritFrame(prog *minij.Program, caller *sframe, callee *minij.Method, cal
 		if !ok {
 			continue
 		}
-		guard := rc.guard
-		if !rc.inherited {
-			guard.Guard += " (inherited)"
-		}
-		child.conds = append(child.conds, &recordedCond{f: f, guard: guard, roots: condRoots(f), inherited: true})
+		child.conds = append(child.conds, &recordedCond{f: f, guard: rc.guard, taken: rc.taken, inherited: true, roots: condRoots(f)})
 	}
 	return child
 }
@@ -292,7 +290,7 @@ func renameFormula(f smt.Formula, renames map[string]string) (smt.Formula, bool)
 func frameKey(st *sframe) string {
 	var sb strings.Builder
 	for _, rc := range st.conds {
-		sb.WriteString(rc.f.String())
+		sb.WriteString(rc.render())
 		sb.WriteByte(';')
 	}
 	keys := make([]string, 0, len(st.consts))

@@ -349,7 +349,7 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 	seed := newSFrame(prog)
 	seed.store("mode", &minij.IntLit{Value: 7})
 	seed.conds = make([]*recordedCond, 1, 4)
-	seed.conds[0] = &recordedCond{f: smt.NewAtom(smt.BoolAtom("fast")), guard: GuardStep{Guard: "fast", Taken: true}}
+	seed.conds[0] = &recordedCond{f: smt.NewAtom(smt.BoolAtom("fast")), guard: &minij.Ident{Name: "fast"}, taken: true}
 	a, b := seed.clone(), seed.clone()
 	var body []minij.Stmt
 	minij.WalkStmts(m.Body, func(s minij.Stmt) {
@@ -361,8 +361,8 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 	for _, s := range body {
 		a.apply(s)
 	}
-	a.conds = append(a.conds, &recordedCond{f: smt.NewAtom(smt.BoolAtom("a")), guard: GuardStep{Guard: "a", Taken: true}})
-	b.conds = append(b.conds, &recordedCond{f: smt.NewAtom(smt.BoolAtom("b")), guard: GuardStep{Guard: "b", Taken: true}})
+	a.conds = append(a.conds, &recordedCond{f: smt.NewAtom(smt.BoolAtom("a")), guard: &minij.Ident{Name: "a"}, taken: true})
+	b.conds = append(b.conds, &recordedCond{f: smt.NewAtom(smt.BoolAtom("b")), guard: &minij.Ident{Name: "b"}, taken: true})
 	if c, ok := a.ConstOf("s.ttl"); !ok || c.Int != 5 {
 		t.Fatalf("the writing clone lost its own field write: s.ttl = %v, %v", c, ok)
 	}
@@ -377,10 +377,10 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 			t.Errorf("%s sees the sibling's declaration", name)
 		}
 	}
-	if got := a.conds[1].guard.Guard; got != "a" {
+	if got := a.conds[1].step().Guard; got != "a" {
 		t.Errorf("the writing clone's second condition is %q after its sibling appended, want a", got)
 	}
-	if got := b.conds[1].guard.Guard; got != "b" {
+	if got := b.conds[1].step().Guard; got != "b" {
 		t.Errorf("the sibling's second condition is %q after the writing clone appended, want b", got)
 	}
 	if len(seed.conds) != 1 || seed.conds[:2][1] != nil {
@@ -418,7 +418,7 @@ func TestForkedFramesKeepWritesPrivate(t *testing.T) {
 		walkSeeds(prog, m, site.Stmt.ID(), DefaultMaxPaths, []*sframe{shared}, Options{}, true, func(st *sframe) {
 			n++
 			emitted = append(emitted, frameKey(st))
-		}, nil)
+		}, nil, condMemo{})
 		if c, ok := shared.ConstOf("mode"); !ok || c.Int != 1 {
 			t.Fatalf("walk %d left the shared seed's mode = %v, %v, want 1", i, c, ok)
 		}

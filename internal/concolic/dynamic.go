@@ -204,7 +204,7 @@ func (r *Runner) top() *dframe {
 }
 
 func (r *Runner) recordHit(site *contract.Site, top *dframe, fr *interp.Frame) {
-	bindings, conds, _, roots := siteCondition(site, top.env, r.noPrune)
+	bindings, cells, roots := siteCondition(site, top.env, r.noPrune)
 	if r.noPrune {
 		// Under NoPrune a hit's constant facts cover every root its frame
 		// holds a constant for, where a static path's cover only the
@@ -215,14 +215,13 @@ func (r *Runner) recordHit(site *contract.Site, top *dframe, fr *interp.Frame) {
 			roots[smt.Root(path)] = true
 		}
 	}
-	conds = append(conds, constFacts(top.env, roots)...)
 	chain := make([]string, len(r.methodStack))
 	for i, m := range r.methodStack {
 		chain[i] = m.FullName()
 	}
 	hit := &SiteHit{
 		Site:      site,
-		Cond:      smt.NewAnd(conds...),
+		Cond:      conj(cells, constFacts(top.env, roots)),
 		Bindings:  bindings,
 		CallChain: chain,
 		TestName:  r.testName,

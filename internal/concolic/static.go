@@ -41,6 +41,12 @@ type StaticPath struct {
 	Bindings map[string]string
 	// Guards lists the branch decisions along the path in order.
 	Guards []GuardStep
+
+	// key is Key() as the collector computed it from its cells' renders,
+	// with Cond's render from condAt on; empty for a path built elsewhere
+	// (restored from a store), whose Key renders it on demand.
+	key    string
+	condAt int
 }
 
 // String renders the path's decisions.
@@ -92,21 +98,22 @@ const DefaultMaxPaths = 512
 // branch histories with the same filtered condition and bindings are one
 // logical path.
 func StaticPaths(prog *minij.Program, site *contract.Site, opts Options) (paths []*StaticPath, truncated bool) {
-	return staticPathsFrom(prog, site, opts, []*sframe{newSFrame(prog)})
+	return staticPathsFrom(prog, site, opts, []*sframe{newSFrame(prog)}, condMemo{})
 }
 
 // staticPathsFrom enumerates paths to the site's statement starting from
-// the given seed states (each carrying conditions inherited from callers).
-func staticPathsFrom(prog *minij.Program, site *contract.Site, opts Options, seeds []*sframe) (paths []*StaticPath, truncated bool) {
+// the given seed states (each carrying conditions inherited from callers),
+// taking branch cells from memo.
+func staticPathsFrom(prog *minij.Program, site *contract.Site, opts Options, seeds []*sframe, memo condMemo) (paths []*StaticPath, truncated bool) {
 	if faultinject.Armed() {
 		if k, ok := faultinject.At("concolic.paths:" + site.Method.FullName()); ok && k == faultinject.Panic {
 			panic("faultinject: concolic.paths " + site.Method.FullName())
 		}
 	}
 	collector := &siteCollector{site: site, opts: opts, seen: map[string]bool{}}
-	trunc := walkSeeds(prog, site.Method, site.Stmt.ID(), DefaultMaxPaths, seeds, opts, true, collector.emit, nil)
+	trunc := walkSeeds(prog, site.Method, site.Stmt.ID(), DefaultMaxPaths, seeds, opts, true, collector.emit, nil, memo)
 	sort.Slice(collector.out, func(i, j int) bool {
-		return collector.out[i].Cond.String() < collector.out[j].Cond.String()
+		return collector.out[i].condText() < collector.out[j].condText()
 	})
 	return collector.out, trunc
 }
@@ -117,8 +124,9 @@ func staticPathsFrom(prog *minij.Program, site *contract.Site, opts Options, see
 // query skips its whole walk. forkPrune also drops each branch direction
 // whose prefix is unsatisfiable. When enough is non-nil, the loop stops
 // after the first seed that leaves it true, and the walk counts as cut
-// short. The seeds themselves are never written.
-func walkSeeds(prog *minij.Program, m *minij.Method, targetID, maxPaths int, seeds []*sframe, opts Options, forkPrune bool, emit func(*sframe), enough func() bool) (truncated bool) {
+// short. The seeds themselves are never written. Branch cells come from
+// memo.
+func walkSeeds(prog *minij.Program, m *minij.Method, targetID, maxPaths int, seeds []*sframe, opts Options, forkPrune bool, emit func(*sframe), enough func() bool, memo condMemo) (truncated bool) {
 	for _, seed := range seeds {
 		w := &staticWalker{
 			prog:     prog,
@@ -127,6 +135,7 @@ func walkSeeds(prog *minij.Program, m *minij.Method, targetID, maxPaths int, see
 			lim:      opts.Lim,
 			prune:    forkPrune && !opts.NoPrefixPrune,
 			emit:     emit,
+			memo:     memo,
 		}
 		if !opts.NoPrefixPrune && len(seed.conds) > 0 && !w.prefixSat(seed) {
 			continue
@@ -152,35 +161,46 @@ type siteCollector struct {
 }
 
 func (c *siteCollector) emit(st *sframe) {
-	bindings, cond, guards, roots := siteCondition(c.site, st, c.opts.NoPrune)
+	bindings, cells, roots := siteCondition(c.site, st, c.opts.NoPrune)
 	// Known constants over the bindings' roots are state facts guaranteed on
 	// this path (a guard mentioning them folded during translation); they
 	// belong in the path condition or the complement check would treat
 	// them as unconstrained.
 	facts := constFacts(st, roots)
-	full := make([]smt.Formula, 0, len(st.conds)+len(facts))
-	for _, rc := range st.conds {
-		full = append(full, rc.f)
-	}
-	p := &StaticPath{
-		Cond:     smt.NewAnd(append(cond, facts...)...),
-		FullCond: smt.NewAnd(append(full, facts...)...),
-		Bindings: bindings,
-		Guards:   guards,
-	}
-	key := p.Key()
+	key, condAt := pathKey(bindings, cells, facts)
 	if c.seen[key] {
 		return
 	}
 	c.seen[key] = true
-	c.out = append(c.out, p)
+	guards := make([]GuardStep, len(cells))
+	for i, rc := range cells {
+		guards[i] = rc.step()
+	}
+	c.out = append(c.out, &StaticPath{
+		Cond:     conj(cells, facts),
+		FullCond: conj(st.conds, facts),
+		Bindings: bindings,
+		Guards:   guards,
+		key:      key,
+		condAt:   condAt,
+	})
+}
+
+// conj conjoins the cells' formulas, then facts.
+func conj(cells []*recordedCond, facts []smt.Formula) smt.Formula {
+	fs := make([]smt.Formula, len(cells), len(cells)+len(facts))
+	for i, rc := range cells {
+		fs[i] = rc.f
+	}
+	return smt.NewAnd(append(fs, facts...)...)
 }
 
 // siteCondition is the site's condition in state st: the slot bindings as
-// operand paths, the recorded conditions over the bindings' roots (all of
-// them under noPrune) with their guards, and those roots. Enumeration and
-// replay both build a site's condition with it.
-func siteCondition(site *contract.Site, st *sframe, noPrune bool) (bindings map[string]string, conds []smt.Formula, guards []GuardStep, roots map[string]bool) {
+// operand paths, the cells of the recorded conditions over the bindings'
+// roots (under noPrune, st.conds itself, which callers only read), and
+// those roots. Enumeration and replay both build a site's condition with
+// it.
+func siteCondition(site *contract.Site, st *sframe, noPrune bool) (bindings map[string]string, cells []*recordedCond, roots map[string]bool) {
 	bindings = map[string]string{}
 	roots = map[string]bool{}
 	for slot := range site.Semantic.Target.Bind {
@@ -193,13 +213,15 @@ func siteCondition(site *contract.Site, st *sframe, noPrune bool) (bindings map[
 			roots[smt.Root(path)] = true
 		}
 	}
+	if noPrune {
+		return bindings, st.conds, roots
+	}
 	for _, rc := range st.conds {
-		if noPrune || mentionsRoot(rc.f, roots) {
-			conds = append(conds, rc.f)
-			guards = append(guards, rc.guard)
+		if mentionsRoot(rc.f, roots) {
+			cells = append(cells, rc)
 		}
 	}
-	return bindings, conds, guards, roots
+	return bindings, cells, roots
 }
 
 // operandPath is the path a slot operand names in st. An identifier or a
@@ -274,7 +296,12 @@ type sframe struct {
 	assigned map[string]bool
 	// shared reports that another frame may hold these maps.
 	shared bool
-	conds  []*recordedCond
+	// vocab names the frame's vocabulary, everything a guard's
+	// translation reads of the frame (PathOf, ConstOf; the program is one
+	// per walk): own renews it before every write, a clone shares it, and
+	// a frame never written has none, the empty vocabulary.
+	vocab *vocab
+	conds []*recordedCond
 	// sat is a seed's decided prefix verdict (prefixSat): 0 until decided,
 	// then 1 when satisfiable and -1 when not. A seed's conds are never
 	// written, so a decided verdict never goes stale. A chain top outlives
@@ -283,18 +310,49 @@ type sframe struct {
 	sat int8
 }
 
+// vocab is a frame vocabulary's identity. It is not empty, so every new
+// one has its own address.
+type vocab struct{ _ byte }
+
+// recordedCond is one recorded branch condition, a cell that frames share.
+// Its render, its roots and its guard step's text are made on first use,
+// on the goroutine that walks it: a cell outlives its walk only as a chain
+// top's inherited condition, under ChainTops' one-goroutine rule.
 type recordedCond struct {
-	f     smt.Formula
-	guard GuardStep
-	// roots memoizes f's variable roots at record time so the
-	// prefix-pruning disjointness test in fork does not rewalk every prior
-	// condition. A small sorted slice: guards mention a handful of roots,
-	// so linear scans beat map allocation on this hot path.
-	roots []string
-	// inherited is set once the condition has crossed a call boundary, so
-	// its guard text carries the " (inherited)" mark exactly once however
-	// many hops it travels.
+	f smt.Formula
+	// guard, taken and inherited make the cell's GuardStep, which is
+	// rendered only for a path a collector keeps. inherited is set once
+	// the condition has crossed a call boundary, so its guard text carries
+	// the " (inherited)" mark exactly once however many hops it travels.
+	guard     minij.Expr
+	taken     bool
 	inherited bool
+	// roots memoizes f's variable roots so the prefix-pruning disjointness
+	// test in fork does not rewalk every prior condition. A small sorted
+	// slice: guards mention a handful of roots, so linear scans beat map
+	// allocation on this hot path.
+	roots []string
+	// text is f.String(), and stepText the guard step's text, once made.
+	text, stepText string
+}
+
+// render returns f's render, made once per cell.
+func (rc *recordedCond) render() string {
+	if rc.text == "" {
+		rc.text = rc.f.String()
+	}
+	return rc.text
+}
+
+// step renders the cell's guard step, its text once per cell.
+func (rc *recordedCond) step() GuardStep {
+	if rc.stepText == "" {
+		rc.stepText = minij.CanonExpr(rc.guard)
+		if rc.inherited {
+			rc.stepText += " (inherited)"
+		}
+	}
+	return GuardStep{Guard: rc.stepText, Taken: rc.taken, Pos: rc.guard.Pos()}
 }
 
 // condRoots collects f's distinct variable roots as a sorted slice without
@@ -325,9 +383,10 @@ func newSFrame(prog *minij.Program) *sframe {
 	return &sframe{prog: prog}
 }
 
-// clone forks the state. The clone's conds has no spare capacity, so an
-// append on either side never writes into the other's backing array. The
-// clone's seed verdict is undecided: its conds may grow.
+// clone forks the state, vocabulary included. The clone's conds has no
+// spare capacity, so an append on either side never writes into the
+// other's backing array. The clone's seed verdict is undecided: its conds
+// may grow.
 func (st *sframe) clone() *sframe {
 	st.shared = true
 	return &sframe{
@@ -337,13 +396,16 @@ func (st *sframe) clone() *sframe {
 		versions: st.versions,
 		assigned: st.assigned,
 		shared:   true,
+		vocab:    st.vocab,
 		conds:    st.conds[:len(st.conds):len(st.conds)],
 	}
 }
 
-// own gives the frame maps of its own before a write: it copies maps
-// shared with another frame, and allocates a fresh frame's.
+// own readies the frame for a write: it names a new vocabulary, and gives
+// the frame maps of its own, copying maps shared with another frame and
+// allocating a fresh frame's. Every write to the maps goes through it.
 func (st *sframe) own() {
+	st.vocab = new(vocab)
 	if st.aliases != nil && !st.shared {
 		return
 	}
@@ -474,19 +536,11 @@ type staticWalker struct {
 	lim       smt.Limits
 	prune     bool
 	emit      func(*sframe)
+	memo      condMemo
 	emitted   int
 	states    int
 	trunc     bool
 	cancelled bool
-}
-
-// prefixCond conjoins the state's recorded (unfiltered) conditions.
-func prefixCond(st *sframe) smt.Formula {
-	fs := make([]smt.Formula, len(st.conds))
-	for i, rc := range st.conds {
-		fs[i] = rc.f
-	}
-	return smt.NewAnd(fs...)
 }
 
 // prefixOverlaps reports whether any recorded condition mentions one of
@@ -526,26 +580,59 @@ func trivSat(f smt.Formula) bool {
 			}
 		}
 	case *smt.And:
-		// A conjunction of bool/null literals is satisfiable whenever no
-		// proposition appears in both polarities: distinct propositional
-		// atoms never interact through a theory, unlike integer or string
-		// comparisons over a shared path (which fall through to the
-		// solver). Quadratic over a handful of conjuncts — still far
-		// cheaper than rendering a cache key.
-		for i, x := range n.Xs {
+		return litsSat(len(n.Xs), func(i int) smt.Formula { return n.Xs[i] })
+	}
+	return false
+}
+
+// litsSat is trivSat of a conjunction of n conjuncts, with at(i) the i-th,
+// a conjunction among them spliced in as NewAnd splices it. A conjunction
+// of bool/null literals is satisfiable whenever no proposition appears in
+// both polarities: distinct propositional atoms never interact through a
+// theory, unlike integer or string comparisons over a shared path (which
+// fall through to the solver). Quadratic over a handful of conjuncts —
+// still far cheaper than rendering a cache key.
+func litsSat(n int, at func(i int) smt.Formula) bool {
+	var one, other [1]smt.Formula
+	for i := 0; i < n; i++ {
+		xs := spliced(at(i), &one)
+		for k, x := range xs {
 			a, neg, ok := literalAtom(x)
 			if !ok || (a.Kind != smt.AtomBool && a.Kind != smt.AtomNull) {
 				return false
 			}
-			for _, y := range n.Xs[:i] {
-				if b, bneg, _ := literalAtom(y); b.Kind == a.Kind && b.Path == a.Path && bneg != neg {
+			if opposes(a, neg, xs[:k]) {
+				return false
+			}
+			for j := 0; j < i; j++ {
+				if opposes(a, neg, spliced(at(j), &other)) {
 					return false
 				}
 			}
 		}
-		return true
+	}
+	return true
+}
+
+// opposes reports whether ys holds the literal of a's proposition with the
+// other polarity.
+func opposes(a smt.Atom, neg bool, ys []smt.Formula) bool {
+	for _, y := range ys {
+		if b, bneg, _ := literalAtom(y); b.Kind == a.Kind && b.Path == a.Path && bneg != neg {
+			return true
+		}
 	}
 	return false
+}
+
+// spliced is f's conjuncts as NewAnd splices them into a conjunction: a
+// conjunction's own, or f alone, held in one.
+func spliced(f smt.Formula, one *[1]smt.Formula) []smt.Formula {
+	if a, ok := f.(*smt.And); ok {
+		return a.Xs
+	}
+	one[0] = f
+	return one[:]
 }
 
 // literalAtom unwraps a literal — an atom or a negated atom.
@@ -561,20 +648,22 @@ func literalAtom(f smt.Formula) (a smt.Atom, neg, ok bool) {
 	return smt.Atom{}, false, false
 }
 
-// componentCond conjoins the prefix conditions transitively root-connected
-// to the state's newest condition (which must be last in st.conds).
-// Conditions over disjoint root sets constrain independent variables, so
-// the full prefix is satisfiable iff every root-connected component is —
-// and every *other* component was already verified satisfiable when its own
-// newest condition was appended. Querying just the newest component is
-// therefore as strong as re-solving the whole prefix, while rendering a
-// much shorter (and far more cacheable) formula: sibling subtrees that
-// differ only in unrelated guards share the component query verbatim.
-func componentCond(st *sframe) smt.Formula {
+// component returns the prefix conditions transitively root-connected to
+// the state's newest condition (which must be last in st.conds), in
+// order. Conditions over disjoint root sets constrain independent
+// variables, so the full prefix is satisfiable iff every root-connected
+// component is — and every *other* component was already verified
+// satisfiable when its own newest condition was appended. Querying just
+// the newest component is therefore as strong as re-solving the whole
+// prefix, while rendering a much shorter (and far more cacheable) formula:
+// sibling subtrees that differ only in unrelated guards share the
+// component query verbatim.
+func component(st *sframe) []*recordedCond {
 	conds := st.conds
 	last := len(conds) - 1
 	inComp := make([]bool, len(conds))
 	inComp[last] = true
+	size := 1
 	roots := append([]string(nil), conds[last].roots...)
 	for changed := true; changed; {
 		changed = false
@@ -583,6 +672,7 @@ func componentCond(st *sframe) smt.Formula {
 				continue
 			}
 			inComp[i] = true
+			size++
 			changed = true
 			for _, r := range rc.roots {
 				if !contains(roots, r) {
@@ -591,13 +681,13 @@ func componentCond(st *sframe) smt.Formula {
 			}
 		}
 	}
-	fs := make([]smt.Formula, 0, len(conds))
+	comp := make([]*recordedCond, 0, size)
 	for i, rc := range conds {
 		if inComp[i] {
-			fs = append(fs, rc.f)
+			comp = append(comp, rc)
 		}
 	}
-	return smt.NewAnd(fs...)
+	return comp
 }
 
 func contains(xs []string, s string) bool {
@@ -629,7 +719,7 @@ func intersects(xs, ys []string) bool {
 // semantics.
 func (w *staticWalker) prefixSat(seed *sframe) bool {
 	if seed.sat == 0 {
-		sat, err := smt.SATLim(prefixCond(seed), w.lim)
+		sat, err := w.sat(seed.conds)
 		if err != nil {
 			return true
 		}
@@ -639,6 +729,14 @@ func (w *staticWalker) prefixSat(seed *sframe) bool {
 		}
 	}
 	return seed.sat > 0
+}
+
+// sat asks whether the conjunction of cells is satisfiable. The query's
+// key joins the cells' renders, and its formula is built only when no
+// cache tier answers.
+func (w *staticWalker) sat(cells []*recordedCond) (bool, error) {
+	key := smt.AndRender(len(cells), func(i int) (smt.Formula, string) { return cells[i].f, cells[i].render() })
+	return smt.SATKeyed(key, func() smt.Formula { return conj(cells, nil) }, w.lim)
 }
 
 func (w *staticWalker) full() bool {
@@ -751,13 +849,14 @@ func (w *staticWalker) walkLoop(cond minij.Expr, body *minij.Block, st *sframe, 
 // most once, so each fork appends its own recording.
 func (w *staticWalker) fork(cond minij.Expr, st *sframe, taken bool, k func(*sframe)) {
 	st2 := st.clone()
-	rc, dead := branchCond(cond, st2, taken)
+	rc, dead := w.memo.branchCond(cond, st2, taken)
 	if dead {
 		// Constant-folded guards prune impossible directions outright.
 		return
 	}
 	if rc != nil {
-		if w.prune {
+		if w.prune && rc.roots == nil {
+			// A cell a chain walk made, which does not prune, has none yet.
 			rc.roots = condRoots(rc.f)
 		}
 		conds := make([]*recordedCond, len(st.conds)+1)
@@ -766,12 +865,16 @@ func (w *staticWalker) fork(cond minij.Expr, st *sframe, taken bool, k func(*sfr
 		st2.conds = conds
 		if w.prune {
 			// Solver errors keep the subtree, exactly as in prefixSat.
-			check := rc.f
+			check := conds[len(st.conds):]
+			var triv bool
 			if prefixOverlaps(rc.roots, st.conds) {
-				check = componentCond(st2)
+				check = component(st2)
+				triv = litsSat(len(check), func(i int) smt.Formula { return check[i].f })
+			} else {
+				triv = trivSat(rc.f)
 			}
-			if !trivSat(check) {
-				if sat, err := smt.SATLim(check, w.lim); err == nil && !sat {
+			if !triv {
+				if sat, err := w.sat(check); err == nil && !sat {
 					return
 				}
 			}
@@ -780,12 +883,42 @@ func (w *staticWalker) fork(cond minij.Expr, st *sframe, taken bool, k func(*sfr
 	k(st2)
 }
 
+// condMemo holds one SiteStaticPaths call's branch cells: branchCond's
+// result for each guard, direction and vocabulary its walks cross, a dead
+// or empty one included, so a guard crossed again in a vocabulary it was
+// translated in shares one cell and its render. The chain walks and the
+// site walks of the call share it, on the call's goroutine, and it dies
+// with the call.
+type condMemo map[condKey]memoCell
+
+type condKey struct {
+	guard minij.Expr
+	taken bool
+	vocab *vocab
+}
+
+type memoCell struct {
+	rc   *recordedCond
+	dead bool
+}
+
+// branchCond is branchCond(cond, st, taken), translated once per key.
+func (m condMemo) branchCond(cond minij.Expr, st *sframe, taken bool) (*recordedCond, bool) {
+	key := condKey{guard: cond, taken: taken, vocab: st.vocab}
+	if c, ok := m[key]; ok {
+		return c.rc, c.dead
+	}
+	rc, dead := branchCond(cond, st, taken)
+	m[key] = memoCell{rc: rc, dead: dead}
+	return rc, dead
+}
+
 // branchCond records one direction of a branch in st's vocabulary: a new
 // cell holding the translated condition, negated (NNF) when the branch is
-// not taken, and its guard step. rc is nil when the branch records
-// nothing, because the guard is outside the predicate fragment or folds to
-// a constant; dead reports a direction that folds to false. Enumeration
-// and replay both record branches with it.
+// not taken, and its guard. rc is nil when the branch records nothing,
+// because the guard is outside the predicate fragment or folds to a
+// constant; dead reports a direction that folds to false. Enumeration
+// (through its memo) and replay both record branches with it.
 func branchCond(cond minij.Expr, st *sframe, taken bool) (rc *recordedCond, dead bool) {
 	f, ok := Translate(cond, st)
 	if !ok {
@@ -797,7 +930,7 @@ func branchCond(cond minij.Expr, st *sframe, taken bool) (rc *recordedCond, dead
 	if c, isConst := f.(*smt.Const); isConst {
 		return nil, !c.Value
 	}
-	return &recordedCond{f: f, guard: GuardStep{Guard: minij.CanonExpr(cond), Taken: taken, Pos: cond.Pos()}}, false
+	return &recordedCond{f: f, guard: cond, taken: taken}, false
 }
 
 // unwind transfers control to the innermost catch handler, or drops the
@@ -814,20 +947,58 @@ func (w *staticWalker) unwind(st *sframe, ctx walkCtx) {
 // condition); paths from different chains with the same key are one
 // finding.
 func (p *StaticPath) Key() string {
-	var sb strings.Builder
-	slots := make([]string, 0, len(p.Bindings))
-	for s := range p.Bindings {
+	if p.key != "" {
+		return p.key
+	}
+	key, _ := keyOf(p.Bindings, p.Cond.String())
+	return key
+}
+
+// condText is Cond's render.
+func (p *StaticPath) condText() string {
+	if p.key != "" {
+		return p.key[p.condAt:]
+	}
+	return p.Cond.String()
+}
+
+// pathKey is the Key of the path a collector makes of bindings, cells and
+// facts, and where Cond's render starts in it.
+func pathKey(bindings map[string]string, cells []*recordedCond, facts []smt.Formula) (key string, condAt int) {
+	texts := make([]string, len(facts))
+	for i, f := range facts {
+		texts[i] = f.String()
+	}
+	cond := smt.AndRender(len(cells)+len(facts), func(i int) (smt.Formula, string) {
+		if i < len(cells) {
+			return cells[i].f, cells[i].render()
+		}
+		return facts[i-len(cells)], texts[i-len(cells)]
+	})
+	return keyOf(bindings, cond)
+}
+
+// keyOf joins the sorted slot bindings and a condition's render into a
+// path key, and reports where the render starts in it.
+func keyOf(bindings map[string]string, cond string) (key string, condAt int) {
+	slots := make([]string, 0, len(bindings))
+	size := len(cond)
+	for s, path := range bindings {
 		slots = append(slots, s)
+		size += len(s) + len(path) + 2
 	}
 	sort.Strings(slots)
+	var sb strings.Builder
+	sb.Grow(size)
 	for _, s := range slots {
 		sb.WriteString(s)
 		sb.WriteByte('=')
-		sb.WriteString(p.Bindings[s])
+		sb.WriteString(bindings[s])
 		sb.WriteByte(';')
 	}
-	sb.WriteString(p.Cond.String())
-	return sb.String()
+	condAt = sb.Len()
+	sb.WriteString(cond)
+	return sb.String(), condAt
 }
 
 // zeroLiteral synthesizes the literal for a declared type's zero value.

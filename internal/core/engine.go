@@ -616,11 +616,10 @@ func (e *Engine) SitePaths(rctx context.Context, ctx *AssertContext, siteRep *Si
 		for i := range chains {
 			siteRep.TreeTruncated = siteRep.TreeTruncated || truncated[i]
 			for _, p := range paths[i] {
-				if seen[p.Key()] {
-					continue
+				if k := p.Key(); !seen[k] {
+					seen[k] = true
+					pending = append(pending, p)
 				}
-				seen[p.Key()] = true
-				pending = append(pending, p)
 			}
 		}
 		for _, p := range pending {

@@ -495,16 +495,17 @@ func (d *decoder) class() *Class {
 	return c
 }
 
-// block decodes a statement that must be a *Block or nil (method bodies,
-// branch arms, loop bodies).
+// block decodes a statement that must be a *Block (method bodies, branch
+// arms, loop, try, catch and synchronized bodies). The parser never leaves
+// one out, so a nil one fails the frame; accepted, it would reach the
+// statement walk as a typed nil.
 func (d *decoder) block() *Block {
 	s := d.stmt()
-	if s == nil {
-		return nil
-	}
 	b, ok := s.(*Block)
 	if !ok {
-		d.fail("expected block, got %T", s)
+		if d.err == nil {
+			d.fail("expected block, got %T", s)
+		}
 		return nil
 	}
 	return b

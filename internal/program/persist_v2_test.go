@@ -203,30 +203,35 @@ class Tree%[1]d {
 	st := openStoreT(t)
 	warmStore(t, st, src)
 
-	measure := func(every int, wantDecoded bool) time.Duration {
-		var best time.Duration
-		for trial := 0; trial < 3; trial++ {
-			c := NewCache(8)
-			c.SetStore(st)
-			c.SetDeepVerifyEvery(every)
-			start := time.Now()
-			if _, err := c.Load(src); err != nil {
-				t.Fatal(err)
-			}
-			d := time.Since(start)
-			if best == 0 || d < best {
-				best = d
-			}
-			stats := c.Stats()
-			if stats.Compiles != 0 || stats.Restores != 1 ||
-				(stats.RestoresDecoded == 1) != wantDecoded {
-				t.Fatalf("stats = %+v, want restore with decoded=%v", stats, wantDecoded)
-			}
+	// restore loads src once from the store through a fresh cache, decoded
+	// or re-parsed, and returns its wall clock.
+	restore := func(every int, wantDecoded bool) time.Duration {
+		c := NewCache(8)
+		c.SetStore(st)
+		c.SetDeepVerifyEvery(every)
+		start := time.Now()
+		if _, err := c.Load(src); err != nil {
+			t.Fatal(err)
 		}
-		return best
+		d := time.Since(start)
+		stats := c.Stats()
+		if stats.Compiles != 0 || stats.Restores != 1 ||
+			(stats.RestoresDecoded == 1) != wantDecoded {
+			t.Fatalf("stats = %+v, want restore with decoded=%v", stats, wantDecoded)
+		}
+		return d
 	}
-	decoded := measure(1<<30, true)
-	reparse := measure(1, false)
+	// The two kinds alternate, so a burst of load from another process
+	// lands on both sides, and each side keeps its best of seven.
+	var decoded, reparse time.Duration
+	for trial := 0; trial < 7; trial++ {
+		if d := restore(1<<30, true); decoded == 0 || d < decoded {
+			decoded = d
+		}
+		if d := restore(1, false); reparse == 0 || d < reparse {
+			reparse = d
+		}
+	}
 	if decoded*2 > reparse {
 		t.Errorf("decoded restore %v is not >=2x faster than re-parse restore %v", decoded, reparse)
 	}

@@ -149,77 +149,61 @@ func (a Atom) String() string {
 // Key returns a canonical identity for the atom's underlying proposition,
 // folding a negatable operator into a fixed polarity so "x != 3" and
 // "x == 3" share a DPLL variable. It returns the key and whether the atom
-// as written is the negation of the keyed proposition.
+// as written is the negation of the keyed proposition. The key renders
+// normalize's proposition, so two atoms share a key exactly when they
+// normalize to equal values, and the solver identifies a proposition by
+// that value without rendering its key.
 func (a Atom) Key() (string, bool) {
-	switch a.Kind {
+	n, neg := a.normalize()
+	switch n.Kind {
 	case AtomBool:
-		return "b:" + a.Path, false
+		return "b:" + n.Path, neg
 	case AtomNull:
-		return "n:" + a.Path, false
+		return "n:" + n.Path, neg
 	case AtomCmpC:
-		op, neg := a.Op, false
-		switch op {
-		case OpNe:
-			op, neg = OpEq, true
-		case OpGt:
-			op, neg = OpLe, true
-		case OpGe:
-			op, neg = OpLt, true
-		}
-		return "c:" + a.Path + " " + op.String() + " " + strconv.FormatInt(a.IntVal, 10), neg
+		return "c:" + n.Path + " " + n.Op.String() + " " + strconv.FormatInt(n.IntVal, 10), neg
+	case AtomCmpV:
+		return "v:" + n.Path + " " + n.Op.String() + " " + n.Path2, neg
+	case AtomStrEq:
+		return "s:" + n.Path + " == " + strconv.Quote(n.StrVal), neg
+	}
+	return "<?>", false
+}
+
+// normalize returns a's keyed proposition, with the fields its kind does
+// not use zeroed, and whether a as written is that proposition's negation.
+func (a Atom) normalize() (Atom, bool) {
+	switch a.Kind {
+	case AtomBool, AtomNull:
+		return Atom{Kind: a.Kind, Path: a.Path}, false
+	case AtomCmpC:
+		op, neg := a.Op.keyed()
+		return Atom{Kind: AtomCmpC, Path: a.Path, Op: op, IntVal: a.IntVal}, neg
 	case AtomCmpV:
 		p1, p2, op := a.Path, a.Path2, a.Op
 		if p2 < p1 {
 			p1, p2 = p2, p1
 			op = op.Flip()
 		}
-		neg := false
-		switch op {
-		case OpNe:
-			op, neg = OpEq, true
-		case OpGt:
-			op, neg = OpLe, true
-		case OpGe:
-			op, neg = OpLt, true
-		}
-		return "v:" + p1 + " " + op.String() + " " + p2, neg
+		op, neg := op.keyed()
+		return Atom{Kind: AtomCmpV, Path: p1, Op: op, Path2: p2}, neg
 	case AtomStrEq:
-		neg := a.Op == OpNe
-		return "s:" + a.Path + " == " + strconv.Quote(a.StrVal), neg
+		return Atom{Kind: AtomStrEq, Path: a.Path, Op: OpEq, StrVal: a.StrVal}, a.Op == OpNe
 	}
-	return "<?>", false
+	return a, false
 }
 
-// normalized returns the atom with the polarity of its Key (i.e. the keyed
-// proposition itself).
-func (a Atom) normalized() Atom {
-	switch a.Kind {
-	case AtomCmpC:
-		switch a.Op {
-		case OpNe:
-			a.Op = OpEq
-		case OpGt:
-			a.Op = OpLe
-		case OpGe:
-			a.Op = OpLt
-		}
-	case AtomCmpV:
-		if a.Path2 < a.Path {
-			a.Path, a.Path2 = a.Path2, a.Path
-			a.Op = a.Op.Flip()
-		}
-		switch a.Op {
-		case OpNe:
-			a.Op = OpEq
-		case OpGt:
-			a.Op = OpLe
-		case OpGe:
-			a.Op = OpLt
-		}
-	case AtomStrEq:
-		a.Op = OpEq
+// keyed folds a negatable operator into the fixed polarity Key uses.
+func (op CmpOp) keyed() (CmpOp, bool) {
+	switch op {
+	case OpNe:
+		return OpEq, true
+	case OpGt:
+		return OpLe, true
+	case OpGe:
+		return OpLt, true
 	}
-	return a
+	return op, false
 }
 
 // Root returns the root variable of a dotted path.
@@ -281,24 +265,44 @@ func NewNot(f Formula) Formula {
 // NewAnd conjoins formulas, flattening nested conjunctions and folding
 // constants. An empty conjunction is true.
 func NewAnd(fs ...Formula) Formula {
-	var xs []Formula
+	n := 0
 	for _, f := range fs {
-		switch n := f.(type) {
+		switch x := f.(type) {
 		case *Const:
-			if !n.Value {
+			if !x.Value {
 				return False()
 			}
 		case *And:
-			xs = append(xs, n.Xs...)
+			n += len(x.Xs)
+		default:
+			n++
+		}
+	}
+	if n <= 1 {
+		// At most one formula: a constant is the identity, and a nested
+		// conjunction holds the one formula or none.
+		for _, f := range fs {
+			switch x := f.(type) {
+			case *Const:
+			case *And:
+				if len(x.Xs) == 1 {
+					return x.Xs[0]
+				}
+			default:
+				return f
+			}
+		}
+		return True()
+	}
+	xs := make([]Formula, 0, n)
+	for _, f := range fs {
+		switch x := f.(type) {
+		case *Const:
+		case *And:
+			xs = append(xs, x.Xs...)
 		default:
 			xs = append(xs, f)
 		}
-	}
-	switch len(xs) {
-	case 0:
-		return True()
-	case 1:
-		return xs[0]
 	}
 	return &And{Xs: xs}
 }
@@ -306,24 +310,42 @@ func NewAnd(fs ...Formula) Formula {
 // NewOr disjoins formulas, flattening nested disjunctions and folding
 // constants. An empty disjunction is false.
 func NewOr(fs ...Formula) Formula {
-	var xs []Formula
+	n := 0
 	for _, f := range fs {
-		switch n := f.(type) {
+		switch x := f.(type) {
 		case *Const:
-			if n.Value {
+			if x.Value {
 				return True()
 			}
 		case *Or:
-			xs = append(xs, n.Xs...)
+			n += len(x.Xs)
+		default:
+			n++
+		}
+	}
+	if n <= 1 {
+		for _, f := range fs {
+			switch x := f.(type) {
+			case *Const:
+			case *Or:
+				if len(x.Xs) == 1 {
+					return x.Xs[0]
+				}
+			default:
+				return f
+			}
+		}
+		return False()
+	}
+	xs := make([]Formula, 0, n)
+	for _, f := range fs {
+		switch x := f.(type) {
+		case *Const:
+		case *Or:
+			xs = append(xs, x.Xs...)
 		default:
 			xs = append(xs, f)
 		}
-	}
-	switch len(xs) {
-	case 0:
-		return False()
-	case 1:
-		return xs[0]
 	}
 	return &Or{Xs: xs}
 }
@@ -358,6 +380,47 @@ func (f *And) String() string {
 		}
 	}
 	return strings.Join(parts, " && ")
+}
+
+// AndRender renders NewAnd over n conjuncts byte for byte, from renders
+// the caller already holds, without building the conjunction: conjunct(i)
+// returns the i-th conjunct and its String(), and may be called twice for
+// one i. No conjunct may be a constant, which NewAnd would fold.
+func AndRender(n int, conjunct func(i int) (Formula, string)) string {
+	switch n {
+	case 0:
+		return "true"
+	case 1:
+		_, text := conjunct(0)
+		return text
+	}
+	size := (n - 1) * len(" && ")
+	for i := 0; i < n; i++ {
+		f, text := conjunct(i)
+		size += len(text)
+		if _, isOr := f.(*Or); isOr {
+			size += len("()")
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteString(" && ")
+		}
+		// A nested conjunction's render is its conjuncts' renders joined,
+		// which is what NewAnd's flattening renders, so only a disjunction
+		// needs its parentheses here.
+		f, text := conjunct(i)
+		if _, isOr := f.(*Or); isOr {
+			sb.WriteByte('(')
+			sb.WriteString(text)
+			sb.WriteByte(')')
+		} else {
+			sb.WriteString(text)
+		}
+	}
+	return sb.String()
 }
 
 // String renders the disjunction.
@@ -437,7 +500,7 @@ func Atoms(f Formula) []Atom {
 	VisitAtoms(f, func(a Atom) bool {
 		k, _ := a.Key()
 		if _, ok := seen[k]; !ok {
-			seen[k] = a.normalized()
+			seen[k], _ = a.normalize()
 			keys = append(keys, k)
 		}
 		return true

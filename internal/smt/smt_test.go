@@ -365,3 +365,31 @@ func TestRenderParseRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAndRenderIsNewAndRender: AndRender, given each conjunct's render,
+// renders what NewAnd builds, for random non-constant conjuncts of every
+// shape (nested conjunctions, disjunctions, negations), one to five of
+// them.
+func TestAndRenderIsNewAndRender(t *testing.T) {
+	r := newTestRng(11)
+	for i := 0; i < 2000; i++ {
+		var fs []Formula
+		for n := 1 + r.intn(5); len(fs) < n; {
+			if f := genDiffFormula(r, r.intn(4)); !isConst(f) {
+				fs = append(fs, f)
+			}
+		}
+		got := AndRender(len(fs), func(i int) (Formula, string) { return fs[i], fs[i].String() })
+		if want := NewAnd(fs...).String(); got != want {
+			t.Fatalf("#%d: AndRender = %q, NewAnd renders %q", i, got, want)
+		}
+	}
+	if got := AndRender(0, nil); got != NewAnd().String() {
+		t.Fatalf("AndRender of nothing = %q, want %q", got, NewAnd().String())
+	}
+}
+
+func isConst(f Formula) bool {
+	_, ok := f.(*Const)
+	return ok
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -65,7 +66,7 @@ type Limits struct {
 func SolveLim(f Formula, lim Limits) (sat bool, model Model, err error) {
 	stats.queries.Add(1)
 	var nodes int
-	sat, model, nodes, err = solveCore(f, lim)
+	sat, model, nodes, err = solveCore(f, lim, true)
 	if qc := lim.Cache; qc != nil {
 		qc.queries.Add(1)
 		qc.solves.Add(1)
@@ -76,8 +77,9 @@ func SolveLim(f Formula, lim Limits) (sat bool, model Model, err error) {
 
 // solveCore runs one uncached solve: fault injection first (so injected
 // faults keep firing on every cache miss), then the optimized DPLL(T)
-// search, updating the package counters exactly once per solve.
-func solveCore(f Formula, lim Limits) (sat bool, model Model, nodes int, err error) {
+// search, updating the package counters exactly once per solve. The
+// witness model is built only when wantModel asks for it.
+func solveCore(f Formula, lim Limits, wantModel bool) (sat bool, model Model, nodes int, err error) {
 	if faultinject.Armed() {
 		switch k, ok := faultinject.At("smt.solve"); {
 		case ok && k == faultinject.Budget:
@@ -88,7 +90,7 @@ func solveCore(f Formula, lim Limits) (sat bool, model Model, nodes int, err err
 	}
 	start := time.Now()
 	var theoryTime time.Duration
-	sat, model, nodes, theoryTime, err = runSolver(f, lim)
+	sat, model, nodes, theoryTime, err = runSolver(f, lim, wantModel)
 	stats.solves.Add(1)
 	stats.nodes.Add(uint64(nodes))
 	stats.solveNS.Add(int64(time.Since(start)))
@@ -107,31 +109,77 @@ func solveCore(f Formula, lim Limits) (sat bool, model Model, nodes int, err err
 // with the cadence a cold process would see and results computed under
 // injection never poison later runs.
 func SATLim(f Formula, lim Limits) (bool, error) {
-	stats.queries.Add(1)
-	qc := lim.Cache
-	if qc != nil {
-		qc.queries.Add(1)
-	}
+	countQuery(lim.Cache)
 	if c, ok := f.(*Const); ok {
 		return c.Value, nil
 	}
+	if !cached(lim) {
+		return satUncached(f, lim)
+	}
+	return lim.Cache.load(f.String(), maxNodes(lim), func() (bool, int, error) {
+		sat, _, nodes, err := solveCore(f, lim, false)
+		return sat, nodes, err
+	})
+}
+
+// SATKeyed is SATLim for a query whose render the caller already holds:
+// key must equal build().String() byte for byte, so the query is cached
+// and stored exactly as SATLim caches and stores the built formula, and
+// build runs only when no cache tier answers. The formula must not be a
+// constant. A query lim.Cache does not serve builds its formula, and then
+// its key is checked against the render: a key that differs is a caller's
+// bug, and panics.
+func SATKeyed(key string, build func() Formula, lim Limits) (bool, error) {
+	countQuery(lim.Cache)
+	if !cached(lim) {
+		f := build()
+		if render := f.String(); key != render {
+			panic(fmt.Sprintf("smt: query key %q is not its formula's render %q", key, render))
+		}
+		return satUncached(f, lim)
+	}
+	return lim.Cache.load(key, maxNodes(lim), func() (bool, int, error) {
+		sat, _, nodes, err := solveCore(build(), lim, false)
+		return sat, nodes, err
+	})
+}
+
+// cached reports whether lim's cache serves a satisfiability query: it
+// names one, and no fault injection outside the store is armed.
+func cached(lim Limits) bool {
+	return lim.Cache != nil && !(faultinject.Armed() && !faultinject.StoreScoped())
+}
+
+// countQuery charges one satisfiability query to the package counters and
+// to qc, when it names a cache.
+func countQuery(qc *QueryCache) {
+	stats.queries.Add(1)
+	if qc != nil {
+		qc.queries.Add(1)
+	}
+}
+
+// satUncached solves a query no cache serves, charging the solve to
+// lim.Cache's counters when it names one.
+func satUncached(f Formula, lim Limits) (bool, error) {
 	solve := func() (bool, int, error) {
-		sat, _, nodes, err := solveCore(f, lim)
+		sat, _, nodes, err := solveCore(f, lim, false)
 		return sat, nodes, err
 	}
-	if qc == nil {
+	if lim.Cache == nil {
 		sat, _, err := solve()
 		return sat, err
 	}
-	if faultinject.Armed() && !faultinject.StoreScoped() {
-		sat, _, err := qc.runSolve(solve)
-		return sat, err
+	sat, _, err := lim.Cache.runSolve(solve)
+	return sat, err
+}
+
+// maxNodes is lim's node ceiling.
+func maxNodes(lim Limits) int {
+	if lim.MaxNodes <= 0 {
+		return DefaultMaxNodes
 	}
-	max := lim.MaxNodes
-	if max <= 0 {
-		max = DefaultMaxNodes
-	}
-	return qc.load(f.String(), max, solve)
+	return lim.MaxNodes
 }
 
 // ImpliesLim reports whether p logically entails q (p ⇒ q), i.e. whether
@@ -142,85 +190,184 @@ func ImpliesLim(p, q Formula, lim Limits) (bool, error) {
 }
 
 // solver is the optimized DPLL(T) search: unit-propagated literals are
-// pre-assigned, remaining atoms are decided most-constrained-first, and the
-// theory state is carried incrementally (mark/assert/pop) instead of being
-// rebuilt at every node.
+// pre-assigned, remaining propositions are decided most-constrained-first,
+// and the theory state is carried incrementally (mark/assert/pop) instead
+// of being rebuilt at every node. A proposition is its index among the
+// query's distinct normalized atoms; its key string is rendered only to
+// break a tie in the decision order or to name it in a witness model.
 type solver struct {
-	f       Formula
-	order   []string // decision keys, most-constrained-first; units excluded
-	byKey   map[string]Atom
-	assign  Model
-	witness Model // scratch model reused for the SAT result
-	th      *theory
-	nodes   int
-	max     int
-	ctx     context.Context
+	tree   []cnode // the simplified formula, flattened in preorder
+	assign []int8  // per proposition: 0 undecided, 1 true, -1 false
+	order  []int32 // decision order, most-constrained-first; units excluded
+	th     *theory
+	nodes  int
+	max    int
+	ctx    context.Context
+}
+
+// cnode is one node of a compiled formula. A negated atom compiles to one
+// literal node; the children of a Not, And or Or follow it, and end is the
+// index just past its subtree.
+type cnode struct {
+	kind uint8
+	neg  bool  // cLit: the literal is its proposition's negation
+	prop int32 // cLit: the proposition's index
+	end  int32
+}
+
+const (
+	cLit uint8 = iota
+	cNot
+	cAnd
+	cOr
+	cTrue
+	cFalse
+)
+
+// compiler flattens a formula into cnodes, numbering its distinct
+// propositions (normalized, in first-seen order) and counting each one's
+// occurrences.
+type compiler struct {
+	tree   []cnode
+	props  []Atom
+	counts []int
+}
+
+// prop returns the index of proposition a, numbering it if it is new. A
+// linear scan: the theory's matrix is already quadratic in a query's
+// integer paths.
+func (c *compiler) prop(a Atom) int32 {
+	for i, p := range c.props {
+		if p == a {
+			return int32(i)
+		}
+	}
+	c.props = append(c.props, a)
+	c.counts = append(c.counts, 0)
+	return int32(len(c.props) - 1)
+}
+
+// compile appends f's nodes, negated when neg is set, which only a Not
+// over an atom asks for: it compiles to its atom's literal, flipped.
+func (c *compiler) compile(f Formula, neg bool) {
+	at := len(c.tree)
+	switch n := f.(type) {
+	case *AtomF:
+		a, aneg := n.Atom.normalize()
+		p := c.prop(a)
+		c.counts[p]++
+		c.tree = append(c.tree, cnode{kind: cLit, neg: aneg != neg, prop: p, end: int32(at + 1)})
+		return
+	case *Not:
+		if _, isAtom := n.X.(*AtomF); isAtom {
+			c.compile(n.X, !neg)
+			return
+		}
+		c.tree = append(c.tree, cnode{kind: cNot})
+		c.compile(n.X, false)
+	case *And:
+		c.tree = append(c.tree, cnode{kind: cAnd})
+		for _, x := range n.Xs {
+			c.compile(x, false)
+		}
+	case *Or:
+		c.tree = append(c.tree, cnode{kind: cOr})
+		for _, x := range n.Xs {
+			c.compile(x, false)
+		}
+	case *Const:
+		kind := cFalse
+		if n.Value {
+			kind = cTrue
+		}
+		c.tree = append(c.tree, cnode{kind: kind, end: int32(at + 1)})
+		return
+	default:
+		panic(fmt.Sprintf("smt: unhandled formula %T", f))
+	}
+	c.tree[at].end = int32(len(c.tree))
+}
+
+// size counts the nodes of f, so the compiled tree is allocated once.
+func size(f Formula) int {
+	switch n := f.(type) {
+	case *Not:
+		return 1 + size(n.X)
+	case *And:
+		s := 1
+		for _, x := range n.Xs {
+			s += size(x)
+		}
+		return s
+	case *Or:
+		s := 1
+		for _, x := range n.Xs {
+			s += size(x)
+		}
+		return s
+	}
+	return 1
 }
 
 // runSolver prepares and runs one optimized search, returning the verdict,
-// witness, node count, and theory wall clock.
-func runSolver(f Formula, lim Limits) (bool, Model, int, time.Duration, error) {
-	max := lim.MaxNodes
-	if max <= 0 {
-		max = DefaultMaxNodes
-	}
+// the witness when wantModel asks for it, the node count, and the theory
+// wall clock.
+func runSolver(f Formula, lim Limits, wantModel bool) (bool, Model, int, time.Duration, error) {
 	f = simplify(f)
-	atoms := Atoms(f)
-	byKey := make(map[string]Atom, len(atoms))
-	for _, a := range atoms {
-		k, _ := a.Key()
-		byKey[k] = a
-	}
-	th := newTheory(atoms)
+	c := compiler{tree: make([]cnode, 0, size(f))}
+	c.compile(f, false)
+	th := newTheory(c.props)
 
 	// Unit propagation: literals on the top-level conjunction spine are
 	// forced before any search happens. A propositional conflict among them
 	// (or a false constant conjunct) decides UNSAT at zero nodes; a theory
 	// conflict does the same.
-	units, conflict := unitLiterals(f)
-	if conflict {
+	assign := make([]int8, len(c.props))
+	if unitLiterals(c.tree, 0, assign) {
 		return false, nil, 0, th.elapsed, nil
 	}
-	assign := make(Model, len(atoms))
-	for k, v := range units {
-		assign[k] = v
-		if !th.assert(byKey[k], v) {
-			return false, nil, 0, th.elapsed, nil
+	units := 0
+	for p, v := range assign {
+		if v != 0 {
+			units++
+			if !th.assert(p, v > 0) {
+				return false, nil, 0, th.elapsed, nil
+			}
 		}
 	}
 
-	// Most-constrained-first decision order: atoms occurring most often are
-	// decided first so conflicts surface high in the tree; ties break on the
-	// canonical key for determinism.
-	counts := map[string]int{}
-	VisitAtoms(f, func(a Atom) bool {
-		k, _ := a.Key()
-		counts[k]++
-		return true
-	})
-	order := make([]string, 0, len(atoms))
-	for _, a := range atoms {
-		k, _ := a.Key()
-		if _, isUnit := units[k]; !isUnit {
-			order = append(order, k)
+	// Most-constrained-first decision order: propositions occurring most
+	// often are decided first so conflicts surface high in the tree; ties
+	// break on the canonical key for determinism.
+	order := make([]int32, 0, len(c.props)-units)
+	for p, v := range assign {
+		if v == 0 {
+			order = append(order, int32(p))
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if counts[order[i]] != counts[order[j]] {
-			return counts[order[i]] > counts[order[j]]
+	if len(order) > 1 {
+		keys := make([]string, len(c.props))
+		key := func(p int32) string {
+			if keys[p] == "" {
+				keys[p], _ = c.props[p].Key()
+			}
+			return keys[p]
 		}
-		return order[i] < order[j]
-	})
+		slices.SortFunc(order, func(a, b int32) int {
+			if c.counts[a] != c.counts[b] {
+				return c.counts[b] - c.counts[a]
+			}
+			return strings.Compare(key(a), key(b))
+		})
+	}
 
 	s := &solver{
-		f:       f,
-		order:   order,
-		byKey:   byKey,
-		assign:  assign,
-		witness: make(Model, len(atoms)),
-		th:      th,
-		max:     max,
-		ctx:     lim.Ctx,
+		tree:   c.tree,
+		assign: assign,
+		order:  order,
+		th:     th,
+		max:    maxNodes(lim),
+		ctx:    lim.Ctx,
 	}
 	ok, err := s.search(0)
 	if err != nil {
@@ -229,13 +376,25 @@ func runSolver(f Formula, lim Limits) (bool, Model, int, time.Duration, error) {
 	if !ok {
 		return false, nil, s.nodes, th.elapsed, nil
 	}
-	return true, s.witness, s.nodes, th.elapsed, nil
+	if !wantModel {
+		return true, nil, s.nodes, th.elapsed, nil
+	}
+	// The search returns straight up the stack on success, so the
+	// assignment still holds every proposition decided on the way down.
+	model := make(Model, len(assign))
+	for p, v := range assign {
+		if v != 0 {
+			k, _ := c.props[p].Key()
+			model[k] = v > 0
+		}
+	}
+	return true, model, s.nodes, th.elapsed, nil
 }
 
-// search decides atoms order[i:] and reports whether a theory-consistent
-// satisfying assignment exists. The theory is consistent on entry by
-// construction — every assigned literal was accepted by an incremental
-// assert on the way down — so no per-node recheck is needed.
+// search decides propositions order[i:] and reports whether a
+// theory-consistent satisfying assignment exists. The theory is consistent
+// on entry by construction — every assigned literal was accepted by an
+// incremental assert on the way down — so no per-node recheck is needed.
 func (s *solver) search(i int) (bool, error) {
 	s.nodes++
 	if s.nodes > s.max {
@@ -248,99 +407,171 @@ func (s *solver) search(i int) (bool, error) {
 		default:
 		}
 	}
-	switch eval3(s.f, s.assign) {
+	switch s.eval(0) {
 	case triFalse:
 		return false, nil
 	case triTrue:
-		// Fill the preallocated scratch witness; the success path returns
-		// straight up the stack, so the assignment is never unwound from
-		// under it.
-		for k, v := range s.assign {
-			s.witness[k] = v
-		}
 		return true, nil
 	}
 	if i >= len(s.order) {
 		// All atoms assigned yet value unknown cannot happen; defensive.
 		return false, nil
 	}
-	k := s.order[i]
-	a := s.byKey[k]
+	p := s.order[i]
 	for _, v := range [2]bool{true, false} {
-		s.assign[k] = v
+		s.assign[p] = -1
+		if v {
+			s.assign[p] = 1
+		}
 		s.th.mark()
-		if s.th.assert(a, v) {
+		if s.th.assert(int(p), v) {
 			ok, err := s.search(i + 1)
 			if ok || err != nil {
 				return ok, err
 			}
 		}
 		s.th.pop()
-		delete(s.assign, k)
+		s.assign[p] = 0
 	}
 	return false, nil
 }
 
-// unitLiterals extracts the literals forced by f's top-level conjunction
-// spine. The second result reports a propositional contradiction among the
-// units (or a false constant conjunct), which decides UNSAT outright.
-func unitLiterals(f Formula) (Model, bool) {
-	units := Model{}
-	conflict := false
-	var walk func(Formula)
-	walk = func(g Formula) {
-		switch n := g.(type) {
-		case *And:
-			for _, x := range n.Xs {
-				walk(x)
+// eval evaluates the compiled subtree at i under the partial assignment
+// with three-valued logic, as eval3 does for a Formula.
+func (s *solver) eval(i int32) tri {
+	n := &s.tree[i]
+	switch n.kind {
+	case cLit:
+		v := s.assign[n.prop]
+		if v == 0 {
+			return triUnknown
+		}
+		if (v > 0) != n.neg {
+			return triTrue
+		}
+		return triFalse
+	case cNot:
+		switch s.eval(i + 1) {
+		case triTrue:
+			return triFalse
+		case triFalse:
+			return triTrue
+		}
+		return triUnknown
+	case cAnd:
+		out := triTrue
+		for j := i + 1; j < n.end; j = s.tree[j].end {
+			switch s.eval(j) {
+			case triFalse:
+				return triFalse
+			case triUnknown:
+				out = triUnknown
 			}
-		case *AtomF:
-			k, neg := n.Atom.Key()
-			want := !neg
-			if prev, ok := units[k]; ok && prev != want {
-				conflict = true
+		}
+		return out
+	case cOr:
+		out := triFalse
+		for j := i + 1; j < n.end; j = s.tree[j].end {
+			switch s.eval(j) {
+			case triTrue:
+				return triTrue
+			case triUnknown:
+				out = triUnknown
 			}
-			units[k] = want
-		case *Not:
-			if af, ok := n.X.(*AtomF); ok {
-				k, neg := af.Atom.Key()
-				want := neg
-				if prev, ok := units[k]; ok && prev != want {
-					conflict = true
-				}
-				units[k] = want
-			}
-		case *Const:
-			if !n.Value {
+		}
+		return out
+	case cTrue:
+		return triTrue
+	}
+	return triFalse
+}
+
+// unitLiterals assigns the literals forced by the conjunction spine rooted
+// at tree[i] and reports a propositional contradiction among them (or a
+// false constant conjunct), which decides UNSAT outright.
+func unitLiterals(tree []cnode, i int32, assign []int8) (conflict bool) {
+	n := tree[i]
+	switch n.kind {
+	case cAnd:
+		for j := i + 1; j < n.end; j = tree[j].end {
+			if unitLiterals(tree, j, assign) {
 				conflict = true
 			}
 		}
+	case cLit:
+		want := int8(1)
+		if n.neg {
+			want = -1
+		}
+		if prev := assign[n.prop]; prev != 0 && prev != want {
+			conflict = true
+		}
+		assign[n.prop] = want
+	case cFalse:
+		conflict = true
 	}
-	walk(f)
-	return units, conflict
+	return conflict
 }
 
 // simplify rebuilds f through the smart constructors, folding constants and
 // flattening nested conjunctions/disjunctions so the search sees the
-// smallest equivalent tree and unit propagation sees the full spine.
+// smallest equivalent tree and unit propagation sees the full spine. A
+// subtree the constructors would leave as it is is returned itself.
 func simplify(f Formula) Formula {
 	switch n := f.(type) {
 	case *And:
-		xs := make([]Formula, len(n.Xs))
-		for i, x := range n.Xs {
-			xs[i] = simplify(x)
+		xs, changed := simplifyAll(n.Xs, isAnd)
+		if !changed {
+			return f
 		}
 		return NewAnd(xs...)
 	case *Or:
-		xs := make([]Formula, len(n.Xs))
-		for i, x := range n.Xs {
-			xs[i] = simplify(x)
+		xs, changed := simplifyAll(n.Xs, isOr)
+		if !changed {
+			return f
 		}
 		return NewOr(xs...)
 	case *Not:
-		return NewNot(simplify(n.X))
+		x := simplify(n.X)
+		switch x.(type) {
+		case *Const, *Not:
+		default:
+			if x == n.X {
+				return f
+			}
+		}
+		return NewNot(x)
 	}
 	return f
+}
+
+func isAnd(f Formula) bool { _, ok := f.(*And); return ok }
+func isOr(f Formula) bool  { _, ok := f.(*Or); return ok }
+
+// simplifyAll simplifies the operands of an n-ary node and reports whether
+// the node's constructor would change anything: an operand changed, or one
+// is a constant or a node of the same kind, which it folds or flattens,
+// or there are fewer than two operands.
+func simplifyAll(xs []Formula, sameKind func(Formula) bool) ([]Formula, bool) {
+	changed := len(xs) < 2
+	var out []Formula
+	for i, x := range xs {
+		y := simplify(x)
+		if _, isConst := y.(*Const); isConst || sameKind(y) {
+			changed = true
+		}
+		if y != x && out == nil {
+			out = make([]Formula, len(xs))
+			copy(out, xs[:i])
+		}
+		if out != nil {
+			out[i] = y
+		}
+	}
+	if out == nil {
+		return xs, changed
+	}
+	return out, true
 }
 
 type tri int

@@ -12,11 +12,16 @@ import "time"
 // touch only boolean, null, or string atoms never consult the integer
 // matrix at all.
 type theory struct {
-	// idx maps integer paths to matrix nodes; node 0 is the zero node, so
-	// constant bounds are edges to/from 0. The alphabet is fixed at solver
-	// construction, so the matrix never grows mid-search.
-	idx map[string]int
-	n   int
+	// props is the query's proposition alphabet; assert names one by its
+	// index.
+	props []Atom
+	// node[p] holds integer proposition p's matrix nodes: its path's and,
+	// for a variable comparison, its second path's. Node 0 is the zero
+	// node, so constant bounds are edges to/from 0. The alphabet is fixed
+	// at solver construction, so the matrix never grows mid-search. node
+	// is nil when the query has no integer atom.
+	node [][2]int32
+	n    int
 	// dist is the row-major shortest-path closure: dist[u*n+v] = c encodes
 	// the tightest known bound u - v <= c (inf = unbounded). The diagonal
 	// stays 0; a would-be negative diagonal is rejected at edge-add time.
@@ -25,6 +30,7 @@ type theory struct {
 	diseqC []diseqConst
 	diseqV []diseqPair
 
+	// The string sets are allocated by the first string atom asserted.
 	strEq map[string]string          // path -> required value
 	strNe map[string]map[string]bool // path -> excluded values
 
@@ -55,35 +61,38 @@ const (
 	undoStrNe
 )
 
-// newTheory builds the theory state for a fixed atom alphabet, registering
-// every integer path up front so the matrix dimension is stable.
-func newTheory(atoms []Atom) *theory {
-	t := &theory{
-		idx:   map[string]int{"": 0},
-		strEq: map[string]string{},
-		strNe: map[string]map[string]bool{},
+// newTheory builds the theory state for a fixed proposition alphabet,
+// registering every integer path up front so the matrix dimension is
+// stable.
+func newTheory(props []Atom) *theory {
+	t := &theory{props: props, n: 1}
+	var paths []string // paths[i] is node i+1
+	reg := func(p string) int32 {
+		for i, q := range paths {
+			if q == p {
+				return int32(i + 1)
+			}
+		}
+		paths = append(paths, p)
+		return int32(len(paths))
 	}
-	reg := func(p string) {
-		if _, ok := t.idx[p]; !ok {
-			t.idx[p] = len(t.idx)
+	for i, a := range props {
+		if a.Kind != AtomCmpC && a.Kind != AtomCmpV {
+			continue
+		}
+		if t.node == nil {
+			t.node = make([][2]int32, len(props))
+		}
+		t.node[i][0] = reg(a.Path)
+		if a.Kind == AtomCmpV {
+			t.node[i][1] = reg(a.Path2)
 		}
 	}
-	for _, a := range atoms {
-		switch a.Kind {
-		case AtomCmpC:
-			reg(a.Path)
-		case AtomCmpV:
-			reg(a.Path)
-			reg(a.Path2)
-		}
-	}
-	t.n = len(t.idx)
+	t.n = len(paths) + 1
 	t.dist = make([]int64, t.n*t.n)
 	for i := 0; i < t.n; i++ {
 		for j := 0; j < t.n; j++ {
-			if i == j {
-				t.dist[i*t.n+j] = 0
-			} else {
+			if i != j {
 				t.dist[i*t.n+j] = inf
 			}
 		}
@@ -121,34 +130,34 @@ func (t *theory) pop() {
 	}
 }
 
-// assert adds one atom assignment to the theory state and reports whether
-// the state stays consistent. On inconsistency the partial changes remain on
-// the trail; the caller pops to its mark either way.
-func (t *theory) assert(a Atom, v bool) bool {
+// assert adds one assignment of proposition p to the theory state and
+// reports whether the state stays consistent. On inconsistency the partial
+// changes remain on the trail; the caller pops to its mark either way.
+func (t *theory) assert(p int, v bool) bool {
 	start := time.Now()
-	ok := t.assertAtom(a, v)
+	ok := t.assertAtom(p, v)
 	t.elapsed += time.Since(start)
 	return ok
 }
 
-func (t *theory) assertAtom(a Atom, v bool) bool {
-	switch a.Kind {
+func (t *theory) assertAtom(p int, v bool) bool {
+	switch a := t.props[p]; a.Kind {
 	case AtomBool, AtomNull:
 		// Propositional: no theory content.
 		return true
 	case AtomCmpC:
-		return t.assertCmpC(a, v)
+		return t.assertCmpC(int(t.node[p][0]), a, v)
 	case AtomCmpV:
-		return t.assertCmpV(a, v)
+		return t.assertCmpV(int(t.node[p][0]), int(t.node[p][1]), a, v)
 	case AtomStrEq:
 		return t.assertStr(a, v)
 	}
 	return true
 }
 
-// assertCmpC adds a normalized constant comparison (Op in Eq, Le, Lt).
-func (t *theory) assertCmpC(a Atom, v bool) bool {
-	x := t.idx[a.Path]
+// assertCmpC adds a normalized constant comparison (Op in Eq, Le, Lt) over
+// the path at matrix node x.
+func (t *theory) assertCmpC(x int, a Atom, v bool) bool {
 	op := a.Op
 	if !v {
 		op = op.Negate()
@@ -170,9 +179,9 @@ func (t *theory) assertCmpC(a Atom, v bool) bool {
 	return true
 }
 
-// assertCmpV adds a normalized variable comparison.
-func (t *theory) assertCmpV(a Atom, v bool) bool {
-	x, y := t.idx[a.Path], t.idx[a.Path2]
+// assertCmpV adds a normalized variable comparison over the paths at
+// matrix nodes x and y.
+func (t *theory) assertCmpV(x, y int, a Atom, v bool) bool {
 	op := a.Op
 	if !v {
 		op = op.Negate()
@@ -270,6 +279,10 @@ func (t *theory) diseqsOK() bool {
 // assertStr adds a string (dis)equality. Normalized StrEq atoms always have
 // OpEq, so v selects equality vs. disequality.
 func (t *theory) assertStr(a Atom, v bool) bool {
+	if t.strEq == nil {
+		t.strEq = map[string]string{}
+		t.strNe = map[string]map[string]bool{}
+	}
 	if v {
 		if prev, ok := t.strEq[a.Path]; ok {
 			return prev == a.StrVal

@@ -88,6 +88,23 @@
 # started one after another ask the same 20,000 fresh queries, and each query
 # is solved once, with a one-asker run's node count), the atom-key table test by name (TestAtomKeyTable: solver
 # keys built by concatenation equal the fmt rendering they replaced),
+# the solver-search golden by name (TestSearchGolden: over the
+# differential tests' formulas and the hot-path query mix, the verdict,
+# node count and witness of each solve equal internal/smt/testdata/search.golden,
+# so a change to how the solver names propositions cannot move the
+# decision order), the render-key tests by name (TestAndRenderIsNewAndRender:
+# a conjunction's render joined from its conjuncts' renders equals the
+# built conjunction's render; TestComponentKeyIsItsRender: a fork's
+# component query over a disjunction carries its render as its key;
+# TestComponentConflictInOneCell: a component whose one conjunction cell
+# holds a literal in both polarities still goes to the solver;
+# TestWalkerKeysAreRenders: every walker query over every corpus version
+# and the stress system, on a default, a NoPrune and an IntraOnly engine
+# with no solver cache, carries its formula's render as its key, and every
+# path's key equals the key rebuilt from its condition), the branch-memo
+# test by name (TestGuardInTwoVocabularies: guards a walk reaches in two
+# vocabularies are translated in each, so the paths are those of a walk
+# that shares no cell),
 # the registry tests by name (TestRegistryGolden: every corpus case's
 # registry record equals the committed golden; TestRegistryVersionIsGoldenHash:
 # registryVersion, which every record key carries, is that golden's hash;
@@ -116,25 +133,26 @@
 # site plans and diff, so it stays under 400 allocations), the
 # snapshot-record corruption round by name (a damaged snap.v2 record must
 # degrade to a recompute miss through the codec checks, never a wrong
-# result), ten seconds of native fuzzing of the binary AST codec, which a
+# result), ten seconds each of the six native fuzz targets below, each
+# with the minimization of a new input bounded to 100 executions (the
+# default, 60 s, let one multi-KB input's minimization take the rest of a
+# 10 s budget; a failing input is still reported and saved): of the
+# binary AST codec, which a
 # snap.v2 record is (FuzzDecodeProgram: the decoder never panics, and any
 # frame it accepts re-encodes to bytes that decode to a program with the
-# same canonical render), ten seconds of native fuzzing of the predicate
+# same canonical render), of the predicate
 # parse/render round trip (FuzzPredicateRoundTrip: any predicate the parser
 # accepts renders to text that parses back to the same render, and every
-# rejection carries a position), ten
-# seconds of native fuzzing of the spec round trip, which a registry record
+# rejection carries a position), of the spec round trip, which a registry record
 # is (FuzzSpecRoundTrip: any spec ParseSpec accepts formats to a spec that
 # parses back to the same rules and formats to the same bytes, and every
-# rejection is a contract.ParseError carrying its line), ten
-# seconds of native fuzzing of the solver against its reference
+# rejection is a contract.ParseError carrying its line), of the solver against its reference
 # (FuzzSolverMatchesReference: for any parsed predicate of at most 12
 # atoms, SATLim with no cache, SATLim through a fresh cache asked twice,
-# the second a memory hit, and ReferenceSolve agree), ten seconds of
-# native fuzzing of the MiniJ parse/render round trip (FuzzParseRoundTrip:
+# the second a memory hit, and ReferenceSolve agree), of the MiniJ parse/render round trip (FuzzParseRoundTrip:
 # Parse never panics, fails with the lexer's own error on any source the
 # lexer rejects, and an accepted program's render parses back to the same
-# render), ten seconds of native fuzzing of the store's frame parser
+# render), of the store's frame parser
 # (FuzzParseFrame: parseFrame never panics, and an accepted frame's key
 # and value lie inside it and re-encode to the same bytes), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
@@ -181,6 +199,9 @@ go test -run 'TestReopeningSuiteMatchesAnalysisMethods|TestKnownConstantOperandB
 go test -run 'TestParseErrorsArePositioned' -count=1 ./internal/smt
 go test -race -count=10 -run TestSingleflightSolvesEachQueryOnce ./internal/smt
 go test -run 'TestAtomKeyTable' -count=1 ./internal/smt
+go test -run 'TestSearchGolden|TestAndRenderIsNewAndRender' -count=1 ./internal/smt
+go test -run 'TestComponentKeyIsItsRender|TestComponentConflictInOneCell|TestGuardInTwoVocabularies' -count=1 ./internal/concolic
+go test -run 'TestWalkerKeysAreRenders' -count=1 ./internal/experiments
 go test -run 'TestRegistryGolden|TestRegistryVersionIsGoldenHash|TestRegistryRestoreEqualsInferred|TestRegistryRecordMisses|TestArmedPlanWritesNoRegistry|TestServerRestartWarmFromStore' -count=1 ./internal/server
 go test -run 'TestSiteAndReplayV1RecordsAreMisses' -count=1 ./internal/sched
 go test -run 'TestCodec' -count=1 ./internal/minij
@@ -200,12 +221,12 @@ go test -run 'TestOpenAllocs' -count=1 ./internal/store
 go test -run 'TestWarmGateAllocs' -count=1 ./internal/ci
 go test -run '^$' -bench StoreOpen -benchtime 1x ./internal/store
 go test -run 'TestCorruptASTDegradesToMiss|TestStoreReadCorruptionDegradesToMiss' -count=1 ./internal/program
-go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s ./internal/minij
-go test -run '^$' -fuzz '^FuzzPredicateRoundTrip$' -fuzztime 10s ./internal/smt
-go test -run '^$' -fuzz '^FuzzSpecRoundTrip$' -fuzztime 10s ./internal/contract
-go test -run '^$' -fuzz '^FuzzSolverMatchesReference$' -fuzztime 10s ./internal/smt
-go test -run '^$' -fuzz '^FuzzParseRoundTrip$' -fuzztime 10s ./internal/minij
-go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 10s ./internal/store
+go test -run '^$' -fuzz '^FuzzDecodeProgram$' -fuzztime 10s -fuzzminimizetime 100x ./internal/minij
+go test -run '^$' -fuzz '^FuzzPredicateRoundTrip$' -fuzztime 10s -fuzzminimizetime 100x ./internal/smt
+go test -run '^$' -fuzz '^FuzzSpecRoundTrip$' -fuzztime 10s -fuzzminimizetime 100x ./internal/contract
+go test -run '^$' -fuzz '^FuzzSolverMatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/smt
+go test -run '^$' -fuzz '^FuzzParseRoundTrip$' -fuzztime 10s -fuzzminimizetime 100x ./internal/minij
+go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 10s -fuzzminimizetime 100x ./internal/store
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
