@@ -8,6 +8,7 @@ package lisa
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -24,6 +25,7 @@ import (
 	"lisa/internal/minij"
 	"lisa/internal/program"
 	"lisa/internal/sched"
+	"lisa/internal/server"
 	"lisa/internal/smt"
 	"lisa/internal/store"
 	"lisa/internal/ticket"
@@ -614,4 +616,78 @@ func BenchmarkScheduledAssert(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGateChurn measures the daemon's gate on a stream of distinct
+// changes, in process, without the HTTP loop: each op is one Server.Gate
+// of a corpus head with a distinct dead local put first in one of its void
+// methods, so every op compiles a new system, links the suite onto it,
+// diffs it against the head and plans it. The server runs at one worker
+// over a fresh store. Every head is gated once before the timer starts,
+// and each edit must get its head's verdict.
+func BenchmarkGateChurn(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	srv := server.New(server.Config{Corpus: corpus.Load(), Workers: 1, Store: st})
+	type head struct {
+		cs      *ticket.Case
+		bodies  []int // offsets just past the brace of each void method body
+		verdict string
+	}
+	var heads []head
+	for _, cs := range corpus.Load().Cases {
+		h := head{cs: cs, bodies: voidBodyOffsets(b, cs.Head())}
+		resp, err := srv.Gate(server.GateRequest{Case: cs.ID, Change: cs.Head(), Summary: "bench", Incremental: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.verdict = resp.Verdict
+		heads = append(heads, h)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := heads[i%len(heads)]
+		src := h.cs.Head()
+		off := h.bodies[(i/len(heads))%len(h.bodies)]
+		change := src[:off] + " int benchEdit" + strconv.Itoa(i) + " = " + strconv.Itoa(i) + ";" + src[off:]
+		resp, err := srv.Gate(server.GateRequest{Case: h.cs.ID, Change: change, Summary: "bench", Incremental: true})
+		if err != nil || resp.Verdict != h.verdict {
+			b.Fatalf("%s edit %d: verdict %v, err %v; the head's is %s", h.cs.ID, i, resp, err, h.verdict)
+		}
+	}
+}
+
+// voidBodyOffsets returns the byte offset just past the opening brace of
+// every void method body in src.
+func voidBodyOffsets(b *testing.B, src string) []int {
+	prog, err := program.Compile(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lineStart := []int{0}
+	for i := 0; i < len(src); i++ {
+		if src[i] == '\n' {
+			lineStart = append(lineStart, i+1)
+		}
+	}
+	var out []int
+	for _, m := range prog.Methods() {
+		if m.Ret.Kind != minij.TypeVoid {
+			continue
+		}
+		pos := m.Body.Pos()
+		off := lineStart[pos.Line-1] + pos.Col - 1
+		if src[off] != '{' {
+			b.Fatalf("body of %s is not at %s", m.FullName(), pos)
+		}
+		out = append(out, off+1)
+	}
+	if len(out) == 0 {
+		b.Fatal("no void method to edit")
+	}
+	return out
 }

@@ -70,7 +70,7 @@ func (g *Graph) resolveCall(caller *minij.Method, call *minij.Call) []CallSite {
 			return []CallSite{{Caller: caller, Callee: m, Call: call}}
 		}
 	case minij.CallInstance:
-		rt := g.Prog.TypeOf(call.Recv)
+		rt := call.RecvType
 		if rt.Kind == minij.TypeObject {
 			if m := g.Prog.Method(rt.Class, call.Name); m != nil {
 				return []CallSite{{Caller: caller, Callee: m, Call: call}}

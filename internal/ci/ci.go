@@ -152,7 +152,7 @@ func GateWith(engine *core.Engine, ch Change, tests []ticket.TestCase, opts Gate
 			// The memoized diff the scheduler's dirty set also reads.
 			st = sched.ComputeDirtySnapshots(base, newSnap).Stat
 		} else {
-			st = diffutil.DiffStats(diffutil.Diff(ch.OldSource, ch.NewSource))
+			st = diffutil.Count(ch.OldSource, ch.NewSource)
 		}
 		res.DiffStat = fmt.Sprintf("+%d -%d lines", st.Added, st.Removed)
 	}

@@ -115,7 +115,7 @@ func inlineGetterEnv(call *minij.Call, env Env) (*getterEnv, minij.Expr) {
 	if prog == nil || depth <= 0 || call.Recv == nil || len(call.Args) != 0 {
 		return nil, nil
 	}
-	rt := prog.TypeOf(call.Recv)
+	rt := call.RecvType
 	if rt.Kind != minij.TypeObject {
 		return nil, nil
 	}

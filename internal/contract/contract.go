@@ -209,7 +209,7 @@ func IndexCalls(prog *minij.Program, keep func(*minij.Method) bool) *CallIndex {
 		}
 		minij.WalkStmts(m.Body, func(s minij.Stmt) {
 			for _, call := range minij.OwnCalls(s) {
-				name := CalleeName(prog, m, call)
+				name := CalleeName(m, call)
 				ix.byCallee[name] = append(ix.byCallee[name], callOcc{method: m, stmt: s, call: call})
 			}
 		})
@@ -265,7 +265,7 @@ func (ix *CallIndex) Sites(sem *Semantic) []*Site {
 // CalleeName resolves the qualified "Class.method" name a call refers to,
 // or "" when unresolvable. caller is the enclosing method (for unqualified
 // sibling calls).
-func CalleeName(prog *minij.Program, caller *minij.Method, call *minij.Call) string {
+func CalleeName(caller *minij.Method, call *minij.Call) string {
 	switch call.Kind {
 	case minij.CallSelf:
 		return caller.Class.Name + "." + call.Name
@@ -274,9 +274,8 @@ func CalleeName(prog *minij.Program, caller *minij.Method, call *minij.Call) str
 			return id.Name + "." + call.Name
 		}
 	case minij.CallInstance:
-		rt := prog.TypeOf(call.Recv)
-		if rt.Kind == minij.TypeObject {
-			return rt.Class + "." + call.Name
+		if call.RecvType.Kind == minij.TypeObject {
+			return call.RecvType.Class + "." + call.Name
 		}
 	case minij.CallBuiltin:
 		return "builtin." + call.Name

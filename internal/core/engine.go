@@ -406,16 +406,6 @@ type AssertContext struct {
 	calls     *contract.CallIndex
 }
 
-// MethodCanon returns the canonical text of a method of the analysis
-// program, memoized on the snapshot so fingerprinting the same method
-// across jobs and across runs renders it once.
-func (c *AssertContext) MethodCanon(m *minij.Method) string {
-	if s := c.SnapshotAll.MethodCanon(m.FullName()); s != "" {
-		return s
-	}
-	return minij.FormatMethod(m)
-}
-
 // IsEntry reports whether m is an entry function: a system method not
 // called from system code (test callers do not disqualify it).
 func (c *AssertContext) IsEntry(m *minij.Method) bool {

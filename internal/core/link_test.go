@@ -42,9 +42,9 @@ func linkVersion(t *testing.T, src string, tests []ticket.TestCase) (*core.Asser
 // TestLinkedEqualsConcatenated: for every corpus version that builds with
 // its case's suite, and every E-M1 guard mutant, the linked analysis
 // program equals the concatenated compile in everything the analysis
-// reads: canonical render and method canons, call-graph edges in order
+// reads: canonical render and method digests, call-graph edges in order
 // with their dynamic flags, the method and statement behind every
-// statement ID, and the type of every expression and kind of every call.
+// statement ID, and the kind and receiver type of every call.
 // A version that does not build with its suite, and a suite that reopens a
 // system class, fall back to the concatenated compile: the same error, or
 // the same program, with the fallback counted.
@@ -142,8 +142,8 @@ func programDiff(ctx *core.AssertContext, want *minij.Program) string {
 		return fmt.Sprintf("%d methods, want %d", len(gm), len(wm))
 	}
 	for i, m := range wm {
-		if c := ctx.SnapshotAll.MethodCanon(m.FullName()); c != minij.FormatMethod(m) {
-			return "method canon of " + m.FullName()
+		if ctx.SnapshotAll.MethodDigest(gm[i]) != program.HashParts("canon", minij.FormatMethod(m)) {
+			return "method digest of " + m.FullName()
 		}
 		if gm[i].FullName() != m.FullName() {
 			return fmt.Sprintf("method %d is %s, want %s", i, gm[i].FullName(), m.FullName())
@@ -155,11 +155,16 @@ func programDiff(ctx *core.AssertContext, want *minij.Program) string {
 			return fmt.Sprintf("%s: %d expressions, want %d", m.FullName(), len(gs), len(ws))
 		}
 		for j := range ws {
-			if got.TypeOf(gs[j]) != want.TypeOf(ws[j]) {
-				return fmt.Sprintf("%s: type of %s is %s, want %s", m.FullName(), minij.CanonExpr(ws[j]), got.TypeOf(gs[j]), want.TypeOf(ws[j]))
+			gc, ok := gs[j].(*minij.Call)
+			if !ok {
+				continue
 			}
-			if gc, ok := gs[j].(*minij.Call); ok && gc.Kind != ws[j].(*minij.Call).Kind {
-				return fmt.Sprintf("%s: kind of %s differs", m.FullName(), minij.CanonExpr(ws[j]))
+			wc := ws[j].(*minij.Call)
+			if gc.Kind != wc.Kind {
+				return fmt.Sprintf("%s: kind of %s differs", m.FullName(), minij.CanonExpr(wc))
+			}
+			if gc.RecvType != wc.RecvType {
+				return fmt.Sprintf("%s: receiver type of %s is %s, want %s", m.FullName(), minij.CanonExpr(wc), gc.RecvType, wc.RecvType)
 			}
 		}
 	}

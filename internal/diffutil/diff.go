@@ -2,7 +2,7 @@
 // rendering. Ticket bundles carry the code patch both as text (for the
 // embedding index and for display) and as the pair of full sources (for the
 // AST-level guard extraction in the inference engine); this package produces
-// the textual form and change statistics.
+// the textual form, and the line counts a gate reports.
 package diffutil
 
 import (
@@ -128,20 +128,59 @@ type Stats struct {
 	Kept    int
 }
 
-// DiffStats returns line counts for the edit script.
-func DiffStats(edits []Edit) Stats {
-	var s Stats
-	for _, e := range edits {
-		switch e.Kind {
-		case Insert:
-			s.Added++
-		case Delete:
-			s.Removed++
-		default:
-			s.Kept++
+// Count returns the line counts of a minimal edit script turning a into b,
+// the counts of Diff's script, without building a script: it runs Myers'
+// forward pass, which keeps one array of furthest reaches, over the lines
+// between the common prefix and suffix. Its memory is O(N+M) where Diff's
+// is O(D·(N+M)), so a large change costs a gate its lines, not their
+// product with the edit distance.
+func Count(a, b string) Stats {
+	al, bl := SplitLines(a), SplitLines(b)
+	pre := 0
+	for pre < len(al) && pre < len(bl) && al[pre] == bl[pre] {
+		pre++
+	}
+	suf := 0
+	for suf < len(al)-pre && suf < len(bl)-pre && al[len(al)-1-suf] == bl[len(bl)-1-suf] {
+		suf++
+	}
+	x, y := al[pre:len(al)-suf], bl[pre:len(bl)-suf]
+	d := editDistance(x, y)
+	// A minimal script of d edits deletes (d+N-M)/2 lines and inserts the
+	// rest, whichever minimal script it is.
+	removed := (d + len(x) - len(y)) / 2
+	return Stats{Added: d - removed, Removed: removed, Kept: len(al) - removed}
+}
+
+// editDistance is the number of insertions and deletions in a shortest
+// edit script turning a into b.
+func editDistance(a, b []string) int {
+	n, m := len(a), len(b)
+	if n == 0 || m == 0 {
+		return n + m
+	}
+	maxD := n + m
+	// v[k] = furthest x on diagonal k; offset by maxD.
+	v := make([]int, 2*maxD+1)
+	for d := 0; ; d++ {
+		for k := -d; k <= d; k += 2 {
+			var x int
+			if k == -d || (k != d && v[maxD+k-1] < v[maxD+k+1]) {
+				x = v[maxD+k+1]
+			} else {
+				x = v[maxD+k-1] + 1
+			}
+			y := x - k
+			for x < n && y < m && a[x] == b[y] {
+				x++
+				y++
+			}
+			v[maxD+k] = x
+			if x >= n && y >= m {
+				return d
+			}
 		}
 	}
-	return s
 }
 
 // Changed reports whether the edit script contains any insert or delete.

@@ -12,7 +12,7 @@ func TestDiffIdentical(t *testing.T) {
 	if Changed(edits) {
 		t.Errorf("identical inputs produced changes: %v", edits)
 	}
-	if s := DiffStats(edits); s.Kept != 3 || s.Added != 0 || s.Removed != 0 {
+	if s := scriptStats(edits); s.Kept != 3 || s.Added != 0 || s.Removed != 0 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -21,7 +21,7 @@ func TestDiffInsertDelete(t *testing.T) {
 	a := "a\nb\nc\n"
 	b := "a\nx\nc\nd\n"
 	edits := Diff(a, b)
-	s := DiffStats(edits)
+	s := scriptStats(edits)
 	if s.Added != 2 || s.Removed != 1 {
 		t.Errorf("stats = %+v, want 2 added 1 removed", s)
 	}
@@ -32,13 +32,29 @@ func TestDiffEmptySides(t *testing.T) {
 		t.Errorf("empty diff = %v", edits)
 	}
 	edits := Diff("", "a\nb\n")
-	if s := DiffStats(edits); s.Added != 2 || s.Removed != 0 {
+	if s := scriptStats(edits); s.Added != 2 || s.Removed != 0 {
 		t.Errorf("insert-only stats = %+v", s)
 	}
 	edits = Diff("a\nb\n", "")
-	if s := DiffStats(edits); s.Removed != 2 || s.Added != 0 {
+	if s := scriptStats(edits); s.Removed != 2 || s.Added != 0 {
 		t.Errorf("delete-only stats = %+v", s)
 	}
+}
+
+// scriptStats counts an edit script's lines by kind.
+func scriptStats(edits []Edit) Stats {
+	var s Stats
+	for _, e := range edits {
+		switch e.Kind {
+		case Insert:
+			s.Added++
+		case Delete:
+			s.Removed++
+		default:
+			s.Kept++
+		}
+	}
+	return s
 }
 
 // Property: reconstructing each side from the edit script yields the
@@ -77,6 +93,33 @@ func TestDiffKeepsAreEqualLines(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Property: Count gives the line counts of Diff's edit script.
+func TestCountMatchesDiff(t *testing.T) {
+	f := func(aw, bw []uint8) bool {
+		a := wordsToText(aw)
+		b := wordsToText(bw)
+		return Count(a, b) == scriptStats(Diff(a, b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzDiffStats: for any two sources, Count gives the line counts of
+// Diff's edit script.
+func FuzzDiffStats(f *testing.F) {
+	f.Add("a\nb\nc\n", "a\nX\nc\nd\n")
+	f.Add("", "a\nb\n")
+	f.Add("a\nb\n", "")
+	f.Add("x\ny\nx\ny\n", "y\nx\ny\nx")
+	f.Add("same\n", "same")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := Count(a, b), scriptStats(Diff(a, b)); got != want {
+			t.Fatalf("Count = %+v, Diff's script counts %+v", got, want)
+		}
+	})
 }
 
 // wordsToText maps random bytes onto a tiny vocabulary so diffs contain

@@ -18,9 +18,8 @@ func ExampleUnified() {
 	// +if (s == null || s.isClosing()) {
 }
 
-func ExampleDiffStats() {
-	edits := diffutil.Diff("a\nb\nc\n", "a\nX\nc\nd\n")
-	s := diffutil.DiffStats(edits)
+func ExampleCount() {
+	s := diffutil.Count("a\nb\nc\n", "a\nX\nc\nd\n")
 	fmt.Printf("+%d -%d =%d\n", s.Added, s.Removed, s.Kept)
 	// Output: +2 -1 =2
 }

@@ -65,36 +65,6 @@ type Program struct {
 	byName     map[string]*Class
 	stmts      []Stmt    // all statements, indexed by ID
 	stmtMethod []*Method // enclosing method per statement ID
-
-	// ExprTypes records the static type of every expression, populated by
-	// Resolve. Consumers (call-graph construction, symbolic evaluation)
-	// require a resolved program. A linked program's table covers only
-	// the classes Link added; TypeOf finds the rest in base.
-	ExprTypes map[Expr]Type
-
-	// base is the program Link extended, nil for a parsed one.
-	base *Program
-}
-
-// TypeOf returns the statically inferred type of e, or TypeAny when the
-// program has not been resolved or e was synthesized after resolution.
-func (p *Program) TypeOf(e Expr) Type {
-	if t, ok := p.exprType(e); ok {
-		return t
-	}
-	return Type{Kind: TypeAny}
-}
-
-// exprType looks e up in the base program's table first (most lookups are
-// system expressions), then in p's own.
-func (p *Program) exprType(e Expr) (Type, bool) {
-	if p.base != nil {
-		if t, ok := p.base.ExprTypes[e]; ok {
-			return t, true
-		}
-	}
-	t, ok := p.ExprTypes[e]
-	return t, ok
 }
 
 // MethodOf returns the method whose body contains the statement with the
@@ -350,14 +320,17 @@ type FieldAccess struct {
 
 // Call invokes method Name. Recv may be nil (builtin, or method of the
 // enclosing class), an *Ident naming a class (static call), or an object
-// expression (instance call). The resolver sets Kind.
+// expression (instance call). The resolver sets Kind, and RecvType on an
+// instance call: the static type of its receiver, which call-graph edges,
+// callee names and getter inlining dispatch on.
 type Call struct {
 	exprBase
 	Recv Expr
 	Name string
 	Args []Expr
 
-	Kind CallKind // set by Resolve
+	Kind     CallKind // set by Resolve
+	RecvType Type     // set by Resolve when Kind is CallInstance
 }
 
 // CallKind classifies a call after resolution.

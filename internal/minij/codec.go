@@ -4,8 +4,8 @@ package minij
 // to restore by re-parsing its source and re-rendering the canon — at
 // MiniJ scale that costs about as much as compiling, which turned the disk
 // tier's counter win into a wall-clock break-even. EncodeProgram captures
-// the resolved AST (node structure, positions, call kinds, and the
-// expression type table) in a deterministic, self-delimiting frame so a
+// the resolved AST (node structure, positions, call kinds, and instance
+// calls' receiver types) in a deterministic, self-delimiting frame so a
 // cold process can DecodeProgram instead of parse+resolve.
 //
 // Frame layout:
@@ -29,8 +29,9 @@ import (
 
 // codecVersion is bumped whenever the payload layout changes; decoders
 // reject any other version so a stale record reads as a miss, never as a
-// misinterpreted AST.
-const codecVersion = 1
+// misinterpreted AST. Version 2 carries a call's receiver type with the
+// call, where version 1 carried a type entry after every expression.
+const codecVersion = 2
 
 var codecMagic = [4]byte{'M', 'J', 'A', 'C'}
 
@@ -87,7 +88,7 @@ func EncodeProgram(p *Program) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("%w: nil program", ErrCodecCorrupt)
 	}
-	e := &encoder{prog: p}
+	e := &encoder{}
 	e.uvarint(uint64(len(p.Classes)))
 	for _, c := range p.Classes {
 		e.class(c)
@@ -107,14 +108,14 @@ func EncodeProgram(p *Program) ([]byte, error) {
 // DecodeProgram reconstructs a program from an EncodeProgram frame. The
 // checksum is verified before any payload byte is interpreted; the
 // returned program is indexed (lookup tables, dense statement IDs) exactly
-// as a freshly parsed one, with ExprTypes and Call kinds restored, so no
-// re-resolution is needed.
+// as a freshly parsed one, with call kinds and receiver types restored, so
+// no re-resolution is needed.
 func DecodeProgram(data []byte) (*Program, error) {
 	body, err := checkFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{buf: body, prog: &Program{ExprTypes: map[Expr]Type{}}}
+	d := &decoder{buf: body, prog: &Program{}, names: map[string]string{}}
 	n := d.uvarint()
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		d.prog.Classes = append(d.prog.Classes, d.class())
@@ -162,8 +163,7 @@ func checkFrame(data []byte) ([]byte, error) {
 }
 
 type encoder struct {
-	buf  []byte
-	prog *Program
+	buf []byte
 }
 
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -329,6 +329,7 @@ func (e *encoder) expr(x Expr) {
 		e.expr(n.Recv)
 		e.string(n.Name)
 		e.byte(byte(n.Kind))
+		e.typ(n.RecvType)
 		e.uvarint(uint64(len(n.Args)))
 		for _, a := range n.Args {
 			e.expr(a)
@@ -355,16 +356,6 @@ func (e *encoder) expr(x Expr) {
 	default:
 		panic(fmt.Sprintf("minij: EncodeProgram: unknown expression %T", x))
 	}
-	// The resolver's type table is keyed by node identity, which does not
-	// survive serialization, so each node carries its own entry inline. Not
-	// every node has one — a static-call receiver, for example, is a class
-	// name, not a value — hence the presence flag.
-	if t, ok := e.prog.exprType(x); ok {
-		e.byte(1)
-		e.typ(t)
-	} else {
-		e.byte(0)
-	}
 }
 
 // decoder reads the payload with a sticky error: once any read fails, all
@@ -377,6 +368,9 @@ type decoder struct {
 	off  int
 	err  error
 	prog *Program
+	// names interns the decoded strings, as the lexer interns a parse's:
+	// a name is copied out of the frame once, however often it occurs.
+	names map[string]string
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -433,8 +427,13 @@ func (d *decoder) string() string {
 		d.fail("string length %d exceeds remaining payload", n)
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.names[s] = s
 	return s
 }
 
@@ -584,6 +583,7 @@ func (d *decoder) expr() Expr {
 			return nil
 		}
 		c.Kind = CallKind(k)
+		c.RecvType = d.typ()
 		for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 			c.Args = append(c.Args, d.expr())
 		}
@@ -601,9 +601,6 @@ func (d *decoder) expr() Expr {
 	default:
 		d.fail("bad expression tag %d", tag)
 		return nil
-	}
-	if d.bool() {
-		d.prog.ExprTypes[x] = d.typ()
 	}
 	if d.err != nil {
 		return nil

@@ -142,7 +142,10 @@ func (lx *Lexer) intern(text string) string {
 		return s
 	}
 	if lx.names == nil {
-		lx.names = map[string]string{}
+		// The corpus systems hold one distinct identifier or integer per
+		// 30 to 45 source bytes; sized for one per 64, the table grows
+		// once at most.
+		lx.names = make(map[string]string, len(lx.src)/64)
 	}
 	s := strings.Clone(text)
 	lx.names[s] = s
@@ -183,7 +186,27 @@ func (lx *Lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-var twoCharOps = [...]string{"==", "!=", "<=", ">=", "&&", "||"}
+// twoCharOp returns the text of the two-character operator a, b, or "".
+func twoCharOp(a, b byte) string {
+	switch {
+	case b == '=':
+		switch a {
+		case '=':
+			return "=="
+		case '!':
+			return "!="
+		case '<':
+			return "<="
+		case '>':
+			return ">="
+		}
+	case a == '&' && b == '&':
+		return "&&"
+	case a == '|' && b == '|':
+		return "||"
+	}
+	return ""
+}
 
 // oneCharTexts holds every one-character punctuation and operator.
 const oneCharTexts = "(){}[];,.+-*/%!=<>"
@@ -219,12 +242,11 @@ func (lx *Lexer) Next() (Token, error) {
 		for lx.off < len(lx.src) && isIdentCont(lx.peek()) {
 			lx.advance()
 		}
-		text := lx.intern(lx.src[from:lx.off])
-		kind := TokIdent
-		if IsKeyword(text) {
-			kind = TokKeyword
+		text := lx.src[from:lx.off]
+		if kw, ok := keywords[text]; ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
-		return Token{Kind: kind, Text: text, Pos: start}, nil
+		return Token{Kind: TokIdent, Text: lx.intern(text), Pos: start}, nil
 	case isDigit(c):
 		from := lx.off
 		for lx.off < len(lx.src) && isDigit(lx.peek()) {
@@ -279,12 +301,10 @@ func (lx *Lexer) Next() (Token, error) {
 	// slice of the source: the parser stores it in the AST, and a slice
 	// would keep the whole source alive with the AST.
 	if lx.off+1 < len(lx.src) {
-		for _, op := range twoCharOps {
-			if lx.src[lx.off:lx.off+2] == op {
-				lx.advance()
-				lx.advance()
-				return Token{Kind: TokOp, Text: op, Pos: start}, nil
-			}
+		if op := twoCharOp(c, lx.src[lx.off+1]); op != "" {
+			lx.advance()
+			lx.advance()
+			return Token{Kind: TokOp, Text: op, Pos: start}, nil
 		}
 	}
 	switch c {

@@ -7,12 +7,12 @@ import "fmt"
 // result holds sys's classes followed by tests' classes under one class
 // table, keeps every sys statement ID, numbers tests' statements after
 // sys's in their own order, and resolves only tests' methods, against the
-// combined table. Expression types of sys are read through sys itself.
+// combined table.
 //
 // sys must be resolved; Link only reads it, so concurrent links onto one
 // sys are safe. tests must be a private, unresolved parse of the suite:
-// Link writes its statement IDs and call kinds, and the result takes
-// ownership of it.
+// Link writes its statement IDs, call kinds and receiver types, and the
+// result takes ownership of it.
 //
 // A test class that reopens a sys class fails the link (Parse would merge
 // the two), and so does any resolution error. The error's text is not the
@@ -30,8 +30,6 @@ func Link(sys, tests *Program) (*Program, error) {
 		byName:     make(map[string]*Class, len(sys.byName)+len(tests.byName)),
 		stmts:      make([]Stmt, 0, n+len(tests.stmts)),
 		stmtMethod: make([]*Method, 0, n+len(tests.stmts)),
-		ExprTypes:  map[Expr]Type{},
-		base:       sys,
 	}
 	p.Classes = append(append(p.Classes, sys.Classes...), tests.Classes...)
 	for name, c := range sys.byName {

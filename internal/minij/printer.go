@@ -1,9 +1,9 @@
 package minij
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // CanonExpr renders an expression in canonical single-line form. Canonical
@@ -11,10 +11,14 @@ import (
 // required, so two syntactically equal expressions always canonicalize to
 // the same string. Contract target patterns match against this form.
 func CanonExpr(e Expr) string {
-	var sb strings.Builder
-	writeExpr(&sb, e, 0)
-	return sb.String()
+	var buf [canonBufSize]byte
+	return string(appendExpr(buf[:0], e, 0))
 }
+
+// canonBufSize is the stack buffer a standalone render starts in: the
+// returned string is then its only allocation, of exactly its length, for
+// every head that fits.
+const canonBufSize = 128
 
 // precedence levels for canonical printing (higher binds tighter).
 func opPrec(op string) int {
@@ -35,162 +39,208 @@ func opPrec(op string) int {
 	return 7
 }
 
-func writeExpr(sb *strings.Builder, e Expr, parent int) {
+// appendExpr appends e's canonical render to b. It and appendStmtHead
+// recurse only into themselves: the escape analysis keeps a standalone
+// render's stack buffer on the stack through self-recursion, not through
+// a cycle of two functions.
+func appendExpr(b []byte, e Expr, parent int) []byte {
+	var args []Expr
 	switch n := e.(type) {
 	case *IntLit:
-		sb.WriteString(strconv.FormatInt(n.Value, 10))
+		return strconv.AppendInt(b, n.Value, 10)
 	case *BoolLit:
-		if n.Value {
-			sb.WriteString("true")
-		} else {
-			sb.WriteString("false")
-		}
+		return strconv.AppendBool(b, n.Value)
 	case *StrLit:
-		sb.WriteString(strconv.Quote(n.Value))
+		return strconv.AppendQuote(b, n.Value)
 	case *NullLit:
-		sb.WriteString("null")
+		return append(b, "null"...)
 	case *Ident:
-		sb.WriteString(n.Name)
+		return append(b, n.Name...)
 	case *FieldAccess:
-		writeExpr(sb, n.Recv, 7)
-		sb.WriteByte('.')
-		sb.WriteString(n.Name)
+		b = appendExpr(b, n.Recv, 7)
+		b = append(b, '.')
+		return append(b, n.Name...)
 	case *Call:
 		if n.Recv != nil {
-			writeExpr(sb, n.Recv, 7)
-			sb.WriteByte('.')
+			b = appendExpr(b, n.Recv, 7)
+			b = append(b, '.')
 		}
-		sb.WriteString(n.Name)
-		sb.WriteByte('(')
-		for i, a := range n.Args {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			writeExpr(sb, a, 0)
-		}
-		sb.WriteByte(')')
+		b = append(b, n.Name...)
+		args = n.Args
 	case *New:
-		sb.WriteString("new ")
-		sb.WriteString(n.Class)
-		sb.WriteByte('(')
-		for i, a := range n.Args {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			writeExpr(sb, a, 0)
-		}
-		sb.WriteByte(')')
+		b = append(b, "new "...)
+		b = append(b, n.Class...)
+		args = n.Args
 	case *Unary:
-		sb.WriteString(n.Op)
-		writeExpr(sb, n.X, 7)
+		b = append(b, n.Op...)
+		return appendExpr(b, n.X, 7)
 	case *Binary:
 		prec := opPrec(n.Op)
 		if prec < parent {
-			sb.WriteByte('(')
+			b = append(b, '(')
 		}
-		writeExpr(sb, n.X, prec)
-		sb.WriteByte(' ')
-		sb.WriteString(n.Op)
-		sb.WriteByte(' ')
+		b = appendExpr(b, n.X, prec)
+		b = append(b, ' ')
+		b = append(b, n.Op...)
+		b = append(b, ' ')
 		// Right operand uses prec+1 so chains print left-associatively
 		// with explicit parens on the right when re-nesting occurs.
-		writeExpr(sb, n.Y, prec+1)
+		b = appendExpr(b, n.Y, prec+1)
 		if prec < parent {
-			sb.WriteByte(')')
+			b = append(b, ')')
 		}
+		return b
 	default:
-		fmt.Fprintf(sb, "<?expr %T>", e)
+		// Sprintf, not Appendf: b handed to fmt would escape, and every
+		// standalone render's stack buffer with it.
+		return append(b, fmt.Sprintf("<?expr %T>", e)...)
 	}
+	// A call's or a new's argument list.
+	b = append(b, '(')
+	for i, a := range args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendExpr(b, a, 0)
+	}
+	return append(b, ')')
 }
 
 // CanonStmt renders the head of a statement in canonical single-line form.
 // Compound statements render only their header (e.g. "if (cond)"), which is
 // what target-statement patterns match against.
 func CanonStmt(s Stmt) string {
+	var buf [canonBufSize]byte
+	return string(appendStmtHead(buf[:0], s))
+}
+
+// appendStmtHead appends s's canonical head, CanonStmt's text, to b. The
+// program render writes its statement heads with it too, so the two cannot
+// disagree.
+func appendStmtHead(b []byte, s Stmt) []byte {
 	switch n := s.(type) {
 	case *Block:
-		return "{...}"
+		return append(b, "{...}"...)
 	case *VarDecl:
+		b = append(b, n.Type.String()...)
+		b = append(b, ' ')
+		b = append(b, n.Name...)
 		if n.Init != nil {
-			return n.Type.String() + " " + n.Name + " = " + CanonExpr(n.Init) + ";"
+			b = append(b, " = "...)
+			b = appendExpr(b, n.Init, 0)
 		}
-		return n.Type.String() + " " + n.Name + ";"
+		return append(b, ';')
 	case *Assign:
-		return CanonExpr(n.Target) + " = " + CanonExpr(n.Value) + ";"
+		b = appendExpr(b, n.Target, 0)
+		b = append(b, " = "...)
+		b = appendExpr(b, n.Value, 0)
+		return append(b, ';')
 	case *If:
-		return "if (" + CanonExpr(n.Cond) + ")"
+		b = append(b, "if ("...)
+		b = appendExpr(b, n.Cond, 0)
+		return append(b, ')')
 	case *While:
-		return "while (" + CanonExpr(n.Cond) + ")"
+		b = append(b, "while ("...)
+		b = appendExpr(b, n.Cond, 0)
+		return append(b, ')')
 	case *For:
-		var init, cond, post string
+		// The init and post clauses print without their semicolons.
+		b = append(b, "for ("...)
 		if n.Init != nil {
-			init = strings.TrimSuffix(CanonStmt(n.Init), ";")
+			b = appendStmtHead(b, n.Init)
+			b = bytes.TrimSuffix(b, semicolon)
 		}
+		b = append(b, "; "...)
 		if n.Cond != nil {
-			cond = CanonExpr(n.Cond)
+			b = appendExpr(b, n.Cond, 0)
 		}
+		b = append(b, "; "...)
 		if n.Post != nil {
-			post = strings.TrimSuffix(CanonStmt(n.Post), ";")
+			b = appendStmtHead(b, n.Post)
+			b = bytes.TrimSuffix(b, semicolon)
 		}
-		return "for (" + init + "; " + cond + "; " + post + ")"
+		return append(b, ')')
 	case *ForEach:
-		return "for (" + n.Var + " in " + CanonExpr(n.Iter) + ")"
+		b = append(b, "for ("...)
+		b = append(b, n.Var...)
+		b = append(b, " in "...)
+		b = appendExpr(b, n.Iter, 0)
+		return append(b, ')')
 	case *Return:
-		if n.Value != nil {
-			return "return " + CanonExpr(n.Value) + ";"
+		if n.Value == nil {
+			return append(b, "return;"...)
 		}
-		return "return;"
+		b = append(b, "return "...)
+		b = appendExpr(b, n.Value, 0)
+		return append(b, ';')
 	case *Break:
-		return "break;"
+		return append(b, "break;"...)
 	case *Continue:
-		return "continue;"
+		return append(b, "continue;"...)
 	case *Throw:
-		return "throw " + CanonExpr(n.Value) + ";"
+		b = append(b, "throw "...)
+		b = appendExpr(b, n.Value, 0)
+		return append(b, ';')
 	case *Try:
-		return "try"
+		return append(b, "try"...)
 	case *Sync:
-		return "synchronized (" + CanonExpr(n.Lock) + ")"
+		b = append(b, "synchronized ("...)
+		b = appendExpr(b, n.Lock, 0)
+		return append(b, ')')
 	case *ExprStmt:
-		return CanonExpr(n.E) + ";"
+		b = appendExpr(b, n.E, 0)
+		return append(b, ';')
 	}
-	return fmt.Sprintf("<?stmt %T>", s)
+	return append(b, fmt.Sprintf("<?stmt %T>", s)...)
 }
+
+var semicolon = []byte{';'}
 
 // FormatProgram pretty-prints a program in canonical multi-line form with
 // tab indentation. Formatting the same program twice yields identical text,
 // which makes version-to-version diffs stable.
 func FormatProgram(p *Program) string {
-	var sb strings.Builder
-	for i, c := range p.Classes {
-		if i > 0 {
-			sb.WriteByte('\n')
-		}
-		formatClass(&sb, c)
-	}
-	return sb.String()
+	return string(AppendProgram(nil, p.Classes, nil))
 }
 
-func formatClass(sb *strings.Builder, c *Class) {
-	sb.WriteString("class ")
-	sb.WriteString(c.Name)
-	sb.WriteString(" {\n")
-	for _, f := range c.Fields {
-		sb.WriteByte('\t')
-		sb.WriteString(f.Type.String())
-		sb.WriteByte(' ')
-		sb.WriteString(f.Name)
-		sb.WriteString(";\n")
-	}
-	if len(c.Fields) > 0 && len(c.Methods) > 0 {
-		sb.WriteByte('\n')
-	}
-	for i, m := range c.Methods {
+// AppendProgram appends the canonical render of classes — FormatProgram's
+// text for a program of those classes — to b and returns the extended
+// buffer. When method is non-nil, it is called with each method and the
+// part of the render that is the method's own (FormatMethod's text after
+// its name line) as soon as that part is written; the slice is only valid
+// during the call. One render thus yields a program's digest and all of
+// its methods' digests.
+func AppendProgram(b []byte, classes []*Class, method func(m *Method, text []byte)) []byte {
+	for i, c := range classes {
 		if i > 0 {
-			sb.WriteByte('\n')
+			b = append(b, '\n')
 		}
-		formatMethod(sb, m)
+		b = append(b, "class "...)
+		b = append(b, c.Name...)
+		b = append(b, " {\n"...)
+		for _, f := range c.Fields {
+			b = append(b, '\t')
+			b = append(b, f.Type.String()...)
+			b = append(b, ' ')
+			b = append(b, f.Name...)
+			b = append(b, ";\n"...)
+		}
+		if len(c.Fields) > 0 && len(c.Methods) > 0 {
+			b = append(b, '\n')
+		}
+		for j, m := range c.Methods {
+			if j > 0 {
+				b = append(b, '\n')
+			}
+			from := len(b)
+			b = appendMethod(b, m)
+			if method != nil {
+				method(m, b[from:])
+			}
+		}
+		b = append(b, "}\n"...)
 	}
-	sb.WriteString("}\n")
+	return b
 }
 
 // FormatMethod pretty-prints one method in canonical form, prefixed with
@@ -198,105 +248,94 @@ func formatClass(sb *strings.Builder, c *Class) {
 // method's AST — never on source positions or original whitespace — so it
 // doubles as the content identity the incremental scheduler fingerprints.
 func FormatMethod(m *Method) string {
-	var sb strings.Builder
-	sb.WriteString(m.FullName())
-	sb.WriteByte('\n')
-	formatMethod(&sb, m)
-	return sb.String()
+	b := append([]byte(m.FullName()), '\n')
+	return string(appendMethod(b, m))
 }
 
-func formatMethod(sb *strings.Builder, m *Method) {
-	sb.WriteByte('\t')
+func appendMethod(b []byte, m *Method) []byte {
+	b = append(b, '\t')
 	if m.Static {
-		sb.WriteString("static ")
+		b = append(b, "static "...)
 	}
-	sb.WriteString(m.Ret.String())
-	sb.WriteByte(' ')
-	sb.WriteString(m.Name)
-	sb.WriteByte('(')
+	b = append(b, m.Ret.String()...)
+	b = append(b, ' ')
+	b = append(b, m.Name...)
+	b = append(b, '(')
 	for i, p := range m.Params {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		sb.WriteString(p.Type.String())
-		sb.WriteByte(' ')
-		sb.WriteString(p.Name)
+		b = append(b, p.Type.String()...)
+		b = append(b, ' ')
+		b = append(b, p.Name...)
 	}
-	sb.WriteString(") ")
-	formatBlock(sb, m.Body, 1)
-	sb.WriteByte('\n')
+	b = append(b, ") "...)
+	b = appendBlock(b, m.Body, 1)
+	return append(b, '\n')
 }
 
-func formatBlock(sb *strings.Builder, b *Block, depth int) {
-	sb.WriteString("{\n")
-	for _, s := range b.Stmts {
-		formatStmt(sb, s, depth+1)
+func appendBlock(b []byte, blk *Block, depth int) []byte {
+	b = append(b, "{\n"...)
+	for _, s := range blk.Stmts {
+		b = appendStmt(b, s, depth+1)
 	}
-	indent(sb, depth)
-	sb.WriteString("}")
+	b = appendIndent(b, depth)
+	return append(b, '}')
 }
 
-func indent(sb *strings.Builder, depth int) {
+func appendIndent(b []byte, depth int) []byte {
 	for i := 0; i < depth; i++ {
-		sb.WriteByte('\t')
+		b = append(b, '\t')
 	}
+	return b
 }
 
-func formatStmt(sb *strings.Builder, s Stmt, depth int) {
-	indent(sb, depth)
+// appendStmt appends one statement on its own lines at depth: its head,
+// then the blocks of a compound statement.
+func appendStmt(b []byte, s Stmt, depth int) []byte {
+	b = appendIndent(b, depth)
 	switch n := s.(type) {
 	case *Block:
-		formatBlock(sb, n, depth)
-		sb.WriteByte('\n')
+		b = appendBlock(b, n, depth)
 	case *If:
-		formatIf(sb, n, depth)
-		sb.WriteByte('\n')
+		b = appendIf(b, n, depth)
 	case *While:
-		sb.WriteString(CanonStmt(n))
-		sb.WriteByte(' ')
-		formatBlock(sb, n.Body, depth)
-		sb.WriteByte('\n')
+		b = appendHeadBlock(b, n, n.Body, depth)
 	case *For:
-		sb.WriteString(CanonStmt(n))
-		sb.WriteByte(' ')
-		formatBlock(sb, n.Body, depth)
-		sb.WriteByte('\n')
+		b = appendHeadBlock(b, n, n.Body, depth)
 	case *ForEach:
-		sb.WriteString(CanonStmt(n))
-		sb.WriteByte(' ')
-		formatBlock(sb, n.Body, depth)
-		sb.WriteByte('\n')
-	case *Try:
-		sb.WriteString("try ")
-		formatBlock(sb, n.Body, depth)
-		sb.WriteString(" catch (")
-		sb.WriteString(n.CatchVar)
-		sb.WriteString(") ")
-		formatBlock(sb, n.Catch, depth)
-		sb.WriteByte('\n')
+		b = appendHeadBlock(b, n, n.Body, depth)
 	case *Sync:
-		sb.WriteString(CanonStmt(n))
-		sb.WriteByte(' ')
-		formatBlock(sb, n.Body, depth)
-		sb.WriteByte('\n')
+		b = appendHeadBlock(b, n, n.Body, depth)
+	case *Try:
+		b = append(b, "try "...)
+		b = appendBlock(b, n.Body, depth)
+		b = append(b, " catch ("...)
+		b = append(b, n.CatchVar...)
+		b = append(b, ") "...)
+		b = appendBlock(b, n.Catch, depth)
 	default:
-		sb.WriteString(CanonStmt(s))
-		sb.WriteByte('\n')
+		b = appendStmtHead(b, s)
 	}
+	return append(b, '\n')
 }
 
-func formatIf(sb *strings.Builder, n *If, depth int) {
-	sb.WriteString("if (")
-	sb.WriteString(CanonExpr(n.Cond))
-	sb.WriteString(") ")
-	formatBlock(sb, n.Then, depth)
+// appendHeadBlock appends a compound statement's head and its body.
+func appendHeadBlock(b []byte, s Stmt, body *Block, depth int) []byte {
+	b = appendStmtHead(b, s)
+	b = append(b, ' ')
+	return appendBlock(b, body, depth)
+}
+
+func appendIf(b []byte, n *If, depth int) []byte {
+	b = appendHeadBlock(b, n, n.Then, depth)
 	switch e := n.Else.(type) {
-	case nil:
 	case *If:
-		sb.WriteString(" else ")
-		formatIf(sb, e, depth)
+		b = append(b, " else "...)
+		b = appendIf(b, e, depth)
 	case *Block:
-		sb.WriteString(" else ")
-		formatBlock(sb, e, depth)
+		b = append(b, " else "...)
+		b = appendBlock(b, e, depth)
 	}
+	return b
 }

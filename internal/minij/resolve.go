@@ -17,16 +17,15 @@ func (e *ResolveError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Ms
 // Resolve statically checks the program: every name must resolve, call
 // arities must match, and expressions must be loosely type-consistent
 // (container elements are dynamically typed, so TypeAny is accepted
-// anywhere). Resolve also classifies every call's Kind, which the
-// interpreter and the symbolic engine rely on. It returns all diagnostics
-// found.
+// anywhere). Resolve also classifies every call's Kind, and sets an
+// instance call's RecvType, which the interpreter and the symbolic engine
+// rely on. It returns all diagnostics found.
 func Resolve(prog *Program) []*ResolveError {
-	prog.ExprTypes = map[Expr]Type{}
 	return resolveMethods(prog, prog.Classes)
 }
 
 // resolveMethods resolves the methods of classes against prog's class
-// table, recording expression types in prog.ExprTypes.
+// table.
 func resolveMethods(prog *Program, classes []*Class) []*ResolveError {
 	r := &resolver{prog: prog}
 	for _, c := range classes {
@@ -60,28 +59,46 @@ type resolver struct {
 	errs []*ResolveError
 
 	method_ *Method
-	scopes  []map[string]Type
+	// locals holds the variables in scope, innermost last, and scopes the
+	// length locals had when each open scope began. One method's scopes
+	// reuse the previous method's stacks.
+	locals []local
+	scopes []int
+}
+
+// local is one declared variable.
+type local struct {
+	name string
+	typ  Type
 }
 
 func (r *resolver) errorf(pos Pos, format string, args ...any) {
 	r.errs = append(r.errs, &ResolveError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (r *resolver) push() { r.scopes = append(r.scopes, map[string]Type{}) }
-func (r *resolver) pop()  { r.scopes = r.scopes[:len(r.scopes)-1] }
+func (r *resolver) push() { r.scopes = append(r.scopes, len(r.locals)) }
 
-func (r *resolver) declare(pos Pos, name string, t Type) {
-	top := r.scopes[len(r.scopes)-1]
-	if _, dup := top[name]; dup {
-		r.errorf(pos, "redeclaration of %q", name)
-	}
-	top[name] = t
+func (r *resolver) pop() {
+	r.locals = r.locals[:r.scopes[len(r.scopes)-1]]
+	r.scopes = r.scopes[:len(r.scopes)-1]
 }
 
+func (r *resolver) declare(pos Pos, name string, t Type) {
+	for _, l := range r.locals[r.scopes[len(r.scopes)-1]:] {
+		if l.name == name {
+			r.errorf(pos, "redeclaration of %q", name)
+			break
+		}
+	}
+	r.locals = append(r.locals, local{name, t})
+}
+
+// lookup finds the innermost declaration of name: a redeclaration in one
+// scope shadows the first, as it replaced it when scopes were maps.
 func (r *resolver) lookup(name string) (Type, bool) {
-	for i := len(r.scopes) - 1; i >= 0; i-- {
-		if t, ok := r.scopes[i][name]; ok {
-			return t, true
+	for i := len(r.locals) - 1; i >= 0; i-- {
+		if r.locals[i].name == name {
+			return r.locals[i].typ, true
 		}
 	}
 	return Type{}, false
@@ -95,7 +112,7 @@ func (r *resolver) checkDeclaredType(pos Pos, t Type) {
 
 func (r *resolver) method(m *Method) {
 	r.method_ = m
-	r.scopes = nil
+	r.locals, r.scopes = r.locals[:0], r.scopes[:0]
 	r.push()
 	r.checkDeclaredType(m.DeclPos, m.Ret)
 	for _, p := range m.Params {
@@ -244,13 +261,8 @@ func (r *resolver) requireAssignable(pos Pos, dst, src Type, format string, args
 	}
 }
 
+// expr types e, checking it and everything under it.
 func (r *resolver) expr(e Expr) Type {
-	t := r.exprInner(e)
-	r.prog.ExprTypes[e] = t
-	return t
-}
-
-func (r *resolver) exprInner(e Expr) Type {
 	switch n := e.(type) {
 	case *IntLit:
 		return Type{Kind: TypeInt}
@@ -452,6 +464,7 @@ func (r *resolver) call(n *Call) Type {
 	// Instance call.
 	rt := r.expr(n.Recv)
 	n.Kind = CallInstance
+	n.RecvType = rt
 	switch rt.Kind {
 	case TypeObject:
 		c := r.prog.Class(rt.Class)

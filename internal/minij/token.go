@@ -10,7 +10,10 @@
 // null, and builtin calls (some of which are flagged as blocking I/O).
 package minij
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // TokenKind enumerates the lexical token kinds of MiniJ.
 type TokenKind int
@@ -80,15 +83,15 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// keywords is the set of reserved words.
-var keywords = map[string]bool{
-	"class": true, "static": true, "void": true, "int": true, "bool": true,
-	"string": true, "list": true, "map": true, "if": true, "else": true,
-	"while": true, "for": true, "in": true, "return": true, "break": true,
-	"continue": true, "throw": true, "try": true, "catch": true,
-	"synchronized": true, "new": true, "null": true, "true": true,
-	"false": true,
-}
-
-// IsKeyword reports whether s is a MiniJ reserved word.
-func IsKeyword(s string) bool { return keywords[s] }
+// keywords maps each reserved word to itself. The lexer looks a word up by
+// its slice of the source and takes the map's copy as the token text,
+// which owns its bytes and costs no intern.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, w := range strings.Fields(`class static void int bool string list map if else
+		while for in return break continue throw try catch synchronized new null
+		true false`) {
+		m[w] = w
+	}
+	return m
+}()

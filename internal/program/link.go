@@ -18,6 +18,10 @@ type Suite struct {
 	once  sync.Once
 	frame []byte
 	err   error
+	// digests are those of the suite's classes and test methods, taken
+	// from one render of its parse; every linked snapshot shares them
+	// read-only.
+	digests digests
 	// fresh is the parse that produced frame, handed to the first link
 	// only: every later link decodes a private copy of its own.
 	fresh atomic.Pointer[minij.Program]
@@ -31,9 +35,10 @@ func NewSuite(key, source string) *Suite {
 }
 
 // program returns a private, unresolved copy of the suite's AST for one
-// link to own. The first call parses the source and keeps its codec frame;
-// it links the fresh parse itself, so a process that links once parses
-// once and decodes nothing.
+// link to own. The first call parses the source, keeps its codec frame and
+// takes the suite's digests from one render of the parse; it links the
+// fresh parse itself, so a process that links once parses once and decodes
+// nothing, and no link renders.
 func (s *Suite) program() (*minij.Program, error) {
 	s.once.Do(func() {
 		prog, err := minij.Parse(s.source)
@@ -44,6 +49,7 @@ func (s *Suite) program() (*minij.Program, error) {
 			s.err = err
 			return
 		}
+		_, s.digests = digestRender(prog.Classes, len(s.source))
 		s.fresh.Store(prog)
 	})
 	if s.err != nil {
@@ -89,8 +95,10 @@ func (c *Cache) Link(sys *Snapshot, suite *Suite) (*Snapshot, error) {
 
 // link populates a linked snapshot exactly once. Its canon digest covers
 // only the test classes: the system snapshot's own digest covers the rest.
-// The program.load fault point fires as in build, on a test class, so a
-// corrupt link never damages the shared system program.
+// Both it and the test methods' digests are the suite's, which a private
+// copy of the suite's AST renders to as well. The program.load fault point
+// fires as in build, on a test class, so a corrupt link never damages the
+// shared system program.
 func (s *Snapshot) link() {
 	tests, err := s.suite.program()
 	var prog *minij.Program
@@ -105,6 +113,6 @@ func (s *Snapshot) link() {
 	s.cache.links.Add(1)
 	s.prog = prog
 	s.testClasses = tests.Classes
-	s.canonHash = Hash(s.formatOwn())
+	s.digests = s.suite.digests
 	injectLoadFault(s.testClasses)
 }

@@ -1,6 +1,8 @@
 package program
 
 import (
+	"bytes"
+
 	"lisa/internal/faultinject"
 	"lisa/internal/minij"
 )
@@ -39,9 +41,9 @@ func (s *Snapshot) compile() {
 }
 
 // restore adopts a persisted frame the way build adopts a parse: the
-// decoded program is rendered once for the canon digest, and the shape,
-// method canons and call graph are derived on first use through the same
-// paths a compiled snapshot takes. The frame is sha256-sealed, so
+// decoded program is rendered once for the canon digest and the method
+// digests, and the shape and call graph are derived on first use through
+// the same paths a compiled snapshot takes. The frame is sha256-sealed, so
 // truncation or bit flips surface as a decode error, never as a wrong AST.
 // Every Nth restore — and every restore while a faultinject plan is armed
 // — additionally runs the deep verification: re-parse the source and
@@ -56,11 +58,11 @@ func (s *Snapshot) restore(raw []byte) bool {
 	if err != nil {
 		return false
 	}
-	canon := minij.FormatProgram(prog)
+	canon, d := digestRender(prog.Classes, len(s.source))
 	deep := faultinject.Armed() || s.cache.restoreTick.Add(1)%s.cache.deepVerifyInterval() == 0
 	if deep {
 		parsed, err := minij.Parse(s.source)
-		if err != nil || minij.Check(parsed) != nil || minij.FormatProgram(parsed) != canon {
+		if err != nil || minij.Check(parsed) != nil || !bytes.Equal(minij.AppendProgram(nil, parsed.Classes, nil), canon) {
 			return false
 		}
 		s.cache.restoresVerified.Add(1)
@@ -68,7 +70,7 @@ func (s *Snapshot) restore(raw []byte) bool {
 		s.cache.restoresDecoded.Add(1)
 	}
 	s.prog = prog
-	s.canonHash = Hash(canon)
+	s.digests = d
 	injectLoadFault(prog.Classes)
 	return true
 }

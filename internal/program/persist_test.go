@@ -115,7 +115,7 @@ func corpusPrograms() []string {
 
 // TestRestoredEqualsCompiled: over every distinct corpus program, a
 // snapshot restored on the decode path derives exactly what the compiled
-// one does — canon digest, shape, every method canon, and call-graph
+// one does — canon digest, shape, every method digest, and call-graph
 // edges in order — from the decoded AST alone.
 func TestRestoredEqualsCompiled(t *testing.T) {
 	sources := corpusPrograms()
@@ -155,8 +155,8 @@ func TestRestoredEqualsCompiled(t *testing.T) {
 			t.Fatalf("program %d: restored %d methods, compiled %d", i, len(got), len(methods))
 		}
 		for _, m := range methods {
-			if snap.MethodCanon(m.FullName()) != want.MethodCanon(m.FullName()) {
-				t.Fatalf("program %d: restored method canon of %s differs", i, m.FullName())
+			if snap.MethodDigest(m) != want.MethodDigest(m) {
+				t.Fatalf("program %d: restored method digest of %s differs", i, m.FullName())
 			}
 		}
 		got, wantEdges := edgeLines(snap.Graph()), edgeLines(want.Graph())

@@ -39,8 +39,8 @@ func TestRestoreDecodedSkipsParse(t *testing.T) {
 	if snap.CanonHash() != built.CanonHash() {
 		t.Fatal("decoded canon digest differs from built")
 	}
-	if snap.MethodCanon("PrepProcessor.processCreate") != built.MethodCanon("PrepProcessor.processCreate") {
-		t.Fatal("decoded method canon differs")
+	if m := built.Program().Method("PrepProcessor", "processCreate"); snap.MethodDigest(m) != built.MethodDigest(m) {
+		t.Fatal("decoded method digest differs")
 	}
 	if err := snap.Verify(); err != nil {
 		t.Fatalf("decoded snapshot fails Verify: %v", err)
@@ -279,15 +279,12 @@ func parentRecord(snap *Snapshot, frame []byte) []byte {
 	str(canon)
 	str(Hash(canon))
 	str(snap.Shape())
-	var names []string
-	for _, m := range snap.Program().Methods() {
-		names = append(names, m.FullName())
-	}
-	sort.Strings(names)
-	rec = binary.AppendUvarint(rec, uint64(len(names)))
-	for _, name := range names {
-		str(name)
-		str(snap.MethodCanon(name))
+	methods := snap.Program().Methods()
+	sort.Slice(methods, func(i, j int) bool { return methods[i].FullName() < methods[j].FullName() })
+	rec = binary.AppendUvarint(rec, uint64(len(methods)))
+	for _, m := range methods {
+		str(m.FullName())
+		str(minij.FormatMethod(m))
 	}
 	str(string(frame))
 	return rec

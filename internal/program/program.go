@@ -53,13 +53,11 @@ type Snapshot struct {
 	compileOnce sync.Once
 	prog        *minij.Program
 	err         error
-	canonHash   string
+	// digests are taken from the program's one canonical render.
+	digests
 
 	graphOnce sync.Once
 	graph     *callgraph.Graph
-
-	methodsOnce sync.Once
-	methodCanon map[string]string
 
 	shapeOnce sync.Once
 	shape     string
@@ -77,15 +75,20 @@ type Snapshot struct {
 
 // Hash returns the content address of a source string (sha256, hex).
 func Hash(source string) string {
-	sum := sha256.Sum256([]byte(source))
+	return hashBytes([]byte(source))
+}
+
+func hashBytes(b []byte) string {
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
 // HashParts digests a sequence of strings into a short fingerprint (the
 // first 16 bytes of a sha256, hex). Each part is framed as "<len>:<part>",
 // so part boundaries cannot alias. Every fingerprint derived from a
-// snapshot — the test corpus digest, the scheduler's job keys — shares
-// this one framing, and persisted keys depend on its exact bytes.
+// snapshot — the test corpus digest, the scheduler's job keys, a method's
+// digest — shares this one framing, and persisted keys depend on its exact
+// bytes.
 func HashParts(parts ...string) string {
 	n := 0
 	for _, p := range parts {
@@ -93,14 +96,63 @@ func HashParts(parts ...string) string {
 	}
 	buf := make([]byte, 0, n)
 	for _, p := range parts {
-		buf = strconv.AppendInt(buf, int64(len(p)), 10)
-		buf = append(buf, ':')
+		buf = appendPartHead(buf, len(p))
 		buf = append(buf, p...)
 	}
-	sum := sha256.Sum256(buf)
+	return shortDigest(buf)
+}
+
+// appendPartHead appends the "<len>:" framing of a part of n bytes.
+func appendPartHead(buf []byte, n int) []byte {
+	buf = strconv.AppendInt(buf, int64(n), 10)
+	return append(buf, ':')
+}
+
+// shortDigest is the fingerprint HashParts returns for framed parts.
+func shortDigest(framed []byte) string {
+	sum := sha256.Sum256(framed)
 	var out [32]byte
 	hex.Encode(out[:], sum[:16])
 	return string(out[:])
+}
+
+// digests are what a snapshot or a suite keeps of its canonical render:
+// the digest of the whole render, and each method's digest keyed by its
+// class and name.
+type digests struct {
+	canonHash string
+	methods   map[methodKey]string
+}
+
+// methodKey names a method by its class and its own name, so a lookup
+// builds no "Class.method" string.
+type methodKey struct{ class, name string }
+
+// digestRender renders classes canonically, once, into a buffer of
+// sizeHint bytes to start with, and returns the render and its digests. A
+// method's digest is HashParts("canon", minij.FormatMethod(m)), hashed
+// from the method's part of the render; the scheduler's fingerprints and
+// the dirty sets compare them, so persisted job keys depend on its bytes.
+func digestRender(classes []*minij.Class, sizeHint int) ([]byte, digests) {
+	n := 0
+	for _, c := range classes {
+		n += len(c.Methods)
+	}
+	d := digests{methods: make(map[methodKey]string, n)}
+	var framed []byte
+	canon := minij.AppendProgram(make([]byte, 0, sizeHint), classes, func(m *minij.Method, text []byte) {
+		// The framing of HashParts("canon", FullName+"\n"+text).
+		framed = append(framed[:0], "5:canon"...)
+		framed = appendPartHead(framed, len(m.Class.Name)+1+len(m.Name)+1+len(text))
+		framed = append(framed, m.Class.Name...)
+		framed = append(framed, '.')
+		framed = append(framed, m.Name...)
+		framed = append(framed, '\n')
+		framed = append(framed, text...)
+		d.methods[methodKey{m.Class.Name, m.Name}] = shortDigest(framed)
+	})
+	d.canonHash = hashBytes(canon)
+	return canon, d
 }
 
 // Source returns the raw source text the snapshot was loaded from; a
@@ -139,25 +191,19 @@ func (s *Snapshot) Graph() *callgraph.Graph {
 	return s.graph
 }
 
-// MethodCanon returns the canonical text of the named method
-// ("Class.method"), or "" when no such method exists. The per-method
-// renderings are built once and reused by every fingerprint and dirty-set
-// computation over this version. A linked snapshot renders its test
-// methods and serves system methods from the system snapshot.
-func (s *Snapshot) MethodCanon(fullName string) string {
-	s.methodsOnce.Do(func() {
-		m := map[string]string{}
-		for _, c := range s.ownClasses() {
-			for _, method := range c.Methods {
-				m[method.FullName()] = minij.FormatMethod(method)
-			}
-		}
-		s.methodCanon = m
-	})
-	if canon, ok := s.methodCanon[fullName]; ok || s.sys == nil {
-		return canon
+// MethodDigest returns the digest of the canonical text of this
+// version's method with m's class and name — HashParts("canon",
+// minij.FormatMethod(method)) — or "" when it has no such method. The
+// digests come from the render that took the canon digest, so every
+// fingerprint and dirty-set computation over this version reads them and
+// renders nothing. A linked snapshot holds its suite's test methods and
+// serves system methods from the system snapshot.
+func (s *Snapshot) MethodDigest(m *minij.Method) string {
+	key := methodKey{m.Class.Name, m.Name}
+	if d, ok := s.methods[key]; ok || s.sys == nil {
+		return d
 	}
-	return s.sys.MethodCanon(fullName)
+	return s.sys.methods[key]
 }
 
 // ownClasses lists the classes this snapshot's canon digest covers: the
@@ -170,11 +216,6 @@ func (s *Snapshot) ownClasses() []*minij.Class {
 		return nil
 	}
 	return s.prog.Classes
-}
-
-// formatOwn renders ownClasses canonically.
-func (s *Snapshot) formatOwn() string {
-	return minij.FormatProgram(&minij.Program{Classes: s.ownClasses()})
 }
 
 // Shape returns the program's declaration skeleton: class names, fields,
@@ -233,7 +274,7 @@ func (s *Snapshot) Verify() error {
 	if s.err != nil {
 		return s.err
 	}
-	if Hash(s.formatOwn()) != s.canonHash {
+	if hashBytes(minij.AppendProgram(nil, s.ownClasses(), nil)) != s.canonHash {
 		return fmt.Errorf("%w: %.12s canonical AST drifted from its content address", ErrMutated, s.hash)
 	}
 	return nil
@@ -254,7 +295,7 @@ func (s *Snapshot) build() {
 		return
 	}
 	s.prog = prog
-	s.canonHash = Hash(minij.FormatProgram(prog))
+	_, s.digests = digestRender(prog.Classes, len(s.source))
 	injectLoadFault(prog.Classes)
 }
 

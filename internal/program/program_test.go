@@ -57,11 +57,11 @@ func TestLoadBasics(t *testing.T) {
 	if snap.CanonHash() != Hash(minij.FormatProgram(snap.Program())) {
 		t.Error("canonical form not captured")
 	}
-	if snap.MethodCanon("PrepProcessor.processCreate") == "" {
-		t.Error("missing method canon")
+	if m := snap.Program().Method("PrepProcessor", "processCreate"); snap.MethodDigest(m) != HashParts("canon", minij.FormatMethod(m)) {
+		t.Error("missing method digest")
 	}
-	if snap.MethodCanon("No.such") != "" {
-		t.Error("phantom method canon")
+	if snap.MethodDigest(&minij.Method{Class: &minij.Class{Name: "No"}, Name: "such"}) != "" {
+		t.Error("phantom method digest")
 	}
 	if !strings.Contains(snap.Shape(), "class PrepProcessor") {
 		t.Errorf("shape missing class: %q", snap.Shape())
@@ -205,7 +205,7 @@ func TestConcurrentLoadSharesOneSnapshot(t *testing.T) {
 			}
 			// Exercise the lazy analyses concurrently too.
 			_ = snap.Graph()
-			_ = snap.MethodCanon("DataTree.createEphemeral")
+			_ = snap.MethodDigest(snap.Program().Method("DataTree", "createEphemeral"))
 			_ = snap.Shape()
 			snaps[i] = snap
 		}(i)

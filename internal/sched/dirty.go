@@ -35,9 +35,8 @@ type Dirty struct {
 func ComputeDirtySnapshots(old, new *program.Snapshot) *Dirty {
 	return program.Memo(new, "sched.dirty\x00"+old.Hash(), func() *Dirty {
 		d := &Dirty{Methods: map[string]bool{}}
-		edits := diffutil.Diff(old.Source(), new.Source())
-		d.Stat = diffutil.DiffStats(edits)
-		if diffutil.Changed(edits) {
+		d.Stat = diffutil.Count(old.Source(), new.Source())
+		if d.Stat.Added+d.Stat.Removed > 0 {
 			localizeDirty(d, old, new)
 		}
 		return d
@@ -45,17 +44,16 @@ func ComputeDirtySnapshots(old, new *program.Snapshot) *Dirty {
 }
 
 // localizeDirty compares two compiled versions: an unchanged declaration
-// skeleton localizes the diff to the method bodies whose memoized canonical
-// text differs; a reshaped skeleton marks everything dirty.
+// skeleton localizes the diff to the method bodies whose canonical digest
+// differs; a reshaped skeleton marks everything dirty.
 func localizeDirty(d *Dirty, old, new *program.Snapshot) {
 	if old.Shape() != new.Shape() {
 		d.All = true
 		return
 	}
 	for _, m := range new.Program().Methods() {
-		name := m.FullName()
-		if old.MethodCanon(name) != new.MethodCanon(name) {
-			d.Methods[name] = true
+		if old.MethodDigest(m) != new.MethodDigest(m) {
+			d.Methods[m.FullName()] = true
 		}
 	}
 }

@@ -90,8 +90,8 @@ func siteClosure(g *callgraph.Graph, siteRep *core.SiteReport) []*minij.Method {
 // and slot operands, the caller-chain slice of the call graph (each chain
 // rendered by callgraph.Path.String, and whether the tree was truncated),
 // and the canonical AST of every method the stage can read — via methodFP,
-// a memo of method canon digests, so a method shared by many closures is
-// digested once instead of re-hashed in full per site. occ disambiguates
+// the analysis snapshot's method digests, taken when it rendered its
+// program, so no site re-hashes a method's text. occ disambiguates
 // canonically identical target statements within the same method.
 func siteFingerprint(semFP, staticFP string, site *contract.Site, truncated bool, chains []string, closure []*minij.Method, occ int, methodFP func(*minij.Method) string) string {
 	binds := make([]string, 0, len(site.Bindings))

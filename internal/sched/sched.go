@@ -334,19 +334,9 @@ func (s *Scheduler) plan(e *core.Engine, ctx *core.AssertContext, dirty *Dirty) 
 	// address — memoized, so a warm replay never re-renders the program.
 	progFP := ctx.Snapshot.CanonHash()
 	staticFP := staticEngineFP(e)
-	// On a memo miss, site fingerprints hash every method in the site's
-	// closure; closures overlap heavily across sites and semantics, so
-	// each method's canonical text is digested once per plan and the
-	// per-site hash covers digests, not full texts.
-	canonFPs := map[*minij.Method]string{}
-	methodFP := func(m *minij.Method) string {
-		fp, ok := canonFPs[m]
-		if !ok {
-			fp = program.HashParts("canon", ctx.MethodCanon(m))
-			canonFPs[m] = fp
-		}
-		return fp
-	}
+	// On a memo miss, site fingerprints cover every method in the site's
+	// closure by its digest, which the snapshot took when it rendered.
+	methodFP := ctx.SnapshotAll.MethodDigest
 	var plans []*semPlan
 	for _, sem := range e.Registry.All() {
 		semFP := semFingerprint(sem)

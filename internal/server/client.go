@@ -130,7 +130,9 @@ func (c *Client) WaitReady(timeout time.Duration) error {
 // per attempt (the body reader is consumed by each try), transient
 // failures back off with seeded jitter — floored at the server's
 // Retry-After hint — and the final failure comes back as a *RemoteError
-// carrying its classification and attempt count.
+// carrying its classification and attempt count. The jitter source is
+// seeded at the first retry: seeding one costs more than most calls, and
+// most calls never retry.
 func (c *Client) do(method, path string, in, out any) error {
 	var data []byte
 	if in != nil {
@@ -147,11 +149,14 @@ func (c *Client) do(method, path string, in, out any) error {
 	if c.policy.OverallTimeout > 0 {
 		overall = time.Now().Add(c.policy.OverallTimeout)
 	}
-	rng := rand.New(rand.NewSource(c.policy.Seed))
+	var rng *rand.Rand
 	var last *RemoteError
 	var retryAfter time.Duration
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(c.policy.Seed))
+			}
 			delay := c.policy.backoff(attempt-1, retryAfter, rng)
 			if !overall.IsZero() && time.Now().Add(delay).After(overall) {
 				last.Kind = RemoteTimeout

@@ -57,7 +57,23 @@
 # TestSharedSeedPrefixCheckedOnce: a seed two chains share is asked its
 # prefix query once; TestReopeningSuiteMatchesAnalysisMethods: with a
 # suite that reopens a system class, sites are matched over the analysis
-# program and render their chains), the site-unit tests by name
+# program and render their chains), the front-end tests by name
+# (TestReceiverTypeGolden: every instance call's receiver type, over every
+# corpus version alone and linked with its suite, every guard mutant and
+# the stress system, equals the committed golden;
+# TestOneRenderDigests: the canon digest and method digests a built,
+# linked or restored snapshot takes from its one render equal the hash of
+# FormatProgram and HashParts("canon", FormatMethod(m));
+# TestCanonGolden: CanonStmt of every corpus statement and CanonExpr of
+# every corpus expression equal the committed golden; TestCanonAllocs: a
+# pass of those standalone renders allocates no more objects or bytes than
+# the string-concatenating printer did; TestCountMatchesDiff and
+# TestCountLargeAppendAllocs: the counting diff gives the counts of Diff's
+# script, and counting a 12,000-line append allocates under 1 MB;
+# TestV1SnapshotRecordRecompiles: a snapshot record of codec version 1
+# reads as a miss, compiles, is rewritten, and the reports are identical;
+# TestFuzzSeedsReachPayload: every committed FuzzDecodeProgram seed gets
+# past the codec's version check), the site-unit tests by name
 # (TestSharedTopPrefixCheckedOnce: a chain top two sites of one method
 # share is asked its prefix query once; TestUndecidedTopAskedAgain: a top
 # a solver-node ceiling left undecided is asked again by the next site;
@@ -133,7 +149,7 @@
 # site plans and diff, so it stays under 400 allocations), the
 # snapshot-record corruption round by name (a damaged snap.v2 record must
 # degrade to a recompute miss through the codec checks, never a wrong
-# result), ten seconds each of the six native fuzz targets below, each
+# result), ten seconds each of the seven native fuzz targets below, each
 # with the minimization of a new input bounded to 100 executions (the
 # default, 60 s, let one multi-KB input's minimization take the rest of a
 # 10 s budget; a failing input is still reported and saved): of the
@@ -154,7 +170,9 @@
 # lexer rejects, and an accepted program's render parses back to the same
 # render), of the store's frame parser
 # (FuzzParseFrame: parseFrame never panics, and an accepted frame's key
-# and value lie inside it and re-encode to the same bytes), one
+# and value lie inside it and re-encode to the same bytes), of the
+# counting diff (FuzzDiffStats: for any two sources, diffutil.Count gives
+# the line counts of Diff's edit script), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
@@ -190,6 +208,10 @@ go test -run 'TestFingerprintCacheHoldsNoAST|TestStructuralHitRendersCurrentPosi
 go test -run 'TestStressReportGolden|TestSiteWalkMatchesPerChainWalks' -count=1 ./internal/experiments
 go test -run 'TestForkedFramesKeepWritesPrivate' -count=1 ./internal/concolic
 go test -run 'TestParseAllocs' -count=1 ./internal/minij
+go test -run 'TestReceiverTypeGolden|TestOneRenderDigests' -count=1 ./internal/experiments
+go test -run 'TestCanonGolden|TestCanonAllocs|TestFuzzSeedsReachPayload' -count=1 ./internal/minij
+go test -run 'TestCountMatchesDiff|TestCountLargeAppendAllocs' -count=1 ./internal/diffutil
+go test -run 'TestV1SnapshotRecordRecompiles' -count=1 ./internal/core
 go test -run 'TestSharedSeedPrefixCheckedOnce' -count=1 ./internal/concolic
 go test -run 'TestSharedTopPrefixCheckedOnce|TestUndecidedTopAskedAgain|TestSharedTopsKeepChainTruncation' -count=1 ./internal/concolic
 go test -run 'TestFailedSiteJobDropsChainTops' -count=1 ./internal/core
@@ -227,6 +249,7 @@ go test -run '^$' -fuzz '^FuzzSpecRoundTrip$' -fuzztime 10s -fuzzminimizetime 10
 go test -run '^$' -fuzz '^FuzzSolverMatchesReference$' -fuzztime 10s -fuzzminimizetime 100x ./internal/smt
 go test -run '^$' -fuzz '^FuzzParseRoundTrip$' -fuzztime 10s -fuzzminimizetime 100x ./internal/minij
 go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 10s -fuzzminimizetime 100x ./internal/store
+go test -run '^$' -fuzz '^FuzzDiffStats$' -fuzztime 10s -fuzzminimizetime 100x ./internal/diffutil
 go test -run '^$' -bench SnapshotReuse -benchtime 1x .
 go test -run 'TestStoreCrashRecoveryCampaign' -count=1 ./internal/store
 go test -run 'TestGateByteIdentityAfterCrash' -count=1 ./internal/server
