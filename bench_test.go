@@ -17,7 +17,6 @@ import (
 	"lisa/internal/contract"
 	"lisa/internal/core"
 	"lisa/internal/corpus"
-	"lisa/internal/diffutil"
 	"lisa/internal/embedding"
 	"lisa/internal/experiments"
 	"lisa/internal/infer"
@@ -282,18 +281,6 @@ func BenchmarkCallGraph(b *testing.B) {
 		tree := g.ExecutionTree(target, callgraph.TreeOptions{})
 		if len(tree.Paths) == 0 {
 			b.Fatal("no paths")
-		}
-	}
-}
-
-// BenchmarkDiff measures the Myers diff on a corpus patch.
-func BenchmarkDiff(b *testing.B) {
-	tk := flagshipTicket()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		edits := diffutil.Diff(tk.BuggySource, tk.FixedSource)
-		if !diffutil.Changed(edits) {
-			b.Fatal("no changes")
 		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 // Counters are compared rather than wall clocks because they are exactly
 // reproducible run to run (the sweep is deterministic), so the gate never
 // flakes on machine load; wall clocks and hit rates are printed for
-// context but do not gate.
+// context but do not gate. A baseline assumes the default -stress-sites:
+// the solver counters include the stress run's queries, most of the
+// sweep's, and they grow with its size.
 const (
 	// diffGrowthFactor is the tracked-counter regression threshold: fail
 	// when fresh > base × 1.25.

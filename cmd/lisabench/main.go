@@ -94,7 +94,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write bench/summary numbers (experiment wall clock, cache and solver stats) to this file")
 	diffPath := flag.String("diff", "", "run the full sweep quietly and diff its counters against this committed BENCH_*.json; exit non-zero on >25% regression in the tracked hot-path counters")
 	storeDir := flag.String("store", "", "back the process-wide snapshot and solver caches with an on-disk store at this directory (default off: counters then match a store-less run exactly)")
-	stressSites := flag.Int("stress-sites", experiments.StressSites, "guarded call sites the E-P1 stress corpus generates (the paper-scale run uses 10000; the stress run uses private caches, so the -diff counters are unaffected)")
+	stressSites := flag.Int("stress-sites", experiments.StressSites, "guarded call sites the E-P1 stress corpus generates (the paper-scale run uses 10000; the stress run's private caches keep the -diff snapshot counters exact, but the solver counters count every stress query and solve, so -diff baselines assume the default)")
 	flag.Parse()
 
 	experiments.ChaosSeed = *seed

@@ -451,9 +451,6 @@ class Test {
 	if r.CoverageRatio() <= 0 || r.CoverageRatio() >= 1 {
 		t.Errorf("coverage = %v, want strictly between 0 and 1", r.CoverageRatio())
 	}
-	if len(r.BranchesCovered) == 0 {
-		t.Error("no branches recorded")
-	}
 }
 
 func TestCheckerFor(t *testing.T) {

@@ -60,15 +60,14 @@ func (h *SiteHit) String() string {
 // OnStmt hook firing on a registered site statement.
 type Runner struct {
 	Prog *minij.Program
-	In   *interp.Interp
 
 	// Hits collects every dynamic execution of a registered site.
 	Hits []*SiteHit
 	// StmtsCovered records executed statement IDs (coverage metrics).
 	StmtsCovered map[int]bool
-	// BranchesCovered records (stmt ID, direction) pairs.
-	BranchesCovered map[int]map[bool]bool
 
+	opts        interp.Options
+	hooks       interp.Hooks
 	sitesByStmt map[int][]*contract.Site
 	shadow      []*dframe
 	methodStack []*minij.Method
@@ -112,15 +111,15 @@ func (d *dframe) flushPost() {
 	d.pendingPost = nil
 }
 
-// NewRunner builds a runner over prog with the given registered sites,
-// creating a fresh interpreter with the supplied options.
+// NewRunner builds a runner over prog with the given registered sites.
+// Each test runs on its own interpreter with the supplied options, so its
+// step budget, clock, files and logs are its own.
 func NewRunner(prog *minij.Program, sites []*contract.Site, opts interp.Options) *Runner {
 	r := &Runner{
-		Prog:            prog,
-		In:              interp.NewWithOptions(prog, opts),
-		StmtsCovered:    map[int]bool{},
-		BranchesCovered: map[int]map[bool]bool{},
-		sitesByStmt:     map[int][]*contract.Site{},
+		Prog:         prog,
+		StmtsCovered: map[int]bool{},
+		opts:         opts,
+		sitesByStmt:  map[int][]*contract.Site{},
 	}
 	for _, s := range sites {
 		r.sitesByStmt[s.Stmt.ID()] = append(r.sitesByStmt[s.Stmt.ID()], s)
@@ -134,7 +133,7 @@ func NewRunner(prog *minij.Program, sites []*contract.Site, opts interp.Options)
 func (r *Runner) SetNoPrune(v bool) { r.noPrune = v }
 
 func (r *Runner) install() {
-	r.In.Hooks.OnEnter = func(m *minij.Method, fr *interp.Frame, call *minij.Call) {
+	r.hooks.OnEnter = func(m *minij.Method, fr *interp.Frame, call *minij.Call) {
 		var env *sframe
 		if caller := r.top(); call != nil && caller != nil {
 			env = inheritFrame(r.Prog, caller.env, m, call)
@@ -144,19 +143,14 @@ func (r *Runner) install() {
 		r.methodStack = append(r.methodStack, m)
 		r.shadow = append(r.shadow, &dframe{env: env, recorded: map[int]int{}})
 	}
-	r.In.Hooks.OnExit = func(m *minij.Method) {
+	r.hooks.OnExit = func(m *minij.Method) {
 		if top := r.top(); top != nil {
 			top.flushPost()
 		}
 		r.methodStack = r.methodStack[:len(r.methodStack)-1]
 		r.shadow = r.shadow[:len(r.shadow)-1]
 	}
-	r.In.Hooks.OnBranch = func(s minij.Stmt, cond minij.Expr, taken bool, fr *interp.Frame) {
-		id := s.ID()
-		if r.BranchesCovered[id] == nil {
-			r.BranchesCovered[id] = map[bool]bool{}
-		}
-		r.BranchesCovered[id][taken] = true
+	r.hooks.OnBranch = func(s minij.Stmt, cond minij.Expr, taken bool, fr *interp.Frame) {
 		top := r.top()
 		if top == nil {
 			return
@@ -171,6 +165,7 @@ func (r *Runner) install() {
 		// the target. The new cell replaces the old one in the frame's own
 		// slice, never writing through a cell: replay never clones a
 		// frame, so no other frame holds this slice.
+		id := s.ID()
 		if i, seen := top.recorded[id]; seen {
 			top.env.conds[i] = rc
 			return
@@ -178,7 +173,7 @@ func (r *Runner) install() {
 		top.recorded[id] = len(top.env.conds)
 		top.env.conds = append(top.env.conds, rc)
 	}
-	r.In.Hooks.OnStmt = func(s minij.Stmt, fr *interp.Frame) {
+	r.hooks.OnStmt = func(s minij.Stmt, fr *interp.Frame) {
 		r.StmtsCovered[s.ID()] = true
 		top := r.top()
 		if top == nil {
@@ -248,12 +243,15 @@ func (r *Runner) recordHit(site *contract.Site, top *dframe, fr *interp.Frame) {
 	r.Hits = append(r.Hits, hit)
 }
 
-// RunStatic invokes a static entry method as one concrete input, labeling
-// resulting hits with testName. Uncaught MiniJ exceptions are returned but
-// do not invalidate hits recorded before the unwind.
+// RunStatic invokes a static entry method as one concrete input on a fresh
+// interpreter, labeling resulting hits with testName. Uncaught MiniJ
+// exceptions are returned but do not invalidate hits recorded before the
+// unwind.
 func (r *Runner) RunStatic(testName, class, method string, args ...interp.Value) error {
 	r.testName = testName
-	_, err := r.In.CallStatic(class, method, args...)
+	in := interp.NewWithOptions(r.Prog, r.opts)
+	in.Hooks = r.hooks
+	_, err := in.CallStatic(class, method, args...)
 	return err
 }
 

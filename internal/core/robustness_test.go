@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,5 +94,40 @@ func TestAssertCtxCancelledMidRun(t *testing.T) {
 	}
 	if rep.Counts.Failures != cancelled {
 		t.Errorf("Counts.Failures = %d, want %d", rep.Counts.Failures, cancelled)
+	}
+}
+
+// TestReplayStepBudgetPerTest: the step budget caps each replayed test on
+// its own. Alone, the zk suite's tests take 10, 9 and 1 interpreter steps,
+// so a budget of 10 degrades none of them, and a budget of 9 degrades only
+// the first: steps, like the clock and the files, do not carry from one
+// test into the next.
+func TestReplayStepBudgetPerTest(t *testing.T) {
+	for _, tt := range []struct {
+		steps int
+		want  []string
+	}{
+		{10, nil},
+		{9, []string{"job dynamic:zk-1208-datatree-createephemeral budget: replay degraded for EphemeralTest.createOnLiveSession: interp: step budget exhausted"}},
+	} {
+		e := New()
+		if _, err := e.ProcessTicket(zkTicket()); err != nil {
+			t.Fatal(err)
+		}
+		e.RunAllTests = true
+		e.Budget.StepBudget = tt.steps
+		rep, err := e.Assert(zkRegressed, zkTestSuite())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, sr := range rep.Semantics {
+			for _, f := range sr.Failures {
+				got = append(got, f.String())
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(tt.want, "\n") {
+			t.Errorf("budget %d: failures %q, want %q", tt.steps, got, tt.want)
+		}
 	}
 }

@@ -53,9 +53,6 @@ func TestEveryVersionCompiles(t *testing.T) {
 			if tk.BuggySource == tk.FixedSource {
 				t.Errorf("%s/%s: buggy and fixed are identical", cs.ID, tk.ID)
 			}
-			if tk.Diff() == "" {
-				t.Errorf("%s/%s: empty diff", cs.ID, tk.ID)
-			}
 		}
 		if cs.Latest != "" {
 			prog, err := minij.Parse(cs.Latest)

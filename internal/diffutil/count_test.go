@@ -12,8 +12,6 @@ import (
 
 // TestCountLargeAppendAllocs: counting zk-ephemeral's head against the
 // head with 4,000 classes (12,000 lines) appended allocates under 1 MB.
-// Diff keeps a copy of its furthest-reach array per edit, and allocated
-// 2.3 GB for the same pair.
 func TestCountLargeAppendAllocs(t *testing.T) {
 	head := corpus.Load().Get("zk-ephemeral").Head()
 	var grown strings.Builder

@@ -4,7 +4,9 @@
 // post-patch source), it walks the same reasoning steps — identify the root
 // cause, state the high-level semantic, state the implementation-local
 // invariant, and translate it into a (condition statement, target
-// statement) pair.
+// statement) pair. The bundle is the ticket.Ticket itself: the analyzer
+// reads its fields, and takes the patch as the pair of buggy and fixed
+// sources, so no bundle text or textual diff is ever formed.
 //
 // The extraction is structural: the patch analyzer aligns the buggy and
 // fixed ASTs, finds guards that the fix introduced or strengthened, works

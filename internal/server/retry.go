@@ -36,8 +36,9 @@ const (
 	// honoring the server's Retry-After as the backoff floor.
 	RemoteOverload
 	// RemoteHTTP: any other HTTP-level failure (400 bad request, 404
-	// unknown case, 422, 500). Not retryable: the request itself is wrong
-	// or the server genuinely failed it, and a retry reproduces it.
+	// unknown case, 413 body too large, 422, 500). Not retryable: the
+	// request itself is wrong or the server genuinely failed it, and a
+	// retry reproduces it.
 	RemoteHTTP
 )
 

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -225,6 +227,50 @@ func TestAssertBadVersion(t *testing.T) {
 	}
 	if _, err := cl.Assert(AssertRequest{Case: "no-such-case"}); err == nil {
 		t.Fatal("want error for unknown case")
+	}
+}
+
+// TestRequestBodyBound: a /gate body one byte past maxRequestBytes gets
+// 413, a body that is not JSON keeps 400, and the daemon gates the next
+// request as usual.
+func TestRequestBodyBound(t *testing.T) {
+	_, cl, done := newTestServer(t, Config{})
+	defer done()
+	cs := corpusCase(t, "zk-ephemeral")
+	base, err := json.Marshal(GateRequest{Case: cs.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized, err := json.Marshal(GateRequest{Case: cs.ID, Change: strings.Repeat("x", maxRequestBytes+1-len(base))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oversized) != maxRequestBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(oversized), maxRequestBytes+1)
+	}
+	for _, tt := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"oversized", oversized, http.StatusRequestEntityTooLarge},
+		{"not json", []byte(`{"case":`), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(cl.base+"/gate", "application/json", bytes.NewReader(tt.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tt.want {
+			t.Errorf("%s: status %d, want %d", tt.name, resp.StatusCode, tt.want)
+		}
+	}
+	resp, err := cl.Gate(GateRequest{Case: cs.ID, Change: cs.Head()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Verdict != "PASS" {
+		t.Errorf("gate after the rejected bodies: verdict %q, want PASS", resp.Verdict)
 	}
 }
 

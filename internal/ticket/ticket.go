@@ -1,17 +1,15 @@
 // Package ticket models historical failure tickets: the input bundles that
-// LISA's inference stage consumes. A ticket carries the textual failure
-// description and developer discussion, the code patch (derivable as a
-// diff between the buggy and fixed sources), the post-patch source, and the
-// regression tests the developers added — exactly the bundle Figure 5
-// feeds to the LLM.
+// LISA's inference stage consumes. A Ticket is the bundle Figure 5 feeds to
+// the LLM: the failure description and developer discussion, the buggy and
+// patched sources (the code patch is their difference), and the regression
+// tests the developers added. The inferencer reads those fields directly,
+// so no run forms the bundle's prompt text.
 package ticket
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"lisa/internal/diffutil"
 )
 
 // TestCase is one executable test: a static MiniJ entry method plus the
@@ -45,31 +43,6 @@ type Ticket struct {
 	FixedSource string
 	// RegressionTests are the tests added alongside the fix.
 	RegressionTests []TestCase
-}
-
-// Diff renders the code patch in unified format.
-func (t *Ticket) Diff() string {
-	return diffutil.Unified(t.ID+".mj", diffutil.Diff(t.BuggySource, t.FixedSource), 3)
-}
-
-// Bundle renders the full inference input: description, discussion, patch,
-// and post-patch source — the three inputs named in the paper's prompt.
-func (t *Ticket) Bundle() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "TICKET %s: %s\n\n", t.ID, t.Title)
-	sb.WriteString("== Failure description ==\n")
-	sb.WriteString(t.Description)
-	sb.WriteString("\n\n== Developer discussion ==\n")
-	for _, d := range t.Discussion {
-		sb.WriteString("- ")
-		sb.WriteString(d)
-		sb.WriteByte('\n')
-	}
-	sb.WriteString("\n== Code patch ==\n")
-	sb.WriteString(t.Diff())
-	sb.WriteString("\n== Source after patch ==\n")
-	sb.WriteString(t.FixedSource)
-	return sb.String()
 }
 
 // Case is one regression case from the study: an original bug plus at

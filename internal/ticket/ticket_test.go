@@ -16,33 +16,6 @@ func sample() *Ticket {
 	}
 }
 
-func TestTicketDiff(t *testing.T) {
-	d := sample().Diff()
-	if !strings.Contains(d, "-\t\tlog(1);") || !strings.Contains(d, "+\t\tlog(2);") {
-		t.Errorf("diff:\n%s", d)
-	}
-	if !strings.Contains(d, "SYS-1.mj") {
-		t.Errorf("diff missing file name:\n%s", d)
-	}
-}
-
-func TestTicketBundle(t *testing.T) {
-	b := sample().Bundle()
-	for _, want := range []string{
-		"TICKET SYS-1: Thing breaks",
-		"Failure description",
-		"The thing broke under load.",
-		"root cause is the missing guard",
-		"Code patch",
-		"Source after patch",
-		"log(2);",
-	} {
-		if !strings.Contains(b, want) {
-			t.Errorf("bundle missing %q", want)
-		}
-	}
-}
-
 func TestCaseHead(t *testing.T) {
 	cs := &Case{
 		Tickets: []*Ticket{

@@ -67,9 +67,10 @@
 # TestCanonGolden: CanonStmt of every corpus statement and CanonExpr of
 # every corpus expression equal the committed golden; TestCanonAllocs: a
 # pass of those standalone renders allocates no more objects or bytes than
-# the string-concatenating printer did; TestCountMatchesDiff and
-# TestCountLargeAppendAllocs: the counting diff gives the counts of Diff's
-# script, and counting a 12,000-line append allocates under 1 MB;
+# the string-concatenating printer did; TestCountMatchesLCS and
+# TestCountLargeAppendAllocs: the counting diff gives the counts of a
+# script that keeps a longest common subsequence (a dynamic-programming
+# reference), and counting a 12,000-line append allocates under 1 MB;
 # TestV1SnapshotRecordRecompiles: a snapshot record of codec version 1
 # reads as a miss, compiles, is rewritten, and the reports are identical;
 # TestFuzzSeedsReachPayload: every committed FuzzDecodeProgram seed gets
@@ -172,7 +173,8 @@
 # (FuzzParseFrame: parseFrame never panics, and an accepted frame's key
 # and value lie inside it and re-encode to the same bytes), of the
 # counting diff (FuzzDiffStats: for any two sources, diffutil.Count gives
-# the line counts of Diff's edit script), one
+# the line counts of a script that keeps a longest common subsequence,
+# found by dynamic programming), one
 # iteration of the snapshot-reuse benchmark (BenchmarkSnapshotReuse: its
 # compile, restore and graph-build counter assertions fail the run), the
 # crash-recovery campaign by name (seeded kill points
@@ -210,7 +212,7 @@ go test -run 'TestForkedFramesKeepWritesPrivate' -count=1 ./internal/concolic
 go test -run 'TestParseAllocs' -count=1 ./internal/minij
 go test -run 'TestReceiverTypeGolden|TestOneRenderDigests' -count=1 ./internal/experiments
 go test -run 'TestCanonGolden|TestCanonAllocs|TestFuzzSeedsReachPayload' -count=1 ./internal/minij
-go test -run 'TestCountMatchesDiff|TestCountLargeAppendAllocs' -count=1 ./internal/diffutil
+go test -run 'TestCountMatchesLCS|TestCountLargeAppendAllocs' -count=1 ./internal/diffutil
 go test -run 'TestV1SnapshotRecordRecompiles' -count=1 ./internal/core
 go test -run 'TestSharedSeedPrefixCheckedOnce' -count=1 ./internal/concolic
 go test -run 'TestSharedTopPrefixCheckedOnce|TestUndecidedTopAskedAgain|TestSharedTopsKeepChainTruncation' -count=1 ./internal/concolic
